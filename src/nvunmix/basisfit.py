@@ -9,9 +9,7 @@ keep the feasible solution with the smaller residual.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -185,35 +183,15 @@ def fit_coefficients(
     return u0, u1, rms(u0, u1)
 
 
-def fit_series(
-    series: FieldSeries,
-    basis: BasisPair,
-    *,
-    nonneg: bool = True,
-    max_workers: int | None = None,
-) -> CoefficientTable:
-    """Fit every series entry; row order follows the (ascending-field) series.
+def fit_series(series: FieldSeries, basis: BasisPair, *, nonneg: bool = True) -> CoefficientTable:
+    """Fit every series entry with :func:`fit_coefficients`, one entry at a time.
 
-    Entries are independent, so ``max_workers > 1`` fans the fits out across a
-    thread pool with identical results. Defaults to the NVUNMIX_THREADS
-    environment variable, else serial.
+    Row order follows the (ascending-field) series.
     """
     if len(series) == 0:
         raise ValidationError("cannot fit an empty series")
-    if max_workers is None:
-        max_workers = int(os.environ.get("NVUNMIX_THREADS", "1"))
-    spectra = [s for _, s in series.entries]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            fits = list(pool.map(lambda s: fit_coefficients(s, basis, nonneg=nonneg), spectra))
-    else:
-        fits = [fit_coefficients(s, basis, nonneg=nonneg) for s in spectra]
-    return CoefficientTable(
-        np.array(series.fields),
-        np.array([f[0] for f in fits]),
-        np.array([f[1] for f in fits]),
-        np.array([f[2] for f in fits]),
-    )
+    fits = [fit_coefficients(s, basis, nonneg=nonneg) for _, s in series.entries]
+    return CoefficientTable(np.array(series.fields), *np.array(fits).T)
 
 
 def _check_finite(**values: float) -> None:

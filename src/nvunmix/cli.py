@@ -90,7 +90,7 @@ def cmd_decompose(args) -> int:
     high = load_spectrum(args.high, negative=args.negative)
     cfg = ZplArtifactConfig(args.zpl_center, _parse_window(args.zpl_window), args.edge)
     f_min, f_max = _parse_range(args.f_range)
-    search = ScaleSearchConfig(f_min, f_max, args.f_steps, args.f_tol)
+    search = ScaleSearchConfig(f_min, f_max)
     result = decompose(low, high, cfg, search)
     save_spectrum(result.nv0, args.out_nv0)
     save_spectrum(result.nvminus, args.out_nvm)
@@ -98,6 +98,7 @@ def cmd_decompose(args) -> int:
         "f": result.f,
         "zpl_metric": result.zpl_metric,
         "nv0_zpl575_score": result.zpl575_score,
+        "f_at_bound": result.f_at_bound,
     }
     path = _write_report(
         args,
@@ -108,8 +109,6 @@ def cmd_decompose(args) -> int:
             "zpl_window": args.zpl_window,
             "edge": args.edge,
             "f_range": args.f_range,
-            "f_steps": args.f_steps,
-            "f_tol": args.f_tol,
             "negative": args.negative,
         },
         [args.out_nv0, args.out_nvm],
@@ -127,19 +126,27 @@ def cmd_fit_series(args) -> int:
     with open(args.series, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
             raise ParseError(f"{args.series}: invalid manifest JSON: {exc}") from exc
+    if not (isinstance(manifest, list) and manifest):
+        raise ParseError(f"{args.series}: manifest must be a non-empty JSON list of entries")
     base_dir = os.path.dirname(os.path.abspath(args.series))
     entries = []
     spectrum_paths = []
-    for item in manifest:
+    for i, item in enumerate(manifest):
+        if not (isinstance(item, dict) and isinstance(item.get("path"), str)):
+            raise ParseError(f"{args.series}: entry {i} needs a string 'path'")
+        try:
+            b_field = float(item["b_field_gauss"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(
+                f"{args.series}: entry {i} needs a numeric 'b_field_gauss'"
+            ) from exc
         path = item["path"]
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         spectrum_paths.append(path)
-        entries.append(
-            (float(item["b_field_gauss"]), load_spectrum(path, negative=args.negative))
-        )
+        entries.append((b_field, load_spectrum(path, negative=args.negative)))
     series = FieldSeries.ingest(entries)
     grid = series.entries[0][1].wavelengths
     if not np.array_equal(basis.grid, grid):
@@ -464,9 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zpl-center", type=float, default=637.0)
     p.add_argument("--zpl-window", default="630:644")
     p.add_argument("--edge", type=float, default=4.0)
-    p.add_argument("--f-range", default="1:50")
-    p.add_argument("--f-steps", type=int, default=200)
-    p.add_argument("--f-tol", type=float, default=1e-4)
+    p.add_argument("--f-range", default="1:50", help="clamp for the scale factor LO:HI")
     p.add_argument("--report", default=None)
     _add_negative_flag(p)
     p.set_defaults(func=cmd_decompose)

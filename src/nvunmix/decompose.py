@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import IdentifiabilityError, ModelViolationWarning, ValidationError
+from .errors import (
+    IdentifiabilityError,
+    ModelViolationWarning,
+    NonPhysicalWarning,
+    ValidationError,
+)
 from .spectrum import (
     Spectrum,
     WavelengthWindow,
@@ -44,8 +49,6 @@ __all__ = [
 
 NV0_ZPL_NM = 575.0
 NVM_ZPL_NM = 637.0
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -74,22 +77,20 @@ class ZplArtifactConfig:
 
 @dataclass(frozen=True)
 class ScaleSearchConfig:
-    """Bracket and resolution for the scale-factor search."""
+    """Clamp range for the scale factor."""
 
     f_min: float = 1.0
     f_max: float = 50.0
-    coarse_steps: int = 200
-    tol: float = 1e-4
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.f_min) and self.f_min > 0.0):
             raise ValidationError("f_min must be positive")
         if not (np.isfinite(self.f_max) and self.f_max > self.f_min):
             raise ValidationError("f_max must exceed f_min")
-        if int(self.coarse_steps) < 2:
-            raise ValidationError("coarse_steps must be >= 2")
-        if not (np.isfinite(self.tol) and self.tol > 0.0):
-            raise ValidationError("tol must be positive")
+
+    def at_bound(self, f: float) -> bool:
+        """True when ``f`` lies on or outside the clamp range."""
+        return not self.f_min < f < self.f_max
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +101,8 @@ class DecompositionResult:
     ``nvminus == f * diff`` by construction. ``zpl_metric`` is the residual
     artifact score at the returned factor; ``zpl575_score`` is the flatness
     diagnostic of the difference spectrum at the neutral-state line.
+    ``f_at_bound`` marks a factor clamped to the search range, which then
+    bounds the true minimizer rather than locating it.
     """
 
     f: float
@@ -108,6 +111,7 @@ class DecompositionResult:
     diff: Spectrum
     zpl_metric: float
     zpl575_score: float
+    f_at_bound: bool
 
 
 def _baseline_residual(
@@ -173,26 +177,38 @@ def difference_spectrum(
     return diff, score
 
 
-def _golden_min(fun, a: float, b: float, tol: float) -> float:
-    """Golden-section minimum of a unimodal function on [a, b]."""
-    h = b - a
-    if h <= tol:
-        return 0.5 * (a + b)
-    c = b - _GOLDEN * h
-    d = a + _GOLDEN * h
-    yc, yd = fun(c), fun(d)
-    while h > tol:
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = b - _GOLDEN * h
-            yc = fun(c)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _GOLDEN * h
-            yd = fun(d)
-    return 0.5 * (a + b)
+def _l1_scale_factor(
+    xs: NDArray[np.float64],
+    r_low: NDArray[np.float64],
+    r_diff: NDArray[np.float64],
+    search: ScaleSearchConfig,
+) -> float:
+    """Minimizer over the clamp range of the trapezoid integral of |r_low - f * r_diff|.
+
+    With trapezoid node weights w, the integral is the sum of
+    w * |r_diff| * |r_low / r_diff - f| plus a constant from the nodes where
+    r_diff is zero: a weighted L1 fit of one parameter, minimized exactly by
+    the lower weighted median of the ratios. The objective is convex, so
+    clamping that median gives the minimizer over the range; a clamped value
+    fires a NonPhysicalWarning.
+    """
+    dx = np.diff(xs)
+    w = np.zeros_like(xs)
+    w[:-1] += 0.5 * dx
+    w[1:] += 0.5 * dx
+    keep = r_diff != 0.0
+    ratios = r_low[keep] / r_diff[keep]
+    order = np.argsort(ratios, kind="stable")
+    cum = np.cumsum((w[keep] * np.abs(r_diff[keep]))[order])
+    f_star = float(ratios[order][np.searchsorted(cum, 0.5 * cum[-1])])
+    if search.at_bound(f_star):
+        warnings.warn(
+            f"scale factor {f_star:.6g} lies on or outside the search range "
+            f"[{search.f_min:g}, {search.f_max:g}]; returning the clamped value",
+            NonPhysicalWarning,
+            stacklevel=3,
+        )
+    return float(np.clip(f_star, search.f_min, search.f_max))
 
 
 def optimize_scale_factor(
@@ -203,9 +219,10 @@ def optimize_scale_factor(
 ) -> tuple[float, float]:
     """Scale factor minimizing the ZPL artifact of ``low_b - f * diff``.
 
-    The objective is convex piecewise-linear in ``f``, so a coarse scan
-    followed by golden-section refinement finds the global minimum. Returns
-    the factor and the artifact metric at it.
+    The artifact is convex and piecewise linear in ``f``; its exact minimizer
+    is a weighted median of the window's baseline-residual ratios, clamped to
+    ``[f_min, f_max]`` (see :func:`_l1_scale_factor`). Returns the factor and
+    the artifact metric at it.
     """
     cfg = cfg or ZplArtifactConfig()
     search = search or ScaleSearchConfig()
@@ -224,21 +241,8 @@ def optimize_scale_factor(
         raise IdentifiabilityError(
             "difference spectrum carries no line feature in the artifact window"
         )
-
-    def objective(f: float) -> float:
-        return _trapz(np.abs(r_low - f * r_diff), xs)
-
-    fs = np.linspace(search.f_min, search.f_max, int(search.coarse_steps))
-    coarse = _trapz_rows(np.abs(r_low[None, :] - fs[:, None] * r_diff[None, :]), xs)
-    i = int(np.argmin(coarse))
-    lo = fs[max(i - 1, 0)]
-    hi = fs[min(i + 1, fs.size - 1)]
-    f_best = _golden_min(objective, float(lo), float(hi), search.tol)
-    return f_best, objective(f_best)
-
-
-def _trapz_rows(rows: NDArray[np.float64], x: NDArray[np.float64]) -> NDArray[np.float64]:
-    return 0.5 * (rows[:, 1:] + rows[:, :-1]) @ np.diff(x)
+    f = _l1_scale_factor(xs, r_low, r_diff, search)
+    return f, _trapz(np.abs(r_low - f * r_diff), xs)
 
 
 def decompose(
@@ -255,6 +259,7 @@ def decompose(
     (they diagnose a wrong factor or a model violation) and flagged with a
     warning rather than clipped.
     """
+    search = search or ScaleSearchConfig()
     diff, score575 = difference_spectrum(low_b, high_b, warn_fraction=warn_fraction)
     f, metric = optimize_scale_factor(low_b, diff, cfg, search)
     nvminus = scale(diff, f)
@@ -268,5 +273,6 @@ def decompose(
             stacklevel=2,
         )
     return DecompositionResult(
-        f=f, nv0=nv0, nvminus=nvminus, diff=diff, zpl_metric=metric, zpl575_score=score575
+        f=f, nv0=nv0, nvminus=nvminus, diff=diff, zpl_metric=metric, zpl575_score=score575,
+        f_at_bound=search.at_bound(f),
     )

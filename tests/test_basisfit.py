@@ -176,19 +176,6 @@ class TestFitSeries:
             assert abs(table.cminus[i] - truth) / truth < 0.01
             assert abs(table.c0[i] - 10000.0) / 10000.0 < 0.01
 
-    def test_parallel_matches_serial(self, grid02, default_basis):
-        sweep = make_sweep(
-            [170.0, 400.0, 829.0],
-            DEFAULT_FIELD_RESPONSE,
-            (DEFAULT_NV0_SHAPE, DEFAULT_NVM_SHAPE),
-            grid02,
-        )
-        series = FieldSeries(tuple(sweep))
-        serial = fit_series(series, default_basis, max_workers=1)
-        threaded = fit_series(series, default_basis, max_workers=4)
-        assert np.array_equal(serial.cminus, threaded.cminus)
-        assert np.array_equal(serial.c0, threaded.c0)
-
 
 class TestScaleFactorArithmetic:
     def test_reference_pair(self):

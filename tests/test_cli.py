@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nvunmix import (
+    NonPhysicalWarning,
     PLMap,
     Spectrum,
     load_map,
@@ -45,10 +46,29 @@ class TestDecomposeCommand:
         assert rc == 0
         report = RunReport.load(tmp_path / "nv0.report.json")
         assert report.diagnostics["f"] == pytest.approx(6.2, abs=0.01)
-        assert set(report.diagnostics) == {"f", "zpl_metric", "nv0_zpl575_score"}
+        assert set(report.diagnostics) == {"f", "zpl_metric", "nv0_zpl575_score", "f_at_bound"}
+        assert report.diagnostics["f_at_bound"] is False
         nv0 = load_spectrum(tmp_path / "nv0.csv", negative="allow")
         assert np.max(np.abs(nv0.intensities - s0.intensities)) < 1e-3 * np.max(s0.intensities)
         assert "f = 6.2" in capsys.readouterr().out
+
+    def test_factor_on_bound_flagged(self, tmp_path, grid02):
+        write_low_high(tmp_path, grid02)
+        with pytest.warns(NonPhysicalWarning, match=r"\[1, 3\]"):
+            rc = main(
+                [
+                    "decompose",
+                    "--low", str(tmp_path / "low.csv"),
+                    "--high", str(tmp_path / "high.csv"),
+                    "--out-nv0", str(tmp_path / "nv0.csv"),
+                    "--out-nvm", str(tmp_path / "nvm.csv"),
+                    "--f-range", "1:3",
+                ]
+            )
+        assert rc == 0
+        report = RunReport.load(tmp_path / "nv0.report.json")
+        assert report.diagnostics["f"] == 3.0
+        assert report.diagnostics["f_at_bound"] is True
 
     def test_missing_file_is_io_error(self, tmp_path):
         rc = main(
@@ -238,6 +258,33 @@ class TestSweepFlow:
         surface = {(float(r.split(",")[0]), float(r.split(",")[1])): float(r.split(",")[2])
                    for r in (tmp_path / "surface.csv").read_text().splitlines()[1:]}
         assert surface[(170.0, 975.0)] == pytest.approx(6.2, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            b'[{"b_field_gauss": 170.0}]',
+            b'{"b_field_gauss": 170.0, "path": "s.csv"}',
+            b'[{"b_field_gauss": "x", "path": "s.csv"}]',
+            b"[]",
+            b"\xff\xfe[]",
+        ],
+        ids=["no-path", "object-not-list", "non-numeric-field", "empty", "not-utf8"],
+    )
+    def test_malformed_manifest_parse_error(self, tmp_path, grid02, capsys, manifest):
+        save_spectrum(make_spectrum(CLEAN_NVM_SHAPE, grid02, 1.0), tmp_path / "s.csv")
+        (tmp_path / "m.json").write_bytes(manifest)
+        rc = main(
+            [
+                "fit-series",
+                "--basis-nv0", str(tmp_path / "s.csv"),
+                "--basis-nvm", str(tmp_path / "s.csv"),
+                "--series", str(tmp_path / "m.json"),
+                "--out-table", str(tmp_path / "table.csv"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestRenderAndReportCommands:

@@ -5,13 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nvunmix import (
     GridMismatchError,
     IdentifiabilityError,
     ModelViolationWarning,
+    NonPhysicalWarning,
     RangeError,
     ScaleSearchConfig,
     Spectrum,
@@ -26,6 +27,7 @@ from nvunmix import (
     subtract,
     zpl_artifact,
 )
+from nvunmix.decompose import _l1_scale_factor
 
 from conftest import CLEAN_NV0_SHAPE, CLEAN_NVM_SHAPE
 from test_spectrum import gaussian_window_area
@@ -133,8 +135,8 @@ class TestOptimizeScaleFactor:
         assert f == pytest.approx(1.0, abs=1e-3)
 
     def test_exact_recovery_with_featureless_remainder(self):
-        """Remainder strictly affine over the window region: the search hits
-        the injected factor to golden-section resolution."""
+        """Remainder strictly affine over the window region: the weighted
+        median hits the injected factor."""
         base = affine(FINE, 30.0, 0.05)
         bump = gauss(FINE, 637.0, 1.7, 400.0) + gauss(FINE, 660.0, 8.0, 2000.0)
         rng = np.random.default_rng(21)
@@ -160,8 +162,52 @@ class TestOptimizeScaleFactor:
             ScaleSearchConfig(f_min=0.0)
         with pytest.raises(ValidationError):
             ScaleSearchConfig(f_min=2.0, f_max=1.0)
-        with pytest.raises(ValidationError):
-            ScaleSearchConfig(coarse_steps=1)
+
+    def test_factor_on_bound_flagged(self, grid02):
+        s0 = make_spectrum(CLEAN_NV0_SHAPE, grid02, 10000.0)
+        sm = make_spectrum(CLEAN_NVM_SHAPE, grid02, 62000.0)
+        low = Spectrum(grid02, s0.intensities + sm.intensities)
+        diff = scale(sm, 1.0 / 6.2)
+        with pytest.warns(NonPhysicalWarning, match=r"6\.2\d* .*\[1, 3\]"):
+            f, _ = optimize_scale_factor(low, diff, search=ScaleSearchConfig(1.0, 3.0))
+        assert f == 3.0
+        with pytest.warns(NonPhysicalWarning, match=r"\[10, 50\]"):
+            f, _ = optimize_scale_factor(low, diff, search=ScaleSearchConfig(10.0, 50.0))
+        assert f == 10.0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(1e-3, 5.0),
+                st.floats(-1e3, 1e3) | st.just(0.0),
+                st.floats(-1e3, 1e3),
+            ),
+            min_size=2,
+            max_size=40,
+        ),
+        st.floats(0.5, 20.0),
+        st.floats(0.01, 10.0),
+        st.floats(0.01, 30.0),
+    )
+    def test_weighted_median_beats_dense_grid(self, nodes, f_true, f_min, width):
+        """Oracle: the returned factor scores no worse than any point of a
+        dense grid over the clamp range, by brute-force trapezoid sums."""
+        steps, r_diff, noise = (np.array(c) for c in zip(*nodes))
+        assume(np.any(r_diff != 0.0))
+        r_low = f_true * r_diff + noise
+        xs = 600.0 + np.cumsum(steps)
+        search = ScaleSearchConfig(f_min, f_min + width)
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("ignore", NonPhysicalWarning)
+            f = _l1_scale_factor(xs, r_low, r_diff, search)
+        assert search.f_min <= f <= search.f_max
+
+        def objective(fs):
+            y = np.abs(r_low[None, :] - np.asarray(fs)[:, None] * r_diff[None, :])
+            return np.sum(0.5 * (y[:, 1:] + y[:, :-1]) * np.diff(xs), axis=1)
+
+        on_grid = objective(np.linspace(search.f_min, search.f_max, 4001))
+        assert objective([f])[0] <= on_grid.min() + 1e-12 * on_grid.max()
 
     @given(st.lists(st.floats(1.0, 50.0), min_size=3, max_size=3, unique=True))
     def test_objective_is_unimodal_convex(self, fs):
