@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 validation/parse error, 3 numerical error
-(singularity/identifiability), 4 I/O error. Every compute subcommand writes a
-run report capturing inputs (with hashes), effective parameters, outputs, and
-diagnostics.
+(singularity/identifiability), 4 I/O error. ``fileio`` decodes every input
+file (JSON through ``load_json``). Every report, capturing inputs (with hashes),
+effective parameters, outputs and diagnostics, is written by ``_write_report``.
 """
 
 from __future__ import annotations
@@ -23,22 +23,20 @@ from .errors import (
     NoMinimumError,
     NvUnmixError,
     ParseError,
-    RangeError,
     SingularityError,
     ValidationError,
 )
-from .fileio import RunReport, load_map, load_spectrum, save_map, save_spectrum
+from .fileio import RunReport, load_json, load_map, load_spectrum, map_paths
+from .fileio import save_map, save_spectrum
 from .filters import FilterModel, TabulatedFilter, TransmissivityPair, transmissivity
-from .maps import field_unmix, filter_unmix
+from .maps import PLMap, field_unmix, filter_unmix
 from .render import RenderStyle, render_map_pgm, render_spectrum_svg
 from .spectrum import BasisPair, WavelengthWindow, resample
 from .synth import (
     DEFAULT_FIELD_RESPONSE,
     DEFAULT_NV0_SHAPE,
     DEFAULT_NVM_SHAPE,
-    FieldResponseModel,
-    NoiseModel,
-    SpectralShapeModel,
+    NOISELESS,
     make_field_map_pair,
     make_letter_map,
     make_spectrum,
@@ -51,11 +49,7 @@ _EXIT_IO = 4
 
 
 def _parse_window(text: str) -> WavelengthWindow:
-    lo, _, hi = text.partition(":")
-    try:
-        return WavelengthWindow(float(lo), float(hi))
-    except ValueError as exc:
-        raise ValidationError(f"bad window {text!r} (expected LO:HI)") from exc
+    return WavelengthWindow(*_parse_range(text))
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -71,10 +65,10 @@ def _report_path(primary_output: str) -> str:
     return stem + ".report.json"
 
 
-def _write_report(args, command, input_paths, parameters, outputs, diagnostics) -> str:
-    path = args.report or _report_path(outputs[0])
-    report = RunReport.create(command, input_paths, parameters, outputs, diagnostics)
-    report.save(path)
+def _write_report(path, command, input_paths, parameters, outputs, diagnostics) -> str | None:
+    """Save the run report at ``path``; write nothing when no path is given."""
+    if path:
+        RunReport.create(command, input_paths, parameters, outputs, diagnostics).save(path)
     return path
 
 
@@ -101,7 +95,7 @@ def cmd_decompose(args) -> int:
         "f_at_bound": result.f_at_bound,
     }
     path = _write_report(
-        args,
+        args.report or _report_path(args.out_nv0),
         "decompose",
         [args.low, args.high],
         {
@@ -123,28 +117,21 @@ def cmd_fit_series(args) -> int:
         load_spectrum(args.basis_nv0, negative=args.negative),
         load_spectrum(args.basis_nvm, negative=args.negative),
     )
-    with open(args.series, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
-            raise ParseError(f"{args.series}: invalid manifest JSON: {exc}") from exc
-    if not (isinstance(manifest, list) and manifest):
+    manifest = load_json(args.series, list, "manifest")
+    if not manifest:
         raise ParseError(f"{args.series}: manifest must be a non-empty JSON list of entries")
     base_dir = os.path.dirname(os.path.abspath(args.series))
     entries = []
     spectrum_paths = []
     for i, item in enumerate(manifest):
-        if not (isinstance(item, dict) and isinstance(item.get("path"), str)):
-            raise ParseError(f"{args.series}: entry {i} needs a string 'path'")
+        path = item.get("path") if isinstance(item, dict) else None
+        if not isinstance(path, str) or "\0" in path:
+            raise ParseError(f"{args.series}: entry {i} needs a file name string 'path'")
         try:
             b_field = float(item["b_field_gauss"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(
-                f"{args.series}: entry {i} needs a numeric 'b_field_gauss'"
-            ) from exc
-        path = item["path"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{args.series}: entry {i} needs a numeric 'b_field_gauss'") from exc
+        path = os.path.join(base_dir, path)  # an absolute path replaces base_dir
         spectrum_paths.append(path)
         entries.append((b_field, load_spectrum(path, negative=args.negative)))
     series = FieldSeries.ingest(entries)
@@ -172,7 +159,7 @@ def cmd_fit_series(args) -> int:
         "surface_skipped": len(surface.skipped) if surface else 0,
     }
     path = _write_report(
-        args,
+        args.report or _report_path(args.out_table),
         "fit-series",
         [args.basis_nv0, args.basis_nvm, args.series] + spectrum_paths,
         {"unconstrained": args.unconstrained, "negative": args.negative},
@@ -189,24 +176,24 @@ def cmd_transmissivity(args) -> int:
     window = _parse_window(args.window)
     t = transmissivity(spec, fm, window)
     print(f"{t:.6g}")
-    if args.report:
-        RunReport.create(
-            "transmissivity",
-            [args.spectrum] + ([args.filter_table] if args.filter_table else []),
-            {
-                "tmax": args.tmax,
-                "center": args.center,
-                "width": args.width,
-                "window": args.window,
-                "filter_table": args.filter_table,
-            },
-            [],
-            {"transmissivity": t},
-        ).save(args.report)
+    _write_report(
+        args.report,
+        "transmissivity",
+        [args.spectrum] + ([args.filter_table] if args.filter_table else []),
+        {
+            "tmax": args.tmax,
+            "center": args.center,
+            "width": args.width,
+            "window": args.window,
+            "filter_table": args.filter_table,
+        },
+        [],
+        {"transmissivity": t},
+    )
     return 0
 
 
-def _unmix_common(args, command, unmixed, low_like, inputs, parameters):
+def _unmix_common(args, command, unmixed, low_like, input_maps, parameters):
     out_nv0 = save_map(unmixed.nv0, args.out + ".nv0")
     out_nvm = save_map(unmixed.nvminus, args.out + ".nvm")
     recon = unmixed.nv0.values + unmixed.nvminus.values
@@ -220,7 +207,12 @@ def _unmix_common(args, command, unmixed, low_like, inputs, parameters):
         "reconstruction_residual": residual,
     }
     path = _write_report(
-        args, command, inputs, parameters, [*out_nv0, *out_nvm], diagnostics
+        args.report or _report_path(out_nv0[0]),
+        command,
+        [p for m in input_maps for p in _existing_map_files(m)],
+        parameters,
+        [*out_nv0, *out_nvm],
+        diagnostics,
     )
     print(
         f"negative pixels: {unmixed.negative_pixel_count}  "
@@ -238,7 +230,7 @@ def cmd_unmix_map_field(args) -> int:
         "unmix-map-field",
         unmixed,
         low,
-        [p for pair in (args.low, args.high) for p in _existing_map_files(pair)],
+        (args.low, args.high),
         {"f": args.f, "negative": args.negative},
     )
 
@@ -252,23 +244,30 @@ def cmd_unmix_map_filter(args) -> int:
         "unmix-map-filter",
         unmixed,
         m0,
-        [p for pair in (args.m0, args.mlpf) for p in _existing_map_files(pair)],
+        (args.m0, args.mlpf),
         {"t0": args.t0, "tm": args.tm, "negative": args.negative},
     )
 
 
 def _existing_map_files(path: str) -> list[str]:
-    from .fileio import map_paths
-
     return [p for p in map_paths(path) if os.path.exists(p)]
 
 
+def _section(params: dict, key: str) -> dict:
+    """The settings object under ``key`` of a parameter file ({} when absent)."""
+    value = params.get(key, {})
+    if not isinstance(value, dict):
+        raise TypeError(f"{key!r} must be a JSON object")
+    return value
+
+
+def _model(params: dict, key: str, default):
+    """The model of ``default``'s type set under ``key``, else ``default``."""
+    return type(default).from_dict(_section(params, key)) if key in params else default
+
+
 def _simulate_spectrum(params, seed, out_dir) -> tuple[list[str], dict]:
-    shape = (
-        SpectralShapeModel.from_dict(params["shape"])
-        if "shape" in params
-        else DEFAULT_NVM_SHAPE
-    )
+    shape = _model(params, "shape", DEFAULT_NVM_SHAPE)
     grid = _grid_from_params(params)
     total = float(params.get("total_counts", 62000.0))
     spec = make_spectrum(shape, grid, total)
@@ -278,7 +277,7 @@ def _simulate_spectrum(params, seed, out_dir) -> tuple[list[str], dict]:
 
 
 def _grid_from_params(params) -> np.ndarray:
-    g = params.get("grid", {})
+    g = _section(params, "grid")
     lo = float(g.get("lo", 550.0))
     hi = float(g.get("hi", 850.0))
     step = float(g.get("step", 0.2))
@@ -289,22 +288,14 @@ def _grid_from_params(params) -> np.ndarray:
 
 
 def _simulate_sweep(params, seed, out_dir) -> tuple[list[str], dict]:
-    response = (
-        FieldResponseModel.from_dict(params["field_response"])
-        if "field_response" in params
-        else DEFAULT_FIELD_RESPONSE
-    )
-    shape_params = params.get("shapes", {})
+    response = _model(params, "field_response", DEFAULT_FIELD_RESPONSE)
+    shape_params = _section(params, "shapes")
     shapes = (
-        SpectralShapeModel.from_dict(shape_params["nv0"])
-        if "nv0" in shape_params
-        else DEFAULT_NV0_SHAPE,
-        SpectralShapeModel.from_dict(shape_params["nvminus"])
-        if "nvminus" in shape_params
-        else DEFAULT_NVM_SHAPE,
+        _model(shape_params, "nv0", DEFAULT_NV0_SHAPE),
+        _model(shape_params, "nvminus", DEFAULT_NVM_SHAPE),
     )
     grid = _grid_from_params(params)
-    noise = NoiseModel.from_dict(params.get("noise", {"kind": "none"}))
+    noise = _model(params, "noise", NOISELESS)
     fields = [float(b) for b in params.get("fields", response.fields)]
     sweep = make_sweep(fields, response, shapes, grid, noise, seed)
     manifest = []
@@ -322,24 +313,28 @@ def _simulate_sweep(params, seed, out_dir) -> tuple[list[str], dict]:
     return outputs, {"fields": len(fields), "noise": noise.kind}
 
 
+def _letter_maps(lm: dict) -> tuple[PLMap, PLMap]:
+    """The NV0/NV- truth letter maps described by the settings ``lm``."""
+    return make_letter_map(
+        int(lm.get("width", 512)),
+        int(lm.get("height", 512)),
+        None,
+        float(lm.get("pl_nv0", 8000.0)),
+        float(lm.get("pl_nvm", 12000.0)),
+        float(lm.get("pixel_pitch_um", 0.1)),
+    )
+
+
 def _simulate_letter_map(params, seed, out_dir) -> tuple[list[str], dict]:
-    width = int(params.get("width", 512))
-    height = int(params.get("height", 512))
-    pl0 = float(params.get("pl_nv0", 8000.0))
-    plm = float(params.get("pl_nvm", 12000.0))
-    pitch = float(params.get("pixel_pitch_um", 0.1))
-    nv0, nvm = make_letter_map(width, height, None, pl0, plm, pitch)
-    outputs = []
-    outputs += save_map(nv0, os.path.join(out_dir, "nv0_truth"))
+    nv0, nvm = _letter_maps(params)
+    outputs = [*save_map(nv0, os.path.join(out_dir, "nv0_truth"))]
     outputs += save_map(nvm, os.path.join(out_dir, "nvm_truth"))
-    diag = {"width": width, "height": height}
+    diag = {"width": nv0.width, "height": nv0.height}
     if "t0" in params and "tminus" in params:
         t0 = float(params["t0"])
         tm = float(params["tminus"])
-        from .maps import PLMap
-
-        m0 = PLMap(nv0.values + nvm.values, pitch)
-        mlpf = PLMap(t0 * nv0.values + tm * nvm.values, pitch)
+        m0 = PLMap(nv0.values + nvm.values, nv0.pixel_pitch_um)
+        mlpf = PLMap(t0 * nv0.values + tm * nvm.values, nv0.pixel_pitch_um)
         outputs += save_map(m0, os.path.join(out_dir, "m0"))
         outputs += save_map(mlpf, os.path.join(out_dir, "mlpf"))
         diag.update({"t0": t0, "tminus": tm})
@@ -347,17 +342,10 @@ def _simulate_letter_map(params, seed, out_dir) -> tuple[list[str], dict]:
 
 
 def _simulate_field_map_pair(params, seed, out_dir) -> tuple[list[str], dict]:
-    lm = params.get("letter_map", {})
-    width = int(lm.get("width", 512))
-    height = int(lm.get("height", 512))
-    pl0 = float(lm.get("pl_nv0", 8000.0))
-    plm = float(lm.get("pl_nvm", 12000.0))
-    pitch = float(lm.get("pixel_pitch_um", 0.1))
     suppression = float(params.get("suppression", 1.0 / 6.2))
-    nv0, nvm = make_letter_map(width, height, None, pl0, plm, pitch)
+    nv0, nvm = _letter_maps(_section(params, "letter_map"))
     low, high = make_field_map_pair(nv0, nvm, suppression)
-    outputs = []
-    outputs += save_map(nv0, os.path.join(out_dir, "nv0_truth"))
+    outputs = [*save_map(nv0, os.path.join(out_dir, "nv0_truth"))]
     outputs += save_map(nvm, os.path.join(out_dir, "nvm_truth"))
     outputs += save_map(low, os.path.join(out_dir, "low"))
     outputs += save_map(high, os.path.join(out_dir, "high"))
@@ -373,25 +361,24 @@ _SIMULATORS = {
 
 
 def cmd_simulate(args) -> int:
-    params = {}
-    if args.params:
-        with open(args.params, "r", encoding="utf-8") as fh:
-            try:
-                params = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{args.params}: invalid params JSON: {exc}") from exc
+    params = load_json(args.params, dict, "params") if args.params else {}
     os.makedirs(args.out, exist_ok=True)
-    outputs, diag = _SIMULATORS[args.kind](params, args.seed, args.out)
+    try:
+        outputs, diag = _SIMULATORS[args.kind](params, args.seed, args.out)
+    except NvUnmixError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # Models validate values themselves; these are missing keys or wrong types.
+        raise ParseError(f"{args.params}: bad {args.kind} params: {exc!r}") from exc
     diag["seed"] = args.seed
-    meta_path = os.path.join(args.out, "metadata.json")
-    report = RunReport.create(
+    meta_path = _write_report(
+        os.path.join(args.out, "metadata.json"),
         f"simulate {args.kind}",
         [args.params] if args.params else [],
         {"params": params, "seed": args.seed},
         outputs,
         diag,
     )
-    report.save(meta_path)
     print(f"wrote {len(outputs)} files to {args.out}  metadata = {meta_path}")
     return 0
 
@@ -410,15 +397,14 @@ def cmd_render(args) -> int:
         data = render_map_pgm(load_map(args.map), style)
     with open(args.out, "wb") as fh:
         fh.write(data)
-    if args.report:
-        inputs = [args.spectrum] if args.spectrum else _existing_map_files(args.map)
-        RunReport.create(
-            "render",
-            inputs,
-            {"zpl_guides": args.zpl_guides, "clamp": args.clamp, "clip": args.clip},
-            [args.out],
-            {"bytes": len(data)},
-        ).save(args.report)
+    _write_report(
+        args.report,
+        "render",
+        [args.spectrum] if args.spectrum else _existing_map_files(args.map),
+        {"zpl_guides": args.zpl_guides, "clamp": args.clamp, "clip": args.clip},
+        [args.out],
+        {"bytes": len(data)},
+    )
     print(f"wrote {args.out} ({len(data)} bytes)")
     return 0
 
@@ -544,9 +530,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ParseError, RangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
     except (SingularityError, IdentifiabilityError, NoMinimumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL

@@ -1,14 +1,16 @@
 """Readers and writers for the spec-csv v1 and plmap v1 formats, plus run reports.
 
-Floats are written with ``repr`` so save/load round trips are bit-exact.
+Floats are written with ``repr`` so save/load round trips are bit-exact. Every
+input file is opened by ``_text_file``, for the CSV row reader ``_read_rows`` or
+for ``load_json``; a file that does not decode as UTF-8 raises ``ParseError``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
 import hashlib
 import json
-import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -39,6 +41,75 @@ def _check_negative_mode(mode: str) -> None:
         raise ValueError(f"negative mode must be one of {_NEGATIVE_MODES}, got {mode!r}")
 
 
+@contextlib.contextmanager
+def _text_file(path: str | os.PathLike):
+    """Open a UTF-8 text file; bytes that do not decode raise ``ParseError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_rows(path: str | os.PathLike, width: int) -> tuple[list[int], np.ndarray]:
+    """Parse the rows of ``width`` comma-separated finite floats in ``path``
+    line by line, skipping blank and ``#`` lines; return each row's line
+    number and the ``(rows, width)`` array."""
+    line_nos: list[int] = []
+    values: list[float] = []
+    with _text_file(path) as fh:
+        for n, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != width:
+                raise ParseError(f"{path}: line {n}: expected {width} fields, got {len(parts)}")
+            try:
+                values.extend(map(float, parts))
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {n}: {exc}") from exc
+            line_nos.append(n)
+    rows = np.array(values).reshape(len(line_nos), width)
+    finite = np.isfinite(rows)
+    if not finite.all():
+        n = line_nos[int(np.argmin(finite)) // width]
+        raise ParseError(f"{path}: line {n}: non-finite value")
+    return line_nos, rows
+
+
+def _apply_negative(values: np.ndarray, line_nos: list[int], negative: str, path) -> np.ndarray:
+    """Apply the ``negative`` mode to ``values``, whose row ``i`` was read from
+    line ``line_nos[i]`` of ``path``."""
+    below = values < 0.0
+    if negative == "allow" or not np.any(below):
+        return values
+    if negative == "error":
+        first = np.unravel_index(np.argmax(below), values.shape)
+        raise ParseError(
+            f"{path}: line {line_nos[first[0]]}: negative value {float(values[first])!r} "
+            "(pass negative='clamp' or 'allow' for computed data)"
+        )
+    message = f"{path}: clamped {int(np.count_nonzero(below))} negative values to 0"
+    warnings.warn(message, ClampedNegativeWarning, stacklevel=3)
+    return np.maximum(values, 0.0)
+
+
+def load_json(path: str | os.PathLike, kind: type, what: str):
+    """Read a UTF-8 JSON file whose top level must be of type ``kind``
+    (``dict`` or ``list``); ``what`` names the file in error messages."""
+    with _text_file(path) as fh:
+        text = fh.read()
+    try:
+        value = json.loads(text)
+        json.dumps(value, ensure_ascii=False).encode("utf-8")  # a lone \ud800 escape is not text
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: invalid {what} JSON: {exc}") from exc
+    if not isinstance(value, kind):
+        raise ParseError(f"{path}: {what} must be a JSON {'object' if kind is dict else 'list'}")
+    return value
+
+
 def save_spectrum(s: Spectrum, path: str | os.PathLike) -> None:
     """Write a spectrum as spec-csv v1 (wavelength_nm,intensity rows)."""
     lines = [SPEC_CSV_HEADER]
@@ -58,48 +129,18 @@ def load_spectrum(path: str | os.PathLike, *, negative: str = "error") -> Spectr
     difference spectra).
     """
     _check_negative_mode(negative)
-    wavelengths: list[float] = []
-    intensities: list[float] = []
-    line_nos: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"{path}: line {n}: expected 2 fields, got {len(parts)}")
-            try:
-                w, y = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {n}: {exc}") from exc
-            if not (math.isfinite(w) and math.isfinite(y)):
-                raise ParseError(f"{path}: line {n}: non-finite value")
-            if wavelengths and w <= wavelengths[-1]:
-                raise ParseError(
-                    f"{path}: line {n}: wavelength {w!r} does not increase past {wavelengths[-1]!r}"
-                )
-            wavelengths.append(w)
-            intensities.append(y)
-            line_nos.append(n)
-    if not wavelengths:
+    line_nos, rows = _read_rows(path, 2)
+    if not line_nos:
         raise ParseError(f"{path}: no data rows")
-    values = np.array(intensities)
-    if np.any(values < 0.0):
-        first = int(np.argmax(values < 0.0))
-        if negative == "error":
-            raise ParseError(
-                f"{path}: line {line_nos[first]}: negative intensity {values[first]!r} "
-                "(pass negative='clamp' or 'allow' for computed spectra)"
-            )
-        if negative == "clamp":
-            warnings.warn(
-                f"{path}: clamped {int(np.count_nonzero(values < 0.0))} negative intensities to 0",
-                ClampedNegativeWarning,
-                stacklevel=2,
-            )
-            values = np.maximum(values, 0.0)
-    return Spectrum(np.array(wavelengths), values)
+    w = rows[:, 0]
+    stalls = np.flatnonzero(w[1:] <= w[:-1])
+    if stalls.size:
+        i = int(stalls[0]) + 1
+        raise ParseError(
+            f"{path}: line {line_nos[i]}: wavelength {float(w[i])!r} "
+            f"does not increase past {float(w[i - 1])!r}"
+        )
+    return Spectrum(w, _apply_negative(rows[:, 1], line_nos, negative, path))
 
 
 def map_paths(path: str | os.PathLike) -> tuple[str, str]:
@@ -139,53 +180,23 @@ def load_map(path: str | os.PathLike, *, negative: str = "allow") -> PLMap:
     """
     _check_negative_mode(negative)
     json_path, csv_path = map_paths(path)
-    try:
-        with open(json_path, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{json_path}: invalid JSON sidecar: {exc}") from exc
+    sidecar = load_json(json_path, dict, "plmap sidecar")
     if sidecar.get("format") != "plmap" or sidecar.get("version") != 1:
         raise ParseError(f"{json_path}: not a plmap v1 sidecar")
     try:
         width = int(sidecar["width"])
         height = int(sidecar["height"])
         pitch = float(sidecar["pixel_pitch_um"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{json_path}: bad sidecar fields: {exc}") from exc
-
-    rows: list[list[float]] = []
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        for n, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != width:
-                raise ParseError(
-                    f"{csv_path}: line {n}: expected {width} cells, got {len(parts)}"
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ParseError(f"{csv_path}: line {n}: {exc}") from exc
-    if len(rows) != height:
+    if width < 1 or height < 1:
+        raise ParseError(f"{json_path}: width and height must be positive")
+    line_nos, values = _read_rows(csv_path, width)
+    if len(line_nos) != height:
         raise ParseError(
-            f"{csv_path}: expected {height} rows for a {width}x{height} map, got {len(rows)}"
+            f"{csv_path}: expected {height} rows for a {width}x{height} map, got {len(line_nos)}"
         )
-    values = np.array(rows)
-    if not np.all(np.isfinite(values)):
-        raise ParseError(f"{csv_path}: non-finite cell value")
-    if np.any(values < 0.0):
-        if negative == "error":
-            raise ParseError(f"{csv_path}: negative pixel values present")
-        if negative == "clamp":
-            warnings.warn(
-                f"{csv_path}: clamped {int(np.count_nonzero(values < 0.0))} negative pixels to 0",
-                ClampedNegativeWarning,
-                stacklevel=2,
-            )
-            values = np.maximum(values, 0.0)
-    return PLMap(values, pitch)
+    return PLMap(_apply_negative(values, line_nos, negative, csv_path), pitch)
 
 
 def _sha256(path: str | os.PathLike) -> str:
@@ -238,12 +249,16 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
+        parameters = d.get("parameters", {})
+        diagnostics = d.get("diagnostics", {})
+        if not (isinstance(parameters, dict) and isinstance(diagnostics, dict)):
+            raise TypeError("parameters and diagnostics must be JSON objects")
         return cls(
             command=str(d.get("command", "")),
-            inputs=[tuple(pair) for pair in d.get("inputs", [])],
-            parameters=dict(d.get("parameters", {})),
+            inputs=[(path, digest) for path, digest in d.get("inputs", [])],
+            parameters=dict(parameters),
             outputs=list(d.get("outputs", [])),
-            diagnostics=dict(d.get("diagnostics", {})),
+            diagnostics=dict(diagnostics),
             timestamp=str(d.get("timestamp", "")),
         )
 
@@ -254,8 +269,8 @@ class RunReport:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "RunReport":
+        d = load_json(path, dict, "report")
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid report JSON: {exc}") from exc
+            return cls.from_dict(d)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: bad report fields: {exc}") from exc

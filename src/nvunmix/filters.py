@@ -78,8 +78,8 @@ class TabulatedFilter:
         t = np.array(self.transmissions, dtype=float, copy=True)
         if w.ndim != 1 or t.shape != w.shape or w.size < 2:
             raise ValidationError("tabulated filter needs matching 1-D arrays, length >= 2")
-        if not np.all(np.diff(w) > 0.0):
-            raise ValidationError("tabulated wavelengths must be strictly increasing")
+        if not (np.all(np.isfinite(w)) and np.all(np.diff(w) > 0.0)):
+            raise ValidationError("tabulated wavelengths must be finite and strictly increasing")
         if not (np.all(np.isfinite(t)) and np.all(t >= 0.0) and np.all(t <= 1.0)):
             raise ValidationError("tabulated transmissions must lie in [0, 1]")
         w.flags.writeable = False

@@ -267,8 +267,11 @@ class TestSweepFlow:
             b'[{"b_field_gauss": "x", "path": "s.csv"}]',
             b"[]",
             b"\xff\xfe[]",
+            b'[{"b_field_gauss": 170.0, "path": "s\\u0000.csv"}]',
+            b'[{"b_field_gauss": 1' + b"0" * 400 + b', "path": "s.csv"}]',
         ],
-        ids=["no-path", "object-not-list", "non-numeric-field", "empty", "not-utf8"],
+        ids=["no-path", "object-not-list", "non-numeric-field", "empty", "not-utf8", "nul-path",
+             "field-overflow"],
     )
     def test_malformed_manifest_parse_error(self, tmp_path, grid02, capsys, manifest):
         save_spectrum(make_spectrum(CLEAN_NVM_SHAPE, grid02, 1.0), tmp_path / "s.csv")
@@ -320,3 +323,66 @@ class TestRenderAndReportCommands:
         save_spectrum(s, tmp_path / "s.csv")
         rc = main(["transmissivity", "--spectrum", str(tmp_path / "s.csv"), "--window", "junk"])
         assert rc == 2
+
+
+_SIDECAR = b'{"format": "plmap", "version": 1, "width": 2, "height": 1, "pixel_pitch_um": 1.0}'
+_MAP_ARGS = ["render", "--map", "{d}/m", "--out", "{d}/m.pgm"]
+_PARAMS_ARGS = ["simulate", "spectrum", "--params", "{d}/p.json", "--out", "{d}/sim"]
+_REPORT_ARGS = ["report", "--run", "{d}/r.json"]
+
+
+class TestInputBoundary:
+    """Malformed input files end in exit 2 with one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, name, data",
+        [
+            (["transmissivity", "--spectrum", "{d}/s.csv"], "s.csv", b"\xff\xfe"),
+            (_MAP_ARGS, "m.csv", b"\xff\xfe"),
+            (_MAP_ARGS, "m.json", b"\xff\xfe"),
+            (_PARAMS_ARGS, "p.json", b"\xff\xfe"),
+            (_REPORT_ARGS, "r.json", b"\xff\xfe"),
+            (_MAP_ARGS, "m.json", b"[]"),
+            (_PARAMS_ARGS, "p.json", b"[]"),
+            (_REPORT_ARGS, "r.json", b"[]"),
+            (_PARAMS_ARGS, "p.json", b'{"shape": {"zpl_center": 637}}'),
+            (_PARAMS_ARGS, "p.json", b'{"grid": {"lo": "a"}}'),
+            (_PARAMS_ARGS, "p.json", b'{"grid": [550, 850]}'),
+            (_MAP_ARGS, "m.json", _SIDECAR.replace(b'"width": 2', b'"width": 1e400')),
+            (_REPORT_ARGS, "r.json", b'{"inputs": 5}'),
+            (_REPORT_ARGS, "r.json", b'{"inputs": [["a", "b", "c"]]}'),
+            (_REPORT_ARGS, "r.json", b'{"parameters": [["a", 1], [2, 3]]}'),
+            (_REPORT_ARGS, "r.json", b'{"command": "\\ud800"}'),
+            (_REPORT_ARGS, "r.json", b"[" * 100_000 + b"]" * 100_000),
+            (_MAP_ARGS, "m.json", _SIDECAR.replace(b'"width": 2', b'"width": 2' + b"0" * 5000)),
+        ],
+        ids=[
+            "spectrum-not-utf8",
+            "plmap-csv-not-utf8",
+            "sidecar-not-utf8",
+            "params-not-utf8",
+            "report-not-utf8",
+            "sidecar-list",
+            "params-list",
+            "report-list",
+            "params-missing-key",
+            "params-bad-float",
+            "params-grid-list",
+            "sidecar-overflow",
+            "report-inputs-number",
+            "report-inputs-triple",
+            "report-parameters-pairs",
+            "report-lone-surrogate",
+            "report-deep-nesting",
+            "sidecar-int-too-long",
+        ],
+    )
+    def test_malformed_file_exits_2(self, tmp_path, capsys, argv, name, data):
+        (tmp_path / "s.csv").write_text("600.0,1.0\n601.0,2.0\n")
+        (tmp_path / "m.json").write_bytes(_SIDECAR)
+        (tmp_path / "m.csv").write_text("1.0,2.0\n")
+        (tmp_path / name).write_bytes(data)
+        rc = main([a.format(d=tmp_path) for a in argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

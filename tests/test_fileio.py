@@ -133,6 +133,17 @@ class TestMapFormat:
         with pytest.raises(ParseError):
             load_map(tmp_path / "m", negative="error")
 
+    def test_negative_and_non_finite_cells_name_line(self, tmp_path):
+        save_map(PLMap(np.array([[1.0, 2.0], [3.0, -4.0]])), tmp_path / "m")
+        with pytest.raises(ParseError, match="line 2: negative value -4.0"):
+            load_map(tmp_path / "m", negative="error")
+        with pytest.warns(ClampedNegativeWarning):
+            clamped = load_map(tmp_path / "m", negative="clamp")
+        assert clamped.values.tolist() == [[1.0, 2.0], [3.0, 0.0]]
+        (tmp_path / "m.csv").write_text("# header\n1.0,2.0\n3.0,inf\n")
+        with pytest.raises(ParseError, match="line 3: non-finite"):
+            load_map(tmp_path / "m")
+
 
 class TestRunReport:
     def test_round_trip_and_hashing(self, tmp_path):

@@ -208,6 +208,9 @@ class TestTabulatedFilter:
             TabulatedFilter([600.0, 600.0], [0.1, 0.8])
         with pytest.raises(ValidationError):
             TabulatedFilter([600.0, 700.0], [0.1, 1.8])
+        for w in ([600.0, 700.0, np.inf], [-np.inf, 600.0, 700.0]):
+            with pytest.raises(ValidationError, match="finite"):
+                TabulatedFilter(w, [0.1, 0.9, 0.9])
 
     def test_window_default_is_emission_band(self):
         assert DEFAULT_EMISSION_WINDOW == WavelengthWindow(550.0, 850.0)
