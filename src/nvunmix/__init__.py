@@ -51,7 +51,6 @@ from .filters import (
     TabulatedFilter,
     TransmissivityPair,
     apply_filter,
-    transmission,
     transmissivity,
     transmissivity_pair,
 )

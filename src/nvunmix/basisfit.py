@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -87,13 +87,6 @@ class FieldSeries:
         return tuple(b for b, _ in self.entries)
 
 
-class CoefficientRow(NamedTuple):
-    b_field: float
-    c0: float
-    cminus: float
-    residual: float
-
-
 @dataclass(frozen=True, eq=False)
 class CoefficientTable:
     """Per-field fitted contributions of each charge state."""
@@ -123,15 +116,6 @@ class CoefficientTable:
 
     def __len__(self) -> int:
         return int(self.b_fields.size)
-
-    def rows(self) -> Iterator[CoefficientRow]:
-        for i in range(len(self)):
-            yield CoefficientRow(
-                float(self.b_fields[i]),
-                float(self.c0[i]),
-                float(self.cminus[i]),
-                float(self.residuals[i]),
-            )
 
 
 class ScaleFactorSurface(NamedTuple):
@@ -194,10 +178,26 @@ def fit_series(series: FieldSeries, basis: BasisPair, *, nonneg: bool = True) ->
     return CoefficientTable(np.array(series.fields), *np.array(fits).T)
 
 
-def _check_finite(**values: float) -> None:
-    for name, v in values.items():
+def _scale_factor(c0_1: float, cm_1: float, c0_2: float, cm_2: float, singular: str) -> float:
+    """``cm_1 / ((c0_1 - c0_2) + (cm_1 - cm_2))`` for finite inputs.
+
+    Raises SingularityError with the message ``singular`` when the
+    denominator is zero, and warns when the factor is not positive.
+    """
+    for name, v in (("c0_1", c0_1), ("cm_1", cm_1), ("c0_2", c0_2), ("cm_2", cm_2)):
         if not np.isfinite(v):
             raise ValidationError(f"{name} must be finite")
+    den = (c0_1 - c0_2) + (cm_1 - cm_2)
+    if den == 0.0:
+        raise SingularityError(singular)
+    f = cm_1 / den
+    if f <= 0.0:
+        warnings.warn(
+            f"scale factor {f:.4g} is not positive; the NV- PL increased with field",
+            NonPhysicalWarning,
+            stacklevel=3,
+        )
+    return f
 
 
 def scale_factor_from_coefficients(
@@ -209,57 +209,36 @@ def scale_factor_from_coefficients(
     field-independent neutral-state amplitude cancels exactly and the result
     reduces bitwise to :func:`scale_factor_from_nvminus`.
     """
-    _check_finite(c0_1=c0_1, cm_1=cm_1, c0_2=c0_2, cm_2=cm_2)
-    den = (c0_1 - c0_2) + (cm_1 - cm_2)
-    if den == 0.0:
-        raise SingularityError(
-            "total PL is identical at both fields; the scale factor is undefined"
-        )
-    f = cm_1 / den
-    if f <= 0.0:
-        warnings.warn(
-            f"scale factor {f:.4g} is not positive; the NV- PL increased with field",
-            NonPhysicalWarning,
-            stacklevel=2,
-        )
-    return f
+    return _scale_factor(
+        c0_1, cm_1, c0_2, cm_2,
+        "total PL is identical at both fields; the scale factor is undefined",
+    )
 
 
 def scale_factor_from_nvminus(cm_1: float, cm_2: float) -> float:
     """Scale factor when the neutral-state amplitude is field-independent."""
-    _check_finite(cm_1=cm_1, cm_2=cm_2)
-    den = cm_1 - cm_2
-    if den == 0.0:
-        raise SingularityError("equal NV- amplitudes; the scale factor is undefined")
-    f = cm_1 / den
-    if f <= 0.0:
-        warnings.warn(
-            f"scale factor {f:.4g} is not positive; the NV- PL increased with field",
-            NonPhysicalWarning,
-            stacklevel=2,
-        )
-    return f
+    return _scale_factor(
+        0.0, cm_1, 0.0, cm_2, "equal NV- amplitudes; the scale factor is undefined"
+    )
 
 
 def scale_factor_surface(table: CoefficientTable) -> ScaleFactorSurface:
     """Scale factor for every field pair (b1, b2) with b2 > b1.
 
-    Pairs with equal NV- amplitudes are singular; they are omitted from the
-    rows and reported in ``skipped``.
+    Rows follow the row-major order of the pairs (i, j), i < j, and each
+    factor equals :func:`scale_factor_from_nvminus` bitwise. Pairs with equal
+    NV- amplitudes are singular; they are omitted from the rows and reported
+    in ``skipped``.
     """
     if len(table) < 2:
         raise ValidationError("surface needs at least two table rows")
-    rows: list[tuple[float, float, float]] = []
-    skipped: list[tuple[float, float]] = []
+    i, j = np.triu_indices(len(table), 1)
     b = table.b_fields
-    cm = table.cminus
-    for i in range(len(table)):
-        for j in range(i + 1, len(table)):
-            den = float(cm[i]) - float(cm[j])
-            if den == 0.0:
-                skipped.append((float(b[i]), float(b[j])))
-            else:
-                rows.append((float(b[i]), float(b[j]), float(cm[i]) / den))
+    den = table.cminus[i] - table.cminus[j]
+    ok = den != 0.0
+    f = table.cminus[i[ok]] / den[ok]
+    rows = zip(b[i[ok]].tolist(), b[j[ok]].tolist(), f.tolist())
+    skipped = zip(b[i[~ok]].tolist(), b[j[~ok]].tolist())
     return ScaleFactorSurface(tuple(rows), tuple(skipped))
 
 

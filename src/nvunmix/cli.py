@@ -143,8 +143,9 @@ def cmd_fit_series(args) -> int:
     table = fit_series(series, basis, nonneg=not args.unconstrained)
     with open(args.out_table, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("b_gauss,c0,cminus,residual\n")
-        for row in table.rows():
-            fh.write(f"{row.b_field!r},{row.c0!r},{row.cminus!r},{row.residual!r}\n")
+        columns = (table.b_fields, table.c0, table.cminus, table.residuals)
+        for row in zip(*(c.tolist() for c in columns)):
+            fh.write(",".join(map(repr, row)) + "\n")
     surface = scale_factor_surface(table) if len(table) >= 2 else None
     outputs = [args.out_table]
     if args.out_surface and surface is not None:
@@ -367,8 +368,9 @@ def cmd_simulate(args) -> int:
         outputs, diag = _SIMULATORS[args.kind](params, args.seed, args.out)
     except NvUnmixError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # Models validate values themselves; these are missing keys or wrong types.
+    except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as exc:
+        # Models validate values themselves; these are missing keys, wrong types
+        # or sizes no array can have.
         raise ParseError(f"{args.params}: bad {args.kind} params: {exc!r}") from exc
     diag["seed"] = args.seed
     meta_path = _write_report(

@@ -71,8 +71,15 @@ class ZplArtifactConfig:
             raise ValidationError("edge_width must be positive")
 
     @classmethod
-    def around(cls, center: float, half_width: float = 7.0, edge_width: float = 4.0):
-        return cls(center, WavelengthWindow(center - half_width, center + half_width), edge_width)
+    def around(cls, center: float) -> "ZplArtifactConfig":
+        """The default window geometry (7 nm each side) moved to ``center``."""
+        return cls(center, WavelengthWindow(center - 7.0, center + 7.0))
+
+
+# The 575 nm flatness check of the difference spectrum: its window, and the
+# fraction of the low-field windowed area above which its score warns.
+_NV0_ZPL_CONFIG = ZplArtifactConfig.around(NV0_ZPL_NM)
+_WARN_FRACTION = 0.002
 
 
 @dataclass(frozen=True)
@@ -144,32 +151,26 @@ def zpl_artifact(candidate: Spectrum, cfg: ZplArtifactConfig | None = None) -> f
     return _trapz(np.abs(resid), xs)
 
 
-def difference_spectrum(
-    low_b: Spectrum,
-    high_b: Spectrum,
-    *,
-    zpl0_config: ZplArtifactConfig | None = None,
-    warn_fraction: float = 0.002,
-) -> tuple[Spectrum, float]:
+def difference_spectrum(low_b: Spectrum, high_b: Spectrum) -> tuple[Spectrum, float]:
     """Low-field minus high-field spectrum, plus a 575 nm flatness diagnostic.
 
     The difference should carry no neutral-state signature; its artifact score
     at the neutral-state line is returned, and a ModelViolationWarning fires
-    when the score exceeds ``warn_fraction`` of the low-field windowed area.
+    when the score exceeds 0.2% of the low-field windowed area.
     The score is NaN when the grid does not cover the diagnostic window.
     """
     _require_same_grid(low_b, high_b)
     diff = subtract(low_b, high_b)
-    cfg0 = zpl0_config or ZplArtifactConfig.around(NV0_ZPL_NM)
+    cfg = _NV0_ZPL_CONFIG
     gmin, gmax = low_b.span
-    if cfg0.inner.lo - cfg0.edge_width < gmin or cfg0.inner.hi + cfg0.edge_width > gmax:
+    if cfg.inner.lo - cfg.edge_width < gmin or cfg.inner.hi + cfg.edge_width > gmax:
         return diff, math.nan
-    score = zpl_artifact(diff, cfg0)
-    reference = area(low_b, cfg0.inner)
-    if score > warn_fraction * abs(reference):
+    score = zpl_artifact(diff, cfg)
+    threshold = _WARN_FRACTION * abs(area(low_b, cfg.inner))
+    if score > threshold:
         warnings.warn(
-            f"difference spectrum shows structure at {cfg0.center} nm "
-            f"(score {score:.4g} vs threshold {warn_fraction * abs(reference):.4g}); "
+            f"difference spectrum shows structure at {cfg.center} nm "
+            f"(score {score:.4g} vs threshold {threshold:.4g}); "
             "the neutral-state contribution may have changed between fields",
             ModelViolationWarning,
             stacklevel=2,
@@ -250,8 +251,6 @@ def decompose(
     high_b: Spectrum,
     cfg: ZplArtifactConfig | None = None,
     search: ScaleSearchConfig | None = None,
-    *,
-    warn_fraction: float = 0.002,
 ) -> DecompositionResult:
     """Full difference-decomposition pipeline.
 
@@ -260,7 +259,7 @@ def decompose(
     warning rather than clipped.
     """
     search = search or ScaleSearchConfig()
-    diff, score575 = difference_spectrum(low_b, high_b, warn_fraction=warn_fraction)
+    diff, score575 = difference_spectrum(low_b, high_b)
     f, metric = optimize_scale_factor(low_b, diff, cfg, search)
     nvminus = scale(diff, f)
     nv0 = subtract(low_b, nvminus)

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import ConditioningWarning, ValidationError
-from .spectrum import Spectrum, WavelengthWindow, area
+from .spectrum import Spectrum, WavelengthWindow, _as_readonly_array, _grid, area
 
 __all__ = [
     "FilterModel",
@@ -23,13 +23,15 @@ __all__ = [
     "TransmissivityPair",
     "DEFAULT_EMISSION_WINDOW",
     "apply_filter",
-    "transmission",
     "transmissivity",
     "transmissivity_pair",
 ]
 
 # Standard integration range; covers essentially all NV emission.
 DEFAULT_EMISSION_WINDOW = WavelengthWindow(550.0, 850.0)
+
+# transmissivity_pair warns when t0 and tminus differ by less than this.
+_CONDITIONING_GAP = 0.05
 
 
 def _sigmoid(x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -74,16 +76,12 @@ class TabulatedFilter:
     transmissions: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        w = np.array(self.wavelengths, dtype=float, copy=True)
-        t = np.array(self.transmissions, dtype=float, copy=True)
-        if w.ndim != 1 or t.shape != w.shape or w.size < 2:
-            raise ValidationError("tabulated filter needs matching 1-D arrays, length >= 2")
-        if not (np.all(np.isfinite(w)) and np.all(np.diff(w) > 0.0)):
-            raise ValidationError("tabulated wavelengths must be finite and strictly increasing")
+        w = _grid(self.wavelengths, "tabulated wavelengths", min_size=2)
+        t = _as_readonly_array(self.transmissions, "tabulated transmissions")
+        if t.shape != w.shape:
+            raise ValidationError("tabulated transmissions must match the wavelengths in shape")
         if not (np.all(np.isfinite(t)) and np.all(t >= 0.0) and np.all(t <= 1.0)):
             raise ValidationError("tabulated transmissions must lie in [0, 1]")
-        w.flags.writeable = False
-        t.flags.writeable = False
         object.__setattr__(self, "wavelengths", w)
         object.__setattr__(self, "transmissions", t)
 
@@ -108,11 +106,6 @@ class TransmissivityPair:
         for name, t in (("t0", self.t0), ("tminus", self.tminus)):
             if not (np.isfinite(t) and 0.0 <= t <= 1.0):
                 raise ValidationError(f"{name} must lie in [0, 1]")
-
-
-def transmission(fm: FilterModel | TabulatedFilter, lam: ArrayLike):
-    """Filter transmission at wavelength(s) ``lam``."""
-    return fm.transmission(lam)
 
 
 def apply_filter(s: Spectrum, fm: FilterModel | TabulatedFilter) -> Spectrum:
@@ -140,8 +133,6 @@ def transmissivity_pair(
     nvminus: Spectrum,
     fm: FilterModel | TabulatedFilter,
     window: WavelengthWindow = DEFAULT_EMISSION_WINDOW,
-    *,
-    conditioning_gap: float = 0.05,
 ) -> TransmissivityPair:
     """Transmissivities of both component spectra through the same filter.
 
@@ -150,10 +141,10 @@ def transmissivity_pair(
     """
     t0 = transmissivity(nv0, fm, window)
     tm = transmissivity(nvminus, fm, window)
-    if abs(t0 - tm) < conditioning_gap:
+    if abs(t0 - tm) < _CONDITIONING_GAP:
         warnings.warn(
             f"transmissivities t0={t0:.4g} and tminus={tm:.4g} differ by less than "
-            f"{conditioning_gap}; the map inversion will amplify noise",
+            f"{_CONDITIONING_GAP}; the map inversion will amplify noise",
             ConditioningWarning,
             stacklevel=2,
         )

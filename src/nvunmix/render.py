@@ -17,15 +17,16 @@ from .spectrum import Spectrum
 __all__ = ["RenderStyle", "render_spectrum_svg", "render_map_pgm"]
 
 
+# SVG canvas size and plot margin in pixels; PGM gray levels.
+_WIDTH, _HEIGHT, _MARGIN = 720, 480, 64
+_MAX_GRAY = 255
+
+
 @dataclass(frozen=True)
 class RenderStyle:
-    width: int = 720
-    height: int = 480
-    margin: int = 64
     zpl_guides: bool = False
     clamp_negative: bool = False
     clip: tuple[float, float] | None = None
-    max_gray: int = 255
 
 
 def _fmt(v: float) -> str:
@@ -34,7 +35,7 @@ def _fmt(v: float) -> str:
 
 def render_spectrum_svg(s: Spectrum, style: RenderStyle = RenderStyle()) -> bytes:
     """Line plot with axis labels in nm and counts/s and a min/max legend."""
-    w, h, m = style.width, style.height, style.margin
+    w, h, m = _WIDTH, _HEIGHT, _MARGIN
     x = s.wavelengths
     y = s.intensities
     x0, x1 = float(x[0]), float(x[-1])
@@ -112,7 +113,7 @@ def render_map_pgm(m: PLMap, style: RenderStyle = RenderStyle()) -> bytes:
     vmin = float(np.min(values))
     vmax = float(np.max(values))
     if vmax > vmin:
-        gray = np.rint((values - vmin) / (vmax - vmin) * style.max_gray).astype(int)
+        gray = np.rint((values - vmin) / (vmax - vmin) * _MAX_GRAY).astype(int)
     else:
         gray = np.zeros_like(values, dtype=int)
     lines = [
@@ -123,6 +124,6 @@ def render_map_pgm(m: PLMap, style: RenderStyle = RenderStyle()) -> bytes:
     if transforms:
         lines.append("# " + " ".join(transforms))
     lines.append(f"{m.width} {m.height}")
-    lines.append(str(style.max_gray))
+    lines.append(str(_MAX_GRAY))
     lines.extend(" ".join(str(v) for v in row) for row in gray.tolist())
     return ("\n".join(lines) + "\n").encode("ascii")

@@ -35,6 +35,18 @@ def _as_readonly_array(values: ArrayLike, name: str) -> NDArray[np.float64]:
     return arr
 
 
+def _grid(values: ArrayLike, name: str, min_size: int = 1) -> NDArray[np.float64]:
+    """Read-only 1-D copy of ``values``: >= ``min_size`` finite, strictly increasing points."""
+    arr = _as_readonly_array(values, name)
+    if arr.size < min_size:
+        raise ValidationError(f"{name} has too few points ({arr.size} < {min_size})")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} must be finite")
+    if not np.all(np.diff(arr) > 0.0):
+        raise ValidationError(f"{name} must be strictly increasing")
+    return arr
+
+
 def _trapz(y: NDArray[np.float64], x: NDArray[np.float64]) -> float:
     if x.size < 2:
         return 0.0
@@ -54,18 +66,12 @@ class Spectrum:
     intensities: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        w = _as_readonly_array(self.wavelengths, "wavelengths")
+        w = _grid(self.wavelengths, "wavelengths")
         y = _as_readonly_array(self.intensities, "intensities")
         if w.size != y.size:
             raise ValidationError("wavelengths and intensities must have equal length")
-        if w.size < 1:
-            raise ValidationError("spectrum cannot be empty")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("wavelengths must be finite")
         if not np.all(np.isfinite(y)):
             raise ValidationError("intensities must be finite")
-        if w.size > 1 and not np.all(np.diff(w) > 0.0):
-            raise ValidationError("wavelengths must be strictly increasing")
         object.__setattr__(self, "wavelengths", w)
         object.__setattr__(self, "intensities", y)
 
@@ -107,13 +113,7 @@ def resample(s: Spectrum, grid: ArrayLike) -> Spectrum:
     performed. Values at grid points that coincide with source points are
     reproduced exactly.
     """
-    g = np.array(grid, dtype=float, copy=True).reshape(-1)
-    if g.size < 1:
-        raise ValidationError("resample grid is empty")
-    if not np.all(np.isfinite(g)):
-        raise ValidationError("resample grid must be finite")
-    if g.size > 1 and not np.all(np.diff(g) > 0.0):
-        raise ValidationError("resample grid must be strictly increasing")
+    g = _grid(np.ravel(grid), "resample grid")
     lo, hi = s.span
     if g[0] < lo or g[-1] > hi:
         raise RangeError(

@@ -19,9 +19,9 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .errors import GridMismatchError, RangeError, ValidationError
-from .maps import PLMap
-from .spectrum import Spectrum
+from .errors import RangeError, ValidationError
+from .maps import PLMap, _require_same_shape
+from .spectrum import Spectrum, area, scale
 
 __all__ = [
     "SpectralShapeModel",
@@ -229,12 +229,10 @@ def make_spectrum(model: SpectralShapeModel, grid: ArrayLike, total_counts: floa
     base = Spectrum(g, model.density(g))
     if total_counts == 0.0:
         return Spectrum(g, np.zeros_like(base.intensities))
-    from .spectrum import area as _area, scale as _scale
-
-    a = _area(base)
+    a = area(base)
     if not a > 0.0:
         raise ValidationError("shape model has no support on the requested grid")
-    return _scale(base, total_counts / a)
+    return scale(base, total_counts / a)
 
 
 def _apply_noise(
@@ -299,8 +297,8 @@ def _text_mask(text: str, width: int, height: int, row0: int, row1: int) -> NDAr
     """Render ``text`` centered in rows [row0, row1) of a width x height grid."""
     cols = 6 * len(text) - 1
     region_h = row1 - row0
-    scale = min(region_h // 7, width // cols)
-    if scale < 1:
+    cell = min(region_h // 7, width // cols)
+    if cell < 1:
         raise ValidationError(
             f"grid {width}x{height} too small to render {text!r} (needs >= {cols}x7 per band)"
         )
@@ -310,7 +308,7 @@ def _text_mask(text: str, width: int, height: int, row0: int, row1: int) -> NDAr
             raise ValidationError(f"no glyph for character {ch!r}")
         bitmap = np.array([[c == "1" for c in row] for row in _GLYPHS[ch]], dtype=bool)
         glyph[:, 6 * k : 6 * k + 5] = bitmap
-    big = np.kron(glyph, np.ones((scale, scale), dtype=bool))
+    big = np.kron(glyph, np.ones((cell, cell), dtype=bool))
     mask = np.zeros((height, width), dtype=bool)
     top = row0 + (region_h - big.shape[0]) // 2
     left = (width - big.shape[1]) // 2
@@ -366,10 +364,7 @@ def make_field_map_pair(
     ``suppression`` is the fraction of NV- signal removed at high field; the
     implied difference-method scale factor is ``1 / suppression``.
     """
-    if nv0_truth.values.shape != nvm_truth.values.shape:
-        raise GridMismatchError("truth maps have different dimensions")
-    if nv0_truth.pixel_pitch_um != nvm_truth.pixel_pitch_um:
-        raise GridMismatchError("truth maps have different pixel pitches")
+    _require_same_shape(nv0_truth, nvm_truth)
     if not (np.isfinite(suppression) and 0.0 < suppression <= 1.0):
         raise ValidationError("suppression must lie in (0, 1]")
     low = nv0_truth.values + nvm_truth.values

@@ -246,6 +246,31 @@ class TestScaleFactorSurface:
         with pytest.raises(ValidationError):
             scale_factor_surface(table_from([100.0], [600.0]))
 
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 520.0, 620.0]), st.floats(-1e6, 1e6)),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    def test_matches_pairwise_oracle(self, cms):
+        """Each row is scale_factor_from_nvminus bit for bit; skipped holds exactly the equal pairs."""
+        bs = [100.0 * (k + 1) for k in range(len(cms))]
+        surf = scale_factor_surface(table_from(bs, cms))
+        rows, skipped = [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonPhysicalWarning)
+            for i in range(len(cms)):
+                for j in range(i + 1, len(cms)):
+                    if cms[i] == cms[j]:
+                        skipped.append((bs[i], bs[j]))
+                    else:
+                        rows.append((bs[i], bs[j], scale_factor_from_nvminus(cms[i], cms[j])))
+        assert [tuple(map(float.hex, r)) for r in surf.rows] == [
+            tuple(map(float.hex, r)) for r in rows
+        ]
+        assert surf.skipped == tuple(skipped)
+
 
 class TestFindFullMixingField:
     def test_sweep_pipeline_locates_minimum(self, grid02, default_basis):

@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 
 from nvunmix import (
+    DEFAULT_NV0_SHAPE,
+    DEFAULT_NVM_SHAPE,
+    BasisPair,
+    FieldSeries,
     NonPhysicalWarning,
     PLMap,
     Spectrum,
+    fit_series,
     load_map,
     load_spectrum,
     make_spectrum,
+    resample,
     save_map,
     save_spectrum,
 )
@@ -259,6 +265,50 @@ class TestSweepFlow:
                    for r in (tmp_path / "surface.csv").read_text().splitlines()[1:]}
         assert surface[(170.0, 975.0)] == pytest.approx(6.2, rel=1e-9)
 
+    def test_fit_series_table_is_bit_exact(self, tmp_path):
+        """Every table.csv field parses to exactly the float fit_series returns in memory."""
+        # Basis spectra on a finer grid than the sweep, so fit-series resamples them.
+        grid = {"lo": 550.0, "hi": 850.0, "step": 0.1}
+        for name, shape in (("nv0", DEFAULT_NV0_SHAPE), ("nvm", DEFAULT_NVM_SHAPE)):
+            params = tmp_path / f"{name}.json"
+            params.write_text(json.dumps({"shape": shape.to_dict(), "grid": grid}))
+            assert main(["simulate", "spectrum", "--params", str(params), "--out", str(tmp_path / name)]) == 0
+        sweep_params = tmp_path / "sweep.json"
+        sweep_params.write_text(json.dumps({"noise": {"kind": "poisson", "scans": 3000}}))
+        sweep_dir = tmp_path / "sweep"
+        argv = ["simulate", "sweep", "--params", str(sweep_params), "--seed", "3", "--out", str(sweep_dir)]
+        assert main(argv) == 0
+        rc = main(
+            [
+                "fit-series",
+                "--basis-nv0", str(tmp_path / "nv0" / "spectrum.csv"),
+                "--basis-nvm", str(tmp_path / "nvm" / "spectrum.csv"),
+                "--series", str(sweep_dir / "manifest.json"),
+                "--out-table", str(tmp_path / "table.csv"),
+            ]
+        )
+        assert rc == 0
+
+        manifest = json.loads((sweep_dir / "manifest.json").read_text())
+        series = FieldSeries.ingest(
+            [(e["b_field_gauss"], load_spectrum(sweep_dir / e["path"])) for e in manifest]
+        )
+        basis = BasisPair.from_spectra(
+            load_spectrum(tmp_path / "nv0" / "spectrum.csv"),
+            load_spectrum(tmp_path / "nvm" / "spectrum.csv"),
+        )
+        grid = series.entries[0][1].wavelengths
+        basis = BasisPair.from_spectra(resample(basis.s0, grid), resample(basis.sminus, grid))
+        table = fit_series(series, basis)
+        lines = (tmp_path / "table.csv").read_text().splitlines()
+        assert lines[0] == "b_gauss,c0,cminus,residual"
+        got = [[float(v).hex() for v in line.split(",")] for line in lines[1:]]
+        want = [
+            [float(col[k]).hex() for col in (table.b_fields, table.c0, table.cminus, table.residuals)]
+            for k in range(len(table))
+        ]
+        assert got == want
+
     @pytest.mark.parametrize(
         "manifest",
         [
@@ -329,6 +379,7 @@ _SIDECAR = b'{"format": "plmap", "version": 1, "width": 2, "height": 1, "pixel_p
 _MAP_ARGS = ["render", "--map", "{d}/m", "--out", "{d}/m.pgm"]
 _PARAMS_ARGS = ["simulate", "spectrum", "--params", "{d}/p.json", "--out", "{d}/sim"]
 _REPORT_ARGS = ["report", "--run", "{d}/r.json"]
+_LETTER_MAP_ARGS = ["simulate", "letter-map", "--params", "{d}/p.json", "--out", "{d}/sim"]
 
 
 class TestInputBoundary:
@@ -355,6 +406,9 @@ class TestInputBoundary:
             (_REPORT_ARGS, "r.json", b'{"command": "\\ud800"}'),
             (_REPORT_ARGS, "r.json", b"[" * 100_000 + b"]" * 100_000),
             (_MAP_ARGS, "m.json", _SIDECAR.replace(b'"width": 2', b'"width": 2' + b"0" * 5000)),
+            # Each first array is petabytes, past any address space, so allocation fails at once.
+            (_LETTER_MAP_ARGS, "p.json", b'{"width": 1000000000, "height": 1000000000}'),
+            (_PARAMS_ARGS, "p.json", b'{"grid": {"step": 1e-12}}'),
         ],
         ids=[
             "spectrum-not-utf8",
@@ -375,6 +429,8 @@ class TestInputBoundary:
             "report-lone-surrogate",
             "report-deep-nesting",
             "sidecar-int-too-long",
+            "params-letter-map-too-large",
+            "params-grid-too-fine",
         ],
     )
     def test_malformed_file_exits_2(self, tmp_path, capsys, argv, name, data):

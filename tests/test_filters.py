@@ -17,7 +17,6 @@ from nvunmix import (
     WavelengthWindow,
     apply_filter,
     make_spectrum,
-    transmission,
     transmissivity,
     transmissivity_pair,
 )
@@ -65,10 +64,6 @@ class TestTransmission:
         fm = FilterModel()
         total = fm.transmission(fm.center + d) + fm.transmission(fm.center - d)
         assert total == pytest.approx(fm.t_max, abs=1e-12)
-
-    def test_module_function_matches_method(self):
-        fm = FilterModel()
-        assert transmission(fm, 700.0) == fm.transmission(700.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
