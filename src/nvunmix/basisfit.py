@@ -125,19 +125,12 @@ class ScaleFactorSurface(NamedTuple):
     skipped: tuple[tuple[float, float], ...]
 
 
-def fit_coefficients(
-    s: Spectrum, basis: BasisPair, *, nonneg: bool = True
-) -> tuple[float, float, float]:
-    """Least-squares coefficients of ``s`` in the basis, and the RMS misfit.
-
-    With ``nonneg`` (the default) coefficients are constrained to be
-    nonnegative; pass ``nonneg=False`` for the plain unconstrained fit.
-    """
-    if not np.array_equal(s.wavelengths, basis.grid):
+def _gram(basis: BasisPair, grid: NDArray[np.float64]) -> tuple:
+    """The columns a0, a1 of a basis on ``grid`` and their inner products g00, g11, g01."""
+    if not np.array_equal(grid, basis.grid):
         raise GridMismatchError("spectrum and basis are on different grids")
     a0 = basis.s0.intensities
     a1 = basis.sminus.intensities
-    y = s.intensities
     g00 = float(a0 @ a0)
     g11 = float(a1 @ a1)
     g01 = float(a0 @ a1)
@@ -150,6 +143,11 @@ def fit_coefficients(
         raise IdentifiabilityError(
             f"basis spectra are collinear (angle ~{sin_angle:.2e} rad)"
         )
+    return a0, a1, g00, g11, g01
+
+
+def _solve(y: NDArray[np.float64], gram: tuple, nonneg: bool) -> tuple[float, float, float]:
+    a0, a1, g00, g11, g01 = gram
     h0 = float(a0 @ y)
     h1 = float(a1 @ y)
     det = g00 * g11 - g01 * g01
@@ -167,14 +165,26 @@ def fit_coefficients(
     return u0, u1, rms(u0, u1)
 
 
-def fit_series(series: FieldSeries, basis: BasisPair, *, nonneg: bool = True) -> CoefficientTable:
-    """Fit every series entry with :func:`fit_coefficients`, one entry at a time.
+def fit_coefficients(
+    s: Spectrum, basis: BasisPair, *, nonneg: bool = True
+) -> tuple[float, float, float]:
+    """Least-squares coefficients of ``s`` in the basis, and the RMS misfit.
 
-    Row order follows the (ascending-field) series.
+    With ``nonneg`` (the default) coefficients are constrained to be
+    nonnegative; pass ``nonneg=False`` for the plain unconstrained fit.
+    """
+    return _solve(s.intensities, _gram(basis, s.wavelengths), nonneg)
+
+
+def fit_series(series: FieldSeries, basis: BasisPair, *, nonneg: bool = True) -> CoefficientTable:
+    """Each row is :func:`fit_coefficients` on one entry, in ascending-field order.
+
+    One grid check and one Gram matrix serve all entries, which are never stacked.
     """
     if len(series) == 0:
         raise ValidationError("cannot fit an empty series")
-    fits = [fit_coefficients(s, basis, nonneg=nonneg) for _, s in series.entries]
+    gram = _gram(basis, series.entries[0][1].wavelengths)
+    fits = [_solve(s.intensities, gram, nonneg) for _, s in series.entries]
     return CoefficientTable(np.array(series.fields), *np.array(fits).T)
 
 

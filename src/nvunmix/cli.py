@@ -9,6 +9,7 @@ effective parameters, outputs and diagnostics, is written by ``_write_report``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -443,6 +444,7 @@ def _add_negative_flag(parser) -> None:
     )
 
 
+@functools.cache  # one shared parser, built on first use rather than at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nvunmix",
@@ -528,8 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SingularityError, IdentifiabilityError, NoMinimumError) as exc:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .maps import PLMap
 from .spectrum import Spectrum
 
@@ -27,6 +28,10 @@ class RenderStyle:
     zpl_guides: bool = False
     clamp_negative: bool = False
     clip: tuple[float, float] | None = None
+
+    def __post_init__(self) -> None:
+        if self.clip is not None and not (np.isfinite(self.clip).all() and self.clip[0] < self.clip[1]):
+            raise ValidationError(f"clip range must be finite with LO < HI, got {self.clip}")
 
 
 def _fmt(v: float) -> str:

@@ -110,9 +110,11 @@ def resample(s: Spectrum, grid: ArrayLike) -> Spectrum:
     """Interpolate ``s`` piecewise-linearly onto ``grid``.
 
     The target grid must lie inside the source range; extrapolation is never
-    performed. Values at grid points that coincide with source points are
-    reproduced exactly.
+    performed. Source points are reproduced exactly, so a ``grid`` equal in
+    value to ``s.wavelengths`` returns ``s`` itself.
     """
+    if np.array_equal(grid, s.wavelengths):
+        return s
     g = _grid(np.ravel(grid), "resample grid")
     lo, hi = s.span
     if g[0] < lo or g[-1] > hi:

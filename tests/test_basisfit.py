@@ -11,6 +11,7 @@ from nvunmix import (
     DEFAULT_FIELD_RESPONSE,
     DEFAULT_NV0_SHAPE,
     DEFAULT_NVM_SHAPE,
+    BasisPair,
     CoefficientTable,
     FieldSeries,
     FlatWarning,
@@ -27,12 +28,23 @@ from nvunmix import (
     find_full_mixing_field,
     make_spectrum,
     make_sweep,
+    normalize_area,
+    resample,
+    scale,
     scale_factor_from_coefficients,
     scale_factor_from_nvminus,
     scale_factor_surface,
 )
 
 from conftest import combine
+
+
+def unchecked_pair(s0, sminus):
+    """A BasisPair built without validation, for degenerate bases."""
+    pair = BasisPair.__new__(BasisPair)
+    object.__setattr__(pair, "s0", s0)
+    object.__setattr__(pair, "sminus", sminus)
+    return pair
 
 
 def table_from(bs, cms, c0=100.0):
@@ -78,12 +90,8 @@ class TestFitCoefficients:
         assert r < 1e-10
 
     def test_collinear_basis_rejected(self, grid02):
-        from nvunmix.spectrum import BasisPair, normalize_area
-
         s = make_spectrum(DEFAULT_NVM_SHAPE, grid02, 1.0)
-        pair = BasisPair.__new__(BasisPair)  # bypass validation to build the degenerate case
-        object.__setattr__(pair, "s0", normalize_area(s))
-        object.__setattr__(pair, "sminus", normalize_area(s))
+        pair = unchecked_pair(normalize_area(s), normalize_area(s))
         with pytest.raises(IdentifiabilityError):
             fit_coefficients(s, pair)
 
@@ -175,6 +183,51 @@ class TestFitSeries:
             truth = DEFAULT_FIELD_RESPONSE.cminus(b)
             assert abs(table.cminus[i] - truth) / truth < 0.01
             assert abs(table.c0[i] - 10000.0) / 10000.0 < 0.01
+
+    @given(
+        st.lists(st.tuples(st.floats(-2e4, 2e4), st.floats(-2e4, 2e4)), max_size=6),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_rows_equal_single_fits_bitwise(self, default_basis, coefs, seed, nonneg):
+        """Each row is fit_coefficients on its entry, by float.hex.
+
+        The fixed leading mixtures land on the NNLS boundary: one coefficient
+        clamped, then both.
+        """
+        a0, a1 = default_basis.s0.intensities, default_basis.sminus.intensities
+        rng = np.random.default_rng(seed)
+        ys = [c0 * a0 + cm * a1 + rng.normal(0.0, 1e-4, a0.size)
+              for c0, cm in [(1.0, -0.5), (-0.5, 1.0), (-1.0, -1.0)] + coefs]
+        series = FieldSeries(tuple((100.0 * (k + 1), Spectrum(default_basis.grid, y))
+                                   for k, y in enumerate(ys)))
+        table = fit_series(series, default_basis, nonneg=nonneg)
+        rows = zip(table.c0.tolist(), table.cminus.tolist(), table.residuals.tolist())
+        for (_, s), row in zip(series.entries, rows, strict=True):
+            single = fit_coefficients(s, default_basis, nonneg=nonneg)
+            assert list(map(float.hex, row)) == list(map(float.hex, single))
+        if nonneg:
+            assert table.cminus[0] == 0.0 and table.c0[1] == 0.0
+            assert table.c0[2] == table.cminus[2] == 0.0
+
+    @given(st.floats(0.01, 100.0))
+    def test_basis_errors_match_single_fit(self, default_basis, grid02, k):
+        """A collinear or zero-norm basis raises what fit_coefficients raises; so does another grid."""
+        s = make_spectrum(DEFAULT_NVM_SHAPE, grid02, 1.0)
+        zero = Spectrum(grid02, np.zeros(grid02.size))
+        series = FieldSeries(((170.0, s), (975.0, scale(s, k))))
+        coarse = FieldSeries(((170.0, resample(s, grid02[::2])),))
+        for entries, pair, error in (
+            (series, unchecked_pair(s, scale(s, k)), IdentifiabilityError),
+            (series, unchecked_pair(zero, s), IdentifiabilityError),
+            (series, unchecked_pair(s, zero), IdentifiabilityError),
+            (coarse, default_basis, GridMismatchError),
+        ):
+            with pytest.raises(error) as single:
+                fit_coefficients(entries.entries[0][1], pair)
+            with pytest.raises(error) as batch:
+                fit_series(entries, pair)
+            assert str(batch.value) == str(single.value)
 
 
 class TestScaleFactorArithmetic:

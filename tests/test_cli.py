@@ -21,7 +21,7 @@ from nvunmix import (
     save_map,
     save_spectrum,
 )
-from nvunmix.cli import main
+from nvunmix.cli import build_parser, main
 from nvunmix.fileio import RunReport
 
 from conftest import CLEAN_NV0_SHAPE, CLEAN_NVM_SHAPE
@@ -353,6 +353,21 @@ class TestRenderAndReportCommands:
         out = tmp_path / "m.pgm"
         assert main(["render", "--map", str(tmp_path / "m"), "--out", str(out)]) == 0
         assert out.read_bytes().startswith(b"P2")
+
+    @pytest.mark.parametrize("clip", ["5000:0", "nan:1"])
+    def test_render_bad_clip_exits_2(self, tmp_path, capsys, clip):
+        save_map(PLMap(np.arange(12.0).reshape(3, 4)), tmp_path / "m")
+        out = tmp_path / "m.pgm"
+        assert main(["render", "--map", str(tmp_path / "m"), "--out", str(out), "--clip", clip]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: clip range") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_cached_parser_keeps_calls_apart(self):
+        first = build_parser().parse_args(["render", "--out", "a.svg", "--clip", "0:1", "--clamp"])
+        second = build_parser().parse_args(["render", "--out", "b.svg"])
+        assert (first.clip, first.clamp) == ("0:1", True)
+        assert (second.out, second.clip, second.clamp) == ("b.svg", None, False)
 
     def test_render_requires_one_input(self, tmp_path):
         assert main(["render", "--out", str(tmp_path / "x.svg")]) == 2

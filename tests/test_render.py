@@ -7,11 +7,13 @@ same calls as in the golden tests and overwriting tests/golden/*.
 import os
 
 import numpy as np
+import pytest
 
 from nvunmix import (
     DEFAULT_NVM_SHAPE,
     PLMap,
     RenderStyle,
+    ValidationError,
     make_letter_map,
     make_spectrum,
     render_map_pgm,
@@ -87,6 +89,11 @@ class TestMapPgm:
         text = render_map_pgm(m, RenderStyle(clip=(-0.25, 1.25))).decode()
         assert "clip=[-0.25,1.25]" in text
         assert "# min=-0.25 max=1.25" in text
+
+    @pytest.mark.parametrize("clip", [(5000.0, 0.0), (1.0, 1.0), (float("nan"), 1.0), (0.0, float("inf"))])
+    def test_bad_clip_range_rejected(self, clip):
+        with pytest.raises(ValidationError, match="clip range"):
+            RenderStyle(clip=clip)
 
     def test_pgm_dimensions(self):
         data = render_map_pgm(PLMap(np.zeros((3, 7)))).decode().splitlines()

@@ -141,6 +141,17 @@ class TestResample:
         expected = 3.0 + 0.25 * (mid - w[0])
         assert np.allclose(out.intensities, expected, rtol=1e-12, atol=1e-9)
 
+    @given(spectra(), st.lists(st.booleans(), min_size=30, max_size=30))
+    def test_equal_grid_matches_interp_bitwise(self, s, negzero):
+        """A separate grid equal in value returns the source, whose values are np.interp's, -0.0 included."""
+        w = s.wavelengths
+        y = np.where(negzero[: w.size], -0.0, s.intensities)
+        g = w.copy()
+        source = Spectrum(w, y)
+        out = resample(source, g)
+        assert out is source
+        assert list(map(float.hex, out.intensities)) == list(map(float.hex, np.interp(g, w, y)))
+
 
 class TestSubtractScale:
     def test_self_subtract_is_zero(self):
