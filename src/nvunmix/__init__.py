@@ -55,15 +55,13 @@ from .filters import (
     transmissivity_pair,
 )
 from .maps import (
-    FractionMaps,
     PLMap,
     UnmixedMaps,
-    accumulate,
     field_unmix,
     filter_unmix,
-    fraction_maps,
+    fraction_map,
 )
-from .render import RenderStyle, render_map_pgm, render_spectrum_svg
+from .render import render_map_pgm, render_spectrum_svg
 from .spectrum import (
     BasisPair,
     Spectrum,

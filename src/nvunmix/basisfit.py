@@ -252,13 +252,12 @@ def scale_factor_surface(table: CoefficientTable) -> ScaleFactorSurface:
     return ScaleFactorSurface(tuple(rows), tuple(skipped))
 
 
-def find_full_mixing_field(table: CoefficientTable, *, refine: bool = False) -> float:
+def find_full_mixing_field(table: CoefficientTable) -> float:
     """Field of minimum NV- amplitude, i.e. the fully spin-mixed point.
 
     Ties break toward the lower field. A flat column returns the lowest field
     with a FlatWarning; a monotone column has no detectable minimum and
-    raises. With ``refine`` a parabola through the minimum and its neighbors
-    sharpens the estimate (interior minima only).
+    raises.
     """
     if len(table) < 3:
         raise ValidationError("minimum detection needs at least three rows")
@@ -274,12 +273,4 @@ def find_full_mixing_field(table: CoefficientTable, *, refine: bool = False) -> 
     steps = np.diff(cm)
     if np.all(steps <= 0.0) or np.all(steps >= 0.0):
         raise NoMinimumError("NV- amplitude is monotone; no interior minimum")
-    i = int(np.argmin(cm))
-    if refine and 0 < i < len(table) - 1:
-        x0, x1, x2 = b[i - 1], b[i], b[i + 1]
-        y0, y1, y2 = cm[i - 1], cm[i], cm[i + 1]
-        num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
-        den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-        if den != 0.0:
-            return float(x1 - 0.5 * num / den)
-    return float(b[i])
+    return float(b[int(np.argmin(cm))])

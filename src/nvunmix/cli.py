@@ -30,8 +30,8 @@ from .errors import (
 from .fileio import RunReport, load_json, load_map, load_spectrum, map_paths
 from .fileio import save_map, save_spectrum
 from .filters import FilterModel, TabulatedFilter, TransmissivityPair, transmissivity
-from .maps import PLMap, field_unmix, filter_unmix
-from .render import RenderStyle, render_map_pgm, render_spectrum_svg
+from .maps import PLMap, field_unmix, filter_unmix, fraction_map
+from .render import render_map_pgm, render_spectrum_svg
 from .spectrum import BasisPair, WavelengthWindow, resample
 from .synth import (
     DEFAULT_FIELD_RESPONSE,
@@ -73,11 +73,18 @@ def _write_report(path, command, input_paths, parameters, outputs, diagnostics) 
     return path
 
 
-def _load_filter(args) -> FilterModel | TabulatedFilter:
-    if getattr(args, "filter_table", None):
+def _load_filter(args) -> tuple[FilterModel | TabulatedFilter, dict]:
+    """The filter the flags select, and the parameters that define it."""
+    sigmoid = {"t_max": args.tmax, "center": args.center, "width": args.width}
+    sigmoid = {name: value for name, value in sigmoid.items() if value is not None}
+    if args.filter_table:
+        if sigmoid:
+            raise ValidationError("--tmax, --center and --width do not apply with --filter-table")
         spec = load_spectrum(args.filter_table, negative="error")
-        return TabulatedFilter(spec.wavelengths, spec.intensities)
-    return FilterModel(t_max=args.tmax, center=args.center, width=args.width)
+        table = TabulatedFilter(spec.wavelengths, spec.intensities)
+        return table, {"filter_table": args.filter_table}
+    fm = FilterModel(**sigmoid)
+    return fm, {"tmax": fm.t_max, "center": fm.center, "width": fm.width, "filter_table": None}
 
 
 def cmd_decompose(args) -> int:
@@ -121,6 +128,8 @@ def cmd_fit_series(args) -> int:
     manifest = load_json(args.series, list, "manifest")
     if not manifest:
         raise ParseError(f"{args.series}: manifest must be a non-empty JSON list of entries")
+    if args.out_surface and len(manifest) < 2:
+        raise ValidationError(f"{args.series}: --out-surface needs at least two field entries")
     base_dir = os.path.dirname(os.path.abspath(args.series))
     entries = []
     spectrum_paths = []
@@ -149,7 +158,7 @@ def cmd_fit_series(args) -> int:
             fh.write(",".join(map(repr, row)) + "\n")
     surface = scale_factor_surface(table) if len(table) >= 2 else None
     outputs = [args.out_table]
-    if args.out_surface and surface is not None:
+    if args.out_surface:
         with open(args.out_surface, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("b1,b2,f\n")
             for b1, b2, f in surface.rows:
@@ -174,7 +183,7 @@ def cmd_fit_series(args) -> int:
 
 def cmd_transmissivity(args) -> int:
     spec = load_spectrum(args.spectrum, negative=args.negative)
-    fm = _load_filter(args)
+    fm, parameters = _load_filter(args)
     window = _parse_window(args.window)
     t = transmissivity(spec, fm, window)
     print(f"{t:.6g}")
@@ -182,13 +191,7 @@ def cmd_transmissivity(args) -> int:
         args.report,
         "transmissivity",
         [args.spectrum] + ([args.filter_table] if args.filter_table else []),
-        {
-            "tmax": args.tmax,
-            "center": args.center,
-            "width": args.width,
-            "window": args.window,
-            "filter_table": args.filter_table,
-        },
+        {**parameters, "window": args.window},
         [],
         {"transmissivity": t},
     )
@@ -200,6 +203,9 @@ def _unmix_common(args, command, unmixed, low_like, input_maps, parameters):
     out_nvm = save_map(unmixed.nvminus, args.out + ".nvm")
     recon = unmixed.nv0.values + unmixed.nvminus.values
     residual = float(np.max(np.abs(recon - low_like.values)))
+    del recon  # released before the fraction map is built, to keep the peak low
+    frac, zero_total = fraction_map(unmixed, low_like)
+    counted = frac.values.size - zero_total
     diagnostics = {
         "negative_pixel_count": unmixed.negative_pixel_count,
         "nv0_min": float(np.min(unmixed.nv0.values)),
@@ -207,6 +213,9 @@ def _unmix_common(args, command, unmixed, low_like, input_maps, parameters):
         "nvm_min": float(np.min(unmixed.nvminus.values)),
         "nvm_max": float(np.max(unmixed.nvminus.values)),
         "reconstruction_residual": residual,
+        "zero_total_pixels": zero_total,
+        # Zero-total pixels hold 0 in the map, so the sum covers the others.
+        "nvm_fraction_mean": float(np.sum(frac.values)) / counted if counted else None,
     }
     path = _write_report(
         args.report or _report_path(out_nv0[0]),
@@ -387,24 +396,28 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    style = RenderStyle(
-        zpl_guides=args.zpl_guides,
-        clamp_negative=args.clamp,
-        clip=_parse_range(args.clip) if args.clip else None,
-    )
     if (args.spectrum is None) == (args.map is None):
         raise ValidationError("render needs exactly one of --spectrum or --map")
     if args.spectrum:
-        data = render_spectrum_svg(load_spectrum(args.spectrum, negative="allow"), style)
+        if args.clamp or args.clip:
+            raise ValidationError("--clamp and --clip apply only with --map")
+        data = render_spectrum_svg(
+            load_spectrum(args.spectrum, negative="allow"), zpl_guides=args.zpl_guides
+        )
+        inputs, parameters = [args.spectrum], {"zpl_guides": args.zpl_guides}
     else:
-        data = render_map_pgm(load_map(args.map), style)
+        if args.zpl_guides:
+            raise ValidationError("--zpl-guides applies only with --spectrum")
+        clip = _parse_range(args.clip) if args.clip else None
+        data = render_map_pgm(load_map(args.map), clamp_negative=args.clamp, clip=clip)
+        inputs, parameters = _existing_map_files(args.map), {"clamp": args.clamp, "clip": args.clip}
     with open(args.out, "wb") as fh:
         fh.write(data)
     _write_report(
         args.report,
         "render",
-        [args.spectrum] if args.spectrum else _existing_map_files(args.map),
-        {"zpl_guides": args.zpl_guides, "clamp": args.clamp, "clip": args.clip},
+        inputs,
+        parameters,
         [args.out],
         {"bytes": len(data)},
     )
@@ -479,9 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transmissivity", help="filter transmissivity of a spectrum")
     p.add_argument("--spectrum", required=True)
-    p.add_argument("--tmax", type=float, default=0.9)
-    p.add_argument("--center", type=float, default=645.0)
-    p.add_argument("--width", type=float, default=6.9)
+    p.add_argument("--tmax", type=float, help="sigmoid peak transmission (default 0.9)")
+    p.add_argument("--center", type=float, help="sigmoid edge in nm (default 645)")
+    p.add_argument("--width", type=float, help="sigmoid edge width in nm (default 6.9)")
     p.add_argument("--window", default="550:850")
     p.add_argument("--filter-table", default=None, help="CSV of wavelength,transmission")
     p.add_argument("--report", default=None)
@@ -516,9 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum", default=None)
     p.add_argument("--map", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--zpl-guides", action="store_true")
-    p.add_argument("--clamp", action="store_true", help="clamp negatives for display")
-    p.add_argument("--clip", default=None, help="display clip range LO:HI")
+    p.add_argument("--zpl-guides", action="store_true", help="mark the ZPLs (--spectrum only)")
+    p.add_argument("--clamp", action="store_true", help="clamp negatives for display (--map only)")
+    p.add_argument("--clip", default=None, help="display clip range LO:HI (--map only)")
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_render)
 

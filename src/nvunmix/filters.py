@@ -85,10 +85,6 @@ class TabulatedFilter:
         object.__setattr__(self, "wavelengths", w)
         object.__setattr__(self, "transmissions", t)
 
-    @property
-    def t_max(self) -> float:
-        return float(np.max(self.transmissions))
-
     def transmission(self, lam: ArrayLike) -> NDArray[np.float64] | float:
         lam_arr = np.asarray(lam, dtype=float)
         out = np.interp(lam_arr, self.wavelengths, self.transmissions)

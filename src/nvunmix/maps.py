@@ -9,7 +9,6 @@ preserved, never clamped; they diagnose noise or model violations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -20,11 +19,9 @@ from .filters import TransmissivityPair
 __all__ = [
     "PLMap",
     "UnmixedMaps",
-    "FractionMaps",
     "field_unmix",
     "filter_unmix",
-    "fraction_maps",
-    "accumulate",
+    "fraction_map",
 ]
 
 
@@ -66,12 +63,6 @@ class UnmixedMaps:
     nv0: PLMap
     nvminus: PLMap
     negative_pixel_count: int
-
-
-class FractionMaps(NamedTuple):
-    frac0: PLMap
-    fracminus: PLMap
-    zero_total_pixels: int
 
 
 def _require_same_shape(a: PLMap, b: PLMap) -> None:
@@ -126,36 +117,17 @@ def filter_unmix(m0: PLMap, mlpf: PLMap, t: TransmissivityPair) -> UnmixedMaps:
     )
 
 
-def fraction_maps(unmixed: UnmixedMaps, total: PLMap) -> FractionMaps:
-    """Per-pixel fractional contribution of each component to ``total``.
+def fraction_map(unmixed: UnmixedMaps, total: PLMap) -> tuple[PLMap, int]:
+    """Per-pixel NV- fraction of ``total``, and the number of zero-total pixels.
 
-    Pixels whose total is at or below ``1e-12 * max(total)`` yield 0 in both
-    outputs and are counted in ``zero_total_pixels``. Values are not clipped;
-    clipping exists only as a rendering option.
+    Pixels whose total is at or below ``1e-12 * max(total)`` yield 0 and are
+    counted. The NV0 fraction is one minus this map up to rounding. Values
+    are not clipped; clipping exists only as a rendering option.
     """
-    _require_same_shape(unmixed.nv0, total)
+    _require_same_shape(unmixed.nvminus, total)
     tv = total.values
     eps = 1e-12 * float(np.max(tv)) if float(np.max(tv)) > 0.0 else 0.0
     ok = tv > eps
-    frac0 = np.zeros_like(tv)
     fracm = np.zeros_like(tv)
-    np.divide(unmixed.nv0.values, tv, out=frac0, where=ok)
     np.divide(unmixed.nvminus.values, tv, out=fracm, where=ok)
-    return FractionMaps(
-        PLMap(frac0, total.pixel_pitch_um),
-        PLMap(fracm, total.pixel_pitch_um),
-        int(tv.size - np.count_nonzero(ok)),
-    )
-
-
-def accumulate(scans: Sequence[PLMap]) -> PLMap:
-    """Pixelwise sum of repeated acquisitions of the same region."""
-    if len(scans) < 1:
-        raise ValidationError("accumulate requires at least one map")
-    first = scans[0]
-    for m in scans[1:]:
-        _require_same_shape(first, m)
-    total = np.zeros_like(first.values)
-    for m in scans:
-        total = total + m.values
-    return PLMap(total, first.pixel_pitch_um)
+    return PLMap(fracm, total.pixel_pitch_um), int(tv.size - np.count_nonzero(ok))

@@ -1,13 +1,11 @@
 """Presentation-only rendering: SVG line plots for spectra, PGM images for maps.
 
-Output bytes are deterministic for identical inputs and style, so renders can
+Output bytes are deterministic for identical inputs and options, so renders can
 be golden-file tested. Data fidelity lives in the CSV/JSON formats; clipping
 and clamping here never touch the underlying data.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +13,7 @@ from .errors import ValidationError
 from .maps import PLMap
 from .spectrum import Spectrum
 
-__all__ = ["RenderStyle", "render_spectrum_svg", "render_map_pgm"]
+__all__ = ["render_spectrum_svg", "render_map_pgm"]
 
 
 # SVG canvas size and plot margin in pixels; PGM gray levels.
@@ -23,23 +21,15 @@ _WIDTH, _HEIGHT, _MARGIN = 720, 480, 64
 _MAX_GRAY = 255
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    zpl_guides: bool = False
-    clamp_negative: bool = False
-    clip: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.clip is not None and not (np.isfinite(self.clip).all() and self.clip[0] < self.clip[1]):
-            raise ValidationError(f"clip range must be finite with LO < HI, got {self.clip}")
-
-
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def render_spectrum_svg(s: Spectrum, style: RenderStyle = RenderStyle()) -> bytes:
-    """Line plot with axis labels in nm and counts/s and a min/max legend."""
+def render_spectrum_svg(s: Spectrum, *, zpl_guides: bool = False) -> bytes:
+    """Line plot with axis labels in nm and counts/s and a min/max legend.
+
+    ``zpl_guides`` draws dashed lines at the 575 nm and 637 nm zero-phonon lines.
+    """
     w, h, m = _WIDTH, _HEIGHT, _MARGIN
     x = s.wavelengths
     y = s.intensities
@@ -76,7 +66,7 @@ def render_spectrum_svg(s: Spectrum, style: RenderStyle = RenderStyle()) -> byte
             f'<text x="{m - 9}" y="{yp:.3f}" font-size="11" text-anchor="end" '
             f'dominant-baseline="middle">{_fmt(yv)}</text>'
         )
-    if style.zpl_guides:
+    if zpl_guides:
         for guide, label in ((575.0, "575"), (637.0, "637")):
             if x0 <= guide <= x1:
                 gp = px(guide)
@@ -104,15 +94,23 @@ def render_spectrum_svg(s: Spectrum, style: RenderStyle = RenderStyle()) -> byte
     return ("\n".join(parts) + "\n").encode("utf-8")
 
 
-def render_map_pgm(m: PLMap, style: RenderStyle = RenderStyle()) -> bytes:
-    """Grayscale P2 image; the header comments carry the value legend."""
+def render_map_pgm(
+    m: PLMap, *, clamp_negative: bool = False, clip: tuple[float, float] | None = None
+) -> bytes:
+    """Grayscale P2 image; the header comments carry the value legend.
+
+    ``clamp_negative`` shows negative pixels as 0 and ``clip`` limits the
+    displayed values to a finite range (LO, HI) with LO < HI.
+    """
+    if clip is not None and not (np.isfinite(clip).all() and clip[0] < clip[1]):
+        raise ValidationError(f"clip range must be finite with LO < HI, got {clip}")
     values = m.values
     transforms = []
-    if style.clamp_negative:
+    if clamp_negative:
         values = np.maximum(values, 0.0)
         transforms.append("clamp_negative")
-    if style.clip is not None:
-        lo, hi = style.clip
+    if clip is not None:
+        lo, hi = clip
         values = np.clip(values, lo, hi)
         transforms.append(f"clip=[{_fmt(lo)},{_fmt(hi)}]")
     vmin = float(np.min(values))

@@ -96,10 +96,6 @@ class WavelengthWindow:
         if not self.lo < self.hi:
             raise ValidationError(f"window requires lo < hi, got [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def _require_same_grid(a: Spectrum, b: Spectrum) -> None:
     if not np.array_equal(a.wavelengths, b.wavelengths):

@@ -80,14 +80,6 @@ class SpectralShapeModel:
             out += norm * np.exp(-0.5 * ((grid - center) / width) ** 2)
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "zpl_center": self.zpl_center,
-            "zpl_width": self.zpl_width,
-            "zpl_weight": self.zpl_weight,
-            "sidebands": [list(c) for c in self.sideband_components],
-        }
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "SpectralShapeModel":
         return cls(
@@ -136,9 +128,6 @@ class FieldResponseModel:
             raise RangeError(f"field {b} G outside knot range [{bs[0]}, {bs[-1]}] G")
         return float(np.interp(b, bs, cs))
 
-    def to_dict(self) -> dict:
-        return {"c0_const": self.c0_const, "cminus_curve": [list(k) for k in self.cminus_curve]}
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "FieldResponseModel":
         return cls(float(d["c0_const"]), tuple(tuple(k) for k in d["cminus_curve"]))
@@ -160,9 +149,6 @@ class NoiseModel:
         object.__setattr__(self, "scans", int(self.scans))
         if not (np.isfinite(self.dwell) and self.dwell > 0.0):
             raise ValidationError("dwell must be positive")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "scans": self.scans, "dwell": self.dwell}
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "NoiseModel":

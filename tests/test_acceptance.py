@@ -19,7 +19,6 @@ from nvunmix import (
     NoiseModel,
     NonPhysicalWarning,
     PLMap,
-    RenderStyle,
     Spectrum,
     TransmissivityPair,
     apply_filter,
@@ -221,12 +220,12 @@ def test_c8_round_trips_and_deterministic_rendering(tmp_path):
     golden = os.path.join(os.path.dirname(__file__), "golden")
     grid = np.linspace(550.0, 850.0, 151)
     svg = render_spectrum_svg(
-        make_spectrum(DEFAULT_NVM_SHAPE, grid, 62000.0), RenderStyle(zpl_guides=True)
+        make_spectrum(DEFAULT_NVM_SHAPE, grid, 62000.0), zpl_guides=True
     )
     with open(os.path.join(golden, "spectrum.svg"), "rb") as fh:
         assert svg == fh.read()
     lnv0, lnvm = make_letter_map(64, 48, None, 8000.0, 12000.0)
-    pgm = render_map_pgm(PLMap(lnv0.values + lnvm.values, lnv0.pixel_pitch_um), RenderStyle())
+    pgm = render_map_pgm(PLMap(lnv0.values + lnvm.values, lnv0.pixel_pitch_um))
     with open(os.path.join(golden, "map.pgm"), "rb") as fh:
         assert pgm == fh.read()
     ok(8, "spec-csv and plmap round trips bit-exact; SVG/PGM bytes match golden files")

@@ -356,9 +356,3 @@ class TestFindFullMixingField:
     def test_requires_three_rows(self):
         with pytest.raises(ValidationError):
             find_full_mixing_field(table_from([1.0, 2.0], [5.0, 4.0]))
-
-    def test_parabolic_refinement(self):
-        # samples of a parabola with vertex at 2.5
-        bs = [1.0, 2.0, 3.0, 4.0]
-        cms = [(b - 2.5) ** 2 + 1.0 for b in bs]
-        assert find_full_mixing_field(table_from(bs, cms), refine=True) == pytest.approx(2.5)

