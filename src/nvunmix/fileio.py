@@ -1,8 +1,10 @@
 """Readers and writers for the spec-csv v1 and plmap v1 formats, plus run reports.
 
-Floats are written with ``repr`` so save/load round trips are bit-exact. Every
-input file is opened by ``_text_file``, for the CSV row reader ``_read_rows`` or
-for ``load_json``; a file that does not decode as UTF-8 raises ``ParseError``.
+Floats are written with ``repr`` so save/load round trips are bit-exact. CSV rows
+are parsed by one ``np.loadtxt`` call; a file that it or a caller's check declines
+is re-read by the line reader ``_read_rows``, the only source of parse errors, so
+the format and every error message are unchanged. ``_read_rows`` and ``load_json``
+open files with ``_text_file``; one that does not decode as UTF-8 raises ``ParseError``.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import contextlib
 import datetime as _dt
 import hashlib
+import io
+import itertools
 import json
 import os
 import warnings
@@ -51,6 +55,26 @@ def _text_file(path: str | os.PathLike):
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def _fast_rows(path: str | os.PathLike, width: int) -> np.ndarray | None:
+    """``path``'s rows parsed by ``np.loadtxt`` past the leading blank and ``#``
+    lines, or None on no data row, a field ``loadtxt`` rejects (a later blank or
+    ``#`` line included), a wrong field count or a non-finite value."""
+    with open(path, "rb") as raw:
+        data = raw.read()
+    # np.loadtxt strips \x1c-\x1f around a field and float() does not.
+    if any(space in data for space in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+        return None
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")  # as open(path) reads them
+    try:
+        first = next((line for line in lines if line.strip()[:1] not in ("", "#")), "")
+        if not first:
+            return None
+        rows = np.loadtxt(itertools.chain((first,), lines), delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    return rows if rows.shape[1] == width and np.isfinite(rows).all() else None
+
+
 def _read_rows(path: str | os.PathLike, width: int) -> tuple[list[int], np.ndarray]:
     """Parse the rows of ``width`` comma-separated finite floats in ``path``
     line by line, skipping blank and ``#`` lines; return each row's line
@@ -78,12 +102,16 @@ def _read_rows(path: str | os.PathLike, width: int) -> tuple[list[int], np.ndarr
     return line_nos, rows
 
 
+def _rejects_negative(values: np.ndarray, negative: str) -> bool:
+    return negative != "allow" and bool(np.any(values < 0.0))
+
+
 def _apply_negative(values: np.ndarray, line_nos: list[int], negative: str, path) -> np.ndarray:
     """Apply the ``negative`` mode to ``values``, whose row ``i`` was read from
     line ``line_nos[i]`` of ``path``."""
-    below = values < 0.0
-    if negative == "allow" or not np.any(below):
+    if not _rejects_negative(values, negative):
         return values
+    below = values < 0.0
     if negative == "error":
         first = np.unravel_index(np.argmax(below), values.shape)
         raise ParseError(
@@ -129,6 +157,10 @@ def load_spectrum(path: str | os.PathLike, *, negative: str = "error") -> Spectr
     difference spectra).
     """
     _check_negative_mode(negative)
+    rows = _fast_rows(path, 2)
+    if rows is not None and np.all(rows[1:, 0] > rows[:-1, 0]):
+        if not _rejects_negative(rows[:, 1], negative):
+            return Spectrum(rows[:, 0], rows[:, 1])
     line_nos, rows = _read_rows(path, 2)
     if not line_nos:
         raise ParseError(f"{path}: no data rows")
@@ -191,6 +223,9 @@ def load_map(path: str | os.PathLike, *, negative: str = "allow") -> PLMap:
         raise ParseError(f"{json_path}: bad sidecar fields: {exc}") from exc
     if width < 1 or height < 1:
         raise ParseError(f"{json_path}: width and height must be positive")
+    values = _fast_rows(csv_path, width)
+    if values is not None and len(values) == height and not _rejects_negative(values, negative):
+        return PLMap(values, pitch)
     line_nos, values = _read_rows(csv_path, width)
     if len(line_nos) != height:
         raise ParseError(

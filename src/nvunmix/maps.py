@@ -24,6 +24,9 @@ __all__ = [
     "fraction_map",
 ]
 
+# Relative epsilon: a value within 1e-12 of the largest input magnitude is rounding residue.
+_REL_EPS = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class PLMap:
@@ -58,7 +61,7 @@ class PLMap:
 
 @dataclass(frozen=True, eq=False)
 class UnmixedMaps:
-    """Component maps plus a count of pixels that went negative in either one."""
+    """Component maps plus a count of pixels negative beyond rounding in either one."""
 
     nv0: PLMap
     nvminus: PLMap
@@ -74,8 +77,9 @@ def _require_same_shape(a: PLMap, b: PLMap) -> None:
         raise GridMismatchError("maps have different pixel pitches")
 
 
-def _count_negative(nv0: NDArray[np.float64], nvm: NDArray[np.float64]) -> int:
-    return int(np.count_nonzero((nv0 < 0.0) | (nvm < 0.0)))
+def _count_negative(nv0: NDArray[np.float64], nvm: NDArray[np.float64], *inputs: PLMap) -> int:
+    tol = _REL_EPS * max(float(np.max(np.abs(m.values))) for m in inputs)
+    return int(np.count_nonzero((nv0 < -tol) | (nvm < -tol)))
 
 
 def field_unmix(low_b: PLMap, high_b: PLMap, f: float) -> UnmixedMaps:
@@ -92,7 +96,7 @@ def field_unmix(low_b: PLMap, high_b: PLMap, f: float) -> UnmixedMaps:
     return UnmixedMaps(
         PLMap(nv0, low_b.pixel_pitch_um),
         PLMap(nvm, low_b.pixel_pitch_um),
-        _count_negative(nv0, nvm),
+        _count_negative(nv0, nvm, low_b, high_b),
     )
 
 
@@ -113,21 +117,20 @@ def filter_unmix(m0: PLMap, mlpf: PLMap, t: TransmissivityPair) -> UnmixedMaps:
     return UnmixedMaps(
         PLMap(nv0, m0.pixel_pitch_um),
         PLMap(nvm, m0.pixel_pitch_um),
-        _count_negative(nv0, nvm),
+        _count_negative(nv0, nvm, m0, mlpf),
     )
 
 
 def fraction_map(unmixed: UnmixedMaps, total: PLMap) -> tuple[PLMap, int]:
     """Per-pixel NV- fraction of ``total``, and the number of zero-total pixels.
 
-    Pixels whose total is at or below ``1e-12 * max(total)`` yield 0 and are
+    Pixels whose total is at or below ``_REL_EPS * max(total)`` yield 0 and are
     counted. The NV0 fraction is one minus this map up to rounding. Values
     are not clipped; clipping exists only as a rendering option.
     """
     _require_same_shape(unmixed.nvminus, total)
     tv = total.values
-    eps = 1e-12 * float(np.max(tv)) if float(np.max(tv)) > 0.0 else 0.0
-    ok = tv > eps
+    ok = tv > _REL_EPS * max(float(np.max(tv)), 0.0)
     fracm = np.zeros_like(tv)
     np.divide(unmixed.nvminus.values, tv, out=fracm, where=ok)
     return PLMap(fracm, total.pixel_pitch_um), int(tv.size - np.count_nonzero(ok))

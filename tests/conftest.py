@@ -14,6 +14,8 @@ from nvunmix.synth import SpectralShapeModel
 settings.register_profile(
     "suite", max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+# For a longer search (the CI workflow runs it): pytest --hypothesis-profile deep
+settings.register_profile("deep", settings.get_profile("suite"), max_examples=500)
 settings.load_profile("suite")
 
 # Shapes whose support is numerically dead around the other state's line

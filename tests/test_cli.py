@@ -12,6 +12,7 @@ from nvunmix import (
     PLMap,
     Spectrum,
     default_letter_masks,
+    fileio,
     fit_series,
     load_map,
     load_spectrum,
@@ -143,6 +144,21 @@ class TestTransmissivityCommand:
 
 
 class TestMapCommands:
+    def test_noiseless_field_pair_has_no_negative_pixels(self, tmp_path):
+        """A noiseless pair at the default suppression, unmixed at its own f: the
+        NV0 pixels that should be 0 come out as rounding residue (about -4e-12),
+        which is not counted."""
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"letter_map": {"width": 96, "height": 64}}))
+        argv = ["simulate", "field-map-pair", "--params", str(params), "--out", str(tmp_path / "sim")]
+        assert main(argv) == 0
+        argv = ["unmix-map-field", "--low", str(tmp_path / "sim" / "low"),
+                "--high", str(tmp_path / "sim" / "high"), "--f", "6.2", "--out", str(tmp_path / "sep")]
+        assert main(argv) == 0
+        diagnostics = RunReport.load(tmp_path / "sep.nv0.report.json").diagnostics
+        assert diagnostics["nv0_min"] < 0.0
+        assert diagnostics["negative_pixel_count"] == 0
+
     def test_simulate_then_field_unmix(self, tmp_path):
         params = tmp_path / "params.json"
         params.write_text(
@@ -536,7 +552,7 @@ class TestInputBoundary:
             "params-grid-too-fine",
         ],
     )
-    def test_malformed_file_exits_2(self, tmp_path, capsys, argv, name, data):
+    def test_malformed_file_exits_2(self, tmp_path, capsys, monkeypatch, argv, name, data):
         (tmp_path / "s.csv").write_text("600.0,1.0\n601.0,2.0\n")
         (tmp_path / "m.json").write_bytes(_SIDECAR)
         (tmp_path / "m.csv").write_text("1.0,2.0\n")
@@ -545,3 +561,7 @@ class TestInputBoundary:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        # The line reader alone gives the same exit and message.
+        monkeypatch.setattr(fileio, "_fast_rows", lambda path, width: None)
+        assert main([a.format(d=tmp_path) for a in argv]) == rc
+        assert capsys.readouterr().err == err

@@ -131,7 +131,8 @@ class TestOptimizeScaleFactor:
         s0 = make_spectrum(CLEAN_NV0_SHAPE, grid02, 10000.0)
         sm = make_spectrum(CLEAN_NVM_SHAPE, grid02, 62000.0)
         low = Spectrum(grid02, s0.intensities + sm.intensities)
-        f, _ = optimize_scale_factor(low, sm)
+        with pytest.warns(NonPhysicalWarning, match="clamped"):
+            f, _ = optimize_scale_factor(low, sm)
         assert f == pytest.approx(1.0, abs=1e-3)
 
     def test_exact_recovery_with_featureless_remainder(self):
@@ -259,7 +260,7 @@ class TestDecompose:
     def test_negative_excursions_flagged(self):
         low = Spectrum(FINE, np.full_like(FINE, 100.0))
         high = Spectrum(FINE, 100.0 - gauss(FINE, 637.0, 1.7, 500.0))
-        with pytest.warns(ModelViolationWarning):
+        with pytest.warns(NonPhysicalWarning), pytest.warns(ModelViolationWarning):
             result = decompose(low, high)
         assert float(np.min(result.nv0.intensities)) < 0.0
 
