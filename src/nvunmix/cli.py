@@ -372,6 +372,8 @@ _SIMULATORS = {
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     params = load_json(args.params, dict, "params") if args.params else {}
     os.makedirs(args.out, exist_ok=True)
     try:
@@ -431,7 +433,7 @@ def cmd_report(args) -> int:
     print(f"timestamp:  {report.timestamp}")
     print("inputs:")
     for path, digest in report.inputs:
-        print(f"  {path}  sha256={digest}")
+        print(f"  {path}  sha256={'null' if digest is None else digest}")
     print("parameters:")
     for key in sorted(report.parameters):
         print(f"  {key} = {report.parameters[key]}")

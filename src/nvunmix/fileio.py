@@ -1,10 +1,11 @@
 """Readers and writers for the spec-csv v1 and plmap v1 formats, plus run reports.
 
-Floats are written with ``repr`` so save/load round trips are bit-exact. CSV rows
-are parsed by one ``np.loadtxt`` call; a file that it or a caller's check declines
-is re-read by the line reader ``_read_rows``, the only source of parse errors, so
-the format and every error message are unchanged. ``_read_rows`` and ``load_json``
-open files with ``_text_file``; one that does not decode as UTF-8 raises ``ParseError``.
+Floats are written with ``repr`` so save/load round trips are bit-exact. ``_rows``
+reads a CSV input's bytes once, so pipes and FIFOs load like files, and parses them
+with one ``np.loadtxt`` call or, where that declines, line by line (the only source
+of parse errors). Each loader runs each check once on those rows; ``_line_no`` finds
+a failing row's line. ``_text_file`` decodes CSV and JSON bytes; non-UTF-8 raises
+``ParseError``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClampedNegativeWarning, ParseError
+from .errors import ClampedNegativeWarning, ParseError, ValidationError
 from .maps import PLMap
 from .spectrum import Spectrum
 
@@ -42,50 +43,62 @@ _NEGATIVE_MODES = ("error", "clamp", "allow")
 
 def _check_negative_mode(mode: str) -> None:
     if mode not in _NEGATIVE_MODES:
-        raise ValueError(f"negative mode must be one of {_NEGATIVE_MODES}, got {mode!r}")
+        raise ValidationError(f"negative mode must be one of {_NEGATIVE_MODES}, got {mode!r}")
 
 
 @contextlib.contextmanager
-def _text_file(path: str | os.PathLike):
-    """Open a UTF-8 text file; bytes that do not decode raise ``ParseError``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+def _text_file(path: str | os.PathLike, data: bytes):
+    """``data``, read from ``path``, as UTF-8 text lines split as ``open`` splits
+    them; bytes that do not decode raise ``ParseError``."""
+    try:
+        yield io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _fast_rows(path: str | os.PathLike, width: int) -> np.ndarray | None:
-    """``path``'s rows parsed by ``np.loadtxt`` past the leading blank and ``#``
-    lines, or None on no data row, a field ``loadtxt`` rejects (a later blank or
-    ``#`` line included), a wrong field count or a non-finite value."""
-    with open(path, "rb") as raw:
-        data = raw.read()
+def _data_lines(lines):
+    """``(line number, stripped line)`` of each line that is neither blank nor ``#``."""
+    for n, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and line[0] != "#":
+            yield n, line
+
+
+def _line_no(data: bytes, i: int) -> int:
+    """The line number of data row ``i`` of ``data``, which decodes as UTF-8."""
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    return next(itertools.islice(_data_lines(lines), i, None))[0]
+
+
+def _fast_rows(data: bytes, width: int) -> np.ndarray | None:
+    """``data``'s rows parsed by ``np.loadtxt``, or None on no data row, a field
+    ``loadtxt`` rejects (a blank or ``#`` line after the first data row included),
+    a wrong field count or a non-finite value."""
     # np.loadtxt strips \x1c-\x1f around a field and float() does not.
     if any(space in data for space in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
         return None
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")  # as open(path) reads them
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     try:
-        first = next((line for line in lines if line.strip()[:1] not in ("", "#")), "")
-        if not first:
+        head = next(_data_lines(lines), None)
+        if head is None:
             return None
-        rows = np.loadtxt(itertools.chain((first,), lines), delimiter=",", comments=None, ndmin=2)
+        rows = np.loadtxt(itertools.chain((head[1],), lines), delimiter=",", comments=None, ndmin=2)
     except ValueError:  # UnicodeDecodeError included
         return None
     return rows if rows.shape[1] == width and np.isfinite(rows).all() else None
 
 
-def _read_rows(path: str | os.PathLike, width: int) -> tuple[list[int], np.ndarray]:
-    """Parse the rows of ``width`` comma-separated finite floats in ``path``
-    line by line, skipping blank and ``#`` lines; return each row's line
-    number and the ``(rows, width)`` array."""
-    line_nos: list[int] = []
+def _rows(path: str | os.PathLike, width: int) -> tuple[np.ndarray, bytes]:
+    """``path``'s rows of ``width`` comma-separated finite floats, blank and ``#`` lines
+    skipped, and its bytes; the line reader parses what ``_fast_rows`` declines."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    rows = _fast_rows(data, width)
+    if rows is not None:
+        return rows, data
     values: list[float] = []
-    with _text_file(path) as fh:
-        for n, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+    with _text_file(path, data) as lines:
+        for n, line in _data_lines(lines):
             parts = line.split(",")
             if len(parts) != width:
                 raise ParseError(f"{path}: line {n}: expected {width} fields, got {len(parts)}")
@@ -93,29 +106,23 @@ def _read_rows(path: str | os.PathLike, width: int) -> tuple[list[int], np.ndarr
                 values.extend(map(float, parts))
             except ValueError as exc:
                 raise ParseError(f"{path}: line {n}: {exc}") from exc
-            line_nos.append(n)
-    rows = np.array(values).reshape(len(line_nos), width)
+    rows = np.array(values).reshape(-1, width)
     finite = np.isfinite(rows)
     if not finite.all():
-        n = line_nos[int(np.argmin(finite)) // width]
+        n = _line_no(data, int(np.argmin(finite)) // width)
         raise ParseError(f"{path}: line {n}: non-finite value")
-    return line_nos, rows
+    return rows, data
 
 
-def _rejects_negative(values: np.ndarray, negative: str) -> bool:
-    return negative != "allow" and bool(np.any(values < 0.0))
-
-
-def _apply_negative(values: np.ndarray, line_nos: list[int], negative: str, path) -> np.ndarray:
-    """Apply the ``negative`` mode to ``values``, whose row ``i`` was read from
-    line ``line_nos[i]`` of ``path``."""
-    if not _rejects_negative(values, negative):
+def _apply_negative(values: np.ndarray, data: bytes, negative: str, path) -> np.ndarray:
+    """Apply the ``negative`` mode to ``values``, whose row ``i`` is data row
+    ``i`` of ``data``, read from ``path``."""
+    if negative == "allow" or not np.any(below := values < 0.0):
         return values
-    below = values < 0.0
     if negative == "error":
         first = np.unravel_index(np.argmax(below), values.shape)
         raise ParseError(
-            f"{path}: line {line_nos[first[0]]}: negative value {float(values[first])!r} "
+            f"{path}: line {_line_no(data, first[0])}: negative value {float(values[first])!r} "
             "(pass negative='clamp' or 'allow' for computed data)"
         )
     message = f"{path}: clamped {int(np.count_nonzero(below))} negative values to 0"
@@ -126,8 +133,8 @@ def _apply_negative(values: np.ndarray, line_nos: list[int], negative: str, path
 def load_json(path: str | os.PathLike, kind: type, what: str):
     """Read a UTF-8 JSON file whose top level must be of type ``kind``
     (``dict`` or ``list``); ``what`` names the file in error messages."""
-    with _text_file(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh, _text_file(path, fh.read()) as lines:
+        text = lines.read()
     try:
         value = json.loads(text)
         json.dumps(value, ensure_ascii=False).encode("utf-8")  # a lone \ud800 escape is not text
@@ -157,22 +164,18 @@ def load_spectrum(path: str | os.PathLike, *, negative: str = "error") -> Spectr
     difference spectra).
     """
     _check_negative_mode(negative)
-    rows = _fast_rows(path, 2)
-    if rows is not None and np.all(rows[1:, 0] > rows[:-1, 0]):
-        if not _rejects_negative(rows[:, 1], negative):
-            return Spectrum(rows[:, 0], rows[:, 1])
-    line_nos, rows = _read_rows(path, 2)
-    if not line_nos:
+    rows, data = _rows(path, 2)
+    if not len(rows):
         raise ParseError(f"{path}: no data rows")
     w = rows[:, 0]
     stalls = np.flatnonzero(w[1:] <= w[:-1])
     if stalls.size:
         i = int(stalls[0]) + 1
         raise ParseError(
-            f"{path}: line {line_nos[i]}: wavelength {float(w[i])!r} "
+            f"{path}: line {_line_no(data, i)}: wavelength {float(w[i])!r} "
             f"does not increase past {float(w[i - 1])!r}"
         )
-    return Spectrum(w, _apply_negative(rows[:, 1], line_nos, negative, path))
+    return Spectrum(w, _apply_negative(rows[:, 1], data, negative, path))
 
 
 def map_paths(path: str | os.PathLike) -> tuple[str, str]:
@@ -223,15 +226,12 @@ def load_map(path: str | os.PathLike, *, negative: str = "allow") -> PLMap:
         raise ParseError(f"{json_path}: bad sidecar fields: {exc}") from exc
     if width < 1 or height < 1:
         raise ParseError(f"{json_path}: width and height must be positive")
-    values = _fast_rows(csv_path, width)
-    if values is not None and len(values) == height and not _rejects_negative(values, negative):
-        return PLMap(values, pitch)
-    line_nos, values = _read_rows(csv_path, width)
-    if len(line_nos) != height:
+    values, data = _rows(csv_path, width)
+    if len(values) != height:
         raise ParseError(
-            f"{csv_path}: expected {height} rows for a {width}x{height} map, got {len(line_nos)}"
+            f"{csv_path}: expected {height} rows for a {width}x{height} map, got {len(values)}"
         )
-    return PLMap(_apply_negative(values, line_nos, negative, csv_path), pitch)
+    return PLMap(_apply_negative(values, data, negative, csv_path), pitch)
 
 
 def _sha256(path: str | os.PathLike) -> str:
@@ -244,11 +244,11 @@ def _sha256(path: str | os.PathLike) -> str:
 
 @dataclass
 class RunReport:
-    """Record of one CLI run: inputs (with hashes), effective parameters,
-    produced outputs, and diagnostics."""
+    """Record of one CLI run: inputs (with sha256 digests, None for an input that
+    is not a regular file), effective parameters, produced outputs, and diagnostics."""
 
     command: str
-    inputs: list[tuple[str, str]] = field(default_factory=list)
+    inputs: list[tuple[str, str | None]] = field(default_factory=list)
     parameters: dict = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
@@ -265,7 +265,7 @@ class RunReport:
     ) -> "RunReport":
         return cls(
             command=command,
-            inputs=[(p, _sha256(p)) for p in input_paths],
+            inputs=[(p, _sha256(p) if os.path.isfile(p) else None) for p in input_paths],
             parameters=dict(parameters),
             outputs=list(outputs),
             diagnostics=dict(diagnostics),

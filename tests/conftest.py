@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -26,6 +28,27 @@ CLEAN_NV0_SHAPE = SpectralShapeModel(
 CLEAN_NVM_SHAPE = SpectralShapeModel(
     637.0, 1.7, 0.25, ((702.0, 13.0, 0.45), (748.0, 15.0, 0.30))
 )
+
+
+@pytest.fixture
+def piped():
+    """Make ``/dev/fd/N`` paths that read the given bytes (under the pipe capacity)
+    from a pipe whose write end is closed, as a shell's ``<(...)`` gives them.
+    Reading such a path a second time gives no bytes."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd on this platform")
+    read_ends = []
+
+    def make(data: bytes) -> str:
+        r, w = os.pipe()
+        read_ends.append(r)
+        os.write(w, data)
+        os.close(w)
+        return f"/dev/fd/{r}"
+
+    yield make
+    for r in read_ends:
+        os.close(r)
 
 
 @pytest.fixture(scope="session")

@@ -142,6 +142,17 @@ class TestTransmissivityCommand:
         got = float(capsys.readouterr().out)
         assert got == pytest.approx(0.9 * 205.0 / 300.0, rel=1e-3)
 
+    def test_piped_spectrum_reads_once(self, tmp_path, capsys, piped):
+        grid = np.linspace(550.0, 850.0, 1501)
+        save_spectrum(Spectrum(grid, np.full_like(grid, 3.0)), tmp_path / "flat.csv")
+        path = piped((tmp_path / "flat.csv").read_bytes())
+        rc = main(["transmissivity", "--spectrum", path, "--report", str(tmp_path / "r.json")])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "0.615"
+        assert RunReport.load(tmp_path / "r.json").inputs == [(path, None)]
+        assert main(["report", "--run", str(tmp_path / "r.json")]) == 0
+        assert f"  {path}  sha256=null\n" in capsys.readouterr().out
+
 
 class TestMapCommands:
     def test_noiseless_field_pair_has_no_negative_pixels(self, tmp_path):
@@ -461,9 +472,10 @@ class TestRejectedFlags:
             _TABLE_FILTER + ["--center", "645"],
             _TABLE_FILTER + ["--width", "6.9"],
             _ONE_FIELD_SERIES,
+            ["simulate", "spectrum", "--seed", "-1", "--out", "{d}/sim"],
         ],
         ids=["svg-clamp", "svg-clip", "pgm-zpl-guides", "table-tmax", "table-center", "table-width",
-             "one-field-surface"],
+             "one-field-surface", "simulate-negative-seed"],
     )
     def test_exit_2_one_line_no_output(self, tmp_path, grid02, capsys, argv):
         save_spectrum(make_spectrum(CLEAN_NV0_SHAPE, grid02, 100.0), tmp_path / "s0.csv")
@@ -562,6 +574,6 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         # The line reader alone gives the same exit and message.
-        monkeypatch.setattr(fileio, "_fast_rows", lambda path, width: None)
+        monkeypatch.setattr(fileio, "_fast_rows", lambda data, width: None)
         assert main([a.format(d=tmp_path) for a in argv]) == rc
         assert capsys.readouterr().err == err

@@ -11,7 +11,7 @@ from hypothesis import event, given
 from hypothesis import strategies as st
 
 from nvunmix import ParseError, PLMap, Spectrum, fileio, load_map, load_spectrum, save_map, save_spectrum
-from nvunmix.errors import ClampedNegativeWarning, NvUnmixError
+from nvunmix.errors import ClampedNegativeWarning, NvUnmixError, ValidationError
 from nvunmix.fileio import SPEC_CSV_HEADER, RunReport, map_paths
 
 from conftest import assert_spectra_equal
@@ -88,6 +88,11 @@ class TestSpectrumFormat:
         allowed = load_spectrum(path, negative="allow")
         assert allowed.intensities.tolist() == [1.0, -2.0]
 
+    def test_unknown_negative_mode_is_validation_error(self, tmp_path):
+        save_spectrum(Spectrum([600.0, 601.0], [1.0, 2.0]), tmp_path / "s.csv")
+        with pytest.raises(ValidationError, match="negative mode"):
+            load_spectrum(tmp_path / "s.csv", negative="drop")
+
 
 class TestMapFormat:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -148,6 +153,27 @@ class TestMapFormat:
         (tmp_path / "m.csv").write_text("# header\n1.0,2.0\n3.0,inf\n")
         with pytest.raises(ParseError, match="line 3: non-finite"):
             load_map(tmp_path / "m")
+
+    def test_unknown_negative_mode_is_validation_error(self, tmp_path):
+        save_map(PLMap(np.ones((2, 3))), tmp_path / "m")
+        with pytest.raises(ValidationError, match="negative mode"):
+            load_map(tmp_path / "m", negative="drop")
+
+
+class TestPipedInput:
+    """A CSV input is read once, so a pipe loads as the same bytes in a file do."""
+
+    def test_row_loadtxt_declines_loads(self, piped):
+        s = load_spectrum(piped(b"500.0,1_0\n900.0,2.0\n"))
+        assert s.intensities.tolist() == [10.0, 2.0]
+
+    def test_non_increasing_wavelength_names_line(self, piped):
+        with pytest.raises(ParseError, match="line 2: wavelength 599.0 does not increase"):
+            load_spectrum(piped(b"600.0,1.0\n599.0,2.0\n"))
+
+    def test_negative_value_names_line(self, piped):
+        with pytest.raises(ParseError, match="line 3: negative value -2.0"):
+            load_spectrum(piped(b"# spec-csv v1\n600.0,1.0\n601.0,-2.0\n"))
 
 
 _EDGE_FLOATS = [
@@ -221,7 +247,7 @@ def _outcome(load, path, **kw):
 def _same_on_both_paths(load, path, width, clean, **kw):
     """``load`` gives the same values, error and warnings with and without the
     ``np.loadtxt`` fast path; a clean file takes the fast path."""
-    fast = fileio._fast_rows(path, width)
+    fast = fileio._fast_rows(path.read_bytes(), width)
     event("fast path parsed" if fast is not None else "fast path declined")
     if clean:
         assert fast is not None
@@ -236,7 +262,7 @@ def oracle_dir(tmp_path_factory) -> Path:
 
 
 class TestFastPathOracle:
-    """The ``np.loadtxt`` fast path against the line reader ``_read_rows``."""
+    """The ``np.loadtxt`` fast path against the line reader."""
 
     @given(text=_csv_text(2), negative=st.sampled_from(["error", "clamp", "allow"]))
     def test_spectrum_loads_as_line_reader(self, oracle_dir, text, negative):
@@ -269,22 +295,22 @@ class TestFastPathOracle:
     def test_line_reader_takes_what_loadtxt_declines(self, tmp_path, text, intensities):
         path = tmp_path / "s.csv"
         path.write_text(text, encoding="utf-8")
-        assert fileio._fast_rows(path, 2) is None
+        assert fileio._fast_rows(path.read_bytes(), 2) is None
         assert load_spectrum(path).intensities.tolist() == intensities
 
     def test_separator_spaces_are_left_to_the_line_reader(self, tmp_path):
         r"""loadtxt strips \x1c-\x1f around a field; float() rejects the field."""
         path = tmp_path / "s.csv"
         path.write_text("600.0\x1c,1.0\n", encoding="utf-8")
-        assert fileio._fast_rows(path, 2) is None
+        assert fileio._fast_rows(path.read_bytes(), 2) is None
         with pytest.raises(ParseError, match="line 1: could not convert"):
             load_spectrum(path)
 
     def test_repr_written_files_take_the_fast_path(self, tmp_path):
         save_spectrum(tricky_spectrum(), tmp_path / "s.csv")
         save_map(PLMap(np.array([[-0.0, 5e-324], [1.7976931348623157e308, 1.0]])), tmp_path / "m")
-        assert fileio._fast_rows(tmp_path / "s.csv", 2) is not None
-        assert fileio._fast_rows(tmp_path / "m.csv", 2) is not None
+        assert fileio._fast_rows((tmp_path / "s.csv").read_bytes(), 2) is not None
+        assert fileio._fast_rows((tmp_path / "m.csv").read_bytes(), 2) is not None
 
 
 class TestRunReport:
@@ -304,6 +330,12 @@ class TestRunReport:
         # hash is reproducible
         again = RunReport.create("decompose", [str(data)], {}, [], {})
         assert again.inputs[0][1] == back.inputs[0][1]
+
+    def test_input_that_is_not_a_regular_file_has_null_digest(self, tmp_path, piped):
+        path = piped(b"600.0,1.0\n")
+        RunReport.create("transmissivity", [path], {}, [], {}).save(tmp_path / "r.json")
+        assert json.loads((tmp_path / "r.json").read_text())["inputs"] == [[path, None]]
+        assert RunReport.load(tmp_path / "r.json").inputs == [(path, None)]
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "r.json"
