@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -25,7 +25,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .spectrum import BasisPair, Spectrum, resample
+from .spectrum import BasisPair, Spectrum, _on_grid, resample
 
 __all__ = [
     "FieldSeries",
@@ -54,30 +54,32 @@ class FieldSeries:
         entries = tuple(sorted(((float(b), s) for b, s in self.entries), key=lambda e: e[0]))
         object.__setattr__(self, "entries", entries)
         bs = [b for b, _ in entries]
-        if any(not np.isfinite(b) or b <= 0.0 for b in bs):
+        if any(not 0.0 < b < np.inf for b in bs):
             raise ValidationError("field values must be positive and finite")
         if len(set(bs)) != len(bs):
             raise ValidationError("field values must be distinct")
-        for _, s in entries[1:]:
-            if not np.array_equal(s.wavelengths, entries[0][1].wavelengths):
-                raise GridMismatchError("series spectra are on different grids; use ingest()")
+        grids = [s.wavelengths for _, s in entries]
+        if any(not (g is grids[0] or np.array_equal(g, grids[0])) for g in grids[1:]):
+            raise GridMismatchError("series spectra are on different grids; use ingest()")
 
     @classmethod
     def ingest(cls, entries: Sequence[tuple[float, Spectrum]]) -> "FieldSeries":
         """Build a series, resampling every spectrum onto a shared grid.
 
         The target is the first spectrum's grid restricted to the wavelength
-        range common to all entries.
+        range common to all entries; every entry shares that one grid array.
         """
         if len(entries) == 0:
             return cls(())
-        lo = max(s.span[0] for _, s in entries)
-        hi = min(s.span[1] for _, s in entries)
+        spans = [s.span for _, s in entries]
+        lo, hi = max(a for a, _ in spans), min(b for _, b in spans)
         base = entries[0][1].wavelengths
         grid = base[(base >= lo) & (base <= hi)]
         if grid.size < 2:
             raise ValidationError("series spectra share no usable wavelength range")
-        return cls(tuple((b, resample(s, grid)) for b, s in entries))
+        first = resample(entries[0][1], grid)
+        return cls(tuple((b, _on_grid(first, resample(s, first.wavelengths).intensities))
+                         for b, s in entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -118,16 +120,24 @@ class CoefficientTable:
         return int(self.b_fields.size)
 
 
-class ScaleFactorSurface(NamedTuple):
-    """All-pairs scale factors plus the (b1, b2) pairs skipped as singular."""
+@dataclass(frozen=True, eq=False)
+class ScaleFactorSurface:
+    """All-pairs scale factors plus the (b1, b2) pairs skipped as singular, as read-only
+    columns; ``rows`` and ``skipped`` build the (b1, b2, f) and (b1, b2) tuples on access."""
 
-    rows: tuple[tuple[float, float, float], ...]
-    skipped: tuple[tuple[float, float], ...]
+    b1: NDArray[np.float64]
+    b2: NDArray[np.float64]
+    f: NDArray[np.float64]
+    skipped_b1: NDArray[np.float64]
+    skipped_b2: NDArray[np.float64]
+
+    rows = property(lambda self: tuple(zip(self.b1.tolist(), self.b2.tolist(), self.f.tolist())))
+    skipped = property(lambda self: tuple(zip(self.skipped_b1.tolist(), self.skipped_b2.tolist())))
 
 
 def _gram(basis: BasisPair, grid: NDArray[np.float64]) -> tuple:
     """The columns a0, a1 of a basis on ``grid`` and their inner products g00, g11, g01."""
-    if not np.array_equal(grid, basis.grid):
+    if not (grid is basis.grid or np.array_equal(grid, basis.grid)):
         raise GridMismatchError("spectrum and basis are on different grids")
     a0 = basis.s0.intensities
     a1 = basis.sminus.intensities
@@ -235,10 +245,10 @@ def scale_factor_from_nvminus(cm_1: float, cm_2: float) -> float:
 def scale_factor_surface(table: CoefficientTable) -> ScaleFactorSurface:
     """Scale factor for every field pair (b1, b2) with b2 > b1.
 
-    Rows follow the row-major order of the pairs (i, j), i < j, and each
+    Pairs follow the row-major order of (i, j), i < j, and each
     factor equals :func:`scale_factor_from_nvminus` bitwise. Pairs with equal
-    NV- amplitudes are singular; they are omitted from the rows and reported
-    in ``skipped``.
+    NV- amplitudes are singular; they are omitted from ``b1``/``b2``/``f``
+    and reported in ``skipped_b1``/``skipped_b2``.
     """
     if len(table) < 2:
         raise ValidationError("surface needs at least two table rows")
@@ -246,10 +256,10 @@ def scale_factor_surface(table: CoefficientTable) -> ScaleFactorSurface:
     b = table.b_fields
     den = table.cminus[i] - table.cminus[j]
     ok = den != 0.0
-    f = table.cminus[i[ok]] / den[ok]
-    rows = zip(b[i[ok]].tolist(), b[j[ok]].tolist(), f.tolist())
-    skipped = zip(b[i[~ok]].tolist(), b[j[~ok]].tolist())
-    return ScaleFactorSurface(tuple(rows), tuple(skipped))
+    columns = (b[i[ok]], b[j[ok]], table.cminus[i[ok]] / den[ok], b[i[~ok]], b[j[~ok]])
+    for c in columns:
+        c.flags.writeable = False
+    return ScaleFactorSurface(*columns)
 
 
 def find_full_mixing_field(table: CoefficientTable) -> float:

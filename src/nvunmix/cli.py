@@ -145,6 +145,7 @@ def cmd_fit_series(args) -> int:
         spectrum_paths.append(path)
         entries.append((b_field, load_spectrum(path, negative=args.negative)))
     series = FieldSeries.ingest(entries)
+    del entries  # the series shares one grid; drop the loaded spectra's own grids
     grid = series.entries[0][1].wavelengths
     if not np.array_equal(basis.grid, grid):
         basis = BasisPair.from_spectra(
@@ -161,13 +162,13 @@ def cmd_fit_series(args) -> int:
     if args.out_surface:
         with open(args.out_surface, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("b1,b2,f\n")
-            for b1, b2, f in surface.rows:
+            for b1, b2, f in zip(surface.b1.tolist(), surface.b2.tolist(), surface.f.tolist()):
                 fh.write(f"{b1!r},{b2!r},{f!r}\n")
         outputs.append(args.out_surface)
     diagnostics = {
         "rows": len(table),
-        "surface_pairs": len(surface.rows) if surface else 0,
-        "surface_skipped": len(surface.skipped) if surface else 0,
+        "surface_pairs": surface.f.size if surface else 0,
+        "surface_skipped": surface.skipped_b1.size if surface else 0,
     }
     path = _write_report(
         args.report or _report_path(args.out_table),
@@ -372,24 +373,28 @@ _SIMULATORS = {
 
 
 def cmd_simulate(args) -> int:
-    if args.seed < 0:
-        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+    if args.seed is not None and args.kind != "sweep":
+        raise ValidationError(f"--seed applies only to simulate sweep, not {args.kind}")
+    seed = args.seed or 0
+    if seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {seed}")
     params = load_json(args.params, dict, "params") if args.params else {}
     os.makedirs(args.out, exist_ok=True)
     try:
-        outputs, diag = _SIMULATORS[args.kind](params, args.seed, args.out)
+        outputs, diag = _SIMULATORS[args.kind](params, seed, args.out)
     except NvUnmixError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as exc:
         # Models validate values themselves; these are missing keys, wrong types
         # or sizes no array can have.
         raise ParseError(f"{args.params}: bad {args.kind} params: {exc!r}") from exc
-    diag["seed"] = args.seed
+    seeded = {"seed": seed} if args.kind == "sweep" else {}
+    diag.update(seeded)
     meta_path = _write_report(
         os.path.join(args.out, "metadata.json"),
         f"simulate {args.kind}",
         [args.params] if args.params else [],
-        {"params": params, "seed": args.seed},
+        {"params": params, **seeded},
         outputs,
         diag,
     )
@@ -523,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate synthetic data")
     p.add_argument("kind", choices=sorted(_SIMULATORS))
     p.add_argument("--params", default=None, help="JSON parameter file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="noise seed (sweep only; default 0)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 

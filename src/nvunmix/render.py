@@ -39,13 +39,14 @@ def render_spectrum_svg(s: Spectrum, *, zpl_guides: bool = False) -> bytes:
         y1 = y0 + 1.0
     xspan = x1 - x0 if x1 > x0 else 1.0
 
-    def px(v: float) -> float:
+    def px(v):  # a float, or an array elementwise in the same IEEE operations
         return m + (v - x0) / xspan * (w - 2 * m)
 
-    def py(v: float) -> float:
+    def py(v):
         return h - m - (v - y0) / (y1 - y0) * (h - 2 * m)
 
-    points = " ".join(f"{px(float(a)):.3f},{py(float(b)):.3f}" for a, b in zip(x, y))
+    xy = np.column_stack((px(x), py(y))).ravel().tolist()
+    points = " ".join(["%.3f,%.3f"] * x.size) % tuple(xy)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
@@ -128,5 +129,5 @@ def render_map_pgm(
         lines.append("# " + " ".join(transforms))
     lines.append(f"{m.width} {m.height}")
     lines.append(str(_MAX_GRAY))
-    lines.extend(" ".join(str(v) for v in row) for row in gray.tolist())
+    lines.extend(" ".join(["%d"] * m.width) % tuple(row) for row in gray.tolist())
     return ("\n".join(lines) + "\n").encode("ascii")

@@ -3,7 +3,8 @@
 Every operation here is a pure function over immutable values, so spectra can
 be shared freely between threads. Wavelength grids are strictly increasing but
 need not be uniform; quadrature is trapezoidal on the native grid and window
-edges are handled by linear interpolation of the integrand.
+edges are handled by linear interpolation of the integrand. Arithmetic results
+share their operand's read-only grid array, so never set ``writeable`` on one.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _grid(values: ArrayLike, name: str, min_size: int = 1) -> NDArray[np.float64
 def _trapz(y: NDArray[np.float64], x: NDArray[np.float64]) -> float:
     if x.size < 2:
         return 0.0
-    return float(0.5 * np.dot(np.diff(x), y[1:] + y[:-1]))
+    return float(0.5 * np.dot(x[1:] - x[:-1], y[1:] + y[:-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +84,20 @@ class Spectrum:
         return float(self.wavelengths[0]), float(self.wavelengths[-1])
 
 
+def _on_grid(grid_of: Spectrum, intensities: NDArray[np.float64]) -> Spectrum:
+    """A Spectrum sharing ``grid_of``'s validated grid, taking ``intensities`` uncopied: a
+    fresh array is checked and frozen; a Spectrum's read-only array was checked when built."""
+    y = np.asarray(intensities, dtype=float)
+    if y.shape != grid_of.wavelengths.shape:
+        raise ValidationError("wavelengths and intensities must have equal length")
+    if y.flags.writeable and not np.isfinite(y).all():
+        raise ValidationError("intensities must be finite")
+    y.flags.writeable = False
+    s = object.__new__(Spectrum)
+    s.__dict__.update(wavelengths=grid_of.wavelengths, intensities=y)
+    return s
+
+
 @dataclass(frozen=True)
 class WavelengthWindow:
     """Half-open-free wavelength interval [lo, hi] in nm."""
@@ -98,7 +113,7 @@ class WavelengthWindow:
 
 
 def _require_same_grid(a: Spectrum, b: Spectrum) -> None:
-    if not np.array_equal(a.wavelengths, b.wavelengths):
+    if not (a.wavelengths is b.wavelengths or np.array_equal(a.wavelengths, b.wavelengths)):
         raise GridMismatchError("spectra are on different wavelength grids; resample first")
 
 
@@ -109,7 +124,7 @@ def resample(s: Spectrum, grid: ArrayLike) -> Spectrum:
     performed. Source points are reproduced exactly, so a ``grid`` equal in
     value to ``s.wavelengths`` returns ``s`` itself.
     """
-    if np.array_equal(grid, s.wavelengths):
+    if grid is s.wavelengths or np.array_equal(grid, s.wavelengths):
         return s
     g = _grid(np.ravel(grid), "resample grid")
     lo, hi = s.span
@@ -123,14 +138,14 @@ def resample(s: Spectrum, grid: ArrayLike) -> Spectrum:
 def subtract(a: Spectrum, b: Spectrum) -> Spectrum:
     """Pointwise ``a - b`` on a shared grid; the result may be negative."""
     _require_same_grid(a, b)
-    return Spectrum(a.wavelengths, a.intensities - b.intensities)
+    return _on_grid(a, a.intensities - b.intensities)
 
 
 def scale(s: Spectrum, k: float) -> Spectrum:
     """Pointwise ``k * s``."""
     if not np.isfinite(k):
         raise ValidationError("scale factor must be finite")
-    return Spectrum(s.wavelengths, k * s.intensities)
+    return _on_grid(s, k * s.intensities)
 
 
 def _window_slice(
@@ -141,11 +156,11 @@ def _window_slice(
     gmin, gmax = s.span
     if lo < gmin or hi > gmax:
         raise RangeError(f"window [{lo}, {hi}] outside grid range [{gmin}, {gmax}]")
-    inside = (w > lo) & (w < hi)
-    xs = np.concatenate(([lo], w[inside], [hi]))
-    ys = np.concatenate(
-        ([np.interp(lo, w, y)], y[inside], [np.interp(hi, w, y)])
-    )
+    # Two O(log n) searches; np.interp does its own, so no step is O(n).
+    i, j = w.searchsorted(lo, "right"), w.searchsorted(hi, "left")
+    y_lo, y_hi = np.interp((lo, hi), w, y)
+    xs = np.concatenate(((lo,), w[i:j], (hi,)))
+    ys = np.concatenate(((y_lo,), y[i:j], (y_hi,)))
     return xs, ys
 
 

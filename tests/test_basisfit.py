@@ -150,9 +150,29 @@ class TestFieldSeries:
             FieldSeries(((170.0, a), (400.0, b)))
         series = FieldSeries.ingest([(170.0, a), (400.0, b)])
         assert len(series) == 2
-        assert np.array_equal(
-            series.entries[0][1].wavelengths, series.entries[1][1].wavelengths
-        )
+        assert series.entries[0][1].wavelengths is series.entries[1][1].wavelengths
+        assert np.array_equal(series.entries[0][1].wavelengths, b.wavelengths)
+        assert series.entries[1][1].intensities is b.intensities
+
+    def test_ingest_shares_one_grid_and_keeps_intensities(self, grid02):
+        sweep = [(b, make_spectrum(DEFAULT_NVM_SHAPE, grid02.copy(), b)) for b in (170.0, 400.0, 975.0)]
+        series = FieldSeries.ingest(sweep)
+        grid = series.entries[0][1].wavelengths
+        for (_, s), (_, given_s) in zip(series.entries, sweep):
+            assert s.wavelengths is grid
+            assert s.intensities is given_s.intensities
+
+    def test_equal_grids_in_separate_arrays_accepted(self, grid02):
+        a = make_spectrum(DEFAULT_NVM_SHAPE, grid02.copy(), 1.0)
+        b = make_spectrum(DEFAULT_NVM_SHAPE, grid02.copy(), 2.0)
+        assert a.wavelengths is not b.wavelengths
+        assert len(FieldSeries(((170.0, a), (400.0, b)))) == 2
+
+    def test_same_size_grids_differing_in_value_rejected(self, grid02):
+        a = make_spectrum(DEFAULT_NVM_SHAPE, grid02, 1.0)
+        b = make_spectrum(DEFAULT_NVM_SHAPE, grid02 + 0.01, 1.0)
+        with pytest.raises(GridMismatchError):
+            FieldSeries(((170.0, a), (400.0, b)))
 
 
 class TestFitSeries:
@@ -298,6 +318,14 @@ class TestScaleFactorSurface:
     def test_needs_two_rows(self):
         with pytest.raises(ValidationError):
             scale_factor_surface(table_from([100.0], [600.0]))
+
+    def test_columns_are_read_only(self):
+        surf = scale_factor_surface(table_from([100.0, 200.0, 300.0], [600.0, 600.0, 500.0]))
+        for name in ("b1", "b2", "f", "skipped_b1", "skipped_b2"):
+            column = getattr(surf, name)
+            assert column.dtype == np.float64 and column.ndim == 1
+            with pytest.raises(ValueError):
+                column[0] = 1.0
 
     @given(
         st.lists(

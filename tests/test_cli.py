@@ -10,6 +10,7 @@ from nvunmix import (
     FieldSeries,
     NonPhysicalWarning,
     PLMap,
+    ScaleFactorSurface,
     Spectrum,
     default_letter_masks,
     fileio,
@@ -20,6 +21,7 @@ from nvunmix import (
     resample,
     save_map,
     save_spectrum,
+    scale_factor_surface,
 )
 from nvunmix.cli import build_parser, main
 from nvunmix.fileio import RunReport
@@ -319,8 +321,9 @@ class TestSweepFlow:
                    for r in (tmp_path / "surface.csv").read_text().splitlines()[1:]}
         assert surface[(170.0, 975.0)] == pytest.approx(6.2, rel=1e-9)
 
-    def test_fit_series_table_is_bit_exact(self, tmp_path):
-        """Every table.csv field parses to exactly the float fit_series returns in memory."""
+    def test_fit_series_table_is_bit_exact(self, tmp_path, monkeypatch):
+        """Every table.csv field parses to exactly the float fit_series returns in memory,
+        and surface.csv is written from the surface columns, never from its tuples."""
         # Basis spectra on a finer grid than the sweep, so fit-series resamples them.
         grid = {"lo": 550.0, "hi": 850.0, "step": 0.1}
         shapes = {  # the default shapes, as in the README's parameter files
@@ -338,15 +341,23 @@ class TestSweepFlow:
         sweep_dir = tmp_path / "sweep"
         argv = ["simulate", "sweep", "--params", str(sweep_params), "--seed", "3", "--out", str(sweep_dir)]
         assert main(argv) == 0
-        rc = main(
-            [
-                "fit-series",
-                "--basis-nv0", str(tmp_path / "nv0" / "spectrum.csv"),
-                "--basis-nvm", str(tmp_path / "nvm" / "spectrum.csv"),
-                "--series", str(sweep_dir / "manifest.json"),
-                "--out-table", str(tmp_path / "table.csv"),
-            ]
-        )
+
+        def unread(self):
+            raise AssertionError("fit-series built the surface tuples")
+
+        with monkeypatch.context() as m:
+            m.setattr(ScaleFactorSurface, "rows", property(unread))
+            m.setattr(ScaleFactorSurface, "skipped", property(unread))
+            rc = main(
+                [
+                    "fit-series",
+                    "--basis-nv0", str(tmp_path / "nv0" / "spectrum.csv"),
+                    "--basis-nvm", str(tmp_path / "nvm" / "spectrum.csv"),
+                    "--series", str(sweep_dir / "manifest.json"),
+                    "--out-table", str(tmp_path / "table.csv"),
+                    "--out-surface", str(tmp_path / "surface.csv"),
+                ]
+            )
         assert rc == 0
 
         manifest = json.loads((sweep_dir / "manifest.json").read_text())
@@ -368,6 +379,12 @@ class TestSweepFlow:
             for k in range(len(table))
         ]
         assert got == want
+        surface = scale_factor_surface(table)
+        rows = "".join(f"{b1!r},{b2!r},{f!r}\n" for b1, b2, f in surface.rows)
+        assert (tmp_path / "surface.csv").read_bytes() == ("b1,b2,f\n" + rows).encode()
+        report = RunReport.load(tmp_path / "table.report.json")
+        assert report.diagnostics["surface_pairs"] == len(surface.rows)
+        assert report.diagnostics["surface_skipped"] == len(surface.skipped)
 
     @pytest.mark.parametrize(
         "manifest",
@@ -472,10 +489,11 @@ class TestRejectedFlags:
             _TABLE_FILTER + ["--center", "645"],
             _TABLE_FILTER + ["--width", "6.9"],
             _ONE_FIELD_SERIES,
-            ["simulate", "spectrum", "--seed", "-1", "--out", "{d}/sim"],
+            ["simulate", "sweep", "--seed", "-1", "--out", "{d}/sim"],
+            ["simulate", "letter-map", "--seed", "1", "--out", "{d}/sim"],
         ],
         ids=["svg-clamp", "svg-clip", "pgm-zpl-guides", "table-tmax", "table-center", "table-width",
-             "one-field-surface", "simulate-negative-seed"],
+             "one-field-surface", "simulate-negative-seed", "simulate-seed-noiseless"],
     )
     def test_exit_2_one_line_no_output(self, tmp_path, grid02, capsys, argv):
         save_spectrum(make_spectrum(CLEAN_NV0_SHAPE, grid02, 100.0), tmp_path / "s0.csv")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nvunmix import (
@@ -21,6 +21,7 @@ from nvunmix import (
     scale,
     subtract,
 )
+from nvunmix.spectrum import _window_slice
 
 from conftest import CLEAN_NVM_SHAPE, assert_spectra_equal
 
@@ -52,6 +53,19 @@ def spectra(draw, min_points=2, max_points=30):
         )
     )
     return Spectrum(g, np.array(vals))
+
+
+def window_slice_by_mask(s, lo, hi):
+    """Boolean-mask reference for _window_slice: full-grid masks and full-grid np.interp."""
+    w, y = s.wavelengths, s.intensities
+    inside = (w > lo) & (w < hi)
+    xs = np.concatenate(([lo], w[inside], [hi]))
+    ys = np.concatenate(([np.interp(lo, w, y)], y[inside], [np.interp(hi, w, y)]))
+    return xs, ys
+
+
+def assert_same_bytes(got, want):
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestSpectrumValidation:
@@ -185,6 +199,13 @@ class TestSubtractScale:
         with pytest.raises(ValidationError):
             scale(s, np.inf)
 
+    def test_results_share_the_operand_grid(self):
+        a = Spectrum([600.0, 637.0, 700.0], [5.0, 100.0, 3.0])
+        b = Spectrum([600.0, 637.0, 700.0], [1.0, 2.0, 3.0])
+        for result in (subtract(a, b), scale(a, 2.0), scale(subtract(a, b), 0.5)):
+            assert result.wavelengths is a.wavelengths
+            assert not result.intensities.flags.writeable
+
     @given(spectra())
     def test_subtract_then_add_recovers(self, a):
         rng = np.random.default_rng(7)
@@ -194,6 +215,30 @@ class TestSubtractScale:
         )
         tol = 1e-12 * (np.abs(a.intensities) + np.abs(b.intensities) + 1.0)
         assert np.all(np.abs(back.intensities - a.intensities) <= tol)
+
+
+class TestWindowSlice:
+    @given(spectra(), st.data())
+    def test_matches_mask_oracle(self, s, data):
+        """Bit for bit, with edges between grid points, on grid points and at both grid ends."""
+        w = s.wavelengths
+        edge = st.one_of(
+            st.sampled_from([w[0], w[-1]]),
+            st.sampled_from(w.tolist()),
+            st.floats(float(w[0]), float(w[-1])),
+        )
+        lo, hi = sorted((data.draw(edge), data.draw(edge)))
+        assume(lo < hi)
+        assert_same_bytes(_window_slice(s, lo, hi), window_slice_by_mask(s, lo, hi))
+
+    def test_matches_mask_oracle_on_a_fine_grid(self, grid02):
+        rng = np.random.default_rng(5)
+        s = Spectrum(grid02, rng.uniform(0.0, 1e4, grid02.size))
+        edges = np.concatenate((grid02[[0, 1, 700, -2, -1]], rng.uniform(550.0, 850.0, 200)))
+        for lo, hi in rng.choice(edges, (400, 2)):
+            if lo != hi:
+                lo, hi = min(lo, hi), max(lo, hi)
+                assert_same_bytes(_window_slice(s, lo, hi), window_slice_by_mask(s, lo, hi))
 
 
 class TestArea:
