@@ -1,16 +1,16 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 validation/parse error, 3 numerical error
-(singularity/identifiability), 4 I/O error. ``fileio`` decodes every input
-file (JSON through ``load_json``). Every report, capturing inputs (with hashes),
-effective parameters, outputs and diagnostics, is written by ``_write_report``.
+(singularity/identifiability), 4 I/O error. ``fileio`` reads every input file
+(JSON through ``load_json``) and writes every CSV and JSON output. Every report,
+capturing inputs (with hashes), effective parameters, outputs and diagnostics, is
+written by ``_write_report``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .fileio import RunReport, load_json, load_map, load_spectrum, map_paths
-from .fileio import save_map, save_spectrum
+from .fileio import save_csv, save_json, save_map, save_spectrum
 from .filters import FilterModel, TabulatedFilter, TransmissivityPair, transmissivity
 from .maps import PLMap, field_unmix, filter_unmix, fraction_map
 from .render import render_map_pgm, render_spectrum_svg
@@ -152,18 +152,12 @@ def cmd_fit_series(args) -> int:
             resample(basis.s0, grid), resample(basis.sminus, grid)
         )
     table = fit_series(series, basis, nonneg=not args.unconstrained)
-    with open(args.out_table, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("b_gauss,c0,cminus,residual\n")
-        columns = (table.b_fields, table.c0, table.cminus, table.residuals)
-        for row in zip(*(c.tolist() for c in columns)):
-            fh.write(",".join(map(repr, row)) + "\n")
+    save_csv(args.out_table, "b_gauss,c0,cminus,residual",
+             (table.b_fields, table.c0, table.cminus, table.residuals))
     surface = scale_factor_surface(table) if len(table) >= 2 else None
     outputs = [args.out_table]
     if args.out_surface:
-        with open(args.out_surface, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("b1,b2,f\n")
-            for b1, b2, f in zip(surface.b1.tolist(), surface.b2.tolist(), surface.f.tolist()):
-                fh.write(f"{b1!r},{b2!r},{f!r}\n")
+        save_csv(args.out_surface, "b1,b2,f", (surface.b1, surface.b2, surface.f))
         outputs.append(args.out_surface)
     diagnostics = {
         "rows": len(table),
@@ -318,9 +312,7 @@ def _simulate_sweep(params, seed, out_dir) -> tuple[list[str], dict]:
         manifest.append({"b_field_gauss": b, "path": name})
         outputs.append(os.path.join(out_dir, name))
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    save_json(manifest_path, manifest)
     outputs.append(manifest_path)
     return outputs, {"fields": len(fields), "noise": noise.kind}
 

@@ -1,16 +1,19 @@
 """Readers and writers for the spec-csv v1 and plmap v1 formats, plus run reports.
 
-Floats are written with ``repr`` so save/load round trips are bit-exact. ``_rows``
-reads a CSV input's bytes once, so pipes and FIFOs load like files, and parses them
-with one ``np.loadtxt`` call or, where that declines, line by line (the only source
-of parse errors). Each loader runs each check once on those rows; ``_line_no`` finds
-a failing row's line. ``_text_file`` decodes CSV and JSON bytes; non-UTF-8 raises
-``ParseError``.
+Every CSV and JSON file the package writes is written here. ``save_csv``
+writes equal-length float columns with ``repr``, so save/load round trips are
+bit-exact, formatting at most ``_WRITE_VALUES`` values (or one row) per write;
+``save_json`` writes every JSON file. ``_read`` reads an input's bytes once, so
+pipes and FIFOs load like files, and checks once that they are UTF-8 (ASCII needs
+no decode; other bytes are decoded once and the text dropped), naming the first
+bad byte's absolute offset. ``_rows`` parses a CSV input's bytes with one
+``np.loadtxt`` call or, where that declines, line by line (the only source of parse
+errors). Each loader runs each check once on those rows; ``_line_no`` finds a
+failing row's line.
 """
 
 from __future__ import annotations
 
-import contextlib
 import datetime as _dt
 import hashlib
 import io
@@ -46,14 +49,43 @@ def _check_negative_mode(mode: str) -> None:
         raise ValidationError(f"negative mode must be one of {_NEGATIVE_MODES}, got {mode!r}")
 
 
-@contextlib.contextmanager
-def _text_file(path: str | os.PathLike, data: bytes):
-    """``data``, read from ``path``, as UTF-8 text lines split as ``open`` splits
-    them; bytes that do not decode raise ``ParseError``."""
-    try:
-        yield io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+_WRITE_VALUES = 1024  # values save_csv formats per write (one row at least)
+
+
+def save_csv(path: str | os.PathLike, header: str | None, columns) -> None:
+    """Write equal-length float ``columns`` (1-D arrays, or the rows of a 2-D array)
+    as comma-separated ``repr`` rows, after a ``header`` line unless it is None."""
+    width, n = len(columns), len(columns[0])
+    step = max(1, _WRITE_VALUES // width)
+    row = ",".join(["%r"] * width) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for i in range(0, n, step):
+            if isinstance(columns, np.ndarray):  # one slice, not one per column of a wide map
+                block = columns[:, i:i + step].T
+            else:
+                block = np.stack([c[i:i + step] for c in columns], axis=1)
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def save_json(path: str | os.PathLike, value) -> None:
+    """Write ``value`` as JSON with sorted keys and two-space indents."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _read(path: str | os.PathLike) -> bytes:
+    """``path``'s bytes, read once; bytes that are not UTF-8 raise ``ParseError``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    return data
 
 
 def _data_lines(lines):
@@ -65,7 +97,7 @@ def _data_lines(lines):
 
 
 def _line_no(data: bytes, i: int) -> int:
-    """The line number of data row ``i`` of ``data``, which decodes as UTF-8."""
+    """The line number of data row ``i`` of ``data``, which is UTF-8."""
     lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     return next(itertools.islice(_data_lines(lines), i, None))[0]
 
@@ -83,7 +115,7 @@ def _fast_rows(data: bytes, width: int) -> np.ndarray | None:
         if head is None:
             return None
         rows = np.loadtxt(itertools.chain((head[1],), lines), delimiter=",", comments=None, ndmin=2)
-    except ValueError:  # UnicodeDecodeError included
+    except ValueError:
         return None
     return rows if rows.shape[1] == width and np.isfinite(rows).all() else None
 
@@ -91,21 +123,19 @@ def _fast_rows(data: bytes, width: int) -> np.ndarray | None:
 def _rows(path: str | os.PathLike, width: int) -> tuple[np.ndarray, bytes]:
     """``path``'s rows of ``width`` comma-separated finite floats, blank and ``#`` lines
     skipped, and its bytes; the line reader parses what ``_fast_rows`` declines."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = _read(path)
     rows = _fast_rows(data, width)
     if rows is not None:
         return rows, data
     values: list[float] = []
-    with _text_file(path, data) as lines:
-        for n, line in _data_lines(lines):
-            parts = line.split(",")
-            if len(parts) != width:
-                raise ParseError(f"{path}: line {n}: expected {width} fields, got {len(parts)}")
-            try:
-                values.extend(map(float, parts))
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {n}: {exc}") from exc
+    for n, line in _data_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")):
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ParseError(f"{path}: line {n}: expected {width} fields, got {len(parts)}")
+        try:
+            values.extend(map(float, parts))
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {n}: {exc}") from exc
     rows = np.array(values).reshape(-1, width)
     finite = np.isfinite(rows)
     if not finite.all():
@@ -133,8 +163,7 @@ def _apply_negative(values: np.ndarray, data: bytes, negative: str, path) -> np.
 def load_json(path: str | os.PathLike, kind: type, what: str):
     """Read a UTF-8 JSON file whose top level must be of type ``kind``
     (``dict`` or ``list``); ``what`` names the file in error messages."""
-    with open(path, "rb") as fh, _text_file(path, fh.read()) as lines:
-        text = lines.read()
+    text = _read(path).decode("utf-8")
     try:
         value = json.loads(text)
         json.dumps(value, ensure_ascii=False).encode("utf-8")  # a lone \ud800 escape is not text
@@ -147,12 +176,7 @@ def load_json(path: str | os.PathLike, kind: type, what: str):
 
 def save_spectrum(s: Spectrum, path: str | os.PathLike) -> None:
     """Write a spectrum as spec-csv v1 (wavelength_nm,intensity rows)."""
-    lines = [SPEC_CSV_HEADER]
-    lines.extend(
-        f"{w!r},{y!r}" for w, y in zip(s.wavelengths.tolist(), s.intensities.tolist())
-    )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    save_csv(path, SPEC_CSV_HEADER, (s.wavelengths, s.intensities))
 
 
 def load_spectrum(path: str | os.PathLike, *, negative: str = "error") -> Spectrum:
@@ -198,12 +222,8 @@ def save_map(m: PLMap, path: str | os.PathLike) -> tuple[str, str]:
         "height": m.height,
         "pixel_pitch_um": m.pixel_pitch_um,
     }
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in m.values:
-            fh.write(",".join(repr(v) for v in row.tolist()) + "\n")
+    save_json(json_path, sidecar)
+    save_csv(csv_path, None, m.values.T)
     return json_path, csv_path
 
 
@@ -219,11 +239,13 @@ def load_map(path: str | os.PathLike, *, negative: str = "allow") -> PLMap:
     if sidecar.get("format") != "plmap" or sidecar.get("version") != 1:
         raise ParseError(f"{json_path}: not a plmap v1 sidecar")
     try:
-        width = int(sidecar["width"])
-        height = int(sidecar["height"])
-        pitch = float(sidecar["pixel_pitch_um"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        width, height, pitch = (sidecar[k] for k in ("width", "height", "pixel_pitch_um"))
+        pitch = float(pitch) if type(pitch) in (int, float) else None  # bool is not a number
+    except (KeyError, OverflowError) as exc:
         raise ParseError(f"{json_path}: bad sidecar fields: {exc}") from exc
+    if type(width) is not int or type(height) is not int or pitch is None:
+        raise ParseError(
+            f"{json_path}: width and height must be JSON integers, pixel_pitch_um a JSON number")
     if width < 1 or height < 1:
         raise ParseError(f"{json_path}: width and height must be positive")
     values, data = _rows(csv_path, width)
@@ -272,40 +294,25 @@ class RunReport:
             timestamp=_dt.datetime.now(_dt.timezone.utc).isoformat(),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": [list(pair) for pair in self.inputs],
-            "parameters": self.parameters,
-            "outputs": self.outputs,
-            "diagnostics": self.diagnostics,
-            "timestamp": self.timestamp,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunReport":
-        parameters = d.get("parameters", {})
-        diagnostics = d.get("diagnostics", {})
-        if not (isinstance(parameters, dict) and isinstance(diagnostics, dict)):
-            raise TypeError("parameters and diagnostics must be JSON objects")
-        return cls(
-            command=str(d.get("command", "")),
-            inputs=[(path, digest) for path, digest in d.get("inputs", [])],
-            parameters=dict(parameters),
-            outputs=list(d.get("outputs", [])),
-            diagnostics=dict(diagnostics),
-            timestamp=str(d.get("timestamp", "")),
-        )
-
     def save(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(path, vars(self))
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "RunReport":
         d = load_json(path, dict, "report")
-        try:
-            return cls.from_dict(d)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: bad report fields: {exc}") from exc
+        r = cls(**{name: d.get(name, empty) for name, empty in vars(cls("")).items()})
+        valid = {
+            "command": isinstance(r.command, str),
+            "inputs": isinstance(r.inputs, list) and all(
+                isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
+                and (p[1] is None or isinstance(p[1], str)) for p in r.inputs),
+            "parameters": isinstance(r.parameters, dict),
+            "outputs": isinstance(r.outputs, list) and all(isinstance(p, str) for p in r.outputs),
+            "diagnostics": isinstance(r.diagnostics, dict),
+            "timestamp": isinstance(r.timestamp, str),
+        }
+        bad = [name for name, ok in valid.items() if not ok]
+        if bad:
+            raise ParseError(f"{path}: bad report fields: {', '.join(bad)}")
+        r.inputs = [(p, digest) for p, digest in r.inputs]
+        return r

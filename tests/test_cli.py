@@ -558,6 +558,17 @@ class TestInputBoundary:
             # Each first array is petabytes, past any address space, so allocation fails at once.
             (_LETTER_MAP_ARGS, "p.json", b'{"width": 1000000000, "height": 1000000000}'),
             (_PARAMS_ARGS, "p.json", b'{"grid": {"step": 1e-12}}'),
+            (_REPORT_ARGS, "r.json", b'{"inputs": ["ab"]}'),
+            (_REPORT_ARGS, "r.json", b'{"outputs": "xyz"}'),
+            (_REPORT_ARGS, "r.json", b'{"inputs": [[1, 2]]}'),
+            (_REPORT_ARGS, "r.json", b'{"inputs": [["a", 5]]}'),
+            (_REPORT_ARGS, "r.json", b'{"timestamp": 5}'),
+            (_MAP_ARGS, "m.json", _SIDECAR.replace(b'"width": 2', b'"width": 2.9')),
+            (_MAP_ARGS, "m.json", _SIDECAR.replace(b'"width": 2', b'"width": "2"')),
+            (_MAP_ARGS, "m.json", _SIDECAR.replace(b'"height": 1', b'"height": true')),
+            (_MAP_ARGS, "m.json", _SIDECAR.replace(b'"height": 1', b'"height": 1.0')),
+            (_MAP_ARGS, "m.json", _SIDECAR.replace(b'"pixel_pitch_um": 1.0', b'"pixel_pitch_um": "0.1"')),
+            (_MAP_ARGS, "m.json", _SIDECAR.replace(b'"pixel_pitch_um": 1.0', b'"pixel_pitch_um": true')),
         ],
         ids=[
             "spectrum-not-utf8",
@@ -580,6 +591,17 @@ class TestInputBoundary:
             "sidecar-int-too-long",
             "params-letter-map-too-large",
             "params-grid-too-fine",
+            "report-inputs-string",
+            "report-outputs-string",
+            "report-inputs-numbers",
+            "report-digest-number",
+            "report-timestamp-number",
+            "sidecar-width-float",
+            "sidecar-width-string",
+            "sidecar-height-bool",
+            "sidecar-height-float",
+            "sidecar-pitch-string",
+            "sidecar-pitch-bool",
         ],
     )
     def test_malformed_file_exits_2(self, tmp_path, capsys, monkeypatch, argv, name, data):
@@ -595,3 +617,29 @@ class TestInputBoundary:
         monkeypatch.setattr(fileio, "_fast_rows", lambda data, width: None)
         assert main([a.format(d=tmp_path) for a in argv]) == rc
         assert capsys.readouterr().err == err
+
+    def _run_both_paths(self, argv, capsys, monkeypatch) -> str:
+        """The one stderr line of a run that exits 2, the same with the fast path off."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        monkeypatch.setattr(fileio, "_fast_rows", lambda data, width: None)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
+        return err
+
+    def test_decode_error_names_absolute_byte_offset(self, tmp_path, capsys, monkeypatch):
+        data = b"# spec-csv v1\n600.0,1.0\n601.0,2.0\xcd"
+        assert len(data) == 34
+        (tmp_path / "s.csv").write_bytes(data)
+        err = self._run_both_paths(["transmissivity", "--spectrum", str(tmp_path / "s.csv")],
+                                   capsys, monkeypatch)
+        assert "not UTF-8 text" in err and "position 33" in err
+
+    def test_decode_error_comes_before_parse_errors(self, tmp_path, capsys, monkeypatch):
+        """A non-UTF-8 byte past the first 8 KiB is reported, not the bad field on line 2."""
+        head = b"600.0,1.0\n601.0,x\n" + b"602.0,1.0\n" * 1000
+        (tmp_path / "s.csv").write_bytes(head + b"\xff\n")
+        err = self._run_both_paths(["transmissivity", "--spectrum", str(tmp_path / "s.csv")],
+                                   capsys, monkeypatch)
+        assert f": not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position {len(head)}" in err

@@ -1,6 +1,7 @@
 """File format round trips, parse errors, and run reports."""
 
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -11,6 +12,7 @@ from hypothesis import event, given
 from hypothesis import strategies as st
 
 from nvunmix import ParseError, PLMap, Spectrum, fileio, load_map, load_spectrum, save_map, save_spectrum
+from nvunmix.cli import main
 from nvunmix.errors import ClampedNegativeWarning, NvUnmixError, ValidationError
 from nvunmix.fileio import SPEC_CSV_HEADER, RunReport, map_paths
 
@@ -342,3 +344,113 @@ class TestRunReport:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             RunReport.load(path)
+
+    def test_deeply_nested_parameters_round_trip(self, tmp_path):
+        """Saving does not copy the parameters recursively, so a nested parameter file
+        that JSON reads is also written."""
+        nested: dict = {}
+        for _ in range(600):
+            nested = {"x": nested}
+        RunReport("simulate spectrum", parameters={"params": nested}).save(tmp_path / "r.json")
+        assert RunReport.load(tmp_path / "r.json").parameters == {"params": nested}
+
+
+def _csv_oracle(header, columns) -> bytes:
+    """The bytes of ``columns`` as CSV, formatted one row at a time."""
+    lines = [] if header is None else [header]
+    lines += [",".join(map(repr, row)) for row in zip(*(np.asarray(c).tolist() for c in columns))]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+class TestCsvWriter:
+    """``save_csv`` against a row-by-row ``repr`` oracle."""
+
+    @given(width=st.sampled_from([1, 2, 3, 4, 700]), data=st.data())
+    def test_matches_row_by_row_repr(self, oracle_dir, width, data):
+        step = max(1, fileio._WRITE_VALUES // width)
+        # Row counts on both sides of one and two write steps, and a few small ones.
+        n = data.draw(st.sampled_from([step - 1, step, step + 1, 2 * step, 2 * step + 1])
+                      | st.integers(0, 5), label="rows")
+        pool = data.draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(
+            allow_nan=False, allow_infinity=False)), min_size=1, max_size=40), label="values")
+        values = np.resize(np.array(pool), (width, n))
+        form = data.draw(st.sampled_from(["1-D arrays", "2-D array", "map columns"]))
+        columns = {
+            "1-D arrays": tuple(np.array(c) for c in values),
+            "2-D array": values,
+            "map columns": np.ascontiguousarray(values.T).T,  # as save_map passes m.values.T
+        }[form]
+        header = data.draw(st.sampled_from([None, SPEC_CSV_HEADER, "b1,b2,f"]))
+        fileio.save_csv(oracle_dir / "w.csv", header, columns)
+        assert (oracle_dir / "w.csv").read_bytes() == _csv_oracle(header, columns)
+
+    def test_memory_is_bounded(self, tmp_path):
+        """Each write formats a bounded slice, so a long file needs no per-row lists."""
+        n = 200_000
+        columns = tuple(np.linspace(1.0, 2.0, n) * k for k in (1.0, 3.0, 7.0))
+        tracemalloc.start()
+        try:
+            fileio.save_csv(tmp_path / "surface.csv", "b1,b2,f", columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# golden file name: the file of write_golden_outputs' directory that must match it
+_GOLDEN_FILES = {
+    "spectrum.csv": "spectrum.csv",
+    "map.json": "map.json",
+    "map.csv": "map.csv",
+    "table.csv": "table.csv",
+    "surface.csv": "surface.csv",
+    "manifest.json": "sweep/manifest.json",
+}
+
+
+def write_golden_outputs(d: Path) -> None:
+    """Write each file of ``_GOLDEN_FILES`` into ``d`` from fixed noiseless inputs.
+
+    Regenerate the goldens (after an intentional format change) by calling this on an
+    empty directory and copying each file of ``_GOLDEN_FILES`` into ``tests/golden``.
+    """
+    save_spectrum(Spectrum([550.0, 600.1, 637.0, 700.25, 850.0],
+                           [0.1, 1.0 / 3.0, 5e-324, 12345678.901234567, 1.7976931348623157e308]),
+                  d / "spectrum.csv")
+    save_map(PLMap(np.array([[-0.0, 5e-324, 0.1], [1.0 / 3.0, -1.7976931348623157e308, 1e-310]]),
+                   pixel_pitch_um=0.0390625), d / "map")
+    # Basis shapes on disjoint supports with areas 4 and 8, so every fitted coefficient,
+    # residual and factor is exact in binary and the same on every platform.
+    grid = np.arange(600.0, 612.0)
+    s0 = np.array([0.0, 1.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    sm = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 4.0, 2.0, 0.0, 0.0])
+    save_spectrum(Spectrum(grid, s0), d / "b0.csv")
+    save_spectrum(Spectrum(grid, sm), d / "bm.csv")
+    cminus = {170.3: 62000.0, 400.5: 57000.0, 829.0: 50000.0, 975.0: 57000.0}
+    for i, cm in enumerate(cminus.values()):
+        save_spectrum(Spectrum(grid, 10000.0 * s0 / 4.0 + cm * sm / 8.0), d / f"s{i}.csv")
+    (d / "series.json").write_text(
+        json.dumps([{"b_field_gauss": b, "path": f"s{i}.csv"} for i, b in enumerate(cminus)]))
+    assert main(["fit-series", "--basis-nv0", str(d / "b0.csv"), "--basis-nvm", str(d / "bm.csv"),
+                 "--series", str(d / "series.json"), "--out-table", str(d / "table.csv"),
+                 "--out-surface", str(d / "surface.csv")]) == 0
+    (d / "sweep.json").write_text(json.dumps(
+        {"fields": [170.0, 400.5, 975.0], "noise": {"kind": "none"},
+         "grid": {"lo": 600.0, "hi": 610.0, "step": 1.0}}))
+    assert main(["simulate", "sweep", "--params", str(d / "sweep.json"), "--out", str(d / "sweep")]) == 0
+
+
+@pytest.fixture(scope="module")
+def golden_outputs(tmp_path_factory) -> Path:
+    d = tmp_path_factory.mktemp("golden")
+    write_golden_outputs(d)
+    return d
+
+
+class TestGoldenBytes:
+    """Every writer's bytes against files written by the code before the writers were merged."""
+
+    @pytest.mark.parametrize("golden, written", _GOLDEN_FILES.items())
+    def test_matches_golden_file(self, golden_outputs, golden, written):
+        assert (golden_outputs / written).read_bytes() == (GOLDEN / golden).read_bytes()
