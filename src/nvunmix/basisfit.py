@@ -9,6 +9,7 @@ keep the feasible solution with the smaller residual.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -78,8 +79,10 @@ class FieldSeries:
         if grid.size < 2:
             raise ValidationError("series spectra share no usable wavelength range")
         first = resample(entries[0][1], grid)
-        return cls(tuple((b, _on_grid(first, resample(s, first.wavelengths).intensities))
-                         for b, s in entries))
+        g, key = first.wavelengths, first.wavelengths.tobytes()  # resample keeps value-equal grids
+        ys = [s.intensities if s.wavelengths is g or s.wavelengths.tobytes() == key
+              else resample(s, g).intensities for _, s in entries]
+        return cls(tuple((b, _on_grid(first, y)) for (b, _), y in zip(entries, ys)))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -136,7 +139,7 @@ class ScaleFactorSurface:
 
 
 def _gram(basis: BasisPair, grid: NDArray[np.float64]) -> tuple:
-    """The columns a0, a1 of a basis on ``grid`` and their inner products g00, g11, g01."""
+    """Columns a0, a1 of a basis on ``grid``, inner products g00, g11, g01, residual scratch."""
     if not (grid is basis.grid or np.array_equal(grid, basis.grid)):
         raise GridMismatchError("spectrum and basis are on different grids")
     a0 = basis.s0.intensities
@@ -153,26 +156,26 @@ def _gram(basis: BasisPair, grid: NDArray[np.float64]) -> tuple:
         raise IdentifiabilityError(
             f"basis spectra are collinear (angle ~{sin_angle:.2e} rad)"
         )
-    return a0, a1, g00, g11, g01
+    return a0, a1, g00, g11, g01, np.empty((2, a0.size))
 
 
 def _solve(y: NDArray[np.float64], gram: tuple, nonneg: bool) -> tuple[float, float, float]:
-    a0, a1, g00, g11, g01 = gram
-    h0 = float(a0 @ y)
-    h1 = float(a1 @ y)
+    a0, a1, g00, g11, g01, (r, t) = gram
+    h0 = float(a0.dot(y))
+    h1 = float(a1.dot(y))
     det = g00 * g11 - g01 * g01
     c0 = (g11 * h0 - g01 * h1) / det
     c1 = (g00 * h1 - g01 * h0) / det
 
-    def rms(u0: float, u1: float) -> float:
-        r = y - u0 * a0 - u1 * a1
-        return float(np.linalg.norm(r)) / np.sqrt(y.size)
+    def fit(u0: float, u1: float) -> tuple[float, float, float]:
+        # r = y - u0 * a0 - u1 * a1 in that order; np.linalg.norm(r) is sqrt(r.dot(r)).
+        np.subtract(y, np.multiply(u0, a0, out=t), out=r)
+        np.subtract(r, np.multiply(u1, a1, out=t), out=r)
+        return u0, u1, math.sqrt(r.dot(r)) / math.sqrt(y.size)
 
     if not nonneg or (c0 >= 0.0 and c1 >= 0.0):
-        return c0, c1, rms(c0, c1)
-    candidates = [(max(h0 / g00, 0.0), 0.0), (0.0, max(h1 / g11, 0.0))]
-    u0, u1 = min(candidates, key=lambda c: rms(*c))
-    return u0, u1, rms(u0, u1)
+        return fit(c0, c1)
+    return min(fit(max(h0 / g00, 0.0), 0.0), fit(0.0, max(h1 / g11, 0.0)), key=lambda c: c[2])
 
 
 def fit_coefficients(
@@ -189,7 +192,8 @@ def fit_coefficients(
 def fit_series(series: FieldSeries, basis: BasisPair, *, nonneg: bool = True) -> CoefficientTable:
     """Each row is :func:`fit_coefficients` on one entry, in ascending-field order.
 
-    One grid check and one Gram matrix serve all entries, which are never stacked.
+    One grid check, one Gram matrix and two reused residual buffers serve all entries,
+    still never stacked: memory stays at two spectra however long the series.
     """
     if len(series) == 0:
         raise ValidationError("cannot fit an empty series")

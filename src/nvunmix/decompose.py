@@ -6,7 +6,8 @@ The low-minus-high difference is therefore a pure negative-state shape, and a
 single positive scale factor maps it back onto the full low-field
 contribution. A wrong factor leaves a dip or peak at the 637 nm zero-phonon
 line in the remainder, so the factor is chosen by minimizing an L1
-baseline-deviation metric over a window straddling that line.
+baseline-deviation metric over a window straddling that line. Each call cuts
+its windows from the grid once; a spectrum then costs one interpolation.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ from .spectrum import (
     Spectrum,
     WavelengthWindow,
     _require_same_grid,
-    _trapz,
-    _window_slice,
-    area,
+    _require_within,
     scale,
     subtract,
 )
@@ -121,23 +120,38 @@ class DecompositionResult:
     f_at_bound: bool
 
 
-def _baseline_residual(
-    s: Spectrum, cfg: ZplArtifactConfig
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Inner-window grid and deviation of ``s`` from its edge-band baseline.
+class _WindowPlan:
+    """Windows 0 (low band), 1 (inner) and 2 (high band) of ``cfg`` cut once from ``grid``.
+    Per spectrum, one ``np.interp`` call on the four edges gives each window's values; they,
+    ``trapz`` and ``residual`` are the floats ``_window_slice`` and ``area`` give per window."""
 
-    The baseline operator is linear in the spectrum, which downstream code
-    exploits to evaluate the metric cheaply along a family of candidates.
-    """
-    lo_band = WavelengthWindow(cfg.inner.lo - cfg.edge_width, cfg.inner.lo)
-    hi_band = WavelengthWindow(cfg.inner.hi, cfg.inner.hi + cfg.edge_width)
-    mean_lo = area(s, lo_band) / cfg.edge_width
-    mean_hi = area(s, hi_band) / cfg.edge_width
-    x_lo = cfg.inner.lo - 0.5 * cfg.edge_width
-    x_hi = cfg.inner.hi + 0.5 * cfg.edge_width
-    slope = (mean_hi - mean_lo) / (x_hi - x_lo)
-    xs, ys = _window_slice(s, cfg.inner.lo, cfg.inner.hi)
-    return xs, ys - (mean_lo + slope * (xs - x_lo))
+    def __init__(self, grid: NDArray[np.float64], cfg: ZplArtifactConfig) -> None:
+        inner, self.width = cfg.inner, cfg.edge_width
+        self.edges = (inner.lo - self.width, inner.lo, inner.hi, inner.hi + self.width)
+        x_lo = inner.lo - 0.5 * self.width
+        self.run = (inner.hi + 0.5 * self.width) - x_lo
+        self.cuts = list(zip(grid.searchsorted(self.edges[:3], "right").tolist(),
+                             grid.searchsorted(self.edges[1:], "left").tolist()))
+        self.xs = [np.concatenate(((self.edges[k],), grid[i:j], (self.edges[k + 1],)))
+                   for k, (i, j) in enumerate(self.cuts)]
+        self.dx = [x[1:] - x[:-1] for x in self.xs]
+        self.offset = self.xs[1] - x_lo
+
+    def require_bands(self, span: tuple[float, float]) -> None:
+        """Raise what building, then cutting, the two band windows raised."""
+        for band in (WavelengthWindow(*self.edges[:2]), WavelengthWindow(*self.edges[2:])):
+            _require_within(span, band.lo, band.hi)
+
+    def windows(self, s: Spectrum) -> list[NDArray[np.float64]]:
+        e, y = np.interp(self.edges, s.wavelengths, s.intensities), s.intensities
+        return [np.concatenate(((e[k],), y[i:j], (e[k + 1],))) for k, (i, j) in enumerate(self.cuts)]
+
+    def trapz(self, y: NDArray[np.float64], k: int) -> float:
+        return float(0.5 * np.dot(self.dx[k], y[1:] + y[:-1]))
+
+    def residual(self, ys: list[NDArray[np.float64]]) -> NDArray[np.float64]:
+        mean_lo, mean_hi = self.trapz(ys[0], 0) / self.width, self.trapz(ys[2], 2) / self.width
+        return ys[1] - (mean_lo + (mean_hi - mean_lo) / self.run * self.offset)
 
 
 def zpl_artifact(candidate: Spectrum, cfg: ZplArtifactConfig | None = None) -> float:
@@ -146,9 +160,9 @@ def zpl_artifact(candidate: Spectrum, cfg: ZplArtifactConfig | None = None) -> f
     Zero iff the candidate coincides with the edge-band line across the inner
     window; blind to the sign of the deviation, so dips and peaks score alike.
     """
-    cfg = cfg or ZplArtifactConfig()
-    xs, resid = _baseline_residual(candidate, cfg)
-    return _trapz(np.abs(resid), xs)
+    plan = _WindowPlan(candidate.wavelengths, cfg or ZplArtifactConfig())
+    plan.require_bands(candidate.span)
+    return plan.trapz(np.abs(plan.residual(plan.windows(candidate))), 1)
 
 
 def difference_spectrum(low_b: Spectrum, high_b: Spectrum) -> tuple[Spectrum, float]:
@@ -164,8 +178,9 @@ def difference_spectrum(low_b: Spectrum, high_b: Spectrum) -> tuple[Spectrum, fl
     gmin, gmax = low_b.span
     if cfg.inner.lo - cfg.edge_width < gmin or cfg.inner.hi + cfg.edge_width > gmax:
         return diff, math.nan
-    score = zpl_artifact(diff, cfg)
-    threshold = _WARN_FRACTION * abs(area(low_b, cfg.inner))
+    plan = _WindowPlan(low_b.wavelengths, cfg)
+    score = plan.trapz(np.abs(plan.residual(plan.windows(diff))), 1)
+    threshold = _WARN_FRACTION * abs(plan.trapz(plan.windows(low_b)[1], 1))
     if score > threshold:
         warnings.warn(
             f"difference spectrum shows structure at {cfg.center} nm "
@@ -192,10 +207,8 @@ def _l1_scale_factor(
     clamping that median gives the minimizer over the range; a clamped value
     fires a NonPhysicalWarning.
     """
-    dx = np.diff(xs)
-    w = np.zeros_like(xs)
-    w[:-1] += 0.5 * dx
-    w[1:] += 0.5 * dx
+    half = 0.5 * np.diff(xs)
+    w = np.concatenate((half, (0.0,))) + np.concatenate(((0.0,), half))
     keep = r_diff != 0.0
     ratios = r_low[keep] / r_diff[keep]
     order = np.argsort(ratios, kind="stable")
@@ -208,7 +221,7 @@ def _l1_scale_factor(
             NonPhysicalWarning,
             stacklevel=3,
         )
-    return float(np.clip(f_star, search.f_min, search.f_max))
+    return float(min(max(f_star, search.f_min), search.f_max))
 
 
 def optimize_scale_factor(
@@ -227,22 +240,22 @@ def optimize_scale_factor(
     cfg = cfg or ZplArtifactConfig()
     search = search or ScaleSearchConfig()
     _require_same_grid(low_b, diff)
-
-    if area(diff, cfg.inner) <= 0.0:
+    plan = _WindowPlan(low_b.wavelengths, cfg)
+    _require_within(diff.span, cfg.inner.lo, cfg.inner.hi)
+    d = plan.windows(diff)
+    if plan.trapz(d[1], 1) <= 0.0:
         raise IdentifiabilityError(
             "difference spectrum has no positive area in the artifact window; "
             "the scale factor is unidentifiable"
         )
-    xs, r_low = _baseline_residual(low_b, cfg)
-    _, r_diff = _baseline_residual(diff, cfg)
-    _, y_diff = _window_slice(diff, cfg.inner.lo, cfg.inner.hi)
-    feature = _trapz(np.abs(r_diff), xs)
-    if feature <= 1e-10 * _trapz(np.abs(y_diff), xs):
+    plan.require_bands(low_b.span)
+    r_low, r_diff = plan.residual(plan.windows(low_b)), plan.residual(d)
+    if plan.trapz(np.abs(r_diff), 1) <= 1e-10 * plan.trapz(np.abs(d[1]), 1):
         raise IdentifiabilityError(
             "difference spectrum carries no line feature in the artifact window"
         )
-    f = _l1_scale_factor(xs, r_low, r_diff, search)
-    return f, _trapz(np.abs(r_low - f * r_diff), xs)
+    f = _l1_scale_factor(plan.xs[1], r_low, r_diff, search)
+    return f, plan.trapz(np.abs(r_low - f * r_diff), 1)
 
 
 def decompose(

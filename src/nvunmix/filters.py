@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import ConditioningWarning, ValidationError
-from .spectrum import Spectrum, WavelengthWindow, _as_readonly_array, _grid, area
+from .spectrum import Spectrum, WavelengthWindow, _as_readonly_array, _grid, _on_grid, area
 
 __all__ = [
     "FilterModel",
@@ -106,7 +106,7 @@ class TransmissivityPair:
 
 def apply_filter(s: Spectrum, fm: FilterModel | TabulatedFilter) -> Spectrum:
     """Pointwise product of a spectrum with the filter transmission curve."""
-    return Spectrum(s.wavelengths, s.intensities * np.asarray(fm.transmission(s.wavelengths)))
+    return _on_grid(s, s.intensities * np.asarray(fm.transmission(s.wavelengths)))
 
 
 def transmissivity(

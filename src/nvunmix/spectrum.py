@@ -148,14 +148,17 @@ def scale(s: Spectrum, k: float) -> Spectrum:
     return _on_grid(s, k * s.intensities)
 
 
+def _require_within(span: tuple[float, float], lo: float, hi: float) -> None:
+    if lo < span[0] or hi > span[1]:
+        raise RangeError(f"window [{lo}, {hi}] outside grid range [{span[0]}, {span[1]}]")
+
+
 def _window_slice(
     s: Spectrum, lo: float, hi: float
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Grid points strictly inside (lo, hi) plus interpolated edge values."""
     w, y = s.wavelengths, s.intensities
-    gmin, gmax = s.span
-    if lo < gmin or hi > gmax:
-        raise RangeError(f"window [{lo}, {hi}] outside grid range [{gmin}, {gmax}]")
+    _require_within(s.span, lo, hi)
     # Two O(log n) searches; np.interp does its own, so no step is O(n).
     i, j = w.searchsorted(lo, "right"), w.searchsorted(hi, "left")
     y_lo, y_hi = np.interp((lo, hi), w, y)

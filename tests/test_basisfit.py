@@ -35,6 +35,7 @@ from nvunmix import (
     scale_factor_from_nvminus,
     scale_factor_surface,
 )
+from nvunmix import basisfit
 
 from conftest import combine
 
@@ -170,9 +171,37 @@ class TestFieldSeries:
 
     def test_same_size_grids_differing_in_value_rejected(self, grid02):
         a = make_spectrum(DEFAULT_NVM_SHAPE, grid02, 1.0)
-        b = make_spectrum(DEFAULT_NVM_SHAPE, grid02 + 0.01, 1.0)
-        with pytest.raises(GridMismatchError):
-            FieldSeries(((170.0, a), (400.0, b)))
+        one_ulp = grid02.copy()
+        one_ulp[700] = np.nextafter(one_ulp[700], np.inf)
+        for other in (grid02 + 0.01, one_ulp):
+            b = make_spectrum(DEFAULT_NVM_SHAPE, other, 1.0)
+            with pytest.raises(GridMismatchError):
+                FieldSeries(((170.0, a), (400.0, b)))
+
+    def test_ingest_resamples_only_grids_that_differ(self, grid02, monkeypatch):
+        """Byte-equal grids skip resample; a grid equal in value with -0.0 for 0.0 is
+        taken as it is; a grid one ulp off at an interior point is interpolated."""
+        calls = []
+        monkeypatch.setattr(basisfit, "resample", lambda s, g: calls.append(s) or resample(s, g))
+        sweep = [(b, make_spectrum(DEFAULT_NVM_SHAPE, grid02.copy(), b)) for b in (170.0, 400.0)]
+        FieldSeries.ingest(sweep)
+        assert calls == [sweep[0][1]]  # the first entry, onto the common grid
+
+        grid = np.linspace(-3.0, 3.0, 7)  # holds 0.0
+        neg_zero, one_ulp = grid.copy(), grid.copy()
+        neg_zero[3] = -0.0
+        one_ulp[4] = np.nextafter(grid[4], np.inf)
+        rng = np.random.default_rng(4)
+        a, b, c = (Spectrum(w, rng.uniform(0.0, 1.0, 7)) for w in (grid, neg_zero, one_ulp))
+        assert neg_zero.tobytes() != grid.tobytes() and np.array_equal(neg_zero, grid)
+        calls.clear()
+        series = FieldSeries.ingest([(170.0, a), (400.0, b), (975.0, c)])
+        assert calls == [a, b, c]  # b and c hold other bytes than the common grid
+        (_, sa), (_, sb), (_, sc) = series.entries
+        assert sb.wavelengths is sa.wavelengths and sc.wavelengths is sa.wavelengths
+        assert sb.intensities is b.intensities
+        assert sc.intensities is not c.intensities
+        assert sc.intensities.tobytes() == np.interp(grid, one_ulp, c.intensities).tobytes()
 
 
 class TestFitSeries:
@@ -229,6 +258,33 @@ class TestFitSeries:
         if nonneg:
             assert table.cminus[0] == 0.0 and table.c0[1] == 0.0
             assert table.c0[2] == table.cminus[2] == 0.0
+
+    @pytest.mark.parametrize("nonneg", [True, False])
+    def test_rows_equal_reference_fits_with_boundary_entries_between(self, default_basis, nonneg):
+        """Rows by float.hex against fit_coefficients and against the residual computed on
+        fresh arrays, ``norm(y - u0 * a0 - u1 * a1) / sqrt(n)``. Entries that hit the
+        nonnegativity boundary sit between ordinary ones, so the reused buffers go from
+        a two-candidate fit to a plain one and back."""
+        a0, a1 = default_basis.s0.intensities, default_basis.sminus.intensities
+        rng = np.random.default_rng(17)
+        mixtures = [(1e4, 5e4), (1.0, -0.5), (2e4, 3e4), (-0.5, 1.0), (5e3, 6e4),
+                    (-1.0, -1.0), (1e4, 4e4), (3e4, -2e4), (8e3, 5e4)]
+        ys = [c0 * a0 + cm * a1 + rng.normal(0.0, 1e-4 * max(abs(c0), abs(cm)), a0.size)
+              for c0, cm in mixtures]
+        series = FieldSeries(tuple((100.0 * (k + 1), Spectrum(default_basis.grid, y))
+                                   for k, y in enumerate(ys)))
+        table = fit_series(series, default_basis, nonneg=nonneg)
+        rows = zip(table.c0.tolist(), table.cminus.tolist(), table.residuals.tolist())
+        for (_, s), row in zip(series.entries, rows, strict=True):
+            single = fit_coefficients(s, default_basis, nonneg=nonneg)
+            u0, u1, _ = single
+            y = s.intensities
+            reference = float(np.linalg.norm(y - u0 * a0 - u1 * a1)) / np.sqrt(y.size)
+            assert list(map(float.hex, row)) == list(map(float.hex, single))
+            assert float.hex(row[2]) == float.hex(reference)
+        on_boundary = (table.c0 == 0.0) | (table.cminus == 0.0)
+        assert on_boundary.tolist() == [False, nonneg, False, nonneg, False, nonneg, False,
+                                        nonneg, False]
 
     @given(st.floats(0.01, 100.0))
     def test_basis_errors_match_single_fit(self, default_basis, grid02, k):

@@ -1,6 +1,7 @@
 """Difference decomposition: artifact metric, scale-factor search, pipeline."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nvunmix import (
+    DecompositionResult,
     GridMismatchError,
     IdentifiabilityError,
     ModelViolationWarning,
     NonPhysicalWarning,
+    NvUnmixError,
     RangeError,
     ScaleSearchConfig,
     Spectrum,
@@ -43,6 +46,128 @@ def gauss(grid, mu, sigma, area_total=1.0):
     return area_total * np.exp(-0.5 * ((grid - mu) / sigma) ** 2) / (
         sigma * math.sqrt(2.0 * math.pi)
     )
+
+
+# The artifact metric and scale-factor search composed window by window from
+# ``_window_slice``-style cuts and ``_trapz``: the reference the window plan must match
+# bit for bit.
+
+
+def trapz_ref(y, x):
+    return float(0.5 * np.dot(x[1:] - x[:-1], y[1:] + y[:-1]))
+
+
+def window_slice_ref(s, lo, hi):
+    w, y = s.wavelengths, s.intensities
+    gmin, gmax = s.span
+    if lo < gmin or hi > gmax:
+        raise RangeError(f"window [{lo}, {hi}] outside grid range [{gmin}, {gmax}]")
+    i, j = w.searchsorted(lo, "right"), w.searchsorted(hi, "left")
+    y_lo, y_hi = np.interp((lo, hi), w, y)
+    return np.concatenate(((lo,), w[i:j], (hi,))), np.concatenate(((y_lo,), y[i:j], (y_hi,)))
+
+
+def area_ref(s, window):
+    xs, ys = window_slice_ref(s, window.lo, window.hi)
+    return trapz_ref(ys, xs)
+
+
+def baseline_residual_ref(s, cfg):
+    lo_band = WavelengthWindow(cfg.inner.lo - cfg.edge_width, cfg.inner.lo)
+    hi_band = WavelengthWindow(cfg.inner.hi, cfg.inner.hi + cfg.edge_width)
+    mean_lo = area_ref(s, lo_band) / cfg.edge_width
+    mean_hi = area_ref(s, hi_band) / cfg.edge_width
+    x_lo = cfg.inner.lo - 0.5 * cfg.edge_width
+    x_hi = cfg.inner.hi + 0.5 * cfg.edge_width
+    slope = (mean_hi - mean_lo) / (x_hi - x_lo)
+    xs, ys = window_slice_ref(s, cfg.inner.lo, cfg.inner.hi)
+    return xs, ys - (mean_lo + slope * (xs - x_lo))
+
+
+def zpl_artifact_ref(s, cfg):
+    xs, resid = baseline_residual_ref(s, cfg)
+    return trapz_ref(np.abs(resid), xs)
+
+
+def score575_ref(low, diff):
+    cfg = ZplArtifactConfig.around(575.0)
+    gmin, gmax = low.span
+    if cfg.inner.lo - cfg.edge_width < gmin or cfg.inner.hi + cfg.edge_width > gmax:
+        return math.nan
+    return zpl_artifact_ref(diff, cfg)
+
+
+def l1_scale_factor_ref(xs, r_low, r_diff, search):
+    dx = np.diff(xs)
+    w = np.zeros_like(xs)
+    w[:-1] += 0.5 * dx
+    w[1:] += 0.5 * dx
+    keep = r_diff != 0.0
+    ratios = r_low[keep] / r_diff[keep]
+    order = np.argsort(ratios, kind="stable")
+    cum = np.cumsum((w[keep] * np.abs(r_diff[keep]))[order])
+    f_star = float(ratios[order][np.searchsorted(cum, 0.5 * cum[-1])])
+    return float(np.clip(f_star, search.f_min, search.f_max))
+
+
+def optimize_ref(low, diff, cfg, search=ScaleSearchConfig()):
+    if area_ref(diff, cfg.inner) <= 0.0:
+        raise IdentifiabilityError(
+            "difference spectrum has no positive area in the artifact window; "
+            "the scale factor is unidentifiable"
+        )
+    xs, r_low = baseline_residual_ref(low, cfg)
+    _, r_diff = baseline_residual_ref(diff, cfg)
+    _, y_diff = window_slice_ref(diff, cfg.inner.lo, cfg.inner.hi)
+    if trapz_ref(np.abs(r_diff), xs) <= 1e-10 * trapz_ref(np.abs(y_diff), xs):
+        raise IdentifiabilityError(
+            "difference spectrum carries no line feature in the artifact window"
+        )
+    f = l1_scale_factor_ref(xs, r_low, r_diff, search)
+    return f, trapz_ref(np.abs(r_low - f * r_diff), xs)
+
+
+def outcome(fn, *args):
+    """The floats ``fn`` returns as ``float.hex``, or the class and message it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            result = fn(*args)
+        except NvUnmixError as exc:
+            return type(exc).__name__, str(exc)
+    if isinstance(result, DecompositionResult):
+        result = result.f, result.zpl_metric
+    return [float(v).hex() for v in np.atleast_1d(result)]
+
+
+@st.composite
+def plan_cases(draw):
+    """A nonuniform grid, a low- and a high-field spectrum on it, and a 637 nm window
+    config. Window edges of both configs fall between grid points, on grid points or on
+    the grid ends, and the grid may miss either config's windows."""
+    width = draw(st.floats(0.5, 6.0))
+    lo, hi = draw(st.floats(620.0, 636.0)), draw(st.floats(638.0, 655.0))
+    cfg = ZplArtifactConfig(637.0, WavelengthWindow(lo, hi), width)
+    edges = [564.0, 568.0, 582.0, 586.0, lo - width, lo, hi, hi + width]
+    if draw(st.integers(0, 3)):  # the 637 nm windows on the grid
+        start = draw(st.sampled_from([564.0, lo - width]) | st.floats(550.0, 564.0))
+        end = draw(st.sampled_from([hi + width]) | st.floats(hi + width, 700.0))
+    else:
+        start = draw(st.sampled_from([lo - width, lo]) | st.floats(lo - width, hi))
+        end = draw(st.sampled_from([hi + width, hi]) | st.floats(lo, hi + width))
+        assume(start < end)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inside = [e for e in edges if start < e < end and draw(st.booleans())]
+    points = rng.uniform(start, end, draw(st.integers(0, 300)))
+    grid = np.unique(np.concatenate(([start, end], inside, points)))
+    nvm = rng.uniform(0.0, 50.0, grid.size) + gauss(grid, 637.0, 1.7, 5000.0)
+    nv0 = rng.uniform(0.0, 50.0, grid.size) + gauss(grid, 575.0, 2.0, 3000.0)
+    f = draw(st.floats(1.2, 30.0))
+    noise = draw(st.sampled_from([0.0, 1.0, 100.0])) * rng.normal(size=grid.size)
+    sign = draw(st.sampled_from([1.0, 1.0, 1.0, -1.0]))
+    low = Spectrum(grid, nv0 + nvm)
+    high = Spectrum(grid, low.intensities - sign * nvm / f + noise)
+    return low, high, cfg
 
 
 class TestZplArtifact:
@@ -270,3 +395,68 @@ class TestDecompose:
         r2 = decompose(scale(low, 3.0), scale(high, 3.0))
         assert r2.f == pytest.approx(r1.f, rel=1e-9)
         assert np.allclose(r2.nv0.intensities, 3.0 * r1.nv0.intensities, rtol=1e-8, atol=1e-9)
+
+
+class TestWindowPlan:
+    @given(plan_cases())
+    def test_matches_per_window_calls(self, case):
+        """Bit for bit by float.hex: the artifact, the 575 nm score, f and zpl_metric, or the
+        same error class and message, against the per-window composition kept above."""
+        low, high, cfg = case
+        diff = subtract(low, high)
+        assert outcome(zpl_artifact, low, cfg) == outcome(zpl_artifact_ref, low, cfg)
+        assert outcome(lambda: difference_spectrum(low, high)[1]) == outcome(score575_ref, low, diff)
+        want = outcome(optimize_ref, low, diff, cfg)
+        assert outcome(optimize_scale_factor, low, diff, cfg) == want
+        result = outcome(lambda: decompose(low, high, cfg))
+        assert result == want
+
+    def test_matches_on_the_paper_grid(self, grid02):
+        rng = np.random.default_rng(8)
+        nv0 = make_spectrum(CLEAN_NV0_SHAPE, grid02, 10000.0).intensities
+        nvm = make_spectrum(CLEAN_NVM_SHAPE, grid02, 62000.0).intensities
+        for _ in range(20):
+            low = Spectrum(grid02, nv0 + nvm + rng.normal(0.0, 30.0, grid02.size))
+            high = Spectrum(grid02, nv0 + nvm * (1.0 - 1.0 / 6.2) + rng.normal(0.0, 30.0, grid02.size))
+            diff = subtract(low, high)
+            cfg = ZplArtifactConfig()
+            assert outcome(lambda: difference_spectrum(low, high)[1]) == outcome(score575_ref, low, diff)
+            assert outcome(optimize_scale_factor, low, diff, cfg) == outcome(optimize_ref, low, diff, cfg)
+
+
+class TestErrorPrecedence:
+    """``optimize_scale_factor`` raises what the per-window calls raised, in their order: an
+    inner window off the grid, then no positive area in it, then a band that is no window,
+    then a band off the grid."""
+
+    @staticmethod
+    def _pair(grid, diff_values):
+        low = Spectrum(grid, 100.0 + gauss(grid, 637.0, 1.7, 300.0))
+        return low, Spectrum(grid, diff_values)
+
+    @pytest.mark.parametrize(
+        "start, sign, edge, error, message",
+        [
+            (632.0, -1.0, 4.0, RangeError, "window [630.0, 644.0] outside"),
+            (632.0, 1.0, 4.0, RangeError, "window [630.0, 644.0] outside"),
+            (629.0, -1.0, 4.0, IdentifiabilityError, "no positive area"),
+            (629.0, 1.0, 4.0, RangeError, "window [626.0, 630.0] outside"),
+            (550.0, -1.0, 1e-14, IdentifiabilityError, "no positive area"),
+            (550.0, 1.0, 1e-14, ValidationError, "window requires lo < hi, got [630.0, 630.0]"),
+        ],
+    )
+    def test_order(self, start, sign, edge, error, message):
+        grid = np.linspace(start, 700.0, 701)
+        low, diff = self._pair(grid, sign * (1.0 + gauss(grid, 637.0, 1.7, 50.0)))
+        cfg = ZplArtifactConfig(637.0, WavelengthWindow(630.0, 644.0), edge)
+        with pytest.raises(error, match=re.escape(message)):
+            optimize_scale_factor(low, diff, cfg)
+        assert outcome(optimize_scale_factor, low, diff, cfg) == outcome(optimize_ref, low, diff, cfg)
+
+    def test_zpl_artifact_reports_the_low_band_first(self):
+        grid = np.linspace(632.0, 700.0, 341)
+        s = Spectrum(grid, np.ones_like(grid))
+        with pytest.raises(RangeError, match=re.escape("window [626.0, 630.0] outside")):
+            zpl_artifact(s)
+        cfg = ZplArtifactConfig()
+        assert outcome(zpl_artifact, s, cfg) == outcome(zpl_artifact_ref, s, cfg)

@@ -92,6 +92,15 @@ class TestApplyFilter:
         assert np.all(out.intensities <= 0.9 * s.intensities)
         assert np.all(out.intensities >= 0.0)
 
+    def test_result_shares_the_grid(self):
+        g = np.linspace(550.0, 850.0, 301)
+        s = Spectrum(g, np.random.default_rng(2).uniform(0.0, 10.0, g.size))
+        for fm in (FilterModel(), TabulatedFilter([600.0, 700.0], [0.1, 0.8])):
+            out = apply_filter(s, fm)
+            assert out.wavelengths is s.wavelengths
+            assert out.intensities.tobytes() == (s.intensities * fm.transmission(g)).tobytes()
+            assert not out.intensities.flags.writeable
+
     def test_linearity(self):
         g = np.linspace(550.0, 850.0, 301)
         rng = np.random.default_rng(3)
