@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 validation/parse error, 3 numerical error
 (singularity/identifiability), 4 I/O error. ``fileio`` reads every input file
-(JSON through ``load_json``) and writes every CSV and JSON output. Every report,
-capturing inputs (with hashes), effective parameters, outputs and diagnostics, is
-written by ``_write_report``.
+(JSON through ``load_json``) and writes every CSV and JSON output. Each command
+returns a ``_Run``; ``main`` saves its report, capturing inputs (with hashes),
+effective parameters, outputs and diagnostics, after every output is written, and
+then prints its message.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +51,20 @@ _EXIT_NUMERICAL = 3
 _EXIT_IO = 4
 
 
+@dataclass
+class _Run:
+    """What one command did: the report ``main`` saves at ``report`` (None: no
+    report) and the ``message`` it prints after that."""
+
+    report: str | None
+    command: str
+    inputs: list[str] = field(default_factory=list)
+    parameters: dict = field(default_factory=dict)
+    outputs: list[str] = field(default_factory=list)
+    diagnostics: dict = field(default_factory=dict)
+    message: str = ""
+
+
 def _parse_window(text: str) -> WavelengthWindow:
     return WavelengthWindow(*_parse_range(text))
 
@@ -59,18 +75,6 @@ def _parse_range(text: str) -> tuple[float, float]:
         return float(lo), float(hi)
     except ValueError as exc:
         raise ValidationError(f"bad range {text!r} (expected LO:HI)") from exc
-
-
-def _report_path(primary_output: str) -> str:
-    stem, _ = os.path.splitext(primary_output)
-    return stem + ".report.json"
-
-
-def _write_report(path, command, input_paths, parameters, outputs, diagnostics) -> str | None:
-    """Save the run report at ``path``; write nothing when no path is given."""
-    if path:
-        RunReport.create(command, input_paths, parameters, outputs, diagnostics).save(path)
-    return path
 
 
 def _load_filter(args) -> tuple[FilterModel | TabulatedFilter, dict]:
@@ -87,23 +91,9 @@ def _load_filter(args) -> tuple[FilterModel | TabulatedFilter, dict]:
     return fm, {"tmax": fm.t_max, "center": fm.center, "width": fm.width, "filter_table": None}
 
 
-def cmd_decompose(args) -> int:
-    low = load_spectrum(args.low, negative=args.negative)
-    high = load_spectrum(args.high, negative=args.negative)
-    cfg = ZplArtifactConfig(args.zpl_center, _parse_window(args.zpl_window), args.edge)
-    f_min, f_max = _parse_range(args.f_range)
-    search = ScaleSearchConfig(f_min, f_max)
-    result = decompose(low, high, cfg, search)
-    save_spectrum(result.nv0, args.out_nv0)
-    save_spectrum(result.nvminus, args.out_nvm)
-    diagnostics = {
-        "f": result.f,
-        "zpl_metric": result.zpl_metric,
-        "nv0_zpl575_score": result.zpl575_score,
-        "f_at_bound": result.f_at_bound,
-    }
-    path = _write_report(
-        args.report or _report_path(args.out_nv0),
+def cmd_decompose(args) -> _Run:
+    run = _Run(
+        args.report or os.path.splitext(args.out_nv0)[0] + ".report.json",
         "decompose",
         [args.low, args.high],
         {
@@ -113,14 +103,33 @@ def cmd_decompose(args) -> int:
             "f_range": args.f_range,
             "negative": args.negative,
         },
-        [args.out_nv0, args.out_nvm],
-        diagnostics,
     )
-    print(f"f = {result.f:.6g}  zpl_metric = {result.zpl_metric:.6g}  report = {path}")
-    return 0
+    low = load_spectrum(args.low, negative=args.negative)
+    high = load_spectrum(args.high, negative=args.negative)
+    cfg = ZplArtifactConfig(args.zpl_center, _parse_window(args.zpl_window), args.edge)
+    f_min, f_max = _parse_range(args.f_range)
+    search = ScaleSearchConfig(f_min, f_max)
+    result = decompose(low, high, cfg, search)
+    save_spectrum(result.nv0, args.out_nv0)
+    save_spectrum(result.nvminus, args.out_nvm)
+    run.outputs += [args.out_nv0, args.out_nvm]
+    run.diagnostics = {
+        "f": result.f,
+        "zpl_metric": result.zpl_metric,
+        "nv0_zpl575_score": result.zpl575_score,
+        "f_at_bound": result.f_at_bound,
+    }
+    run.message = f"f = {result.f:.6g}  zpl_metric = {result.zpl_metric:.6g}  report = {run.report}"
+    return run
 
 
-def cmd_fit_series(args) -> int:
+def cmd_fit_series(args) -> _Run:
+    run = _Run(
+        args.report or os.path.splitext(args.out_table)[0] + ".report.json",
+        "fit-series",
+        [args.basis_nv0, args.basis_nvm, args.series],
+        {"unconstrained": args.unconstrained, "negative": args.negative},
+    )
     basis = BasisPair.from_spectra(
         load_spectrum(args.basis_nv0, negative=args.negative),
         load_spectrum(args.basis_nvm, negative=args.negative),
@@ -132,7 +141,6 @@ def cmd_fit_series(args) -> int:
         raise ValidationError(f"{args.series}: --out-surface needs at least two field entries")
     base_dir = os.path.dirname(os.path.abspath(args.series))
     entries = []
-    spectrum_paths = []
     for i, item in enumerate(manifest):
         path = item.get("path") if isinstance(item, dict) else None
         if not isinstance(path, str) or "\0" in path:
@@ -142,7 +150,7 @@ def cmd_fit_series(args) -> int:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{args.series}: entry {i} needs a numeric 'b_field_gauss'") from exc
         path = os.path.join(base_dir, path)  # an absolute path replaces base_dir
-        spectrum_paths.append(path)
+        run.inputs.append(path)
         entries.append((b_field, load_spectrum(path, negative=args.negative)))
     series = FieldSeries.ingest(entries)
     del entries  # the series shares one grid; drop the loaded spectra's own grids
@@ -155,53 +163,44 @@ def cmd_fit_series(args) -> int:
     save_csv(args.out_table, "b_gauss,c0,cminus,residual",
              (table.b_fields, table.c0, table.cminus, table.residuals))
     surface = scale_factor_surface(table) if len(table) >= 2 else None
-    outputs = [args.out_table]
+    run.outputs.append(args.out_table)
     if args.out_surface:
         save_csv(args.out_surface, "b1,b2,f", (surface.b1, surface.b2, surface.f))
-        outputs.append(args.out_surface)
-    diagnostics = {
+        run.outputs.append(args.out_surface)
+    run.diagnostics = {
         "rows": len(table),
         "surface_pairs": surface.f.size if surface else 0,
         "surface_skipped": surface.skipped_b1.size if surface else 0,
     }
-    path = _write_report(
-        args.report or _report_path(args.out_table),
-        "fit-series",
-        [args.basis_nv0, args.basis_nvm, args.series] + spectrum_paths,
-        {"unconstrained": args.unconstrained, "negative": args.negative},
-        outputs,
-        diagnostics,
-    )
-    print(f"fitted {len(table)} spectra  report = {path}")
-    return 0
+    run.message = f"fitted {len(table)} spectra  report = {run.report}"
+    return run
 
 
-def cmd_transmissivity(args) -> int:
-    spec = load_spectrum(args.spectrum, negative=args.negative)
-    fm, parameters = _load_filter(args)
-    window = _parse_window(args.window)
-    t = transmissivity(spec, fm, window)
-    print(f"{t:.6g}")
-    _write_report(
+def cmd_transmissivity(args) -> _Run:
+    run = _Run(
         args.report,
         "transmissivity",
         [args.spectrum] + ([args.filter_table] if args.filter_table else []),
-        {**parameters, "window": args.window},
-        [],
-        {"transmissivity": t},
+        {"window": args.window},
     )
-    return 0
+    spec = load_spectrum(args.spectrum, negative=args.negative)
+    fm, parameters = _load_filter(args)
+    run.parameters.update(parameters)
+    t = transmissivity(spec, fm, _parse_window(args.window))
+    run.diagnostics["transmissivity"] = t
+    run.message = f"{t:.6g}"
+    return run
 
 
-def _unmix_common(args, command, unmixed, low_like, input_maps, parameters):
-    out_nv0 = save_map(unmixed.nv0, args.out + ".nv0")
-    out_nvm = save_map(unmixed.nvminus, args.out + ".nvm")
+def _unmix_common(args, run, unmixed, low_like) -> _Run:
+    run.outputs += save_map(unmixed.nv0, args.out + ".nv0")
+    run.outputs += save_map(unmixed.nvminus, args.out + ".nvm")
     recon = unmixed.nv0.values + unmixed.nvminus.values
     residual = float(np.max(np.abs(recon - low_like.values)))
     del recon  # released before the fraction map is built, to keep the peak low
     frac, zero_total = fraction_map(unmixed, low_like)
     counted = frac.values.size - zero_total
-    diagnostics = {
+    run.diagnostics = {
         "negative_pixel_count": unmixed.negative_pixel_count,
         "nv0_min": float(np.min(unmixed.nv0.values)),
         "nv0_max": float(np.max(unmixed.nv0.values)),
@@ -212,51 +211,37 @@ def _unmix_common(args, command, unmixed, low_like, input_maps, parameters):
         # Zero-total pixels hold 0 in the map, so the sum covers the others.
         "nvm_fraction_mean": float(np.sum(frac.values)) / counted if counted else None,
     }
-    path = _write_report(
-        args.report or _report_path(out_nv0[0]),
-        command,
-        [p for m in input_maps for p in _existing_map_files(m)],
-        parameters,
-        [*out_nv0, *out_nvm],
-        diagnostics,
-    )
-    print(
+    run.message = (
         f"negative pixels: {unmixed.negative_pixel_count}  "
-        f"reconstruction residual: {residual:.6g}  report = {path}"
+        f"reconstruction residual: {residual:.6g}  report = {run.report}"
     )
-    return 0
+    return run
 
 
-def cmd_unmix_map_field(args) -> int:
+def cmd_unmix_map_field(args) -> _Run:
+    run = _Run(
+        args.report or args.out + ".nv0.report.json",
+        "unmix-map-field",
+        [*map_paths(args.low), *map_paths(args.high)],
+        {"f": args.f, "negative": args.negative},
+    )
     low = load_map(args.low, negative=args.negative)
     high = load_map(args.high, negative=args.negative)
     unmixed = field_unmix(low, high, args.f)
-    return _unmix_common(
-        args,
-        "unmix-map-field",
-        unmixed,
-        low,
-        (args.low, args.high),
-        {"f": args.f, "negative": args.negative},
+    return _unmix_common(args, run, unmixed, low)
+
+
+def cmd_unmix_map_filter(args) -> _Run:
+    run = _Run(
+        args.report or args.out + ".nv0.report.json",
+        "unmix-map-filter",
+        [*map_paths(args.m0), *map_paths(args.mlpf)],
+        {"t0": args.t0, "tm": args.tm, "negative": args.negative},
     )
-
-
-def cmd_unmix_map_filter(args) -> int:
     m0 = load_map(args.m0, negative=args.negative)
     mlpf = load_map(args.mlpf, negative=args.negative)
     unmixed = filter_unmix(m0, mlpf, TransmissivityPair(args.t0, args.tm))
-    return _unmix_common(
-        args,
-        "unmix-map-filter",
-        unmixed,
-        m0,
-        (args.m0, args.mlpf),
-        {"t0": args.t0, "tm": args.tm, "negative": args.negative},
-    )
-
-
-def _existing_map_files(path: str) -> list[str]:
-    return [p for p in map_paths(path) if os.path.exists(p)]
+    return _unmix_common(args, run, unmixed, m0)
 
 
 def _section(params: dict, key: str) -> dict:
@@ -364,7 +349,12 @@ _SIMULATORS = {
 }
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> _Run:
+    run = _Run(
+        os.path.join(args.out, "metadata.json"),
+        f"simulate {args.kind}",
+        [args.params] if args.params else [],
+    )
     if args.seed is not None and args.kind != "sweep":
         raise ValidationError(f"--seed applies only to simulate sweep, not {args.kind}")
     seed = args.seed or 0
@@ -373,7 +363,7 @@ def cmd_simulate(args) -> int:
     params = load_json(args.params, dict, "params") if args.params else {}
     os.makedirs(args.out, exist_ok=True)
     try:
-        outputs, diag = _SIMULATORS[args.kind](params, seed, args.out)
+        run.outputs, run.diagnostics = _SIMULATORS[args.kind](params, seed, args.out)
     except NvUnmixError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as exc:
@@ -381,20 +371,14 @@ def cmd_simulate(args) -> int:
         # or sizes no array can have.
         raise ParseError(f"{args.params}: bad {args.kind} params: {exc!r}") from exc
     seeded = {"seed": seed} if args.kind == "sweep" else {}
-    diag.update(seeded)
-    meta_path = _write_report(
-        os.path.join(args.out, "metadata.json"),
-        f"simulate {args.kind}",
-        [args.params] if args.params else [],
-        {"params": params, **seeded},
-        outputs,
-        diag,
-    )
-    print(f"wrote {len(outputs)} files to {args.out}  metadata = {meta_path}")
-    return 0
+    run.diagnostics.update(seeded)
+    run.parameters = {"params": params, **seeded}
+    run.message = f"wrote {len(run.outputs)} files to {args.out}  metadata = {run.report}"
+    return run
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> _Run:
+    run = _Run(args.report, "render")
     if (args.spectrum is None) == (args.map is None):
         raise ValidationError("render needs exactly one of --spectrum or --map")
     if args.spectrum:
@@ -403,48 +387,37 @@ def cmd_render(args) -> int:
         data = render_spectrum_svg(
             load_spectrum(args.spectrum, negative="allow"), zpl_guides=args.zpl_guides
         )
-        inputs, parameters = [args.spectrum], {"zpl_guides": args.zpl_guides}
+        run.inputs, run.parameters = [args.spectrum], {"zpl_guides": args.zpl_guides}
     else:
         if args.zpl_guides:
             raise ValidationError("--zpl-guides applies only with --spectrum")
         clip = _parse_range(args.clip) if args.clip else None
         data = render_map_pgm(load_map(args.map), clamp_negative=args.clamp, clip=clip)
-        inputs, parameters = _existing_map_files(args.map), {"clamp": args.clamp, "clip": args.clip}
+        run.inputs = list(map_paths(args.map))
+        run.parameters = {"clamp": args.clamp, "clip": args.clip}
     with open(args.out, "wb") as fh:
         fh.write(data)
-    _write_report(
-        args.report,
-        "render",
-        inputs,
-        parameters,
-        [args.out],
-        {"bytes": len(data)},
-    )
-    print(f"wrote {args.out} ({len(data)} bytes)")
-    return 0
+    run.outputs.append(args.out)
+    run.diagnostics["bytes"] = len(data)
+    run.message = f"wrote {args.out} ({len(data)} bytes)"
+    return run
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> _Run:
+    run = _Run(None, "report")
     report = RunReport.load(args.run)
-    print(f"command:    {report.command}")
-    print(f"timestamp:  {report.timestamp}")
-    print("inputs:")
-    for path, digest in report.inputs:
-        print(f"  {path}  sha256={'null' if digest is None else digest}")
-    print("parameters:")
-    for key in sorted(report.parameters):
-        print(f"  {key} = {report.parameters[key]}")
-    print("outputs:")
-    for path in report.outputs:
-        print(f"  {path}")
-    print("diagnostics:")
+    lines = [f"command:    {report.command}", f"timestamp:  {report.timestamp}", "inputs:"]
+    lines += [f"  {p}  sha256={'null' if d is None else d}" for p, d in report.inputs]
+    lines.append("parameters:")
+    lines += [f"  {key} = {report.parameters[key]}" for key in sorted(report.parameters)]
+    lines.append("outputs:")
+    lines += [f"  {path}" for path in report.outputs]
+    lines.append("diagnostics:")
     for key in sorted(report.diagnostics):
         value = report.diagnostics[key]
-        if isinstance(value, float):
-            print(f"  {key} = {value:.6g}")
-        else:
-            print(f"  {key} = {value}")
-    return 0
+        lines.append(f"  {key} = {value:.6g}" if isinstance(value, float) else f"  {key} = {value}")
+    run.message = "\n".join(lines)
+    return run
 
 
 def _add_negative_flag(parser) -> None:
@@ -544,7 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        run = args.func(args)
+        if run.report:
+            RunReport.create(
+                run.command, run.inputs, run.parameters, run.outputs, run.diagnostics
+            ).save(run.report)
     except (SingularityError, IdentifiabilityError, NoMinimumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
@@ -554,6 +531,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return _EXIT_IO
+    print(run.message)
+    return 0
 
 
 if __name__ == "__main__":
