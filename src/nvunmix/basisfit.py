@@ -17,15 +17,8 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    FlatWarning,
-    GridMismatchError,
-    IdentifiabilityError,
-    NoMinimumError,
-    NonPhysicalWarning,
-    SingularityError,
-    ValidationError,
-)
+from .errors import FlatWarning, GridMismatchError, NoMinimumError, NonPhysicalWarning
+from .errors import SingularityError, ValidationError
 from .spectrum import BasisPair, Spectrum, _on_grid, resample
 
 __all__ = [
@@ -101,9 +94,11 @@ class CoefficientTable:
     cminus: NDArray[np.float64]
     residuals: NDArray[np.float64]
 
+    _COLUMNS = ("b_fields", "c0", "cminus", "residuals")
+
     def __post_init__(self) -> None:
         cols = {}
-        for name in ("b_fields", "c0", "cminus", "residuals"):
+        for name in self._COLUMNS:
             arr = np.array(getattr(self, name), dtype=float, copy=True)
             if arr.ndim != 1:
                 raise ValidationError(f"{name} must be 1-D")
@@ -118,6 +113,17 @@ class CoefficientTable:
             raise ValidationError("b_fields must be strictly increasing")
         for name, arr in cols.items():
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _of_block(cls, block: NDArray[np.float64]) -> "CoefficientTable":
+        """A table on the rows of a fresh (4, n) block of a FieldSeries's fields and fits."""
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise ValidationError(f"{cls._COLUMNS[int(finite.argmin())]} must be finite")
+        block.flags.writeable = False
+        table = object.__new__(cls)
+        table.__dict__.update(zip(cls._COLUMNS, block))
+        return table
 
     def __len__(self) -> int:
         return int(self.b_fields.size)
@@ -138,44 +144,33 @@ class ScaleFactorSurface:
     skipped = property(lambda self: tuple(zip(self.skipped_b1.tolist(), self.skipped_b2.tolist())))
 
 
-def _gram(basis: BasisPair, grid: NDArray[np.float64]) -> tuple:
-    """Columns a0, a1 of a basis on ``grid``, inner products g00, g11, g01, residual scratch."""
+def _solver(basis: BasisPair, grid: NDArray[np.float64], nonneg: bool):
+    """``solve(y) -> (c0, cminus, rms)`` for spectra on ``grid``, with the pair's kept Gram
+    terms and two scratch rows that only this solver uses."""
     if not (grid is basis.grid or np.array_equal(grid, basis.grid)):
         raise GridMismatchError("spectrum and basis are on different grids")
-    a0 = basis.s0.intensities
-    a1 = basis.sminus.intensities
-    g00 = float(a0 @ a0)
-    g11 = float(a1 @ a1)
-    g01 = float(a0 @ a1)
-    if g00 <= 0.0 or g11 <= 0.0:
-        raise IdentifiabilityError("basis spectrum has zero norm")
-    # sin of the angle between basis columns, computed stably.
-    ortho = a1 - (g01 / g00) * a0
-    sin_angle = float(np.linalg.norm(ortho)) / np.sqrt(g11)
-    if sin_angle <= 1e-6:
-        raise IdentifiabilityError(
-            f"basis spectra are collinear (angle ~{sin_angle:.2e} rad)"
-        )
-    return a0, a1, g00, g11, g01, np.empty((2, a0.size))
+    g00, g11, g01 = basis._gram_terms
+    a0, a1 = basis.s0.intensities, basis.sminus.intensities
+    det, root_n = g00 * g11 - g01 * g01, math.sqrt(a0.size)
+    r, t = np.empty((2, a0.size))
 
-
-def _solve(y: NDArray[np.float64], gram: tuple, nonneg: bool) -> tuple[float, float, float]:
-    a0, a1, g00, g11, g01, (r, t) = gram
-    h0 = float(a0.dot(y))
-    h1 = float(a1.dot(y))
-    det = g00 * g11 - g01 * g01
-    c0 = (g11 * h0 - g01 * h1) / det
-    c1 = (g00 * h1 - g01 * h0) / det
-
-    def fit(u0: float, u1: float) -> tuple[float, float, float]:
+    def fit(y: NDArray[np.float64], u0: float, u1: float) -> tuple[float, float, float]:
         # r = y - u0 * a0 - u1 * a1 in that order; np.linalg.norm(r) is sqrt(r.dot(r)).
         np.subtract(y, np.multiply(u0, a0, out=t), out=r)
         np.subtract(r, np.multiply(u1, a1, out=t), out=r)
-        return u0, u1, math.sqrt(r.dot(r)) / math.sqrt(y.size)
+        return u0, u1, math.sqrt(r.dot(r)) / root_n
 
-    if not nonneg or (c0 >= 0.0 and c1 >= 0.0):
-        return fit(c0, c1)
-    return min(fit(max(h0 / g00, 0.0), 0.0), fit(0.0, max(h1 / g11, 0.0)), key=lambda c: c[2])
+    def solve(y: NDArray[np.float64]) -> tuple[float, float, float]:
+        h0 = float(a0.dot(y))
+        h1 = float(a1.dot(y))
+        c0 = (g11 * h0 - g01 * h1) / det
+        c1 = (g00 * h1 - g01 * h0) / det
+        if not nonneg or (c0 >= 0.0 and c1 >= 0.0):
+            return fit(y, c0, c1)
+        return min(fit(y, max(h0 / g00, 0.0), 0.0), fit(y, 0.0, max(h1 / g11, 0.0)),
+                   key=lambda c: c[2])
+
+    return solve
 
 
 def fit_coefficients(
@@ -186,20 +181,21 @@ def fit_coefficients(
     With ``nonneg`` (the default) coefficients are constrained to be
     nonnegative; pass ``nonneg=False`` for the plain unconstrained fit.
     """
-    return _solve(s.intensities, _gram(basis, s.wavelengths), nonneg)
+    return _solver(basis, s.wavelengths, nonneg)(s.intensities)
 
 
 def fit_series(series: FieldSeries, basis: BasisPair, *, nonneg: bool = True) -> CoefficientTable:
     """Each row is :func:`fit_coefficients` on one entry, in ascending-field order.
 
-    One grid check, one Gram matrix and two reused residual buffers serve all entries,
-    still never stacked: memory stays at two spectra however long the series.
+    One grid check and one solver, bound once to the basis pair's kept Gram terms and two
+    reused residual rows, serve all entries, never stacked: memory stays at two spectra
+    however long the series. The table's columns are the rows of one fresh (4, n) block.
     """
     if len(series) == 0:
         raise ValidationError("cannot fit an empty series")
-    gram = _gram(basis, series.entries[0][1].wavelengths)
-    fits = [_solve(s.intensities, gram, nonneg) for _, s in series.entries]
-    return CoefficientTable(np.array(series.fields), *np.array(fits).T)
+    solve = _solver(basis, series.entries[0][1].wavelengths, nonneg)
+    fits = [solve(s.intensities) for _, s in series.entries]
+    return CoefficientTable._of_block(np.array((series.fields, *zip(*fits))))
 
 
 def _scale_factor(c0_1: float, cm_1: float, c0_2: float, cm_2: float, singular: str) -> float:
@@ -246,6 +242,14 @@ def scale_factor_from_nvminus(cm_1: float, cm_2: float) -> float:
     )
 
 
+def _pair_indices(n: int) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
+    """``np.triu_indices(n, 1)`` built run by run (i repeated n-1-i times), with no n x n mask."""
+    runs = np.arange(n - 1, 0, -1)
+    i, j = np.arange(n - 1, dtype=np.intp).repeat(runs), np.arange(runs.sum(), dtype=np.intp)
+    j -= (runs.cumsum() - runs - np.arange(1, n)).repeat(runs)  # run i of j counts from i + 1
+    return i, j
+
+
 def scale_factor_surface(table: CoefficientTable) -> ScaleFactorSurface:
     """Scale factor for every field pair (b1, b2) with b2 > b1.
 
@@ -256,7 +260,7 @@ def scale_factor_surface(table: CoefficientTable) -> ScaleFactorSurface:
     """
     if len(table) < 2:
         raise ValidationError("surface needs at least two table rows")
-    i, j = np.triu_indices(len(table), 1)
+    i, j = _pair_indices(len(table))
     b = table.b_fields
     den = table.cminus[i] - table.cminus[j]
     ok = den != 0.0
@@ -275,16 +279,12 @@ def find_full_mixing_field(table: CoefficientTable) -> float:
     """
     if len(table) < 3:
         raise ValidationError("minimum detection needs at least three rows")
-    cm = table.cminus
-    b = table.b_fields
-    if float(np.ptp(cm)) == 0.0:
-        warnings.warn(
-            "NV- amplitude is flat across the sweep; returning the lowest field",
-            FlatWarning,
-            stacklevel=2,
-        )
+    cm, b = table.cminus, table.b_fields
+    if float(cm.max() - cm.min()) == 0.0:
+        warnings.warn("NV- amplitude is flat across the sweep; returning the lowest field",
+                      FlatWarning, stacklevel=2)
         return float(b[0])
-    steps = np.diff(cm)
-    if np.all(steps <= 0.0) or np.all(steps >= 0.0):
+    steps = cm[1:] - cm[:-1]
+    if (steps <= 0.0).all() or (steps >= 0.0).all():
         raise NoMinimumError("NV- amplitude is monotone; no interior minimum")
     return float(b[int(np.argmin(cm))])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -403,19 +404,25 @@ def cmd_render(args) -> _Run:
     return run
 
 
+def _shown(value, float_format: str = "") -> str:
+    """How ``report --run`` prints a value: strings as is, floats in ``float_format``, else JSON."""
+    if isinstance(value, str):
+        return value
+    return format(value, float_format) if isinstance(value, float) else json.dumps(value)
+
+
 def cmd_report(args) -> _Run:
     run = _Run(None, "report")
     report = RunReport.load(args.run)
     lines = [f"command:    {report.command}", f"timestamp:  {report.timestamp}", "inputs:"]
     lines += [f"  {p}  sha256={'null' if d is None else d}" for p, d in report.inputs]
     lines.append("parameters:")
-    lines += [f"  {key} = {report.parameters[key]}" for key in sorted(report.parameters)]
+    lines += [f"  {key} = {_shown(report.parameters[key])}" for key in sorted(report.parameters)]
     lines.append("outputs:")
     lines += [f"  {path}" for path in report.outputs]
     lines.append("diagnostics:")
-    for key in sorted(report.diagnostics):
-        value = report.diagnostics[key]
-        lines.append(f"  {key} = {value:.6g}" if isinstance(value, float) else f"  {key} = {value}")
+    lines += [f"  {key} = {_shown(report.diagnostics[key], '.6g')}"
+              for key in sorted(report.diagnostics)]
     run.message = "\n".join(lines)
     return run
 

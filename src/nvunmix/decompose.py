@@ -193,21 +193,21 @@ def difference_spectrum(low_b: Spectrum, high_b: Spectrum) -> tuple[Spectrum, fl
 
 
 def _l1_scale_factor(
-    xs: NDArray[np.float64],
+    dx: NDArray[np.float64],
     r_low: NDArray[np.float64],
     r_diff: NDArray[np.float64],
     search: ScaleSearchConfig,
 ) -> float:
     """Minimizer over the clamp range of the trapezoid integral of |r_low - f * r_diff|.
 
-    With trapezoid node weights w, the integral is the sum of
-    w * |r_diff| * |r_low / r_diff - f| plus a constant from the nodes where
-    r_diff is zero: a weighted L1 fit of one parameter, minimized exactly by
-    the lower weighted median of the ratios. The objective is convex, so
-    clamping that median gives the minimizer over the range; a clamped value
-    fires a NonPhysicalWarning.
+    With trapezoid node weights w from the window's node spacings ``dx``, the
+    integral is the sum of w * |r_diff| * |r_low / r_diff - f| plus a constant
+    from the nodes where r_diff is zero: a weighted L1 fit of one parameter,
+    minimized exactly by the lower weighted median of the ratios. The
+    objective is convex, so clamping that median gives the minimizer over the
+    range; a clamped value fires a NonPhysicalWarning.
     """
-    half = 0.5 * np.diff(xs)
+    half = 0.5 * dx
     w = np.concatenate((half, (0.0,))) + np.concatenate(((0.0,), half))
     keep = r_diff != 0.0
     ratios = r_low[keep] / r_diff[keep]
@@ -254,7 +254,7 @@ def optimize_scale_factor(
         raise IdentifiabilityError(
             "difference spectrum carries no line feature in the artifact window"
         )
-    f = _l1_scale_factor(plan.xs[1], r_low, r_diff, search)
+    f = _l1_scale_factor(plan.dx[1], r_low, r_diff, search)
     return f, plan.trapz(np.abs(r_low - f * r_diff), 1)
 
 

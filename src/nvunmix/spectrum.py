@@ -10,11 +10,12 @@ share their operand's read-only grid array, so never set ``writeable`` on one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .errors import GridMismatchError, RangeError, ValidationError
+from .errors import GridMismatchError, IdentifiabilityError, RangeError, ValidationError
 
 __all__ = [
     "Spectrum",
@@ -193,6 +194,7 @@ class BasisPair:
 
     ``s0`` holds the neutral charge-state shape and ``sminus`` the negative
     one; both integrate to 1 so fitted coefficients carry the full count rate.
+    Its Gram terms are computed on its first fit and kept for later fits, from any thread.
     """
 
     s0: Spectrum
@@ -220,3 +222,16 @@ class BasisPair:
     @property
     def grid(self) -> NDArray[np.float64]:
         return self.s0.wavelengths
+
+    @cached_property
+    def _gram_terms(self) -> tuple[float, float, float]:
+        """s0·s0, sminus·sminus and s0·sminus, kept; a degenerate pair raises at each fit."""
+        a0, a1 = self.s0.intensities, self.sminus.intensities
+        g00, g11, g01 = float(a0 @ a0), float(a1 @ a1), float(a0 @ a1)
+        if g00 <= 0.0 or g11 <= 0.0:
+            raise IdentifiabilityError("basis spectrum has zero norm")
+        # sin of the angle between basis columns, computed stably.
+        sin_angle = float(np.linalg.norm(a1 - (g01 / g00) * a0)) / np.sqrt(g11)
+        if sin_angle <= 1e-6:
+            raise IdentifiabilityError(f"basis spectra are collinear (angle ~{sin_angle:.2e} rad)")
+        return g00, g11, g01

@@ -1,5 +1,8 @@
 """Two-component NNLS fits and field-sweep scale-factor analysis."""
 
+import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -20,6 +23,7 @@ from nvunmix import (
     NoiseModel,
     NoMinimumError,
     NonPhysicalWarning,
+    NvUnmixError,
     SingularityError,
     Spectrum,
     ValidationError,
@@ -304,6 +308,198 @@ class TestFitSeries:
             with pytest.raises(error) as batch:
                 fit_series(entries, pair)
             assert str(batch.value) == str(single.value)
+
+
+# The fit path as it was before the basis pair kept its Gram terms: the oracle that
+# fit_coefficients and fit_series must match bit for bit, errors included.
+def reference_gram(basis, grid):
+    if not (grid is basis.grid or np.array_equal(grid, basis.grid)):
+        raise GridMismatchError("spectrum and basis are on different grids")
+    a0 = basis.s0.intensities
+    a1 = basis.sminus.intensities
+    g00 = float(a0 @ a0)
+    g11 = float(a1 @ a1)
+    g01 = float(a0 @ a1)
+    if g00 <= 0.0 or g11 <= 0.0:
+        raise IdentifiabilityError("basis spectrum has zero norm")
+    ortho = a1 - (g01 / g00) * a0
+    sin_angle = float(np.linalg.norm(ortho)) / np.sqrt(g11)
+    if sin_angle <= 1e-6:
+        raise IdentifiabilityError(
+            f"basis spectra are collinear (angle ~{sin_angle:.2e} rad)"
+        )
+    return a0, a1, g00, g11, g01, np.empty((2, a0.size))
+
+
+def reference_solve(y, gram, nonneg):
+    a0, a1, g00, g11, g01, (r, t) = gram
+    h0 = float(a0.dot(y))
+    h1 = float(a1.dot(y))
+    det = g00 * g11 - g01 * g01
+    c0 = (g11 * h0 - g01 * h1) / det
+    c1 = (g00 * h1 - g01 * h0) / det
+
+    def fit(u0, u1):
+        np.subtract(y, np.multiply(u0, a0, out=t), out=r)
+        np.subtract(r, np.multiply(u1, a1, out=t), out=r)
+        return u0, u1, math.sqrt(r.dot(r)) / math.sqrt(y.size)
+
+    if not nonneg or (c0 >= 0.0 and c1 >= 0.0):
+        return fit(c0, c1)
+    return min(fit(max(h0 / g00, 0.0), 0.0), fit(0.0, max(h1 / g11, 0.0)), key=lambda c: c[2])
+
+
+def reference_fit_coefficients(s, basis, nonneg=True):
+    return reference_solve(s.intensities, reference_gram(basis, s.wavelengths), nonneg)
+
+
+def reference_fit_series(series, basis, nonneg=True):
+    if len(series) == 0:
+        raise ValidationError("cannot fit an empty series")
+    gram = reference_gram(basis, series.entries[0][1].wavelengths)
+    fits = [reference_solve(s.intensities, gram, nonneg) for _, s in series.entries]
+    return CoefficientTable(np.array(series.fields), *np.array(fits).T)
+
+
+def table_hex(table):
+    return [list(map(float.hex, getattr(table, name).tolist()))
+            for name in ("b_fields", "c0", "cminus", "residuals")]
+
+
+def outcome(call):
+    """The float.hex values ``call`` returns, or the (class, message) it raises."""
+    try:
+        result = call()
+    except NvUnmixError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, CoefficientTable):
+        return table_hex(result)
+    return list(map(float.hex, result))
+
+
+def mixture_series(basis, mixtures, seed):
+    """One entry per (c0, cminus) mixture at 100, 200, ... G, with small Gaussian noise."""
+    a0, a1 = basis.s0.intensities, basis.sminus.intensities
+    rng = np.random.default_rng(seed)
+    return FieldSeries(tuple(
+        (100.0 * (k + 1), Spectrum(basis.grid, c0 * a0 + cm * a1 + rng.normal(0.0, 1e-3, a0.size)))
+        for k, (c0, cm) in enumerate(mixtures)))
+
+
+class TestFitOracle:
+    """fit_series and fit_coefficients against the pre-caching fit path, by float.hex."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.floats(-2e4, 2e4), st.floats(-2e4, 2e4)),
+                # NNLS boundary fits: one coefficient clamped, or both.
+                st.sampled_from([(1.0, -0.5), (-0.5, 1.0), (-1.0, -1.0), (3e4, -2e4)]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_matches_reference_bitwise(self, default_basis, mixtures, seed, nonneg, fresh):
+        """A fresh pair computes its Gram terms on this call; the shared fixture pair has
+        kept them from earlier tests. Both must give the reference's bits."""
+        basis = BasisPair(default_basis.s0, default_basis.sminus) if fresh else default_basis
+        series = mixture_series(default_basis, mixtures, seed)
+        want = reference_fit_series(series, default_basis, nonneg)
+        assert table_hex(fit_series(series, basis, nonneg=nonneg)) == table_hex(want)
+        for _, s in series.entries:
+            got = fit_coefficients(s, basis, nonneg=nonneg)
+            assert list(map(float.hex, got)) == list(
+                map(float.hex, reference_fit_coefficients(s, default_basis, nonneg)))
+
+    def test_table_columns_are_read_only_rows_of_one_block(self, default_basis):
+        table = fit_series(mixture_series(default_basis, [(1e4, 5e4), (2e4, 3e4)], 5),
+                           default_basis)
+        for name in ("b_fields", "c0", "cminus", "residuals"):
+            column = getattr(table, name)
+            assert column.dtype == np.float64 and column.shape == (2,)
+            assert column.base is table.b_fields.base is not None
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
+    @pytest.mark.parametrize("case", ["zero_norm_s0", "zero_norm_sminus", "collinear",
+                                      "grid_mismatch", "overflow"])
+    def test_errors_match_reference(self, default_basis, grid02, case):
+        s = make_spectrum(DEFAULT_NVM_SHAPE, grid02, 1.0)
+        zero = Spectrum(grid02, np.zeros(grid02.size))
+        series = FieldSeries(((170.0, s), (975.0, scale(s, 2.0))))
+        pair = {
+            "zero_norm_s0": unchecked_pair(zero, s),
+            "zero_norm_sminus": unchecked_pair(s, zero),
+            "collinear": BasisPair(s, normalize_area(scale(s, 3.0))),
+        }.get(case, default_basis)
+        if case == "grid_mismatch":
+            series = FieldSeries(((170.0, resample(s, grid02[::2])),))
+        if case == "overflow":  # the residual's sum of squares overflows to inf
+            y = 1e160 * (s.intensities + 1e-3 * np.sin(grid02))
+            series = FieldSeries(((170.0, Spectrum(grid02, y)),))
+        entry = series.entries[0][1]
+        for _ in range(2):  # a failed first fit keeps nothing, so the second raises again
+            with np.errstate(over="ignore"):
+                want = outcome(lambda: reference_fit_series(series, pair))
+                assert outcome(lambda: fit_series(series, pair)) == want
+                assert outcome(lambda: fit_coefficients(entry, pair)) == outcome(
+                    lambda: reference_fit_coefficients(entry, pair))
+        assert want[0] is {"grid_mismatch": GridMismatchError, "overflow": ValidationError}.get(
+            case, IdentifiabilityError)
+
+    def test_collinear_pair_builds_and_raises_at_fit(self, grid02):
+        s = make_spectrum(DEFAULT_NVM_SHAPE, grid02, 1.0)
+        pair = BasisPair(s, s)
+        with pytest.raises(IdentifiabilityError, match="collinear"):
+            fit_coefficients(s, pair)
+
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_pair_order_is_triu_indices(self, n):
+        got, want = basisfit._pair_indices(n), np.triu_indices(n, 1)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_threads_share_one_basis_pair(default_basis):
+    """Eight threads (more than the two cores the suite is sized for) fit on one fresh pair
+    whose Gram terms none has computed yet, with a short switch interval so they interleave
+    inside the first fit; every result equals the single-thread one bit for bit."""
+    series = mixture_series(default_basis, [(1e4, 5e4), (1.0, -0.5), (2e4, 3e4), (-1.0, -1.0),
+                                            (5e3, 6e4)], 11)
+    entry = series.entries[2][1]
+    want_table = table_hex(fit_series(series, default_basis))
+    want_single = list(map(float.hex, fit_coefficients(entry, default_basis)))
+    shared = BasisPair(default_basis.s0, default_basis.sminus)
+    start = threading.Barrier(8)
+    results, failures = [], []
+
+    def work():
+        try:
+            start.wait(timeout=30)
+            for _ in range(20):
+                single = list(map(float.hex, fit_coefficients(entry, shared)))
+                results.append((single, table_hex(fit_series(series, shared))))
+        except Exception as exc:  # reported through ``failures``, not lost in the thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert len(results) == 8 * 20
+    assert all(r == (want_single, want_table) for r in results)
 
 
 class TestScaleFactorArithmetic:

@@ -325,7 +325,7 @@ class TestOptimizeScaleFactor:
         search = ScaleSearchConfig(f_min, f_min + width)
         with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.simplefilter("ignore", NonPhysicalWarning)
-            f = _l1_scale_factor(xs, r_low, r_diff, search)
+            f = _l1_scale_factor(np.diff(xs), r_low, r_diff, search)
         assert search.f_min <= f <= search.f_max
 
         def objective(fs):

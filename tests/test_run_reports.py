@@ -225,18 +225,18 @@ _PRINTED = (
     "  /dev/fd/3  sha256=null\n"
     "parameters:\n"
     "  f_range = 1:50\n"
-    "  params = {'grid': {'lo': 600.0, 'step': 0.2}, 'fields': [170, 975.5]}\n"
+    "  params = {\"grid\": {\"lo\": 600.0, \"step\": 0.2}, \"fields\": [170, 975.5]}\n"
     "  seed = 3\n"
-    "  unconstrained = False\n"
+    "  unconstrained = false\n"
     "outputs:\n"
     "  a.csv\n"
     "  b c.csv\n"
     "diagnostics:\n"
     "  big = 1e+300\n"
     "  f = 6.12346\n"
-    "  f_at_bound = True\n"
+    "  f_at_bound = true\n"
     "  noise = poisson\n"
-    "  nvm_fraction_mean = None\n"
+    "  nvm_fraction_mean = null\n"
     "  rows = 24\n"
     "  zpl_metric = 1.5e-07\n"
 )
