@@ -178,10 +178,12 @@ def fit_coefficients(
 ) -> tuple[float, float, float]:
     """Least-squares coefficients of ``s`` in the basis, and the RMS misfit.
 
-    With ``nonneg`` (the default) coefficients are constrained to be
-    nonnegative; pass ``nonneg=False`` for the plain unconstrained fit.
+    With ``nonneg`` (the default) coefficients are constrained to be nonnegative; pass
+    ``nonneg=False`` for the plain unconstrained fit. A non-finite fit raises as in fit_series.
     """
-    return _solver(basis, s.wavelengths, nonneg)(s.intensities)
+    fit = _solver(basis, s.wavelengths, nonneg)(s.intensities)
+    CoefficientTable._of_block(np.array([(0.0, *fit)]).T)  # the table's finiteness check
+    return fit
 
 
 def fit_series(series: FieldSeries, basis: BasisPair, *, nonneg: bool = True) -> CoefficientTable:

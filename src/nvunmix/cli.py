@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 2 validation/parse error, 3 numerical error
 (singularity/identifiability), 4 I/O error. ``fileio`` reads every input file
-(JSON through ``load_json``) and writes every CSV and JSON output. Each command
-returns a ``_Run``; ``main`` saves its report, capturing inputs (with hashes),
-effective parameters, outputs and diagnostics, after every output is written, and
-then prints its message.
+(JSON through ``load_json``) and writes every output file, ``render``'s included.
+Each command returns a ``_Run``; ``main`` saves its report, capturing inputs (with
+hashes), effective parameters, outputs and diagnostics, after every output is
+written, and then prints its message.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .fileio import RunReport, load_json, load_map, load_spectrum, map_paths
-from .fileio import save_csv, save_json, save_map, save_spectrum
+from .fileio import _save_bytes, save_csv, save_json, save_map, save_spectrum
 from .filters import FilterModel, TabulatedFilter, TransmissivityPair, transmissivity
 from .maps import PLMap, field_unmix, filter_unmix, fraction_map
 from .render import render_map_pgm, render_spectrum_svg
@@ -396,8 +396,7 @@ def cmd_render(args) -> _Run:
         data = render_map_pgm(load_map(args.map), clamp_negative=args.clamp, clip=clip)
         run.inputs = list(map_paths(args.map))
         run.parameters = {"clamp": args.clamp, "clip": args.clip}
-    with open(args.out, "wb") as fh:
-        fh.write(data)
+    _save_bytes(args.out, data)
     run.outputs.append(args.out)
     run.diagnostics["bytes"] = len(data)
     run.message = f"wrote {args.out} ({len(data)} bytes)"

@@ -1,15 +1,15 @@
 """Readers and writers for the spec-csv v1 and plmap v1 formats, plus run reports.
 
-Every CSV and JSON file the package writes is written here. ``save_csv``
+Every file the package writes is opened here, by ``_replacing``. ``save_csv``
 writes equal-length float columns with ``repr``, so save/load round trips are
 bit-exact, formatting at most ``_WRITE_VALUES`` values (or one row) per write;
-``save_json`` writes every JSON file. ``_read`` reads an input's bytes once, so
-pipes and FIFOs load like files, and checks once that they are UTF-8 (ASCII needs
-no decode; other bytes are decoded once and the text dropped), naming the first
-bad byte's absolute offset. ``_rows`` parses a CSV input's bytes with one
-``np.loadtxt`` call or, where that declines, line by line (the only source of parse
-errors). Each loader runs each check once on those rows; ``_line_no`` finds a
-failing row's line.
+``save_json`` writes every JSON file and ``_save_bytes`` ``render``'s bytes.
+``_read`` reads an input's bytes once, so pipes and FIFOs load like files, and
+checks once that they are UTF-8 (ASCII needs no decode; other bytes are decoded
+once and the text dropped), naming the first bad byte's absolute offset. ``_rows``
+parses a CSV input's bytes with one ``np.loadtxt`` call or, where that declines,
+line by line (the only source of parse errors). Each loader runs each check once
+on those rows; ``_line_no`` finds a failing row's line.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import io
 import itertools
 import json
 import os
+import stat
 import warnings
 from dataclasses import dataclass, field
 
@@ -49,6 +50,27 @@ def _check_negative_mode(mode: str) -> None:
         raise ValidationError(f"negative mode must be one of {_NEGATIVE_MODES}, got {mode!r}")
 
 
+def _replacing(path: str, flags: int) -> int:
+    """``open``'s opener for every output: a regular file that this user owns and may write is
+    unlinked and created anew with its mode bits; any other path opens as ``open`` opens it."""
+    try:
+        st = os.lstat(path)
+        fresh = stat.S_ISREG(st.st_mode) and st.st_uid == os.geteuid() and os.access(path, os.W_OK)
+        if fresh:
+            os.unlink(path)
+    except (OSError, AttributeError):  # no such path, or a refused unlink; no os.geteuid
+        fresh = False
+    fd = os.open(path, flags, 0o666)
+    if fresh:
+        os.fchmod(fd, stat.S_IMODE(st.st_mode))
+    return fd
+
+
+def _save_bytes(path: str | os.PathLike, data: bytes) -> None:
+    with open(path, "wb", opener=_replacing) as fh:
+        fh.write(data)
+
+
 _WRITE_VALUES = 1024  # values save_csv formats per write (one row at least)
 
 
@@ -58,7 +80,7 @@ def save_csv(path: str | os.PathLike, header: str | None, columns) -> None:
     width, n = len(columns), len(columns[0])
     step = max(1, _WRITE_VALUES // width)
     row = ",".join(["%r"] * width) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n", opener=_replacing) as fh:
         if header is not None:
             fh.write(header + "\n")
         for i in range(0, n, step):
@@ -71,7 +93,7 @@ def save_csv(path: str | os.PathLike, header: str | None, columns) -> None:
 
 def save_json(path: str | os.PathLike, value) -> None:
     """Write ``value`` as JSON with sorted keys and two-space indents."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n", opener=_replacing) as fh:
         json.dump(value, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -264,10 +286,19 @@ def _sha256(path: str | os.PathLike) -> str:
     return digest.hexdigest()
 
 
+def _file_id(path: str | os.PathLike) -> tuple[int, int] | None:
+    """The (device, inode) of the regular file at ``path``, symlinks followed, else None."""
+    try:
+        st = os.stat(path)
+    except (OSError, ValueError):  # as os.path.isfile
+        return None
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+
+
 @dataclass
 class RunReport:
-    """Record of one CLI run: inputs (with sha256 digests, None for an input that
-    is not a regular file), effective parameters, produced outputs, and diagnostics."""
+    """Record of one CLI run: inputs (with sha256 digests, None for one that is not a regular
+    file or is the file of an output), effective parameters, outputs, and diagnostics."""
 
     command: str
     inputs: list[tuple[str, str | None]] = field(default_factory=list)
@@ -285,9 +316,11 @@ class RunReport:
         outputs: list[str],
         diagnostics: dict,
     ) -> "RunReport":
+        written = {_file_id(p) for p in outputs}
         return cls(
             command=command,
-            inputs=[(p, _sha256(p) if os.path.isfile(p) else None) for p in input_paths],
+            inputs=[(p, _sha256(p) if (f := _file_id(p)) and f not in written else None)
+                    for p in input_paths],
             parameters=dict(parameters),
             outputs=list(outputs),
             diagnostics=dict(diagnostics),

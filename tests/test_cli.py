@@ -1,6 +1,9 @@
 """End-to-end CLI flows against synthetic data in temporary directories."""
 
+import errno
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -445,6 +448,46 @@ class TestRenderAndReportCommands:
         second = build_parser().parse_args(["render", "--out", "b.svg"])
         assert (first.clip, first.clamp) == ("0:1", True)
         assert (second.out, second.clip, second.clamp) == ("b.svg", None, False)
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull) or os.name != "posix",
+                        reason="needs the /dev/null character device")
+    def test_render_to_dev_null_writes_through_the_device(self, tmp_path, monkeypatch, capsys):
+        save_map(PLMap(np.arange(12.0).reshape(3, 4)), tmp_path / "m")
+        unlink = os.unlink
+
+        def guarded(path, *args, **kwargs):  # an opener at fault fails here, not on the device
+            assert os.path.abspath(path) != os.devnull, "the opener unlinked /dev/null"
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", guarded)
+        assert main(["render", "--map", str(tmp_path / "m"), "--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert capsys.readouterr().out.startswith(f"wrote {os.devnull} (")
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    @pytest.mark.parametrize("argv, first", [
+        (["render", "--map", "{d}/m", "--out", "{out}"], "{out}"),
+        (["decompose", "--low", "{d}/low.csv", "--high", "{d}/high.csv", "--out-nv0", "{out}",
+          "--out-nvm", "{d}/nvm.csv"], "{out}"),
+        (["unmix-map-field", "--low", "{d}/m", "--high", "{d}/m", "--f", "2", "--out", "{out}"],
+         "{out}.nv0.json"),
+        (["transmissivity", "--spectrum", "{d}/s.csv", "--report", "{out}"], "{out}"),
+    ], ids=["render", "decompose", "unmix-map-field", "transmissivity-report"])
+    def test_output_that_cannot_be_opened_exits_4(self, tmp_path, grid02, capsys, argv, first,
+                                                  where):
+        """One ``i/o error:`` line naming the first output, as ``open`` words it."""
+        save_map(PLMap(np.arange(12.0).reshape(3, 4)), tmp_path / "m")
+        save_spectrum(make_spectrum(CLEAN_NVM_SHAPE, grid02, 100.0), tmp_path / "s.csv")
+        write_low_high(tmp_path, grid02)
+        out = str(tmp_path / ("missing/out" if where == "missing directory" else "out"))
+        first = first.format(out=out)
+        if where == "directory":
+            os.mkdir(first)
+        code = errno.ENOENT if where == "missing directory" else errno.EISDIR
+        argv = [a.format(d=tmp_path, out=out) for a in argv]
+        assert main(argv) == 4
+        assert capsys.readouterr() == (
+            "", f"i/o error: [Errno {code}] {os.strerror(code)}: {first!r}\n")
 
     def test_render_requires_one_input(self, tmp_path):
         assert main(["render", "--out", str(tmp_path / "x.svg")]) == 2

@@ -1,6 +1,8 @@
 """File format round trips, parse errors, and run reports."""
 
 import json
+import os
+import stat
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -395,6 +397,108 @@ class TestCsvWriter:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+def _write_csv(path: Path, k: int) -> None:
+    fileio.save_csv(path, SPEC_CSV_HEADER, (np.array([600.0, 601.0]), np.array([1.0, 2.0 + k])))
+
+
+def _write_json(path: Path, k: int) -> None:
+    fileio.save_json(path, {"version": k})
+
+
+def _write_map(path: Path, k: int) -> None:
+    save_map(PLMap(np.full((2, 3), 1.0 + k)), path)  # path is the map's .csv
+
+
+def _write_render(path: Path, k: int) -> None:
+    stem = path.parent / f"render-input-{k}"
+    save_map(PLMap(np.arange(6.0).reshape(2, 3) * (1 + k)), stem)
+    assert main(["render", "--map", str(stem), "--out", str(path)]) == 0
+
+
+_WRITERS = {"save_csv": _write_csv, "save_json": _write_json, "save_map": _write_map,
+            "render": _write_render}
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid"), reason="needs POSIX owners, links and devices")
+@pytest.mark.parametrize("write", _WRITERS.values(), ids=_WRITERS)
+class TestOutputRewrite:
+    """An existing regular output that this user owns and may write is replaced by a new
+    file; every other path is opened and written as ``open`` alone would."""
+
+    def _first_version(self, tmp_path, write):
+        """``out.csv`` as ``write`` first writes it, its inode and bytes, and a reader open on
+        it. The reader keeps the old inode in use, so a new file cannot reuse its number."""
+        path = tmp_path / "out.csv"
+        write(path, 0)
+        reader = open(path, "rb")
+        return path, os.fstat(reader.fileno()).st_ino, path.read_bytes(), reader
+
+    def _first_write(self, tmp_path, write) -> bytes:
+        """The bytes of version 1 written where no file was."""
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        write(fresh / "out.csv", 1)
+        return (fresh / "out.csv").read_bytes()
+
+    def test_rewrite_is_a_new_file_with_first_write_bytes_and_old_mode(self, tmp_path, write):
+        path, old_ino, _, reader = self._first_version(tmp_path, write)
+        path.chmod(0o600)
+        with reader:
+            write(path, 1)
+            assert path.stat().st_ino != old_ino
+        assert path.read_bytes() == self._first_write(tmp_path, write)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+    def test_hard_link_and_open_reader_keep_the_old_bytes(self, tmp_path, write):
+        path, _, old, reader = self._first_version(tmp_path, write)
+        os.link(path, tmp_path / "link.csv")
+        with reader:
+            write(path, 1)
+            assert reader.read() == old
+        assert (tmp_path / "link.csv").read_bytes() == old
+        assert path.read_bytes() == self._first_write(tmp_path, write) != old
+
+    def test_symlink_is_written_through(self, tmp_path, write):
+        target = tmp_path / "target.csv"
+        write(target, 0)
+        ino = target.stat().st_ino
+        link = tmp_path / "out.csv"
+        link.symlink_to(target)
+        write(link, 1)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == self._first_write(tmp_path, write)
+        assert target.stat().st_ino == ino
+
+    @pytest.mark.parametrize("refuse", ["access", "geteuid", "no geteuid"])
+    def test_file_the_opener_may_not_replace_is_written_in_place(
+        self, tmp_path, monkeypatch, write, refuse
+    ):
+        if refuse == "access":
+            monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        elif refuse == "geteuid":
+            other = os.geteuid() + 1
+            monkeypatch.setattr(os, "geteuid", lambda: other)
+        else:
+            monkeypatch.delattr(os, "geteuid")
+        path, old_ino, _, reader = self._first_version(tmp_path, write)
+        with reader:
+            write(path, 1)
+            assert path.stat().st_ino == old_ino
+        assert path.read_bytes() == self._first_write(tmp_path, write)
+
+    def test_refused_unlink_writes_in_place(self, tmp_path, monkeypatch, write):
+        """A writable file in a directory that refuses the unlink is written as before."""
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        path, old_ino, _, reader = self._first_version(tmp_path, write)
+        with reader:
+            write(path, 1)
+            assert path.stat().st_ino == old_ino
+        assert path.read_bytes() == self._first_write(tmp_path, write)
 
 
 GOLDEN = Path(__file__).parent / "golden"

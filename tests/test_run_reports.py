@@ -7,6 +7,7 @@ each command saved its own report and printed its own line. Regenerate them
 ``write_golden_reports(Path("tests/golden/reports.json"))``.
 """
 
+import hashlib
 import io
 import json
 import tempfile
@@ -245,8 +246,25 @@ _PRINTED = (
 @pytest.mark.parametrize("report, printed", [
     (_REPORT, _PRINTED),
     ({"command": "render"}, "command:    render\ntimestamp:  \ninputs:\nparameters:\noutputs:\ndiagnostics:\n"),
-])
+], ids=["every_field", "command_only"])
 def test_report_run_prints_every_field(tmp_path, capsys, report, printed):
     (tmp_path / "r.json").write_text(json.dumps(report))
     assert main(["report", "--run", str(tmp_path / "r.json")]) == 0
     assert capsys.readouterr() == (printed, "")
+
+
+@pytest.mark.parametrize("spelling", ["same path", "symlink"])
+def test_input_the_run_wrote_over_has_null_digest(inputs, spelling):
+    """An input that is now one of the run's outputs would get the output's digest."""
+    out = inputs / "low.csv"
+    if spelling == "symlink":
+        (inputs / "link.csv").symlink_to(out)
+        out = inputs / "link.csv"
+    argv = ["decompose", "--low", str(inputs / "low.csv"), "--high", str(inputs / "high.csv"),
+            "--out-nv0", str(out), "--out-nvm", str(inputs / "nvm.csv"),
+            "--report", str(inputs / "r.json")]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    report = json.loads((inputs / "r.json").read_text())
+    high = hashlib.sha256((inputs / "high.csv").read_bytes()).hexdigest()
+    assert report["inputs"] == [[str(inputs / "low.csv"), None], [str(inputs / "high.csv"), high]]
