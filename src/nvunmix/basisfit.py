@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -57,25 +57,30 @@ class FieldSeries:
             raise GridMismatchError("series spectra are on different grids; use ingest()")
 
     @classmethod
-    def ingest(cls, entries: Sequence[tuple[float, Spectrum]]) -> "FieldSeries":
+    def ingest(cls, entries: Iterable[tuple[float, Spectrum]]) -> "FieldSeries":
         """Build a series, resampling every spectrum onto a shared grid.
 
         The target is the first spectrum's grid restricted to the wavelength
-        range common to all entries; every entry shares that one grid array.
+        range common to all entries; every entry shares that one grid array,
+        and one with the first entry's grid bytes takes that grid as it arrives.
         """
-        if len(entries) == 0:
+        entries = iter(entries)
+        if (head := next(entries, None)) is None:
             return cls(())
-        spans = [s.span for _, s in entries]
+        held, key = [head], head[1].wavelengths.tobytes()
+        for b, s in entries:  # s's own grid goes before the next entry is read
+            if s.wavelengths is not head[1].wavelengths and s.wavelengths.tobytes() == key:
+                s = _on_grid(head[1], s.intensities)
+            held.append((b, s))
+        spans = [s.span for _, s in held]
         lo, hi = max(a for a, _ in spans), min(b for _, b in spans)
-        base = entries[0][1].wavelengths
+        base = head[1].wavelengths
         grid = base[(base >= lo) & (base <= hi)]
         if grid.size < 2:
             raise ValidationError("series spectra share no usable wavelength range")
-        first = resample(entries[0][1], grid)
-        g, key = first.wavelengths, first.wavelengths.tobytes()  # resample keeps value-equal grids
-        ys = [s.intensities if s.wavelengths is g or s.wavelengths.tobytes() == key
-              else resample(s, g).intensities for _, s in entries]
-        return cls(tuple((b, _on_grid(first, y)) for (b, _), y in zip(entries, ys)))
+        first = resample(head[1], grid)  # head's spectrum itself when grid equals base
+        return cls(tuple((b, s if s.wavelengths is first.wavelengths else _on_grid(
+            first, resample(s, first.wavelengths).intensities)) for b, s in held))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -263,13 +268,21 @@ def scale_factor_surface(table: CoefficientTable) -> ScaleFactorSurface:
     if len(table) < 2:
         raise ValidationError("surface needs at least two table rows")
     i, j = _pair_indices(len(table))
-    b = table.b_fields
-    den = table.cminus[i] - table.cminus[j]
-    ok = den != 0.0
-    columns = (b[i[ok]], b[j[ok]], table.cminus[i[ok]] / den[ok], b[i[~ok]], b[j[~ok]])
+    b, cm_i = table.b_fields, table.cminus[i]
+    den, skipped = cm_i - table.cminus[j], (np.empty(0), np.empty(0))
+    if not (ok := den != 0.0).all():  # gathers only where some pair is singular
+        skipped, i, j, cm_i, den = (b[i[~ok]], b[j[~ok]]), i[ok], j[ok], cm_i[ok], den[ok]
+    columns = (b[i], b[j], np.divide(cm_i, den, out=den), *skipped)
     for c in columns:
         c.flags.writeable = False
     return ScaleFactorSurface(*columns)
+
+
+def _surface_sizes(table: CoefficientTable) -> tuple[int, int]:
+    """``scale_factor_surface(table)``'s ``f.size`` and ``skipped_b1.size``, not built."""
+    _, ties = np.unique(table.cminus, return_counts=True)  # equal amplitudes (-0.0 == 0.0)
+    skipped = int((ties * (ties - 1) // 2).sum())  # each pair within a group is singular
+    return len(table) * (len(table) - 1) // 2 - skipped, skipped
 
 
 def find_full_mixing_field(table: CoefficientTable) -> float:

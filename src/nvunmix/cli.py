@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 validation/parse error, 3 numerical error
 (singularity/identifiability), 4 I/O error. ``fileio`` reads every input file
 (JSON through ``load_json``) and writes every output file, ``render``'s included.
 Each command returns a ``_Run``; ``main`` saves its report, capturing inputs (with
-hashes), effective parameters, outputs and diagnostics, after every output is
-written, and then prints its message.
+the digests of the bytes the run read), effective parameters, outputs and
+diagnostics, after every output is written, and then prints its message.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .basisfit import FieldSeries, fit_series, scale_factor_surface
+from .basisfit import FieldSeries, _surface_sizes, fit_series, scale_factor_surface
 from .decompose import ScaleSearchConfig, ZplArtifactConfig, decompose
 from .errors import (
     IdentifiabilityError,
@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .fileio import RunReport, load_json, load_map, load_spectrum, map_paths
-from .fileio import _save_bytes, save_csv, save_json, save_map, save_spectrum
+from .fileio import _run_digests, _save_bytes, save_csv, save_json, save_map, save_spectrum
 from .filters import FilterModel, TabulatedFilter, TransmissivityPair, transmissivity
 from .maps import PLMap, field_unmix, filter_unmix, fraction_map
 from .render import render_map_pgm, render_spectrum_svg
@@ -141,20 +141,22 @@ def cmd_fit_series(args) -> _Run:
     if args.out_surface and len(manifest) < 2:
         raise ValidationError(f"{args.series}: --out-surface needs at least two field entries")
     base_dir = os.path.dirname(os.path.abspath(args.series))
-    entries = []
-    for i, item in enumerate(manifest):
-        path = item.get("path") if isinstance(item, dict) else None
-        if not isinstance(path, str) or "\0" in path:
-            raise ParseError(f"{args.series}: entry {i} needs a file name string 'path'")
-        try:
-            b_field = float(item["b_field_gauss"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"{args.series}: entry {i} needs a numeric 'b_field_gauss'") from exc
-        path = os.path.join(base_dir, path)  # an absolute path replaces base_dir
-        run.inputs.append(path)
-        entries.append((b_field, load_spectrum(path, negative=args.negative)))
-    series = FieldSeries.ingest(entries)
-    del entries  # the series shares one grid; drop the loaded spectra's own grids
+
+    def entries():  # loaded as ingest asks, so each spectrum's own grid can go before the next
+        for i, item in enumerate(manifest):
+            path = item.get("path") if isinstance(item, dict) else None
+            if not isinstance(path, str) or "\0" in path:
+                raise ParseError(f"{args.series}: entry {i} needs a file name string 'path'")
+            try:
+                b_field = float(item["b_field_gauss"])
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(
+                    f"{args.series}: entry {i} needs a numeric 'b_field_gauss'") from exc
+            path = os.path.join(base_dir, path)  # an absolute path replaces base_dir
+            run.inputs.append(path)
+            yield b_field, load_spectrum(path, negative=args.negative)
+
+    series = FieldSeries.ingest(entries())
     grid = series.entries[0][1].wavelengths
     if not np.array_equal(basis.grid, grid):
         basis = BasisPair.from_spectra(
@@ -163,16 +165,13 @@ def cmd_fit_series(args) -> _Run:
     table = fit_series(series, basis, nonneg=not args.unconstrained)
     save_csv(args.out_table, "b_gauss,c0,cminus,residual",
              (table.b_fields, table.c0, table.cminus, table.residuals))
-    surface = scale_factor_surface(table) if len(table) >= 2 else None
     run.outputs.append(args.out_table)
     if args.out_surface:
+        surface = scale_factor_surface(table)
         save_csv(args.out_surface, "b1,b2,f", (surface.b1, surface.b2, surface.f))
         run.outputs.append(args.out_surface)
-    run.diagnostics = {
-        "rows": len(table),
-        "surface_pairs": surface.f.size if surface else 0,
-        "surface_skipped": surface.skipped_b1.size if surface else 0,
-    }
+    pairs, skipped = _surface_sizes(table)  # counted: a surface is built only to be written
+    run.diagnostics = {"rows": len(table), "surface_pairs": pairs, "surface_skipped": skipped}
     run.message = f"fitted {len(table)} spectra  report = {run.report}"
     return run
 
@@ -523,11 +522,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        run = args.func(args)
-        if run.report:
-            RunReport.create(
-                run.command, run.inputs, run.parameters, run.outputs, run.diagnostics
-            ).save(run.report)
+        with _run_digests():
+            run = args.func(args)
+            if run.report:
+                RunReport.create(
+                    run.command, run.inputs, run.parameters, run.outputs, run.diagnostics
+                ).save(run.report)
     except (SingularityError, IdentifiabilityError, NoMinimumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL

@@ -4,7 +4,8 @@ Every file the package writes is opened here, by ``_replacing``. ``save_csv``
 writes equal-length float columns with ``repr``, so save/load round trips are
 bit-exact, formatting at most ``_WRITE_VALUES`` values (or one row) per write;
 ``save_json`` writes every JSON file and ``_save_bytes`` ``render``'s bytes.
-``_read`` reads an input's bytes once, so pipes and FIFOs load like files, and
+``_read`` reads an input's bytes once, so pipes and FIFOs load like files. Inside
+a run's scope (``_run_digests``) it hashes those bytes for the run's report. It
 checks once that they are UTF-8 (ASCII needs no decode; other bytes are decoded
 once and the text dropped), naming the first bad byte's absolute offset. ``_rows``
 parses a CSV input's bytes with one ``np.loadtxt`` call or, where that declines,
@@ -14,6 +15,8 @@ on those rows; ``_line_no`` finds a failing row's line.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import datetime as _dt
 import hashlib
 import io
@@ -98,10 +101,25 @@ def save_json(path: str | os.PathLike, value) -> None:
         fh.write("\n")
 
 
+_DIGESTS = contextvars.ContextVar("_DIGESTS", default=None)  # the run's {path: sha256} or None
+
+
+@contextlib.contextmanager
+def _run_digests():
+    """A run's scope: ``_read`` records each input's digest, and ``RunReport.create`` takes it."""
+    token = _DIGESTS.set({})
+    try:
+        yield
+    finally:
+        _DIGESTS.reset(token)
+
+
 def _read(path: str | os.PathLike) -> bytes:
-    """``path``'s bytes, read once; bytes that are not UTF-8 raise ``ParseError``."""
+    """``path``'s bytes, read once (and hashed in a run); bytes not UTF-8 raise ``ParseError``."""
     with open(path, "rb") as fh:
         data = fh.read()
+    if (digests := _DIGESTS.get()) is not None:
+        digests[os.fspath(path)] = hashlib.sha256(data).hexdigest()
     if not data.isascii():
         try:
             data.decode("utf-8")
@@ -275,30 +293,13 @@ def load_map(path: str | os.PathLike, *, negative: str = "allow") -> PLMap:
         raise ParseError(
             f"{csv_path}: expected {height} rows for a {width}x{height} map, got {len(values)}"
         )
-    return PLMap(_apply_negative(values, data, negative, csv_path), pitch)
-
-
-def _sha256(path: str | os.PathLike) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _file_id(path: str | os.PathLike) -> tuple[int, int] | None:
-    """The (device, inode) of the regular file at ``path``, symlinks followed, else None."""
-    try:
-        st = os.stat(path)
-    except (OSError, ValueError):  # as os.path.isfile
-        return None
-    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+    return PLMap._of_fresh(_apply_negative(values, data, negative, csv_path), pitch)
 
 
 @dataclass
 class RunReport:
-    """Record of one CLI run: inputs (with sha256 digests, None for one that is not a regular
-    file or is the file of an output), effective parameters, outputs, and diagnostics."""
+    """Record of one CLI run: inputs (with the sha256 of the bytes the run read, None for one
+    it did not read), effective parameters, outputs, and diagnostics."""
 
     command: str
     inputs: list[tuple[str, str | None]] = field(default_factory=list)
@@ -316,11 +317,10 @@ class RunReport:
         outputs: list[str],
         diagnostics: dict,
     ) -> "RunReport":
-        written = {_file_id(p) for p in outputs}
+        digests = _DIGESTS.get() or {}
         return cls(
             command=command,
-            inputs=[(p, _sha256(p) if (f := _file_id(p)) and f not in written else None)
-                    for p in input_paths],
+            inputs=[(p, digests.get(p)) for p in input_paths],
             parameters=dict(parameters),
             outputs=list(outputs),
             diagnostics=dict(diagnostics),

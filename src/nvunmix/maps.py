@@ -40,15 +40,22 @@ class PLMap:
     pixel_pitch_um: float = 1.0
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float, copy=True)
+        checked = self._of_fresh(np.array(self.values, dtype=float, copy=True), self.pixel_pitch_um)
+        object.__setattr__(self, "values", checked.values)
+
+    @classmethod
+    def _of_fresh(cls, v: NDArray[np.float64], pixel_pitch_um: float) -> "PLMap":
+        """A map holding ``v``, a fresh float array no caller holds, after every map's checks."""
         if v.ndim != 2 or v.size < 1:
             raise ValidationError("map values must be a non-empty 2-D grid")
         if not np.all(np.isfinite(v)):
             raise ValidationError("map values must be finite")
-        if not (np.isfinite(self.pixel_pitch_um) and self.pixel_pitch_um > 0.0):
+        if not (np.isfinite(pixel_pitch_um) and pixel_pitch_um > 0.0):
             raise ValidationError("pixel_pitch_um must be positive")
         v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        m = object.__new__(cls)
+        m.__dict__.update(values=v, pixel_pitch_um=pixel_pitch_um)
+        return m
 
     @property
     def height(self) -> int:
@@ -94,8 +101,8 @@ def field_unmix(low_b: PLMap, high_b: PLMap, f: float) -> UnmixedMaps:
     nvm = f * diff
     nv0 = low_b.values - nvm
     return UnmixedMaps(
-        PLMap(nv0, low_b.pixel_pitch_um),
-        PLMap(nvm, low_b.pixel_pitch_um),
+        PLMap._of_fresh(nv0, low_b.pixel_pitch_um),
+        PLMap._of_fresh(nvm, low_b.pixel_pitch_um),
         _count_negative(nv0, nvm, low_b, high_b),
     )
 
@@ -115,8 +122,8 @@ def filter_unmix(m0: PLMap, mlpf: PLMap, t: TransmissivityPair) -> UnmixedMaps:
     nv0 = (mlpf.values - t.tminus * m0.values) / den
     nvm = (t.t0 * m0.values - mlpf.values) / den
     return UnmixedMaps(
-        PLMap(nv0, m0.pixel_pitch_um),
-        PLMap(nvm, m0.pixel_pitch_um),
+        PLMap._of_fresh(nv0, m0.pixel_pitch_um),
+        PLMap._of_fresh(nvm, m0.pixel_pitch_um),
         _count_negative(nv0, nvm, m0, mlpf),
     )
 
@@ -133,4 +140,4 @@ def fraction_map(unmixed: UnmixedMaps, total: PLMap) -> tuple[PLMap, int]:
     ok = tv > _REL_EPS * max(float(np.max(tv)), 0.0)
     fracm = np.zeros_like(tv)
     np.divide(unmixed.nvminus.values, tv, out=fracm, where=ok)
-    return PLMap(fracm, total.pixel_pitch_um), int(tv.size - np.count_nonzero(ok))
+    return PLMap._of_fresh(fracm, total.pixel_pitch_um), int(tv.size - np.count_nonzero(ok))

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -206,6 +207,25 @@ class TestFieldSeries:
         assert sb.intensities is b.intensities
         assert sc.intensities is not c.intensities
         assert sc.intensities.tobytes() == np.interp(grid, one_ulp, c.intensities).tobytes()
+
+    def test_ingest_takes_the_first_grid_as_each_entry_arrives(self, grid02):
+        """From a generator of spectra on equal grids in separate arrays, each entry after the
+        first drops its own grid before the next entry is read, and the series holds one grid."""
+        own_grids = []
+
+        def entries():
+            for b in (170.0, 400.0, 700.0, 975.0):
+                s = make_spectrum(DEFAULT_NVM_SHAPE, grid02.copy(), b)
+                own_grids.append(weakref.ref(s.wavelengths))
+                yield b, s
+                del s
+                assert [g() is None for g in own_grids] == [False] + [True] * (len(own_grids) - 1)
+
+        series = FieldSeries.ingest(entries())
+        grid = own_grids[0]()
+        assert grid is not None
+        assert all(s.wavelengths is grid for _, s in series.entries)
+        assert FieldSeries.ingest(iter(())).entries == ()
 
 
 class TestFitSeries:
@@ -551,6 +571,28 @@ class TestScaleFactorArithmetic:
         assert scaled == pytest.approx(ref, rel=1e-12)
 
 
+def surface_matching_oracle(cms):
+    """The surface of ``cms`` at fields 100, 200, ..., after checking it against the pairwise
+    oracle: each row is scale_factor_from_nvminus bit for bit, and skipped holds exactly the
+    equal pairs."""
+    bs = [100.0 * (k + 1) for k in range(len(cms))]
+    surf = scale_factor_surface(table_from(bs, cms))
+    rows, skipped = [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonPhysicalWarning)
+        for i in range(len(cms)):
+            for j in range(i + 1, len(cms)):
+                if cms[i] == cms[j]:
+                    skipped.append((bs[i], bs[j]))
+                else:
+                    rows.append((bs[i], bs[j], scale_factor_from_nvminus(cms[i], cms[j])))
+    assert [tuple(map(float.hex, r)) for r in surf.rows] == [
+        tuple(map(float.hex, r)) for r in rows
+    ]
+    assert surf.skipped == tuple(skipped)
+    return surf
+
+
 class TestScaleFactorSurface:
     def test_two_rows_single_pair(self):
         surf = scale_factor_surface(table_from([170.0, 975.0], [620.0, 520.0]))
@@ -590,21 +632,34 @@ class TestScaleFactorSurface:
     )
     def test_matches_pairwise_oracle(self, cms):
         """Each row is scale_factor_from_nvminus bit for bit; skipped holds exactly the equal pairs."""
-        bs = [100.0 * (k + 1) for k in range(len(cms))]
-        surf = scale_factor_surface(table_from(bs, cms))
-        rows, skipped = [], []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NonPhysicalWarning)
-            for i in range(len(cms)):
-                for j in range(i + 1, len(cms)):
-                    if cms[i] == cms[j]:
-                        skipped.append((bs[i], bs[j]))
-                    else:
-                        rows.append((bs[i], bs[j], scale_factor_from_nvminus(cms[i], cms[j])))
-        assert [tuple(map(float.hex, r)) for r in surf.rows] == [
-            tuple(map(float.hex, r)) for r in rows
-        ]
-        assert surf.skipped == tuple(skipped)
+        surface_matching_oracle(cms)
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=12, unique=True))
+    def test_matches_pairwise_oracle_with_no_singular_pair(self, cms):
+        """Distinct amplitudes (unique counts -0.0 and 0.0 as one) take the path without
+        gathers: the same bits, and empty read-only skipped columns."""
+        surf = surface_matching_oracle(cms)
+        for column in (surf.skipped_b1, surf.skipped_b2):
+            assert column.dtype == np.float64 and column.shape == (0,)
+            assert not column.flags.writeable
+
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 520.0, 620.0]), st.floats(-1e6, 1e6)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_sizes_match_the_surface(self, cms):
+        """The counts fit-series reports without building a surface equal the surface's column
+        sizes, with ties and signed zeros (0.0 and -0.0 tie, as den == 0.0 does)."""
+        table = table_from([100.0 * (k + 1) for k in range(len(cms))], cms)
+        sizes = basisfit._surface_sizes(table)
+        if len(cms) < 2:
+            assert sizes == (0, 0)
+        else:
+            surf = scale_factor_surface(table)
+            assert sizes == (surf.f.size, surf.skipped_b1.size)
 
 
 class TestFindFullMixingField:

@@ -1,6 +1,7 @@
 """End-to-end CLI flows against synthetic data in temporary directories."""
 
 import errno
+import hashlib
 import json
 import os
 import stat
@@ -148,15 +149,18 @@ class TestTransmissivityCommand:
         assert got == pytest.approx(0.9 * 205.0 / 300.0, rel=1e-3)
 
     def test_piped_spectrum_reads_once(self, tmp_path, capsys, piped):
+        """A pipe is read once, and the report records the sha256 of the bytes piped."""
         grid = np.linspace(550.0, 850.0, 1501)
         save_spectrum(Spectrum(grid, np.full_like(grid, 3.0)), tmp_path / "flat.csv")
-        path = piped((tmp_path / "flat.csv").read_bytes())
+        data = (tmp_path / "flat.csv").read_bytes()
+        path = piped(data)
         rc = main(["transmissivity", "--spectrum", path, "--report", str(tmp_path / "r.json")])
         assert rc == 0
         assert capsys.readouterr().out.strip() == "0.615"
-        assert RunReport.load(tmp_path / "r.json").inputs == [(path, None)]
+        digest = hashlib.sha256(data).hexdigest()
+        assert RunReport.load(tmp_path / "r.json").inputs == [(path, digest)]
         assert main(["report", "--run", str(tmp_path / "r.json")]) == 0
-        assert f"  {path}  sha256=null\n" in capsys.readouterr().out
+        assert f"  {path}  sha256={digest}\n" in capsys.readouterr().out
 
 
 class TestMapCommands:
@@ -388,6 +392,41 @@ class TestSweepFlow:
         report = RunReport.load(tmp_path / "table.report.json")
         assert report.diagnostics["surface_pairs"] == len(surface.rows)
         assert report.diagnostics["surface_skipped"] == len(surface.skipped)
+
+    def test_fit_series_holds_one_grid_and_builds_the_surface_only_to_write_it(
+            self, tmp_path, monkeypatch):
+        """Every entry of the fitted series shares one grid object. Without --out-surface the
+        report's surface counts are those of the surface, which is not built."""
+        params = tmp_path / "sweep.json"
+        params.write_text(json.dumps({
+            "fields": [170.0, 400.0, 700.0, 829.0, 975.0], "noise": {"kind": "none"},
+            "grid": {"lo": 600.0, "hi": 700.0, "step": 0.5}}))
+        assert main(["simulate", "sweep", "--params", str(params), "--out", str(tmp_path / "sw")]) == 0
+        sweep = tmp_path / "sw"
+        argv = ["fit-series", "--basis-nv0", str(sweep / "spec_00170.0G.csv"),
+                "--basis-nvm", str(sweep / "spec_00975.0G.csv"),
+                "--series", str(sweep / "manifest.json"), "--out-table", str(tmp_path / "t.csv")]
+        fitted = []
+
+        def seen(series, *args, **kwargs):
+            fitted.append(series)
+            return fit_series(series, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr("nvunmix.cli.fit_series", seen)
+            assert main(argv + ["--out-surface", str(tmp_path / "s.csv")]) == 0
+        (series,) = fitted
+        grid = series.entries[0][1].wavelengths
+        assert len(series) == 5 and all(s.wavelengths is grid for _, s in series.entries)
+        with_surface = RunReport.load(tmp_path / "t.report.json").diagnostics
+
+        def unbuilt(table):
+            raise AssertionError("fit-series built a surface it does not write")
+
+        with monkeypatch.context() as m:
+            m.setattr("nvunmix.cli.scale_factor_surface", unbuilt)
+            assert main(argv) == 0
+        assert RunReport.load(tmp_path / "t.report.json").diagnostics == with_surface
 
     @pytest.mark.parametrize(
         "manifest",

@@ -1,8 +1,10 @@
 """File format round trips, parse errors, and run reports."""
 
+import hashlib
 import json
 import os
 import stat
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -319,27 +321,52 @@ class TestFastPathOracle:
 
 class TestRunReport:
     def test_round_trip_and_hashing(self, tmp_path):
+        """Inside a run's scope, an input gets the sha256 of the bytes the run read there;
+        an input the run did not read, or a report made outside a run, gets None."""
         data = tmp_path / "in.csv"
         save_spectrum(Spectrum([600.0, 601.0], [1.0, 2.0]), data)
-        report = RunReport.create(
-            "decompose", [str(data)], {"f_range": "1:50"}, ["out.csv"], {"f": 6.2}
-        )
+        digest = hashlib.sha256(data.read_bytes()).hexdigest()
+        with fileio._run_digests():
+            load_spectrum(data)
+            report = RunReport.create(
+                "decompose", [str(data), "unread.csv"], {"f_range": "1:50"}, ["out.csv"],
+                {"f": 6.2},
+            )
         path = tmp_path / "run.report.json"
         report.save(path)
         back = RunReport.load(path)
         assert back.command == "decompose"
         assert back.diagnostics["f"] == 6.2
-        assert back.inputs[0][0] == str(data)
-        assert len(back.inputs[0][1]) == 64  # sha256 hex
-        # hash is reproducible
-        again = RunReport.create("decompose", [str(data)], {}, [], {})
-        assert again.inputs[0][1] == back.inputs[0][1]
+        assert back.inputs == [(str(data), digest), ("unread.csv", None)]
+        with fileio._run_digests():  # each run starts with no digests
+            assert RunReport.create("decompose", [str(data)], {}, [], {}).inputs == [
+                (str(data), None)]
+            load_spectrum(data)
+            assert RunReport.create("decompose", [str(data)], {}, [], {}).inputs == [
+                (str(data), digest)]
+        assert RunReport.create("decompose", [str(data)], {}, [], {}).inputs == [(str(data), None)]
 
-    def test_input_that_is_not_a_regular_file_has_null_digest(self, tmp_path, piped):
+    def test_input_that_is_not_a_regular_file_has_the_digest_of_its_bytes(self, tmp_path, piped):
         path = piped(b"600.0,1.0\n")
-        RunReport.create("transmissivity", [path], {}, [], {}).save(tmp_path / "r.json")
-        assert json.loads((tmp_path / "r.json").read_text())["inputs"] == [[path, None]]
-        assert RunReport.load(tmp_path / "r.json").inputs == [(path, None)]
+        with fileio._run_digests():
+            load_spectrum(path)
+            RunReport.create("transmissivity", [path], {}, [], {}).save(tmp_path / "r.json")
+        digest = hashlib.sha256(b"600.0,1.0\n").hexdigest()
+        assert json.loads((tmp_path / "r.json").read_text())["inputs"] == [[path, digest]]
+        assert RunReport.load(tmp_path / "r.json").inputs == [(path, digest)]
+
+    def test_digests_are_not_shared_with_other_threads(self, tmp_path):
+        """A thread started inside a run's scope reads outside it, so its reads are not
+        the run's."""
+        data = tmp_path / "in.csv"
+        save_spectrum(Spectrum([600.0, 601.0], [1.0, 2.0]), data)
+        with fileio._run_digests():
+            thread = threading.Thread(target=load_spectrum, args=(data,))
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            assert RunReport.create("decompose", [str(data)], {}, [], {}).inputs == [
+                (str(data), None)]
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "r.json"

@@ -1,5 +1,7 @@
 """Per-pixel map decomposition by field differencing and filter inversion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,7 +17,10 @@ from nvunmix import (
     field_unmix,
     filter_unmix,
     fraction_map,
+    load_map,
+    save_map,
 )
+from nvunmix import fileio, maps
 
 
 def plmap(values, pitch=1.0):
@@ -177,3 +182,75 @@ class TestFractionMaps:
         assert fracminus.values[0, 0] == -0.5
         assert 1.0 - fracminus.values[0, 0] == 1.5  # NV0
 
+
+
+class TestFreshMaps:
+    """A map built from an array the package has just made holds that array, not a copy."""
+
+    def test_unmixed_maps_hold_the_computed_arrays(self, monkeypatch):
+        computed = []
+        count = maps._count_negative
+
+        def seen(nv0, nvm, *inputs):
+            computed.append((nv0, nvm))
+            return count(nv0, nvm, *inputs)
+
+        monkeypatch.setattr(maps, "_count_negative", seen)
+        a, b = random_map(1), random_map(2)
+        for unmixed in (field_unmix(a, b, 2.0), filter_unmix(a, b, TransmissivityPair(0.3, 0.8))):
+            nv0, nvm = computed.pop(0)
+            assert unmixed.nv0.values is nv0 and unmixed.nvminus.values is nvm
+            assert not nv0.flags.writeable and not nvm.flags.writeable
+
+    def test_fraction_map_allocates_one_map(self):
+        a, b = random_map(3, shape=(256, 256)), random_map(4, shape=(256, 256))
+        unmixed = field_unmix(a, b, 2.0)
+        tracemalloc.start()
+        try:
+            frac, _ = fraction_map(unmixed, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not frac.values.flags.writeable
+        assert peak < 1.5 * frac.values.nbytes  # the map and its mask; a copy would be 2x
+
+    def test_loaded_map_holds_the_parsed_array(self, tmp_path, monkeypatch):
+        save_map(random_map(5), tmp_path / "m")
+        parsed = []
+        rows = fileio._rows
+
+        def seen(*args):
+            parsed.append(rows(*args))
+            return parsed[-1]
+
+        monkeypatch.setattr(fileio, "_rows", seen)
+        m = load_map(tmp_path / "m")
+        assert m.values is parsed[0][0] and not m.values.flags.writeable
+
+    def test_fresh_map_keeps_its_array_and_pitch(self):
+        values = np.arange(6.0).reshape(2, 3)
+        m = PLMap._of_fresh(values, 0.25)
+        assert m.values is values and not values.flags.writeable
+        assert (m.width, m.height, m.pixel_pitch_um) == (3, 2, 0.25)
+
+    @pytest.mark.parametrize("values, pitch", [
+        (np.ones(5), 1.0),
+        (np.ones((0, 3)), 1.0),
+        (np.ones((2, 2, 2)), 1.0),
+        (np.array([[np.nan]]), 1.0),
+        (np.array([[1.0, np.inf]]), 1.0),
+        (np.array([[-np.inf, 1.0]]), 1.0),
+        (np.ones((2, 2)), 0.0),
+        (np.ones((2, 2)), -1.0),
+        (np.ones((2, 2)), np.nan),
+        (np.ones((2, 2)), np.inf),
+        (np.array([[np.nan]]), 0.0),  # the first failing check names the error
+        (np.ones(3), np.nan),
+    ], ids=["1-D", "empty", "3-D", "nan", "inf", "-inf", "zero-pitch", "negative-pitch",
+            "nan-pitch", "inf-pitch", "nan-and-zero-pitch", "1-D-and-nan-pitch"])
+    def test_fresh_map_rejects_as_plmap_does(self, values, pitch):
+        with pytest.raises(ValidationError) as want:
+            PLMap(values, pitch)
+        with pytest.raises(ValidationError) as got:
+            PLMap._of_fresh(values.copy(), pitch)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))

@@ -7,9 +7,11 @@ each command saved its own report and printed its own line. Regenerate them
 ``write_golden_reports(Path("tests/golden/reports.json"))``.
 """
 
+import builtins
 import hashlib
 import io
 import json
+import os
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nvunmix import PLMap, Spectrum, save_map, save_spectrum
+from nvunmix import PLMap, Spectrum, fileio, save_map, save_spectrum
 from nvunmix.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "reports.json"
@@ -254,8 +256,10 @@ def test_report_run_prints_every_field(tmp_path, capsys, report, printed):
 
 
 @pytest.mark.parametrize("spelling", ["same path", "symlink"])
-def test_input_the_run_wrote_over_has_null_digest(inputs, spelling):
-    """An input that is now one of the run's outputs would get the output's digest."""
+def test_input_the_run_wrote_over_has_the_digest_of_what_was_read(inputs, spelling):
+    """An input that is now one of the run's outputs keeps the digest of the bytes the run
+    read, not the output's."""
+    low = (inputs / "low.csv").read_bytes()
     out = inputs / "low.csv"
     if spelling == "symlink":
         (inputs / "link.csv").symlink_to(out)
@@ -265,6 +269,50 @@ def test_input_the_run_wrote_over_has_null_digest(inputs, spelling):
             "--report", str(inputs / "r.json")]
     with redirect_stdout(io.StringIO()):
         assert main(argv) == 0
+    assert (inputs / "low.csv").read_bytes() != low  # the run wrote over it
     report = json.loads((inputs / "r.json").read_text())
     high = hashlib.sha256((inputs / "high.csv").read_bytes()).hexdigest()
-    assert report["inputs"] == [[str(inputs / "low.csv"), None], [str(inputs / "high.csv"), high]]
+    assert report["inputs"] == [[str(inputs / "low.csv"), hashlib.sha256(low).hexdigest()],
+                                [str(inputs / "high.csv"), high]]
+
+
+def _file_events(monkeypatch, argv) -> list[tuple[str, str, str]]:
+    """Each ``("read", path, "")`` through ``fileio._read`` and ``("open", path, mode)``
+    through ``open`` of one successful run of ``argv``, in order."""
+    events = []
+    read, opened = fileio._read, builtins.open
+
+    def counted_read(path):
+        events.append(("read", os.fspath(path), ""))
+        return read(path)
+
+    def counted_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            events.append(("open", os.fspath(file), mode))
+        return opened(file, mode, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(fileio, "_read", counted_read)
+        m.setattr(builtins, "open", counted_open)
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    return events
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_each_input_is_read_once_before_any_output(inputs, monkeypatch, case):
+    """Every input a report names goes through ``_read`` and is opened once in the run, and
+    no input is opened once the run has begun writing; ``report --run`` reads its one report
+    once."""
+    argv, report = _CASES[case]
+    events = _file_events(monkeypatch, _fill(argv, inputs))
+    named = [path for path, _ in json.loads(Path(_fill(report, inputs)).read_text())["inputs"]]
+    assert len(set(named)) == len(named)
+    assert sorted(path for kind, path, _ in events if kind == "read") == sorted(named)
+    assert sorted(path for kind, path, _ in events if kind == "open" and path in named) == sorted(named)
+    first_write = next(k for k, (_, _, mode) in enumerate(events) if "w" in mode)
+    assert not [e for e in events[first_write:] if e[1] in named]
+
+    events = _file_events(monkeypatch, ["report", "--run", _fill(report, inputs)])
+    assert [e for e in events if e[0] == "read"] == [("read", _fill(report, inputs), "")]
+    assert not [e for e in events if "w" in e[2]]
