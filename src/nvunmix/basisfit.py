@@ -61,8 +61,9 @@ class FieldSeries:
         """Build a series, resampling every spectrum onto a shared grid.
 
         The target is the first spectrum's grid restricted to the wavelength
-        range common to all entries; every entry shares that one grid array,
-        and one with the first entry's grid bytes takes that grid as it arrives.
+        range common to all entries (that grid array itself when the range is
+        its whole span); every entry shares that one grid array, and one with
+        the first entry's grid bytes takes that grid as it arrives.
         """
         entries = iter(entries)
         if (head := next(entries, None)) is None:
@@ -75,7 +76,7 @@ class FieldSeries:
         spans = [s.span for _, s in held]
         lo, hi = max(a for a, _ in spans), min(b for _, b in spans)
         base = head[1].wavelengths
-        grid = base[(base >= lo) & (base <= hi)]
+        grid = base if (lo, hi) == head[1].span else base[(base >= lo) & (base <= hi)]
         if grid.size < 2:
             raise ValidationError("series spectra share no usable wavelength range")
         first = resample(head[1], grid)  # head's spectrum itself when grid equals base

@@ -289,10 +289,15 @@ def _simulate_sweep(params, seed, out_dir) -> tuple[list[str], dict]:
     noise = _model(params, "noise", NOISELESS)
     fields = [float(b) for b in params.get("fields", response.fields)]
     sweep = make_sweep(fields, response, shapes, grid, noise, seed)
+    names = {}
+    for b, _ in sweep:
+        name = f"spec_{b:07.1f}G.csv"
+        if name in names:
+            raise ValidationError(f"fields {names[name]!r} and {b!r} G both name the file {name}")
+        names[name] = b
     manifest = []
     outputs = []
-    for b, spec in sweep:
-        name = f"spec_{b:07.1f}G.csv"
+    for (b, spec), name in zip(sweep, names):
         save_spectrum(spec, os.path.join(out_dir, name))
         manifest.append({"b_field_gauss": b, "path": name})
         outputs.append(os.path.join(out_dir, name))
@@ -322,8 +327,8 @@ def _simulate_letter_map(params, seed, out_dir) -> tuple[list[str], dict]:
     if "t0" in params and "tminus" in params:
         t0 = float(params["t0"])
         tm = float(params["tminus"])
-        m0 = PLMap(nv0.values + nvm.values, nv0.pixel_pitch_um)
-        mlpf = PLMap(t0 * nv0.values + tm * nvm.values, nv0.pixel_pitch_um)
+        m0 = PLMap._of_fresh(nv0.values + nvm.values, nv0.pixel_pitch_um)
+        mlpf = PLMap._of_fresh(t0 * nv0.values + tm * nvm.values, nv0.pixel_pitch_um)
         outputs += save_map(m0, os.path.join(out_dir, "m0"))
         outputs += save_map(mlpf, os.path.join(out_dir, "mlpf"))
         diag.update({"t0": t0, "tminus": tm})

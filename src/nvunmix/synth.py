@@ -13,15 +13,16 @@ All generators are deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import RangeError, ValidationError
 from .maps import PLMap, _require_same_shape
-from .spectrum import Spectrum, area, scale
+from .spectrum import Spectrum, _on_grid, area, scale
 
 __all__ = [
     "SpectralShapeModel",
@@ -212,9 +213,13 @@ def make_spectrum(model: SpectralShapeModel, grid: ArrayLike, total_counts: floa
     if not (np.isfinite(total_counts) and total_counts >= 0.0):
         raise ValidationError("total_counts must be finite and nonnegative")
     g = np.asarray(grid, dtype=float)
-    base = Spectrum(g, model.density(g))
+    return _scaled(Spectrum(g, model.density(g)), total_counts)
+
+
+def _scaled(base: Spectrum, total_counts: float) -> Spectrum:
+    """``base``, a rendered shape, scaled on its own grid to ``total_counts`` integrated counts."""
     if total_counts == 0.0:
-        return Spectrum(g, np.zeros_like(base.intensities))
+        return _on_grid(base, np.zeros_like(base.intensities))
     a = area(base)
     if not a > 0.0:
         raise ValidationError("shape model has no support on the requested grid")
@@ -224,8 +229,9 @@ def make_spectrum(model: SpectralShapeModel, grid: ArrayLike, total_counts: floa
 def _apply_noise(
     clean: NDArray[np.float64], noise: NoiseModel, rng: np.random.Generator
 ) -> NDArray[np.float64]:
+    """Noisy counts for ``clean``, a fresh array that is returned itself without noise."""
     if noise.kind == "none":
-        return clean.copy()
+        return clean
     exposure = noise.scans * noise.dwell
     if noise.kind == "poisson":
         # Sum of `scans` Poisson draws == one draw at the summed exposure.
@@ -233,6 +239,32 @@ def _apply_noise(
         return counts / exposure
     sigma = np.sqrt(np.maximum(clean, 0.0) / exposure)
     return clean + rng.normal(0.0, 1.0, size=clean.shape) * sigma
+
+
+def _field_spectra(
+    fields: Iterable,
+    response: FieldResponseModel,
+    shapes: tuple[SpectralShapeModel, SpectralShapeModel],
+    grid: ArrayLike,
+    noise: NoiseModel,
+    seeds: Iterable,
+) -> Iterator[tuple[float, Spectrum]]:
+    """(field, spectrum) for each field, drawing its noise from the matching seed.
+
+    The grid is validated and each unit shape rendered once, when the first field
+    arrives; every spectrum shares that one read-only grid array.
+    """
+    unit0 = None
+    for b, seed in zip(fields, seeds):
+        field = float(b)
+        if unit0 is None:
+            g = np.asarray(grid, dtype=float)
+            nv0_shape, nvm_shape = shapes
+            unit0 = make_spectrum(nv0_shape, g, 1.0)
+            y0 = unit0.intensities
+            ym = _scaled(_on_grid(unit0, nvm_shape.density(unit0.wavelengths)), 1.0).intensities
+        clean = response.c0_const * y0 + response.cminus(b) * ym
+        yield field, _on_grid(unit0, _apply_noise(clean, noise, np.random.default_rng(seed)))
 
 
 def make_field_spectrum(
@@ -243,14 +275,12 @@ def make_field_spectrum(
     noise: NoiseModel = NOISELESS,
     seed: int | Sequence[int] = 0,
 ) -> Spectrum:
-    """Compose the two-state emission at field ``b`` and apply counting noise."""
-    g = np.asarray(grid, dtype=float)
-    nv0_shape, nvm_shape = shapes
-    s0 = make_spectrum(nv0_shape, g, 1.0)
-    sm = make_spectrum(nvm_shape, g, 1.0)
-    clean = response.c0_const * s0.intensities + response.cminus(b) * sm.intensities
-    rng = np.random.default_rng(seed)
-    return Spectrum(g, _apply_noise(clean, noise, rng))
+    """Compose the two-state emission at field ``b`` and apply counting noise.
+
+    This is a one-field sweep: the grid is validated once and becomes the
+    spectrum's read-only grid array.
+    """
+    return next(_field_spectra((b,), response, shapes, grid, noise, (seed,)))[1]
 
 
 def make_sweep(
@@ -261,13 +291,15 @@ def make_sweep(
     noise: NoiseModel = NOISELESS,
     seed: int = 0,
 ) -> list[tuple[float, Spectrum]]:
-    """Generate (field, spectrum) pairs; each field gets an independent substream."""
-    out = []
-    for i, b in enumerate(fields):
-        out.append(
-            (float(b), make_field_spectrum(b, response, shapes, grid, noise, seed=[seed, i]))
-        )
-    return out
+    """Generate (field, spectrum) pairs; each field gets an independent substream.
+
+    Field ``i`` draws its noise from seed ``[seed, i]``, as
+    ``make_field_spectrum`` would. Each unit shape is rendered once per sweep,
+    and every spectrum shares one validated, read-only grid array; an empty
+    ``fields`` gives ``[]`` without looking at the grid or the shapes.
+    """
+    seeds = ([seed, i] for i in itertools.count())
+    return list(_field_spectra(fields, response, shapes, grid, noise, seeds))
 
 
 # 5x7 bitmap glyphs for the default letter masks.
@@ -339,7 +371,7 @@ def make_letter_map(
         raise ValidationError("letter masks must be disjoint")
     nv0 = np.where(mask0, float(pl_nv0), 0.0)
     nvm = np.where(maskm, float(pl_nvm), 0.0)
-    return PLMap(nv0, pixel_pitch_um), PLMap(nvm, pixel_pitch_um)
+    return PLMap._of_fresh(nv0, pixel_pitch_um), PLMap._of_fresh(nvm, pixel_pitch_um)
 
 
 def make_field_map_pair(
@@ -356,4 +388,4 @@ def make_field_map_pair(
     low = nv0_truth.values + nvm_truth.values
     high = nv0_truth.values + (1.0 - suppression) * nvm_truth.values
     pitch = nv0_truth.pixel_pitch_um
-    return PLMap(low, pitch), PLMap(high, pitch)
+    return PLMap._of_fresh(low, pitch), PLMap._of_fresh(high, pitch)

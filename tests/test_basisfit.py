@@ -208,6 +208,29 @@ class TestFieldSeries:
         assert sc.intensities is not c.intensities
         assert sc.intensities.tobytes() == np.interp(grid, one_ulp, c.intensities).tobytes()
 
+    def test_ingest_takes_the_head_grid_when_its_span_is_common(self, grid02, monkeypatch):
+        """When the common range is the first entry's own span, its grid array is the common
+        grid: resample is handed that array, every entry holds it, and an entry on an equal
+        grid keeps its own intensity array."""
+        calls = []
+        monkeypatch.setattr(basisfit, "resample", lambda s, g: calls.append((s, g)) or resample(s, g))
+        head = make_spectrum(DEFAULT_NVM_SHAPE, grid02[5:-5], 1.0)
+        equal = make_spectrum(DEFAULT_NVM_SHAPE, grid02[5:-5].copy(), 2.0)
+        wider = make_spectrum(DEFAULT_NVM_SHAPE, grid02, 3.0)
+        series = FieldSeries.ingest([(170.0, head), (400.0, equal), (975.0, wider)])
+        assert calls[0][0] is head and calls[0][1] is head.wavelengths
+        (_, s0), (_, s1), (_, s2) = series.entries
+        assert all(s.wavelengths is head.wavelengths for s in (s0, s1, s2))
+        assert s0 is head and s1.intensities is equal.intensities
+        resampled = np.interp(head.wavelengths, grid02, wider.intensities)
+        assert s2.intensities.tobytes() == resampled.tobytes()
+
+        sweep = make_sweep([170.0, 400.0, 975.0], DEFAULT_FIELD_RESPONSE,
+                           (DEFAULT_NV0_SHAPE, DEFAULT_NVM_SHAPE), grid02)
+        series = FieldSeries.ingest(sweep)
+        for (_, s), (_, given_s) in zip(series.entries, sweep):
+            assert s.wavelengths is sweep[0][1].wavelengths and s.intensities is given_s.intensities
+
     def test_ingest_takes_the_first_grid_as_each_entry_arrives(self, grid02):
         """From a generator of spectra on equal grids in separate arrays, each entry after the
         first drops its own grid before the next entry is read, and the series holds one grid."""

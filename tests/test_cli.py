@@ -27,6 +27,7 @@ from nvunmix import (
     save_spectrum,
     scale_factor_surface,
 )
+from nvunmix import cli
 from nvunmix.cli import build_parser, main
 from nvunmix.fileio import RunReport
 
@@ -236,6 +237,26 @@ class TestMapCommands:
         truth0 = load_map(out_dir / "nv0_truth")
         assert np.allclose(nv0.values, truth0.values, rtol=1e-12, atol=1e-9)
 
+    def test_simulate_letter_map_saves_the_composed_arrays(self, tmp_path, monkeypatch):
+        """The composed m0 and mlpf maps hold their computed arrays, read-only: no map of the
+        run goes through PLMap's copying constructor."""
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"width": 96, "height": 64, "t0": 0.3, "tminus": 0.8}))
+        saved, copied = {}, []
+
+        def save(m, stem):
+            saved[os.path.basename(stem)] = m
+            return save_map(m, stem)
+
+        monkeypatch.setattr(cli, "save_map", save)
+        monkeypatch.setattr(PLMap, "__post_init__", lambda self: copied.append(self))
+        assert main(["simulate", "letter-map", "--params", str(params), "--out", str(tmp_path)]) == 0
+        assert copied == []
+        nv0, nvm = saved["nv0_truth"].values, saved["nvm_truth"].values
+        assert np.array_equal(saved["m0"].values, nv0 + nvm)
+        assert np.array_equal(saved["mlpf"].values, 0.3 * nv0 + 0.8 * nvm)
+        assert not any(m.values.flags.writeable for m in saved.values())
+
     @pytest.mark.parametrize("route", ["unmix-map-filter", "unmix-map-field"])
     def test_fraction_diagnostics_exact(self, tmp_path, route):
         """Noiseless letters: NV- fraction is 1 in the NV- letters, 0 in the NV0 ones."""
@@ -392,6 +413,18 @@ class TestSweepFlow:
         report = RunReport.load(tmp_path / "table.report.json")
         assert report.diagnostics["surface_pairs"] == len(surface.rows)
         assert report.diagnostics["surface_skipped"] == len(surface.skipped)
+
+    @pytest.mark.parametrize("fields", [[170.01, 170.04, 975], [170, 170]])
+    def test_sweep_fields_that_share_a_file_name_exit_2(self, tmp_path, capsys, fields):
+        """Fields that round to one spec_<field>G.csv name exit 2 with one line, no file written."""
+        params = tmp_path / "sweep.json"
+        params.write_text(json.dumps({"fields": fields, "grid": {"lo": 600.0, "hi": 700.0, "step": 0.5}}))
+        out = tmp_path / "sw"
+        assert main(["simulate", "sweep", "--params", str(params), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: fields {float(fields[0])!r} and {float(fields[1])!r} G both name the file "
+                       "spec_00170.0G.csv\n")
+        assert list(out.iterdir()) == []
 
     def test_fit_series_holds_one_grid_and_builds_the_surface_only_to_write_it(
             self, tmp_path, monkeypatch):

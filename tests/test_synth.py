@@ -1,7 +1,11 @@
 """Forward-model generators and their determinism/statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nvunmix import (
     DEFAULT_FIELD_RESPONSE,
@@ -14,6 +18,7 @@ from nvunmix import (
     PLMap,
     RangeError,
     SpectralShapeModel,
+    Spectrum,
     ValidationError,
     area,
     default_letter_masks,
@@ -23,6 +28,7 @@ from nvunmix import (
     make_letter_map,
     make_spectrum,
     make_sweep,
+    scale,
 )
 
 from conftest import CLEAN_NV0_SHAPE, CLEAN_NVM_SHAPE
@@ -202,6 +208,153 @@ class TestMakeSweep:
         assert not np.array_equal(a[0][1].intensities, a[1][1].intensities)
 
 
+def reference_make_spectrum(model, grid, total_counts):
+    """make_spectrum as it was before sweeps shared their grid."""
+    if not (np.isfinite(total_counts) and total_counts >= 0.0):
+        raise ValidationError("total_counts must be finite and nonnegative")
+    g = np.asarray(grid, dtype=float)
+    base = Spectrum(g, model.density(g))
+    if total_counts == 0.0:
+        return Spectrum(g, np.zeros_like(base.intensities))
+    a = area(base)
+    if not a > 0.0:
+        raise ValidationError("shape model has no support on the requested grid")
+    return scale(base, total_counts / a)
+
+
+def reference_make_field_spectrum(b, response, shapes, grid, noise=NOISELESS, seed=0):
+    """make_field_spectrum as it was: both shapes rendered and the grid validated per call."""
+    g = np.asarray(grid, dtype=float)
+    nv0_shape, nvm_shape = shapes
+    s0 = reference_make_spectrum(nv0_shape, g, 1.0)
+    sm = reference_make_spectrum(nvm_shape, g, 1.0)
+    clean = response.c0_const * s0.intensities + response.cminus(b) * sm.intensities
+    rng = np.random.default_rng(seed)
+    if noise.kind == "none":
+        noisy = clean.copy()
+    else:
+        exposure = noise.scans * noise.dwell
+        if noise.kind == "poisson":
+            noisy = rng.poisson(np.maximum(clean, 0.0) * exposure) / exposure
+        else:
+            sigma = np.sqrt(np.maximum(clean, 0.0) / exposure)
+            noisy = clean + rng.normal(0.0, 1.0, size=clean.shape) * sigma
+    return Spectrum(g, noisy)
+
+
+def reference_make_sweep(fields, response, shapes, grid, noise=NOISELESS, seed=0):
+    """make_sweep as it was: one make_field_spectrum call per field."""
+    out = []
+    for i, b in enumerate(fields):
+        out.append(
+            (float(b), reference_make_field_spectrum(b, response, shapes, grid, noise, seed=[seed, i]))
+        )
+    return out
+
+
+def outcome(fn, *args):
+    """The bytes of every field and spectrum ``fn`` returns, or its error's class and message."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # any class: the two sides must raise the same one
+        return type(exc), str(exc)
+    if isinstance(result, Spectrum):
+        result = [(None, result)]
+    return [(repr(b), s.wavelengths.tobytes(), s.intensities.tobytes()) for b, s in result]
+
+
+SHAPES = (DEFAULT_NV0_SHAPE, DEFAULT_NVM_SHAPE)
+NO_SUPPORT = SpectralShapeModel(2000.0, 1.0, 1.0, ())
+KNOTS = DEFAULT_FIELD_RESPONSE.fields
+# Mostly inside the knots; a field outside them must fail at the same field on both sides.
+field_lists = st.lists(
+    st.one_of(
+        st.floats(KNOTS[0], KNOTS[-1]),
+        st.integers(int(KNOTS[0]), int(KNOTS[-1])),
+        st.sampled_from(KNOTS),
+        st.floats(KNOTS[0] - 100.0, KNOTS[-1] + 100.0),
+    ),
+    max_size=6,
+)
+noise_models = st.builds(
+    NoiseModel,
+    st.sampled_from(["none", "poisson", "gaussian"]),
+    st.integers(1, 5000),
+    st.floats(1e-3, 1.0),
+)
+grids = st.builds(
+    np.linspace, st.floats(540.0, 600.0), st.floats(800.0, 860.0), st.integers(2, 400)
+)
+
+
+class TestMakeSweepOracle:
+    """make_sweep and make_field_spectrum against the per-field loop they replaced."""
+
+    @given(fields=field_lists, grid=grids, noise=noise_models, seed=st.integers(0, 2**32))
+    def test_bit_identical_to_per_field_loop(self, fields, grid, noise, seed):
+        args = (DEFAULT_FIELD_RESPONSE, SHAPES, grid, noise, seed)
+        assert outcome(make_sweep, fields, *args) == outcome(reference_make_sweep, fields, *args)
+        if fields:
+            one = (fields[0], DEFAULT_FIELD_RESPONSE, SHAPES, grid, noise, [seed, 7])
+            assert outcome(make_field_spectrum, *one) == outcome(reference_make_field_spectrum, *one)
+
+    @given(grid=grids, total=st.sampled_from([0.0, 1.0, 62000.0]))
+    def test_make_spectrum_bit_identical(self, grid, total):
+        for shape in SHAPES:
+            args = (shape, grid, total)
+            assert outcome(make_spectrum, *args) == outcome(reference_make_spectrum, *args)
+
+    @pytest.mark.parametrize(
+        "fields, shapes, grid",
+        [
+            ([170.0], SHAPES, [[550.0, 560.0], [570.0, 580.0]]),
+            ([170.0], SHAPES, [600.0, 590.0, 580.0]),
+            ([170.0], SHAPES, [550.0, np.nan, 850.0]),
+            ([170.0], SHAPES, []),
+            ([170.0], SHAPES, ["a", "b"]),
+            ([170.0], (NO_SUPPORT, DEFAULT_NVM_SHAPE), None),
+            ([170.0], (DEFAULT_NV0_SHAPE, NO_SUPPORT), None),
+            ([170.0], (DEFAULT_NV0_SHAPE,), None),
+            ([170.0], (DEFAULT_NV0_SHAPE, None), None),
+            ([80.0], SHAPES, None),
+            ([170, 400, 1000], SHAPES, None),
+            ([80], SHAPES, [600.0, 590.0]),
+            ([80.0], (NO_SUPPORT, DEFAULT_NVM_SHAPE), None),
+            ([], None, "no grid"),
+        ],
+        ids=["2-d grid", "decreasing grid", "nan grid", "empty grid", "text grid",
+             "nv0 no support", "nvm no support", "one shape", "nvm none", "field below knots",
+             "third field above knots", "bad grid before bad field", "bad shape before bad field",
+             "no fields"],
+    )
+    @pytest.mark.parametrize("kind", ["none", "poisson"])
+    def test_same_error_at_the_same_point(self, grid02, fields, shapes, grid, kind):
+        grid = grid02 if grid is None else grid
+        args = (DEFAULT_FIELD_RESPONSE, shapes, grid, NoiseModel(kind, 10), 3)
+        want = outcome(reference_make_sweep, fields, *args)
+        assert outcome(make_sweep, fields, *args) == want
+        if fields:
+            want_one = outcome(reference_make_field_spectrum, fields[-1], *args)
+            assert outcome(make_field_spectrum, fields[-1], *args) == want_one
+            assert isinstance(want_one[0], type) and issubclass(want_one[0], Exception)
+        else:
+            assert want == []
+
+    def test_entries_share_one_read_only_grid(self, grid02):
+        grid = grid02.copy()
+        sweep = make_sweep([170.0, 400.0, 829.0, 975.0], DEFAULT_FIELD_RESPONSE, SHAPES, grid)
+        shared = sweep[0][1].wavelengths
+        assert all(s.wavelengths is shared for _, s in sweep)
+        assert shared is not grid and not shared.flags.writeable
+        intensities = [s.intensities for _, s in sweep]
+        assert len({id(y) for y in intensities}) == len(sweep)
+        assert not any(y.flags.writeable for y in intensities)
+        grid[0] = 0.0  # the caller's array stays the caller's
+        assert shared[0] == 550.0
+        one = make_field_spectrum(170.0, DEFAULT_FIELD_RESPONSE, SHAPES, grid02)
+        assert one.wavelengths is not grid02 and not one.wavelengths.flags.writeable
+
+
 class TestLetterMap:
     def test_default_masks_disjoint_and_nonempty(self):
         m0, mm = default_letter_masks(128, 96)
@@ -267,3 +420,31 @@ class TestFieldMapPair:
         assert isinstance(low, PLMap)
         assert low.pixel_pitch_um == 0.25 and high.pixel_pitch_um == 0.25
         assert np.all(low.values >= 0.0) and np.all(high.values >= 0.0)
+
+
+class TestGeneratedMapsOwnTheirArrays:
+    """A generated map holds the array computed for it, read-only; no copy is allocated."""
+
+    MAP_BYTES = 256 * 256 * 8
+
+    def peak_bytes(self, fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_letter_map(self):
+        (nv0, nvm), peak = self.peak_bytes(make_letter_map, 256, 256)
+        # Two maps and the masks; a copy of each map would add two more.
+        assert peak < 3 * self.MAP_BYTES
+        assert not nv0.values.flags.writeable and not nvm.values.flags.writeable
+
+    def test_field_map_pair(self):
+        nv0, nvm = make_letter_map(256, 256)
+        (low, high), peak = self.peak_bytes(make_field_map_pair, nv0, nvm, 0.3)
+        # low, high and one temporary; a copy of each output would add two more.
+        assert peak < 3 * self.MAP_BYTES
+        assert not low.values.flags.writeable and not high.values.flags.writeable
+        assert np.array_equal(high.values, nv0.values + 0.7 * nvm.values)
