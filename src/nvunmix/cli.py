@@ -11,6 +11,7 @@ diagnostics, after every output is written, and then prints its message.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -193,11 +194,11 @@ def cmd_transmissivity(args) -> _Run:
 
 
 def _unmix_common(args, run, unmixed, low_like) -> _Run:
-    run.outputs += save_map(unmixed.nv0, args.out + ".nv0")
-    run.outputs += save_map(unmixed.nvminus, args.out + ".nvm")
-    recon = unmixed.nv0.values + unmixed.nvminus.values
-    residual = float(np.max(np.abs(recon - low_like.values)))
-    del recon  # released before the fraction map is built, to keep the peak low
+    """Report on the component maps against their sum ``low_like``, then save them."""
+    buf = np.add(unmixed.nv0.values, unmixed.nvminus.values)  # the one map of temporaries
+    np.subtract(buf, low_like.values, out=buf)
+    residual = float(np.max(np.abs(buf, out=buf)))
+    del buf
     frac, zero_total = fraction_map(unmixed, low_like)
     counted = frac.values.size - zero_total
     run.diagnostics = {
@@ -211,6 +212,9 @@ def _unmix_common(args, run, unmixed, low_like) -> _Run:
         # Zero-total pixels hold 0 in the map, so the sum covers the others.
         "nvm_fraction_mean": float(np.sum(frac.values)) / counted if counted else None,
     }
+    del frac
+    run.outputs += save_map(unmixed.nv0, args.out + ".nv0")
+    run.outputs += save_map(unmixed.nvminus, args.out + ".nvm")
     run.message = (
         f"negative pixels: {unmixed.negative_pixel_count}  "
         f"reconstruction residual: {residual:.6g}  report = {run.report}"
@@ -228,6 +232,7 @@ def cmd_unmix_map_field(args) -> _Run:
     low = load_map(args.low, negative=args.negative)
     high = load_map(args.high, negative=args.negative)
     unmixed = field_unmix(low, high, args.f)
+    del high
     return _unmix_common(args, run, unmixed, low)
 
 
@@ -241,6 +246,7 @@ def cmd_unmix_map_filter(args) -> _Run:
     m0 = load_map(args.m0, negative=args.negative)
     mlpf = load_map(args.mlpf, negative=args.negative)
     unmixed = filter_unmix(m0, mlpf, TransmissivityPair(args.t0, args.tm))
+    del mlpf
     return _unmix_common(args, run, unmixed, m0)
 
 
@@ -366,6 +372,7 @@ def cmd_simulate(args) -> _Run:
     if seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {seed}")
     params = load_json(args.params, dict, "params") if args.params else {}
+    created = not os.path.isdir(args.out)
     os.makedirs(args.out, exist_ok=True)
     try:
         run.outputs, run.diagnostics = _SIMULATORS[args.kind](params, seed, args.out)
@@ -375,6 +382,10 @@ def cmd_simulate(args) -> _Run:
         # Models validate values themselves; these are missing keys, wrong types
         # or sizes no array can have.
         raise ParseError(f"{args.params}: bad {args.kind} params: {exc!r}") from exc
+    finally:
+        if created and not run.outputs:  # the simulator raised; each returns what it wrote
+            with contextlib.suppress(OSError):  # empty, as simulators check before they write
+                os.rmdir(args.out)
     seeded = {"seed": seed} if args.kind == "sweep" else {}
     run.diagnostics.update(seeded)
     run.parameters = {"params": params, **seeded}

@@ -239,7 +239,9 @@ def load_spectrum(path: str | os.PathLike, *, negative: str = "error") -> Spectr
             f"{path}: line {_line_no(data, i)}: wavelength {float(w[i])!r} "
             f"does not increase past {float(w[i - 1])!r}"
         )
-    return Spectrum(w, _apply_negative(rows[:, 1], data, negative, path))
+    y = _apply_negative(rows[:, 1], data, negative, path)
+    del data  # the file's bytes go before the Spectrum's copies are made
+    return Spectrum(w, y)
 
 
 def map_paths(path: str | os.PathLike) -> tuple[str, str]:

@@ -85,7 +85,7 @@ def _require_same_shape(a: PLMap, b: PLMap) -> None:
 
 
 def _count_negative(nv0: NDArray[np.float64], nvm: NDArray[np.float64], *inputs: PLMap) -> int:
-    tol = _REL_EPS * max(float(np.max(np.abs(m.values))) for m in inputs)
+    tol = _REL_EPS * max(max(float(m.values.max()), -float(m.values.min())) for m in inputs)
     return int(np.count_nonzero((nv0 < -tol) | (nvm < -tol)))
 
 
@@ -97,8 +97,8 @@ def field_unmix(low_b: PLMap, high_b: PLMap, f: float) -> UnmixedMaps:
     _require_same_shape(low_b, high_b)
     if not (np.isfinite(f) and f > 0.0):
         raise ValidationError("scale factor f must be positive and finite")
-    diff = low_b.values - high_b.values
-    nvm = f * diff
+    nvm = np.subtract(low_b.values, high_b.values)
+    np.multiply(f, nvm, out=nvm)
     nv0 = low_b.values - nvm
     return UnmixedMaps(
         PLMap._of_fresh(nv0, low_b.pixel_pitch_um),

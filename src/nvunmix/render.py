@@ -19,6 +19,7 @@ __all__ = ["render_spectrum_svg", "render_map_pgm"]
 # SVG canvas size and plot margin in pixels; PGM gray levels.
 _WIDTH, _HEIGHT, _MARGIN = 720, 480, 64
 _MAX_GRAY = 255
+_BLOCK = 512  # polyline points formatted at a time
 
 
 def _fmt(v: float) -> str:
@@ -28,7 +29,8 @@ def _fmt(v: float) -> str:
 def render_spectrum_svg(s: Spectrum, *, zpl_guides: bool = False) -> bytes:
     """Line plot with axis labels in nm and counts/s and a min/max legend.
 
-    ``zpl_guides`` draws dashed lines at the 575 nm and 637 nm zero-phonon lines.
+    ``zpl_guides`` draws dashed lines at the 575 nm and 637 nm zero-phonon lines. The
+    polyline is formatted ``_BLOCK`` points at a time, one block of Python floats at once.
     """
     w, h, m = _WIDTH, _HEIGHT, _MARGIN
     x = s.wavelengths
@@ -45,8 +47,9 @@ def render_spectrum_svg(s: Spectrum, *, zpl_guides: bool = False) -> bytes:
     def py(v):
         return h - m - (v - y0) / (y1 - y0) * (h - 2 * m)
 
-    xy = np.column_stack((px(x), py(y))).ravel().tolist()
-    points = " ".join(["%.3f,%.3f"] * x.size) % tuple(xy)
+    xy = np.column_stack((px(x), py(y)))
+    points = " ".join(" ".join(["%.3f,%.3f"] * len(b)) % tuple(b.ravel().tolist())
+                      for b in np.split(xy, range(_BLOCK, len(xy), _BLOCK)))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
@@ -80,6 +83,7 @@ def render_spectrum_svg(s: Spectrum, *, zpl_guides: bool = False) -> bytes:
                     f'text-anchor="middle" fill="gray">{label} nm</text>'
                 )
     parts.append(f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="1.2"/>')
+    del xy, points  # parts holds the polyline
     parts.append(
         f'<text x="{w / 2:.1f}" y="{h - 12}" font-size="13" text-anchor="middle">wavelength (nm)</text>'
     )
@@ -91,8 +95,8 @@ def render_spectrum_svg(s: Spectrum, *, zpl_guides: bool = False) -> bytes:
         f'<text x="{w - m}" y="{m - 6}" font-size="11" text-anchor="end">'
         f"min={_fmt(y0)} max={_fmt(float(np.max(y)))}</text>"
     )
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+    parts += ["</svg>", ""]
+    return "\n".join(parts).encode("utf-8")
 
 
 def render_map_pgm(
@@ -101,7 +105,7 @@ def render_map_pgm(
     """Grayscale P2 image; the header comments carry the value legend.
 
     ``clamp_negative`` shows negative pixels as 0 and ``clip`` limits the
-    displayed values to a finite range (LO, HI) with LO < HI.
+    displayed values to a finite range (LO, HI) with LO < HI. Rows are formatted one by one.
     """
     if clip is not None and not (np.isfinite(clip).all() and clip[0] < clip[1]):
         raise ValidationError(f"clip range must be finite with LO < HI, got {clip}")
@@ -129,5 +133,7 @@ def render_map_pgm(
         lines.append("# " + " ".join(transforms))
     lines.append(f"{m.width} {m.height}")
     lines.append(str(_MAX_GRAY))
-    lines.extend(" ".join(["%d"] * m.width) % tuple(row) for row in gray.tolist())
-    return ("\n".join(lines) + "\n").encode("ascii")
+    lines.extend(" ".join(["%d"] * m.width) % tuple(row.tolist()) for row in gray)
+    del values, gray  # before the lines are joined
+    lines.append("")
+    return "\n".join(lines).encode("ascii")

@@ -216,8 +216,11 @@ class BasisPair:
 
     @classmethod
     def from_spectra(cls, s0: Spectrum, sminus: Spectrum) -> "BasisPair":
-        """Normalize two raw component spectra and bundle them."""
-        return cls(normalize_area(s0), normalize_area(sminus))
+        """Normalize two raw component spectra and bundle them, on s0's grid if theirs are equal."""
+        s0, sminus = normalize_area(s0), normalize_area(sminus)
+        if np.array_equal(sminus.wavelengths, s0.wavelengths):
+            sminus = _on_grid(s0, sminus.intensities)
+        return cls(s0, sminus)
 
     @property
     def grid(self) -> NDArray[np.float64]:

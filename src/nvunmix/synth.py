@@ -117,17 +117,18 @@ class FieldResponseModel:
             raise ValidationError("knot fields must be strictly increasing")
         if np.any(cs < 0.0) or not np.all(np.isfinite(cs)):
             raise ValidationError("knot amplitudes must be finite and nonnegative")
+        bs.flags.writeable = cs.flags.writeable = False
+        object.__setattr__(self, "_knots", (bs, cs))  # kept for cminus; not a field
 
     @property
     def fields(self) -> tuple[float, ...]:
         return tuple(b for b, _ in self.cminus_curve)
 
     def cminus(self, b: float) -> float:
-        bs = [k for k, _ in self.cminus_curve]
-        cs = [c for _, c in self.cminus_curve]
-        if b < bs[0] or b > bs[-1]:
-            raise RangeError(f"field {b} G outside knot range [{bs[0]}, {bs[-1]}] G")
-        return float(np.interp(b, bs, cs))
+        lo, hi = self.cminus_curve[0][0], self.cminus_curve[-1][0]
+        if b < lo or b > hi:
+            raise RangeError(f"field {b} G outside knot range [{lo}, {hi}] G")
+        return float(np.interp(b, *self._knots))
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "FieldResponseModel":

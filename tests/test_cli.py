@@ -1,10 +1,12 @@
 """End-to-end CLI flows against synthetic data in temporary directories."""
 
 import errno
+import gc
 import hashlib
 import json
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +279,29 @@ class TestMapCommands:
         assert diagnostics["zero_total_pixels"] == int(np.count_nonzero(~(mask0 | maskm)))
         assert diagnostics["nvm_fraction_mean"] == np.count_nonzero(maskm) / np.count_nonzero(mask0 | maskm)
 
+    @pytest.mark.parametrize("route", ["unmix-map-filter", "unmix-map-field"])
+    def test_map_route_holds_its_inputs_outputs_and_one_map(self, tmp_path, capsys, route):
+        """On 256x256 noisy count maps a map command's tracemalloc peak stays within five
+        maps: two inputs, two outputs and one map of temporaries."""
+        rng = np.random.default_rng(11)
+        nv0, nvm = rng.uniform(0.0, 8000.0, (2, 256, 256))
+        exposure = 0.3  # s per pixel; counts / exposure gives full-length reprs in the files
+        for name, clean in {"a": nv0 + nvm, "b": 0.62 * nv0 + 0.11 * nvm}.items():
+            save_map(PLMap(rng.poisson(clean * exposure) / exposure), tmp_path / name)
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        if route == "unmix-map-filter":
+            argv = [route, "--m0", a, "--mlpf", b, "--t0", "0.62", "--tm", "0.11"]
+        else:
+            argv = [route, "--low", a, "--high", b, "--f", "1.2"]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(tmp_path / "sep")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 256 * 256 * 8
+
     def test_fraction_mean_null_when_every_total_is_zero(self, tmp_path):
         save_map(PLMap(np.zeros((3, 4))), tmp_path / "z")
         argv = ["--low", str(tmp_path / "z"), "--high", str(tmp_path / "z"), "--f", "2.0"]
@@ -424,7 +449,26 @@ class TestSweepFlow:
         err = capsys.readouterr().err
         assert err == (f"error: fields {float(fields[0])!r} and {float(fields[1])!r} G both name the file "
                        "spec_00170.0G.csv\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params", [
+        {"fields": [170, 170]},
+        {"noise": {"kind": "pink"}},
+        {"grid": 3},
+    ], ids=["shared-file-name", "unknown-noise", "grid-not-an-object"])
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failed_simulate_leaves_only_an_out_that_existed(self, tmp_path, capsys, params,
+                                                              existed):
+        """A simulate run that exits 2 removes the --out directory it created, and keeps one
+        that was there before it, empty as it was."""
+        (tmp_path / "p.json").write_text(json.dumps(params))
+        out = tmp_path / "sw"
+        if existed:
+            out.mkdir()
+        assert main(["simulate", "sweep", "--params", str(tmp_path / "p.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert out.exists() == existed
+        assert not existed or list(out.iterdir()) == []
 
     def test_fit_series_holds_one_grid_and_builds_the_surface_only_to_write_it(
             self, tmp_path, monkeypatch):

@@ -254,3 +254,59 @@ class TestFreshMaps:
         with pytest.raises(ValidationError) as got:
             PLMap._of_fresh(values.copy(), pitch)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def _count_negative_reference(nv0, nvm, *inputs):
+    """``maps._count_negative`` as it took max|v| through a full-size ``np.abs`` copy."""
+    tol = maps._REL_EPS * max(float(np.max(np.abs(m))) for m in inputs)
+    return int(np.count_nonzero((nv0 < -tol) | (nvm < -tol)))
+
+
+# Pixels around zero in both signs, rounding-residue negatives, and ordinary counts.
+_PIXELS = st.one_of(
+    st.floats(-1e5, 1e5, allow_nan=False),
+    st.sampled_from([0.0, -0.0, -1e-9, 1e-9, -5e-324, 5e-324, -1e-300]),
+)
+
+
+@st.composite
+def _maps(draw, count):
+    """``count`` arrays of one shape."""
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    size = shape[0] * shape[1]
+    pixels = st.lists(_PIXELS, min_size=size, max_size=size)
+    return tuple(np.array(draw(pixels)).reshape(shape) for _ in range(count))
+
+
+class TestInPlaceArithmeticOracle:
+    """``field_unmix`` forms NV- in place and ``_count_negative`` takes max|v| from the extremes;
+    both give what the expressions they replaced gave, kept here."""
+
+    @given(_maps(2), st.floats(1e-3, 1e3) | st.sampled_from([1.0, 6.2, 5e-324]))
+    def test_field_unmix_matches_the_old_expressions(self, pair, f):
+        low, high = pair
+        diff = low - high
+        nvm = f * diff
+        nv0 = low - nvm
+        got = field_unmix(plmap(low), plmap(high), f)
+        assert got.nvminus.values.tobytes() == nvm.tobytes()
+        assert got.nv0.values.tobytes() == nv0.tobytes()
+        assert got.negative_pixel_count == _count_negative_reference(nv0, nvm, low, high)
+
+    @given(_maps(4))
+    def test_count_negative_matches_the_abs_expression(self, arrays):
+        nv0, nvm, *inputs = arrays
+        got = maps._count_negative(nv0, nvm, *(plmap(v) for v in inputs))
+        assert got == _count_negative_reference(nv0, nvm, *inputs)
+
+    @pytest.mark.parametrize("low, high", [
+        (np.full((2, 3), -0.0), np.zeros((2, 3))),
+        (np.full((2, 3), -0.0), np.full((2, 3), -0.0)),
+        (np.array([[-0.0, 0.0, -1e-300]]), np.array([[0.0, -0.0, 0.0]])),
+        (np.array([[-5.0, 2.0]]), np.array([[1.0, 3.0]])),
+    ], ids=["signed-zero", "all-minus-zero", "tiny-negative", "negative-extreme"])
+    def test_count_negative_on_signed_zeros(self, low, high):
+        nv0 = np.resize(np.array([-0.0, -1e-300, -4e-12, 0.0, -5e-324, 4.0]), low.shape)
+        for nvm in (nv0, -nv0):
+            got = maps._count_negative(nv0, nvm, plmap(low), plmap(high))
+            assert got == _count_negative_reference(nv0, nvm, low, high)

@@ -8,16 +8,20 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nvunmix import (
     DEFAULT_NVM_SHAPE,
     PLMap,
+    Spectrum,
     ValidationError,
     make_letter_map,
     make_spectrum,
     render_map_pgm,
     render_spectrum_svg,
 )
+from nvunmix import render
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -100,3 +104,144 @@ class TestMapPgm:
         assert data[3] == "7 3"
         body = data[5:]
         assert len(body) == 3 and all(len(r.split()) == 7 for r in body)
+
+
+def _svg_one_shot(s, *, zpl_guides=False):
+    """``render_spectrum_svg`` as it formatted every point in one call, kept as the oracle."""
+    w, h, m = 720, 480, 64
+    x, y = s.wavelengths, s.intensities
+    x0, x1 = float(x[0]), float(x[-1])
+    y0, y1 = float(np.min(y)), float(np.max(y))
+    if y1 == y0:
+        y1 = y0 + 1.0
+    xspan = x1 - x0 if x1 > x0 else 1.0
+
+    def px(v):
+        return m + (v - x0) / xspan * (w - 2 * m)
+
+    def py(v):
+        return h - m - (v - y0) / (y1 - y0) * (h - 2 * m)
+
+    xy = np.column_stack((px(x), py(y))).ravel().tolist()
+    points = " ".join(["%.3f,%.3f"] * x.size) % tuple(xy)
+    fmt = "{:.6g}".format
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">',
+        f'<rect width="{w}" height="{h}" fill="white"/>',
+        f'<line x1="{m}" y1="{h - m}" x2="{w - m}" y2="{h - m}" stroke="black"/>',
+        f'<line x1="{m}" y1="{m}" x2="{m}" y2="{h - m}" stroke="black"/>',
+    ]
+    for i in range(5):
+        xv = x0 + (x1 - x0) * i / 4
+        yv = y0 + (y1 - y0) * i / 4
+        xp, yp = px(xv), py(yv)
+        parts.append(f'<line x1="{xp:.3f}" y1="{h - m}" x2="{xp:.3f}" y2="{h - m + 6}" stroke="black"/>')
+        parts.append(
+            f'<text x="{xp:.3f}" y="{h - m + 20}" font-size="11" text-anchor="middle">{fmt(xv)}</text>'
+        )
+        parts.append(f'<line x1="{m - 6}" y1="{yp:.3f}" x2="{m}" y2="{yp:.3f}" stroke="black"/>')
+        parts.append(
+            f'<text x="{m - 9}" y="{yp:.3f}" font-size="11" text-anchor="end" '
+            f'dominant-baseline="middle">{fmt(yv)}</text>'
+        )
+    if zpl_guides:
+        for guide, label in ((575.0, "575"), (637.0, "637")):
+            if x0 <= guide <= x1:
+                gp = px(guide)
+                parts.append(
+                    f'<line x1="{gp:.3f}" y1="{m}" x2="{gp:.3f}" y2="{h - m}" '
+                    'stroke="gray" stroke-dasharray="4 3"/>'
+                )
+                parts.append(
+                    f'<text x="{gp:.3f}" y="{m - 6}" font-size="11" '
+                    f'text-anchor="middle" fill="gray">{label} nm</text>'
+                )
+    parts.append(f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="1.2"/>')
+    parts.append(
+        f'<text x="{w / 2:.1f}" y="{h - 12}" font-size="13" text-anchor="middle">wavelength (nm)</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{h / 2:.1f}" font-size="13" text-anchor="middle" '
+        f'transform="rotate(-90 16 {h / 2:.1f})">intensity (counts/s)</text>'
+    )
+    parts.append(
+        f'<text x="{w - m}" y="{m - 6}" font-size="11" text-anchor="end">'
+        f"min={fmt(y0)} max={fmt(float(np.max(y)))}</text>"
+    )
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode("utf-8")
+
+
+def _pgm_one_shot(m, *, clamp_negative=False, clip=None):
+    """``render_map_pgm`` as it formatted the whole map from one ``tolist()``, kept as the oracle."""
+    values = m.values
+    transforms = []
+    if clamp_negative:
+        values = np.maximum(values, 0.0)
+        transforms.append("clamp_negative")
+    if clip is not None:
+        lo, hi = clip
+        values = np.clip(values, lo, hi)
+        transforms.append(f"clip=[{lo:.6g},{hi:.6g}]")
+    vmin = float(np.min(values))
+    vmax = float(np.max(values))
+    if vmax > vmin:
+        gray = np.rint((values - vmin) / (vmax - vmin) * 255).astype(int)
+    else:
+        gray = np.zeros_like(values, dtype=int)
+    lines = ["P2", f"# pixel_pitch_um={m.pixel_pitch_um!r}", f"# min={vmin!r} max={vmax!r}"]
+    if transforms:
+        lines.append("# " + " ".join(transforms))
+    lines.append(f"{m.width} {m.height}")
+    lines.append("255")
+    lines.extend(" ".join(["%d"] * m.width) % tuple(row) for row in gray.tolist())
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _outcome(fn, *args, **kwargs):
+    """``fn``'s bytes, or the class and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # the oracle compares failures too
+        return type(exc), str(exc)
+
+
+_B = render._BLOCK
+# Point counts on and around the block boundary: one block short, full, one over, several.
+_LENGTHS = st.sampled_from([1, 2, _B - 1, _B, _B + 1, 3 * _B + 7])
+_VALUES = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestBlockedFormattingOracle:
+    """The renderers format in blocks (the polyline ``_BLOCK`` points at a time, the PGM row by
+    row); their bytes equal those of the one-shot formatting they replaced, kept above."""
+
+    @given(n=_LENGTHS, seed=st.integers(0, 2**32 - 1), zpl_guides=st.booleans(),
+           lo=st.floats(400.0, 700.0), flat=st.booleans(), special=st.lists(_VALUES, max_size=4))
+    def test_spectrum_svg_matches_one_shot(self, n, seed, zpl_guides, lo, flat, special):
+        rng = np.random.default_rng(seed)
+        grid = lo + np.cumsum(rng.uniform(0.01, 1.0, n))
+        y = np.full(n, 3.0) if flat else rng.normal(0.0, 1e4, n)
+        y[:len(special)] = special[:n]
+        spec = Spectrum(grid, y)
+        assert _outcome(render_spectrum_svg, spec, zpl_guides=zpl_guides) == _outcome(
+            _svg_one_shot, spec, zpl_guides=zpl_guides)
+
+    @given(width=_LENGTHS, height=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           clamp=st.booleans(), clip=st.none() | st.tuples(st.floats(-2e4, 1e4), st.floats(0.0, 3e4)),
+           flat=st.booleans(), special=st.lists(_VALUES, max_size=4),
+           pitch=st.floats(1e-3, 10.0))
+    def test_map_pgm_matches_one_shot(self, width, height, seed, clamp, clip, flat, special, pitch):
+        rng = np.random.default_rng(seed)
+        values = np.zeros((height, width)) if flat else rng.normal(0.0, 1e4, (height, width))
+        values.flat[:len(special)] = special[:values.size]
+        if clip is not None and not clip[0] < clip[1]:
+            clip = None
+        m = PLMap(values, pitch)
+        assert _outcome(render_map_pgm, m, clamp_negative=clamp, clip=clip) == _outcome(
+            _pgm_one_shot, m, clamp_negative=clamp, clip=clip)

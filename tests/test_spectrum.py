@@ -8,6 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nvunmix import (
+    DEFAULT_NV0_SHAPE,
     BasisPair,
     GridMismatchError,
     RangeError,
@@ -15,6 +16,7 @@ from nvunmix import (
     ValidationError,
     WavelengthWindow,
     area,
+    fit_coefficients,
     make_spectrum,
     normalize_area,
     resample,
@@ -353,3 +355,29 @@ class TestBasisPair:
         pair = BasisPair.from_spectra(raw0, rawm)
         assert area(pair.s0) == pytest.approx(1.0, rel=1e-12)
         assert area(pair.sminus) == pytest.approx(1.0, rel=1e-12)
+
+    def test_from_spectra_holds_one_grid_on_equal_grids(self, grid02):
+        """Spectra on separate grid arrays equal in value give a pair that holds one grid, that
+        of s0, and fits exactly as the pair holding both grids."""
+        raw0 = make_spectrum(CLEAN_NVM_SHAPE, grid02.copy(), 123.0)
+        rawm = make_spectrum(DEFAULT_NV0_SHAPE, grid02.copy(), 77.0)
+        assert raw0.wavelengths is not rawm.wavelengths
+        pair = BasisPair.from_spectra(raw0, rawm)
+        two_grids = BasisPair(normalize_area(raw0), normalize_area(rawm))
+        assert pair.sminus.wavelengths is pair.s0.wavelengths is raw0.wavelengths
+        assert two_grids.sminus.wavelengths is not two_grids.s0.wavelengths
+        assert pair.sminus.intensities.tobytes() == two_grids.sminus.intensities.tobytes()
+        rng = np.random.default_rng(4)
+        for k in range(4):
+            s = Spectrum(grid02, 50.0 * raw0.intensities + 20.0 * rawm.intensities
+                         + rng.normal(0.0, 0.01, grid02.size) * k)
+            for nonneg in (True, False):
+                got = fit_coefficients(s, pair, nonneg=nonneg)
+                want = fit_coefficients(s, two_grids, nonneg=nonneg)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_from_spectra_keeps_distinct_grids_apart(self, grid02):
+        raw0 = make_spectrum(CLEAN_NVM_SHAPE, grid02, 1.0)
+        rawm = make_spectrum(CLEAN_NVM_SHAPE, grid02[:-1], 1.0)
+        with pytest.raises(GridMismatchError):
+            BasisPair.from_spectra(raw0, rawm)

@@ -106,6 +106,27 @@ class TestFieldResponse:
         # endpoints give the reference scale factor 62000/(62000-52000)
         assert knots[170.0] / (knots[170.0] - knots[975.0]) == pytest.approx(6.2)
 
+    @pytest.mark.parametrize("curve", [
+        DEFAULT_FIELD_RESPONSE.cminus_curve,
+        ((100.0, 50.0), (200.0, 30.0)),
+        ((170.0, 5.0),),
+        ((1e-3, 0.0), (2e-3, 1e300), (5e4, 7.25)),
+    ], ids=["default", "two-knots", "one-knot", "extreme"])
+    def test_cminus_matches_interp_on_the_knot_lists(self, curve):
+        """``cminus`` interpolates on the arrays kept at construction, bit for bit as
+        ``np.interp`` on lists of the knots, and rejects a field outside them as before."""
+        fr = FieldResponseModel(1.0, curve)
+        bs, cs = [float(b) for b, _ in curve], [float(c) for _, c in curve]
+        kept = fr._knots
+        assert [k.tolist() for k in kept] == [bs, cs] and not any(k.flags.writeable for k in kept)
+        mids = [a + (b - a) * t for a, b in zip(bs, bs[1:]) for t in (0.25, 0.5, 1 / 3)]
+        for b in [*bs, *mids, np.float64(bs[0]), np.float64(bs[-1])]:
+            assert fr.cminus(b).hex() == float(np.interp(b, bs, cs)).hex()
+        for b in (np.nextafter(bs[0], 0.0), np.nextafter(bs[-1], np.inf), -1.0, 1e300):
+            with pytest.raises(RangeError) as err:
+                fr.cminus(b)
+            assert str(err.value) == f"field {b} G outside knot range [{bs[0]}, {bs[-1]}] G"
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             FieldResponseModel(-1.0, ((100.0, 50.0),))
