@@ -68,10 +68,12 @@ class FieldSeries:
         entries = iter(entries)
         if (head := next(entries, None)) is None:
             return cls(())
-        held, key = [head], head[1].wavelengths.tobytes()
+        held, key = [head], None
         for b, s in entries:  # s's own grid goes before the next entry is read
-            if s.wavelengths is not head[1].wavelengths and s.wavelengths.tobytes() == key:
-                s = _on_grid(head[1], s.intensities)
+            if s.wavelengths is not head[1].wavelengths:
+                key = key or head[1].wavelengths.tobytes()  # taken once, and only if needed
+                if s.wavelengths.tobytes() == key:
+                    s = _on_grid(head[1], s.intensities)
             held.append((b, s))
         spans = [s.span for _, s in held]
         lo, hi = max(a for a, _ in spans), min(b for _, b in spans)

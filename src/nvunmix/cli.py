@@ -36,7 +36,7 @@ from .fileio import _run_digests, _save_bytes, save_csv, save_json, save_map, sa
 from .filters import FilterModel, TabulatedFilter, TransmissivityPair, transmissivity
 from .maps import PLMap, field_unmix, filter_unmix, fraction_map
 from .render import render_map_pgm, render_spectrum_svg
-from .spectrum import BasisPair, WavelengthWindow, resample
+from .spectrum import BasisPair, WavelengthWindow, _on_grid, resample
 from .synth import (
     DEFAULT_FIELD_RESPONSE,
     DEFAULT_NV0_SHAPE,
@@ -155,7 +155,10 @@ def cmd_fit_series(args) -> _Run:
                     f"{args.series}: entry {i} needs a numeric 'b_field_gauss'") from exc
             path = os.path.join(base_dir, path)  # an absolute path replaces base_dir
             run.inputs.append(path)
-            yield b_field, load_spectrum(path, negative=args.negative)
+            s = load_spectrum(path, negative=args.negative)
+            if np.array_equal(basis.grid, s.wavelengths):  # one grid for the basis and the sweep
+                s = _on_grid(basis.s0, s.intensities)
+            yield b_field, s
 
     series = FieldSeries.ingest(entries())
     grid = series.entries[0][1].wavelengths

@@ -28,6 +28,7 @@ from .errors import (
 from .spectrum import (
     Spectrum,
     WavelengthWindow,
+    _peak,
     _require_same_grid,
     _require_within,
     scale,
@@ -122,8 +123,8 @@ class DecompositionResult:
 
 class _WindowPlan:
     """Windows 0 (low band), 1 (inner) and 2 (high band) of ``cfg`` cut once from ``grid``.
-    Per spectrum, one ``np.interp`` call on the four edges gives each window's values; they,
-    ``trapz`` and ``residual`` are the floats ``_window_slice`` and ``area`` give per window."""
+    Per spectrum, one ``np.interp`` call on the edges' grid points gives each window's values;
+    they, ``trapz`` and ``residual`` are the floats ``_window_slice`` and ``area`` give."""
 
     def __init__(self, grid: NDArray[np.float64], cfg: ZplArtifactConfig) -> None:
         inner, self.width = cfg.inner, cfg.edge_width
@@ -135,6 +136,10 @@ class _WindowPlan:
         self.xs = [np.concatenate(((self.edges[k],), grid[i:j], (self.edges[k + 1],)))
                    for k, (i, j) in enumerate(self.cuts)]
         self.dx = [x[1:] - x[:-1] for x in self.xs]
+        # Each edge's bracketing grid points: np.interp on them gives what the whole grid gives.
+        cut = [i for i, _ in self.cuts] + [self.cuts[2][1]]
+        self.near = np.array(sorted({min(max(k, 0), grid.size - 1) for i in cut for k in (i - 1, i)}))
+        self.near_x = grid[self.near]
         self.offset = self.xs[1] - x_lo
 
     def require_bands(self, span: tuple[float, float]) -> None:
@@ -143,8 +148,8 @@ class _WindowPlan:
             _require_within(span, band.lo, band.hi)
 
     def windows(self, s: Spectrum) -> list[NDArray[np.float64]]:
-        e, y = np.interp(self.edges, s.wavelengths, s.intensities), s.intensities
-        return [np.concatenate(((e[k],), y[i:j], (e[k + 1],))) for k, (i, j) in enumerate(self.cuts)]
+        e, y = np.interp(self.edges, self.near_x, s.intensities[self.near]), s.intensities
+        return [np.concatenate((e[k:k + 1], y[i:j], e[k + 1:k + 2])) for k, (i, j) in enumerate(self.cuts)]
 
     def trapz(self, y: NDArray[np.float64], k: int) -> float:
         return float(0.5 * np.dot(self.dx[k], y[1:] + y[:-1]))
@@ -275,7 +280,7 @@ def decompose(
     f, metric = optimize_scale_factor(low_b, diff, cfg, search)
     nvminus = scale(diff, f)
     nv0 = subtract(low_b, nvminus)
-    floor = -1e-9 * float(np.max(np.abs(low_b.intensities)))
+    floor = -1e-9 * _peak(low_b.intensities)
     if float(np.min(nv0.intensities)) < floor:
         warnings.warn(
             "recovered neutral-state spectrum has negative excursions; "

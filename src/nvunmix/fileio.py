@@ -8,9 +8,9 @@ bit-exact, formatting at most ``_WRITE_VALUES`` values (or one row) per write;
 a run's scope (``_run_digests``) it hashes those bytes for the run's report. It
 checks once that they are UTF-8 (ASCII needs no decode; other bytes are decoded
 once and the text dropped), naming the first bad byte's absolute offset. ``_rows``
-parses a CSV input's bytes with one ``np.loadtxt`` call or, where that declines,
-line by line (the only source of parse errors). Each loader runs each check once
-on those rows; ``_line_no`` finds a failing row's line.
+parses a CSV input with one ``np.loadtxt`` call on those bytes (no decoded copy) or,
+where it declines, line by line (the only source of parse errors). Each loader runs
+each check once on those rows; ``_line_no`` finds a failing row's line.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import io
 import itertools
 import json
 import os
+import re
 import stat
 import warnings
 from dataclasses import dataclass, field
@@ -143,18 +144,22 @@ def _line_no(data: bytes, i: int) -> int:
 
 
 def _fast_rows(data: bytes, width: int) -> np.ndarray | None:
-    """``data``'s rows parsed by ``np.loadtxt``, or None on no data row, a field
-    ``loadtxt`` rejects (a blank or ``#`` line after the first data row included),
-    a wrong field count or a non-finite value."""
+    """``data``'s rows parsed by ``np.loadtxt`` from the bytes, or None on no data row, a
+    field ``loadtxt`` rejects (a blank or ``#`` line, or a lone ``\\r`` line end, after the
+    first data row included), a wrong field count or a non-finite value."""
     # np.loadtxt strips \x1c-\x1f around a field and float() does not.
     if any(space in data for space in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
         return None
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    for m in re.finditer(rb"[^\r\n]*(?:\r\n?|\n)?", data):  # lines split as TextIOWrapper splits
+        line = m[0].decode("utf-8").strip()  # them, up to the first _data_lines keeps
+        if line and line[0] != "#":
+            break
+    else:
+        return None
+    fh = io.BytesIO(data)  # shares data's buffer
+    fh.seek(m.start())
     try:
-        head = next(_data_lines(lines), None)
-        if head is None:
-            return None
-        rows = np.loadtxt(itertools.chain((head[1],), lines), delimiter=",", comments=None, ndmin=2)
+        rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
     except ValueError:
         return None
     return rows if rows.shape[1] == width and np.isfinite(rows).all() else None

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import ConditioningWarning, ValidationError
-from .spectrum import Spectrum, WavelengthWindow, _as_readonly_array, _grid, _on_grid, area
+from .spectrum import Spectrum, WavelengthWindow, _as_readonly_array, _grid, _on_grid, _peak, area
 
 __all__ = [
     "FilterModel",
@@ -115,8 +115,7 @@ def transmissivity(
     window: WavelengthWindow = DEFAULT_EMISSION_WINDOW,
 ) -> float:
     """Intensity-weighted mean transmission of ``s`` over ``window``."""
-    peak = float(np.max(np.abs(s.intensities))) if len(s) else 0.0
-    if len(s) and float(np.min(s.intensities)) < -1e-12 * peak:
+    if len(s) and float(np.min(s.intensities)) < -1e-12 * _peak(s.intensities):
         raise ValidationError("transmissivity requires a nonnegative spectrum")
     denom = area(s, window)
     if not denom > 0.0:

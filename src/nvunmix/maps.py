@@ -15,6 +15,7 @@ from numpy.typing import NDArray
 
 from .errors import GridMismatchError, SingularityError, ValidationError
 from .filters import TransmissivityPair
+from .spectrum import _peak
 
 __all__ = [
     "PLMap",
@@ -85,7 +86,7 @@ def _require_same_shape(a: PLMap, b: PLMap) -> None:
 
 
 def _count_negative(nv0: NDArray[np.float64], nvm: NDArray[np.float64], *inputs: PLMap) -> int:
-    tol = _REL_EPS * max(max(float(m.values.max()), -float(m.values.min())) for m in inputs)
+    tol = _REL_EPS * max(_peak(m.values) for m in inputs)
     return int(np.count_nonzero((nv0 < -tol) | (nvm < -tol)))
 
 

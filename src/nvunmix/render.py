@@ -37,8 +37,10 @@ def render_spectrum_svg(s: Spectrum, *, zpl_guides: bool = False) -> bytes:
     y = s.intensities
     x0, x1 = float(x[0]), float(x[-1])
     y0, y1 = float(np.min(y)), float(np.max(y))
-    if y1 == y0:
+    if y1 == y0:  # flat: span 1.0 up, or one float step toward 0 where 1.0 is below the spacing
         y1 = y0 + 1.0
+        if y1 == y0:
+            y0, y1 = sorted((y0, float(np.nextafter(y0, 0.0))))
     xspan = x1 - x0 if x1 > x0 else 1.0
 
     def px(v):  # a float, or an array elementwise in the same IEEE operations
@@ -93,7 +95,7 @@ def render_spectrum_svg(s: Spectrum, *, zpl_guides: bool = False) -> bytes:
     )
     parts.append(
         f'<text x="{w - m}" y="{m - 6}" font-size="11" text-anchor="end">'
-        f"min={_fmt(y0)} max={_fmt(float(np.max(y)))}</text>"
+        f"min={_fmt(float(np.min(y)))} max={_fmt(float(np.max(y)))}</text>"
     )
     parts += ["</svg>", ""]
     return "\n".join(parts).encode("utf-8")

@@ -49,6 +49,11 @@ def _grid(values: ArrayLike, name: str, min_size: int = 1) -> NDArray[np.float64
     return arr
 
 
+def _peak(y: NDArray[np.float64]) -> float:
+    """max |y| with no full-size |y| temporary; 0.0 for an empty ``y``."""
+    return max(float(y.max()), -float(y.min())) if y.size else 0.0
+
+
 def _trapz(y: NDArray[np.float64], x: NDArray[np.float64]) -> float:
     if x.size < 2:
         return 0.0
@@ -160,9 +165,9 @@ def _window_slice(
     """Grid points strictly inside (lo, hi) plus interpolated edge values."""
     w, y = s.wavelengths, s.intensities
     _require_within(s.span, lo, hi)
-    # Two O(log n) searches; np.interp does its own, so no step is O(n).
+    # Two O(log n) searches; np.interp copies a read-only array, so it gets two points per edge.
     i, j = w.searchsorted(lo, "right"), w.searchsorted(hi, "left")
-    y_lo, y_hi = np.interp((lo, hi), w, y)
+    y_lo, y_hi = (np.interp(v, w[k - 1:k + 1], y[k - 1:k + 1]) for v, k in ((lo, i), (hi, j)))
     xs = np.concatenate(((lo,), w[i:j], (hi,)))
     ys = np.concatenate(((y_lo,), y[i:j], (y_hi,)))
     return xs, ys
@@ -179,8 +184,7 @@ def area(s: Spectrum, window: WavelengthWindow | None = None) -> float:
 def normalize_area(s: Spectrum) -> Spectrum:
     """Rescale a nonnegative spectrum so its full-grid area is 1."""
     y = s.intensities
-    peak = float(np.max(np.abs(y))) if y.size else 0.0
-    if y.size and float(np.min(y)) < -1e-9 * peak:
+    if y.size and float(np.min(y)) < -1e-9 * _peak(y):
         raise ValidationError("cannot area-normalize a spectrum with negative values")
     a = area(s)
     if not a > 0.0:
@@ -205,8 +209,7 @@ class BasisPair:
     def __post_init__(self) -> None:
         _require_same_grid(self.s0, self.sminus)
         for name, s in (("s0", self.s0), ("sminus", self.sminus)):
-            peak = float(np.max(np.abs(s.intensities)))
-            if float(np.min(s.intensities)) < -1e-12 * peak:
+            if float(np.min(s.intensities)) < -1e-12 * _peak(s.intensities):
                 raise ValidationError(f"basis spectrum {name} has negative values")
             a = area(s)
             if abs(a - 1.0) > self._AREA_RTOL:

@@ -1,4 +1,6 @@
+import gc
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,3 +84,18 @@ def combine(basis: BasisPair, c0: float, cminus: float) -> Spectrum:
 def assert_spectra_equal(a: Spectrum, b: Spectrum) -> None:
     assert np.array_equal(a.wavelengths, b.wavelengths)
     assert np.array_equal(a.intensities, b.intensities)
+
+
+def allocated_beyond_result(call) -> int:
+    """Bytes ``call()`` allocates at its tracemalloc peak beyond what it still holds on
+    return (its result), measured on a second call so first-call caches do not count."""
+    call()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - kept

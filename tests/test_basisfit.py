@@ -5,6 +5,7 @@ import sys
 import threading
 import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from nvunmix import (
     scale_factor_surface,
 )
 from nvunmix import basisfit
+from nvunmix.spectrum import _on_grid
 
 from conftest import combine
 
@@ -230,6 +232,28 @@ class TestFieldSeries:
         series = FieldSeries.ingest(sweep)
         for (_, s), (_, given_s) in zip(series.entries, sweep):
             assert s.wavelengths is sweep[0][1].wavelengths and s.intensities is given_s.intensities
+
+    def test_ingest_takes_the_head_grid_key_only_for_another_grid_object(self, grid02):
+        """Entries on the head's grid object never need the head grid's tobytes() key; an
+        entry on an equal grid in its own array takes it, once."""
+        keys = mock.Mock(side_effect=np.ndarray.tobytes)
+
+        class Grid(np.ndarray):
+            """A grid array whose tobytes() calls ``keys`` counts."""
+
+            def tobytes(self, *args, **kwargs):
+                return keys(self, *args, **kwargs)
+
+        head = make_spectrum(DEFAULT_NVM_SHAPE, grid02, 1.0)
+        object.__setattr__(head, "wavelengths", head.wavelengths.view(Grid))
+        sweep = [(170.0, head)] + [(b, _on_grid(head, b * head.intensities)) for b in (400.0, 975.0)]
+        own = [(b, make_spectrum(DEFAULT_NVM_SHAPE, grid02.copy(), b)) for b in (600.0, 700.0)]
+        series = FieldSeries.ingest(sweep)
+        assert keys.call_count == 0
+        assert all(s.wavelengths is head.wavelengths for _, s in series.entries)
+        series = FieldSeries.ingest(sweep + own)
+        assert keys.call_count == 1
+        assert all(s.wavelengths is head.wavelengths for _, s in series.entries)
 
     def test_ingest_takes_the_first_grid_as_each_entry_arrives(self, grid02):
         """From a generator of spectra on equal grids in separate arrays, each entry after the

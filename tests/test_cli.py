@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from nvunmix import (
+    DEFAULT_NV0_SHAPE,
+    DEFAULT_NVM_SHAPE,
     BasisPair,
     FieldSeries,
     NonPhysicalWarning,
@@ -470,10 +472,40 @@ class TestSweepFlow:
         assert out.exists() == existed
         assert not existed or list(out.iterdir()) == []
 
+    def test_fit_series_holds_its_spectra_one_file_and_its_rows(self, tmp_path, capsys, grid02):
+        """On an 8-field noisy sweep of 1501 points with a unit-area basis on its grid,
+        fit-series's tracemalloc peak stays within one spectrum-size per field plus three
+        (one grid, the basis pair), the largest input file, two spectrum-sizes of parsed
+        rows and 8 KB."""
+        fields = [170.0, 285.0, 400.0, 515.0, 630.0, 745.0, 860.0, 975.0]
+        (tmp_path / "sweep.json").write_text(json.dumps(
+            {"fields": fields, "noise": {"kind": "poisson", "scans": 3000}}))
+        sweep = tmp_path / "sw"
+        argv = ["simulate", "sweep", "--params", str(tmp_path / "sweep.json"), "--seed", "5",
+                "--out", str(sweep)]
+        assert main(argv) == 0
+        for name, shape in (("nv0", DEFAULT_NV0_SHAPE), ("nvm", DEFAULT_NVM_SHAPE)):
+            save_spectrum(make_spectrum(shape, grid02, 1.0), tmp_path / f"{name}.csv")
+        argv = ["fit-series", "--basis-nv0", str(tmp_path / "nv0.csv"),
+                "--basis-nvm", str(tmp_path / "nvm.csv"),
+                "--series", str(sweep / "manifest.json"), "--out-table", str(tmp_path / "t.csv"),
+                "--out-surface", str(tmp_path / "s.csv")]
+        size = grid02.size * 8
+        largest = max(p.stat().st_size for p in [*sweep.glob("*.csv"), *tmp_path.glob("*.csv")])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (len(fields) + 3) * size + largest + 2 * size + 8192
+
     def test_fit_series_holds_one_grid_and_builds_the_surface_only_to_write_it(
             self, tmp_path, monkeypatch):
-        """Every entry of the fitted series shares one grid object. Without --out-surface the
-        report's surface counts are those of the surface, which is not built."""
+        """Every entry of the fitted series and the basis share one grid object. Without
+        --out-surface the report's surface counts are those of the surface, which is not
+        built."""
         params = tmp_path / "sweep.json"
         params.write_text(json.dumps({
             "fields": [170.0, 400.0, 700.0, 829.0, 975.0], "noise": {"kind": "none"},
@@ -485,15 +517,16 @@ class TestSweepFlow:
                 "--series", str(sweep / "manifest.json"), "--out-table", str(tmp_path / "t.csv")]
         fitted = []
 
-        def seen(series, *args, **kwargs):
-            fitted.append(series)
-            return fit_series(series, *args, **kwargs)
+        def seen(series, basis, *args, **kwargs):
+            fitted.append((series, basis))
+            return fit_series(series, basis, *args, **kwargs)
 
         with monkeypatch.context() as m:
             m.setattr("nvunmix.cli.fit_series", seen)
             assert main(argv + ["--out-surface", str(tmp_path / "s.csv")]) == 0
-        (series,) = fitted
-        grid = series.entries[0][1].wavelengths
+        ((series, basis),) = fitted
+        grid = basis.grid
+        assert basis.sminus.wavelengths is grid
         assert len(series) == 5 and all(s.wavelengths is grid for _, s in series.entries)
         with_surface = RunReport.load(tmp_path / "t.report.json").diagnostics
 
@@ -543,6 +576,16 @@ class TestRenderAndReportCommands:
         out = tmp_path / "s.svg"
         assert main(["render", "--spectrum", str(tmp_path / "s.csv"), "--out", str(out), "--zpl-guides"]) == 0
         assert out.read_bytes().startswith(b"<svg")
+
+    @pytest.mark.parametrize("level", ["1e16", "-1e16", "1.7976931348623157e308"])
+    def test_render_flat_spectrum_beyond_unit_spacing(self, tmp_path, capsys, level):
+        """A flat spectrum at a level where level + 1.0 rounds back to level renders."""
+        (tmp_path / "s.csv").write_text(f"600.0,{level}\n601.0,{level}\n")
+        out = tmp_path / "s.svg"
+        assert main(["render", "--spectrum", str(tmp_path / "s.csv"), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        svg = out.read_text()
+        assert svg.startswith("<svg") and f"min={float(level):.6g}" in svg
 
     def test_render_map(self, tmp_path):
         save_map(PLMap(np.arange(12.0).reshape(3, 4)), tmp_path / "m")

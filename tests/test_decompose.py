@@ -30,9 +30,9 @@ from nvunmix import (
     subtract,
     zpl_artifact,
 )
-from nvunmix.decompose import _l1_scale_factor
+from nvunmix.decompose import _l1_scale_factor, _WindowPlan
 
-from conftest import CLEAN_NV0_SHAPE, CLEAN_NVM_SHAPE
+from conftest import CLEAN_NV0_SHAPE, CLEAN_NVM_SHAPE, allocated_beyond_result
 from test_spectrum import gaussian_window_area
 
 FINE = np.arange(550.0, 850.05, 0.05)
@@ -410,6 +410,13 @@ class TestWindowPlan:
         assert outcome(optimize_scale_factor, low, diff, cfg) == want
         result = outcome(lambda: decompose(low, high, cfg))
         assert result == want
+
+    def test_windows_copy_no_grid(self, grid02):
+        """On the 0.2 nm grid the windows allocate under 1 KB beyond the arrays they return:
+        np.interp gets the grid points around the four edges, not the read-only grid."""
+        s = make_spectrum(CLEAN_NVM_SHAPE, grid02, 62000.0)
+        plan = _WindowPlan(s.wavelengths, ZplArtifactConfig())
+        assert allocated_beyond_result(lambda: plan.windows(s)) < 1024
 
     def test_matches_on_the_paper_grid(self, grid02):
         rng = np.random.default_rng(8)

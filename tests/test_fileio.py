@@ -208,9 +208,10 @@ _FILLERS = st.sampled_from(["", "   ", "\t", "#", "# spec-csv v1", "  # indented
 def _csv_text(draw, width: int) -> tuple[str, int, bool]:
     """A CSV file of ``width``-field rows, its data row count, and whether it is
     clean: finite fields only, fillers only before the first data row, no
-    trailing comma. Other files add one odd field, one or two interior blank,
-    whitespace-only or ``#`` lines, or trailing commas, or all three; any may use
-    CRLF."""
+    trailing comma, no lone CR line end between data rows. Other files add one odd field,
+    one or two interior blank, whitespace-only or ``#`` lines, or trailing commas, or all
+    three. Leading lines end in LF, CRLF or a lone CR, each drawn; the other lines all in
+    one of the three, or in a mix of them drawn line by line."""
     fields = st.one_of(_FINITE_FIELDS, _LONG_FIELDS)
     if draw(st.booleans()):  # nonnegative, so negative="error" can load the file
         fields = fields.map(lambda f: f.lstrip("-"))
@@ -230,8 +231,11 @@ def _csv_text(draw, width: int) -> tuple[str, int, bool]:
     if mess in ("interior lines", "all"):
         for _ in range(draw(st.integers(1, 2))):
             lines.insert(draw(st.integers(lead + 1, len(lines))), draw(_FILLERS))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
-    return eol.join(lines) + draw(st.sampled_from(["", eol])), len(rows), bool(rows) and mess == "none"
+    eols = draw(st.sampled_from([["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]]))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"] if i < lead else eols))
+            for i in range(len(lines) - 1)] + [draw(st.sampled_from(["", *eols]))]
+    text = "".join(line + end for line, end in zip(lines, ends)) if lines else ends[-1]
+    return text, len(rows), bool(rows) and mess == "none" and "\r" not in ends[lead:-1]
 
 
 def _outcome(load, path, **kw):
@@ -295,14 +299,24 @@ class TestFastPathOracle:
             ("600.0,\u0661\n", [1.0]),
             ("600.0,1.0\n   \n601.0,2.0\n", [1.0, 2.0]),
             ("600.0,1.0\n# note\n601.0,2.0\n", [1.0, 2.0]),
+            ("600.0,1.0\r601.0,2.0\r", [1.0, 2.0]),
         ],
-        ids=["underscore", "arabic-indic-digit", "interior-whitespace-line", "interior-comment"],
+        ids=["underscore", "arabic-indic-digit", "interior-whitespace-line", "interior-comment",
+             "lone-cr"],
     )
     def test_line_reader_takes_what_loadtxt_declines(self, tmp_path, text, intensities):
         path = tmp_path / "s.csv"
         path.write_text(text, encoding="utf-8")
         assert fileio._fast_rows(path.read_bytes(), 2) is None
         assert load_spectrum(path).intensities.tolist() == intensities
+
+    @pytest.mark.parametrize("head", ["# note\r", "\r", "  \r# note\r\n", "\r\n\r"])
+    def test_leading_lines_end_where_the_line_reader_ends_them(self, tmp_path, head):
+        """A lone CR ends a leading line, so the data row after it is kept."""
+        path = tmp_path / "s.csv"
+        path.write_bytes((head + "600.0,1.0\n601.0,2.0\n").encode())
+        assert fileio._fast_rows(path.read_bytes(), 2).tolist() == [[600.0, 1.0], [601.0, 2.0]]
+        assert load_spectrum(path).intensities.tolist() == [1.0, 2.0]
 
     def test_separator_spaces_are_left_to_the_line_reader(self, tmp_path):
         r"""loadtxt strips \x1c-\x1f around a field; float() rejects the field."""

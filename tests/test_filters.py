@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nvunmix import (
     ConditioningWarning,
     FilterModel,
+    NvUnmixError,
     Spectrum,
     TabulatedFilter,
     TransmissivityPair,
@@ -21,6 +22,7 @@ from nvunmix import (
     transmissivity_pair,
 )
 from nvunmix.filters import DEFAULT_EMISSION_WINDOW
+from nvunmix.spectrum import _require_within
 
 from conftest import CLEAN_NV0_SHAPE, CLEAN_NVM_SHAPE
 
@@ -171,6 +173,66 @@ class TestTransmissivity:
         y[3] = -2.0
         with pytest.raises(ValidationError):
             transmissivity(Spectrum(g, y), FilterModel())
+
+
+def transmissivity_by_mask(s, fm, window):
+    """``transmissivity`` as it was computed, kept as the oracle: a full-size |y| for the
+    sign check, full-grid masks and full-grid np.interp for both windowed areas."""
+    y = s.intensities
+    if float(np.min(y)) < -1e-12 * float(np.max(np.abs(y))):
+        raise ValidationError("transmissivity requires a nonnegative spectrum")
+
+    def windowed_area(w, v):
+        _require_within(s.span, window.lo, window.hi)
+        inside = (w > window.lo) & (w < window.hi)
+        xs = np.concatenate(([window.lo], w[inside], [window.hi]))
+        ys = np.concatenate(([np.interp(window.lo, w, v)], v[inside], [np.interp(window.hi, w, v)]))
+        return float(0.5 * np.dot(xs[1:] - xs[:-1], ys[1:] + ys[:-1]))
+
+    denom = windowed_area(s.wavelengths, y)
+    if not denom > 0.0:
+        raise ValidationError("spectrum has zero area over the integration window")
+    return windowed_area(s.wavelengths, y * fm.transmission(s.wavelengths)) / denom
+
+
+def _outcome(fn, *args):
+    """``fn``'s result by ``float.hex``, or the class and message of what it raised."""
+    try:
+        return fn(*args).hex()
+    except NvUnmixError as exc:
+        return type(exc), str(exc)
+
+
+class TestTransmissivityOracle:
+    """Bit for bit, or by error class and message, against the full-grid computation kept
+    above: windows with edges between grid points, on them and at both grid ends, or off
+    the grid; spectra with zeros and negative values."""
+
+    @given(data=st.data(), n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["positive", "sparse", "signed", "tiny negative"]))
+    def test_matches_full_grid_oracle(self, data, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        w = 550.0 + np.cumsum(rng.uniform(0.05, 20.0, n))
+        y = {"positive": rng.uniform(0.0, 1e4, n), "sparse": rng.uniform(0.0, 1e4, n) * (rng.random(n) < 0.3),
+             "signed": rng.normal(0.0, 1e4, n), "tiny negative": rng.uniform(0.0, 1e4, n)}[kind]
+        if kind == "tiny negative":
+            y[rng.integers(n)] = -1e-14 * float(y.max())
+        s = Spectrum(w, y)
+        edge = st.one_of(st.sampled_from(w.tolist()), st.floats(float(w[0]) - 5.0, float(w[-1]) + 5.0))
+        lo, hi = sorted((data.draw(edge), data.draw(edge)))
+        assume(lo < hi)
+        window = WavelengthWindow(lo, hi)
+        fm = FilterModel(center=data.draw(st.floats(550.0, 750.0)))
+        assert _outcome(transmissivity, s, fm, window) == _outcome(transmissivity_by_mask, s, fm, window)
+
+    def test_matches_full_grid_oracle_on_the_paper_grid(self, grid02):
+        rng = np.random.default_rng(9)
+        s = Spectrum(grid02, rng.uniform(0.0, 1e4, grid02.size))
+        for lo, hi in [(600.0, 800.0), (550.0, 850.0), (630.1, 644.3)] + [
+                tuple(sorted(rng.uniform(550.0, 850.0, 2))) for _ in range(50)]:
+            window = WavelengthWindow(lo, hi)
+            assert _outcome(transmissivity, s, FilterModel(), window) == _outcome(
+                transmissivity_by_mask, s, FilterModel(), window)
 
 
 class TestTransmissivityPair:

@@ -4,7 +4,9 @@ Regenerate goldens (after an intentional rendering change) by rerunning the
 same calls as in the golden tests and overwriting tests/golden/*.
 """
 
+import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +70,15 @@ class TestSpectrumSvg:
         assert "575 nm" in with_guides and "637 nm" in with_guides
         assert "575 nm" not in without
 
+    @pytest.mark.parametrize("level", [2.0**53, 1e16, -1e16, 1.7976931348623157e308,
+                                       -1.7976931348623157e308])
+    def test_flat_spectrum_too_large_for_a_unit_span_renders(self, level):
+        """Where level + 1.0 rounds back to level, the y axis spans one float step instead:
+        finite coordinates and ticks, and the level in the legend."""
+        svg = render_spectrum_svg(Spectrum([600.0, 601.0], [level, level])).decode()
+        assert not re.search(r"\b(nan|inf)\b", svg)
+        assert f"min={level:.6g} max={level:.6g}" in svg
+
 
 class TestMapPgm:
     def test_zero_map_is_uniform(self):
@@ -107,13 +118,16 @@ class TestMapPgm:
 
 
 def _svg_one_shot(s, *, zpl_guides=False):
-    """``render_spectrum_svg`` as it formatted every point in one call, kept as the oracle."""
+    """``render_spectrum_svg`` as it formatted every point in one call, kept as the oracle,
+    with the renderer's bounds for a flat spectrum too large for ``y0 + 1.0`` to differ."""
     w, h, m = 720, 480, 64
     x, y = s.wavelengths, s.intensities
     x0, x1 = float(x[0]), float(x[-1])
     y0, y1 = float(np.min(y)), float(np.max(y))
     if y1 == y0:
         y1 = y0 + 1.0
+        if y1 == y0:
+            y0, y1 = sorted((y0, math.nextafter(y0, 0.0)))
     xspan = x1 - x0 if x1 > x0 else 1.0
 
     def px(v):

@@ -25,7 +25,7 @@ from nvunmix import (
 )
 from nvunmix.spectrum import _window_slice
 
-from conftest import CLEAN_NVM_SHAPE, assert_spectra_equal
+from conftest import CLEAN_NVM_SHAPE, allocated_beyond_result, assert_spectra_equal
 
 
 def gaussian_window_area(mu, sigma, lo, hi):
@@ -244,6 +244,14 @@ class TestWindowSlice:
 
 
 class TestArea:
+    @pytest.mark.parametrize("lo, hi", [(636.5, 637.5), (600.0, 800.0), (550.0, 850.0)])
+    def test_window_copies_no_grid(self, grid02, lo, hi):
+        """On the 0.2 nm grid, the windowed points area integrates allocate under 1 KB beyond
+        themselves, whatever the window's width: np.interp gets each edge's two grid points,
+        not the read-only grid."""
+        s = make_spectrum(CLEAN_NVM_SHAPE, grid02, 62000.0)
+        assert allocated_beyond_result(lambda: _window_slice(s, lo, hi)) < 1024
+
     def test_constant(self):
         g = np.linspace(550.0, 850.0, 1501)
         s = Spectrum(g, np.full_like(g, 2.0))
