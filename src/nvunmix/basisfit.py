@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 
 from .errors import FlatWarning, GridMismatchError, NoMinimumError, NonPhysicalWarning
 from .errors import SingularityError, ValidationError
-from .spectrum import BasisPair, Spectrum, _on_grid, resample
+from .spectrum import BasisPair, Spectrum, _on_grid, _onto, _same_grid, resample
 
 __all__ = [
     "FieldSeries",
@@ -52,8 +52,7 @@ class FieldSeries:
             raise ValidationError("field values must be positive and finite")
         if len(set(bs)) != len(bs):
             raise ValidationError("field values must be distinct")
-        grids = [s.wavelengths for _, s in entries]
-        if any(not (g is grids[0] or np.array_equal(g, grids[0])) for g in grids[1:]):
+        if any(not _same_grid(s.wavelengths, entries[0][1].wavelengths) for _, s in entries[1:]):
             raise GridMismatchError("series spectra are on different grids; use ingest()")
 
     @classmethod
@@ -62,18 +61,15 @@ class FieldSeries:
 
         The target is the first spectrum's grid restricted to the wavelength
         range common to all entries (that grid array itself when the range is
-        its whole span); every entry shares that one grid array, and one with
-        the first entry's grid bytes takes that grid as it arrives.
+        its whole span); every entry shares that one grid array, and one on a
+        grid equal in value to the first entry's takes that grid as it arrives.
         """
         entries = iter(entries)
         if (head := next(entries, None)) is None:
             return cls(())
-        held, key = [head], None
-        for b, s in entries:  # s's own grid goes before the next entry is read
-            if s.wavelengths is not head[1].wavelengths:
-                key = key or head[1].wavelengths.tobytes()  # taken once, and only if needed
-                if s.wavelengths.tobytes() == key:
-                    s = _on_grid(head[1], s.intensities)
+        held = [head]
+        for b, s in entries:
+            s = _onto(head[1], s)  # s's own grid goes before the next entry is read
             held.append((b, s))
         spans = [s.span for _, s in held]
         lo, hi = max(a for a, _ in spans), min(b for _, b in spans)
@@ -155,7 +151,7 @@ class ScaleFactorSurface:
 def _solver(basis: BasisPair, grid: NDArray[np.float64], nonneg: bool):
     """``solve(y) -> (c0, cminus, rms)`` for spectra on ``grid``, with the pair's kept Gram
     terms and two scratch rows that only this solver uses."""
-    if not (grid is basis.grid or np.array_equal(grid, basis.grid)):
+    if not _same_grid(grid, basis.grid):
         raise GridMismatchError("spectrum and basis are on different grids")
     g00, g11, g01 = basis._gram_terms
     a0, a1 = basis.s0.intensities, basis.sminus.intensities

@@ -36,7 +36,7 @@ from .fileio import _run_digests, _save_bytes, save_csv, save_json, save_map, sa
 from .filters import FilterModel, TabulatedFilter, TransmissivityPair, transmissivity
 from .maps import PLMap, field_unmix, filter_unmix, fraction_map
 from .render import render_map_pgm, render_spectrum_svg
-from .spectrum import BasisPair, WavelengthWindow, _on_grid, resample
+from .spectrum import BasisPair, WavelengthWindow, _onto, _same_grid, resample
 from .synth import (
     DEFAULT_FIELD_RESPONSE,
     DEFAULT_NV0_SHAPE,
@@ -143,7 +143,7 @@ def cmd_fit_series(args) -> _Run:
         raise ValidationError(f"{args.series}: --out-surface needs at least two field entries")
     base_dir = os.path.dirname(os.path.abspath(args.series))
 
-    def entries():  # loaded as ingest asks, so each spectrum's own grid can go before the next
+    def entries():  # as ingest asks; one on a grid equal to the basis's drops its own at once
         for i, item in enumerate(manifest):
             path = item.get("path") if isinstance(item, dict) else None
             if not isinstance(path, str) or "\0" in path:
@@ -155,17 +155,12 @@ def cmd_fit_series(args) -> _Run:
                     f"{args.series}: entry {i} needs a numeric 'b_field_gauss'") from exc
             path = os.path.join(base_dir, path)  # an absolute path replaces base_dir
             run.inputs.append(path)
-            s = load_spectrum(path, negative=args.negative)
-            if np.array_equal(basis.grid, s.wavelengths):  # one grid for the basis and the sweep
-                s = _on_grid(basis.s0, s.intensities)
-            yield b_field, s
+            yield b_field, _onto(basis.s0, load_spectrum(path, negative=args.negative))
 
     series = FieldSeries.ingest(entries())
     grid = series.entries[0][1].wavelengths
-    if not np.array_equal(basis.grid, grid):
-        basis = BasisPair.from_spectra(
-            resample(basis.s0, grid), resample(basis.sminus, grid)
-        )
+    if not _same_grid(basis.grid, grid):
+        basis = BasisPair.from_spectra(resample(basis.s0, grid), resample(basis.sminus, grid))
     table = fit_series(series, basis, nonneg=not args.unconstrained)
     save_csv(args.out_table, "b_gauss,c0,cminus,residual",
              (table.b_fields, table.c0, table.cminus, table.residuals))

@@ -28,9 +28,11 @@ from .errors import (
 from .spectrum import (
     Spectrum,
     WavelengthWindow,
+    _WindowCut,
     _peak,
     _require_same_grid,
     _require_within,
+    _trapz,
     scale,
     subtract,
 )
@@ -121,41 +123,24 @@ class DecompositionResult:
     f_at_bound: bool
 
 
-class _WindowPlan:
-    """Windows 0 (low band), 1 (inner) and 2 (high band) of ``cfg`` cut once from ``grid``.
-    Per spectrum, one ``np.interp`` call on the edges' grid points gives each window's values;
-    they, ``trapz`` and ``residual`` are the floats ``_window_slice`` and ``area`` give."""
+class _WindowPlan(_WindowCut):
+    """Windows 0 (low band), 1 (inner) and 2 (high band) of ``cfg`` cut once from ``grid``,
+    and the straight baseline joining the two bands' mean intensities."""
 
     def __init__(self, grid: NDArray[np.float64], cfg: ZplArtifactConfig) -> None:
         inner, self.width = cfg.inner, cfg.edge_width
-        self.edges = (inner.lo - self.width, inner.lo, inner.hi, inner.hi + self.width)
+        super().__init__(grid, (inner.lo - self.width, inner.lo, inner.hi, inner.hi + self.width))
         x_lo = inner.lo - 0.5 * self.width
         self.run = (inner.hi + 0.5 * self.width) - x_lo
-        self.cuts = list(zip(grid.searchsorted(self.edges[:3], "right").tolist(),
-                             grid.searchsorted(self.edges[1:], "left").tolist()))
-        self.xs = [np.concatenate(((self.edges[k],), grid[i:j], (self.edges[k + 1],)))
-                   for k, (i, j) in enumerate(self.cuts)]
-        self.dx = [x[1:] - x[:-1] for x in self.xs]
-        # Each edge's bracketing grid points: np.interp on them gives what the whole grid gives.
-        cut = [i for i, _ in self.cuts] + [self.cuts[2][1]]
-        self.near = np.array(sorted({min(max(k, 0), grid.size - 1) for i in cut for k in (i - 1, i)}))
-        self.near_x = grid[self.near]
-        self.offset = self.xs[1] - x_lo
+        self.offset = self.nodes[1] - x_lo
 
     def require_bands(self, span: tuple[float, float]) -> None:
         """Raise what building, then cutting, the two band windows raised."""
         for band in (WavelengthWindow(*self.edges[:2]), WavelengthWindow(*self.edges[2:])):
             _require_within(span, band.lo, band.hi)
 
-    def windows(self, s: Spectrum) -> list[NDArray[np.float64]]:
-        e, y = np.interp(self.edges, self.near_x, s.intensities[self.near]), s.intensities
-        return [np.concatenate((e[k:k + 1], y[i:j], e[k + 1:k + 2])) for k, (i, j) in enumerate(self.cuts)]
-
-    def trapz(self, y: NDArray[np.float64], k: int) -> float:
-        return float(0.5 * np.dot(self.dx[k], y[1:] + y[:-1]))
-
     def residual(self, ys: list[NDArray[np.float64]]) -> NDArray[np.float64]:
-        mean_lo, mean_hi = self.trapz(ys[0], 0) / self.width, self.trapz(ys[2], 2) / self.width
+        mean_lo, mean_hi = (_trapz(ys[k], self.nodes[k]) / self.width for k in (0, 2))
         return ys[1] - (mean_lo + (mean_hi - mean_lo) / self.run * self.offset)
 
 
@@ -167,7 +152,7 @@ def zpl_artifact(candidate: Spectrum, cfg: ZplArtifactConfig | None = None) -> f
     """
     plan = _WindowPlan(candidate.wavelengths, cfg or ZplArtifactConfig())
     plan.require_bands(candidate.span)
-    return plan.trapz(np.abs(plan.residual(plan.windows(candidate))), 1)
+    return _trapz(np.abs(plan.residual(plan.values(candidate))), plan.nodes[1])
 
 
 def difference_spectrum(low_b: Spectrum, high_b: Spectrum) -> tuple[Spectrum, float]:
@@ -179,16 +164,14 @@ def difference_spectrum(low_b: Spectrum, high_b: Spectrum) -> tuple[Spectrum, fl
     The score is NaN when the grid does not cover the diagnostic window.
     """
     diff = subtract(low_b, high_b)
-    cfg = _NV0_ZPL_CONFIG
-    gmin, gmax = low_b.span
-    if cfg.inner.lo - cfg.edge_width < gmin or cfg.inner.hi + cfg.edge_width > gmax:
+    plan = _WindowPlan(low_b.wavelengths, _NV0_ZPL_CONFIG)
+    if plan.edges[0] < low_b.span[0] or plan.edges[-1] > low_b.span[1]:
         return diff, math.nan
-    plan = _WindowPlan(low_b.wavelengths, cfg)
-    score = plan.trapz(np.abs(plan.residual(plan.windows(diff))), 1)
-    threshold = _WARN_FRACTION * abs(plan.trapz(plan.windows(low_b)[1], 1))
+    score = _trapz(np.abs(plan.residual(plan.values(diff))), plan.nodes[1])
+    threshold = _WARN_FRACTION * abs(_trapz(plan.values(low_b)[1], plan.nodes[1]))
     if score > threshold:
         warnings.warn(
-            f"difference spectrum shows structure at {cfg.center} nm "
+            f"difference spectrum shows structure at {_NV0_ZPL_CONFIG.center} nm "
             f"(score {score:.4g} vs threshold {threshold:.4g}); "
             "the neutral-state contribution may have changed between fields",
             ModelViolationWarning,
@@ -198,21 +181,21 @@ def difference_spectrum(low_b: Spectrum, high_b: Spectrum) -> tuple[Spectrum, fl
 
 
 def _l1_scale_factor(
-    dx: NDArray[np.float64],
+    x: NDArray[np.float64],
     r_low: NDArray[np.float64],
     r_diff: NDArray[np.float64],
     search: ScaleSearchConfig,
 ) -> float:
     """Minimizer over the clamp range of the trapezoid integral of |r_low - f * r_diff|.
 
-    With trapezoid node weights w from the window's node spacings ``dx``, the
+    With trapezoid node weights w from the window's nodes ``x``, the
     integral is the sum of w * |r_diff| * |r_low / r_diff - f| plus a constant
     from the nodes where r_diff is zero: a weighted L1 fit of one parameter,
     minimized exactly by the lower weighted median of the ratios. The
     objective is convex, so clamping that median gives the minimizer over the
     range; a clamped value fires a NonPhysicalWarning.
     """
-    half = 0.5 * dx
+    half = 0.5 * (x[1:] - x[:-1])
     w = np.concatenate((half, (0.0,))) + np.concatenate(((0.0,), half))
     keep = r_diff != 0.0
     ratios = r_low[keep] / r_diff[keep]
@@ -247,20 +230,20 @@ def optimize_scale_factor(
     _require_same_grid(low_b, diff)
     plan = _WindowPlan(low_b.wavelengths, cfg)
     _require_within(diff.span, cfg.inner.lo, cfg.inner.hi)
-    d = plan.windows(diff)
-    if plan.trapz(d[1], 1) <= 0.0:
+    d = plan.values(diff)
+    if _trapz(d[1], plan.nodes[1]) <= 0.0:
         raise IdentifiabilityError(
             "difference spectrum has no positive area in the artifact window; "
             "the scale factor is unidentifiable"
         )
     plan.require_bands(low_b.span)
-    r_low, r_diff = plan.residual(plan.windows(low_b)), plan.residual(d)
-    if plan.trapz(np.abs(r_diff), 1) <= 1e-10 * plan.trapz(np.abs(d[1]), 1):
+    r_low, r_diff = plan.residual(plan.values(low_b)), plan.residual(d)
+    if _trapz(np.abs(r_diff), plan.nodes[1]) <= 1e-10 * _trapz(np.abs(d[1]), plan.nodes[1]):
         raise IdentifiabilityError(
             "difference spectrum carries no line feature in the artifact window"
         )
-    f = _l1_scale_factor(plan.dx[1], r_low, r_diff, search)
-    return f, plan.trapz(np.abs(r_low - f * r_diff), 1)
+    f = _l1_scale_factor(plan.nodes[1], r_low, r_diff, search)
+    return f, _trapz(np.abs(r_low - f * r_diff), plan.nodes[1])
 
 
 def decompose(

@@ -26,6 +26,11 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _unit(lo: float, hi: float) -> float:
+    """1.0, or 1/8 (exact for normal floats) where hi - lo overflows: 4 x the scaled span is finite."""
+    return 1.0 if hi - lo < float("inf") else 0.125
+
+
 def render_spectrum_svg(s: Spectrum, *, zpl_guides: bool = False) -> bytes:
     """Line plot with axis labels in nm and counts/s and a min/max legend.
 
@@ -42,12 +47,13 @@ def render_spectrum_svg(s: Spectrum, *, zpl_guides: bool = False) -> bytes:
         if y1 == y0:
             y0, y1 = sorted((y0, float(np.nextafter(y0, 0.0))))
     xspan = x1 - x0 if x1 > x0 else 1.0
+    k = _unit(y0, y1)
 
     def px(v):  # a float, or an array elementwise in the same IEEE operations
         return m + (v - x0) / xspan * (w - 2 * m)
 
     def py(v):
-        return h - m - (v - y0) / (y1 - y0) * (h - 2 * m)
+        return h - m - (v * k - y0 * k) / (y1 * k - y0 * k) * (h - 2 * m)
 
     xy = np.column_stack((px(x), py(y)))
     points = " ".join(" ".join(["%.3f,%.3f"] * len(b)) % tuple(b.ravel().tolist())
@@ -61,7 +67,7 @@ def render_spectrum_svg(s: Spectrum, *, zpl_guides: bool = False) -> bytes:
     ]
     for i in range(5):
         xv = x0 + (x1 - x0) * i / 4
-        yv = y0 + (y1 - y0) * i / 4
+        yv = (y0 * k + (y1 * k - y0 * k) * i / 4) / k
         xp, yp = px(xv), py(yv)
         parts.append(f'<line x1="{xp:.3f}" y1="{h - m}" x2="{xp:.3f}" y2="{h - m + 6}" stroke="black"/>')
         parts.append(
@@ -123,7 +129,8 @@ def render_map_pgm(
     vmin = float(np.min(values))
     vmax = float(np.max(values))
     if vmax > vmin:
-        gray = np.rint((values - vmin) / (vmax - vmin) * _MAX_GRAY).astype(int)
+        k = _unit(vmin, vmax)
+        gray = np.rint((values * k - vmin * k) / (vmax * k - vmin * k) * _MAX_GRAY).astype(int)
     else:
         gray = np.zeros_like(values, dtype=int)
     lines = [

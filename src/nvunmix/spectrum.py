@@ -118,8 +118,19 @@ class WavelengthWindow:
             raise ValidationError(f"window requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
+def _same_grid(a: ArrayLike, b: ArrayLike) -> bool:
+    """True when two grids are equal in value (-0.0 equals 0.0); one array is never compared."""
+    return a is b or np.array_equal(a, b)
+
+
+def _onto(grid_of: Spectrum, s: Spectrum) -> Spectrum:
+    """``s`` on ``grid_of``'s grid array when their grids are equal in value, else ``s``."""
+    same = s.wavelengths is not grid_of.wavelengths and _same_grid(s.wavelengths, grid_of.wavelengths)
+    return _on_grid(grid_of, s.intensities) if same else s
+
+
 def _require_same_grid(a: Spectrum, b: Spectrum) -> None:
-    if not (a.wavelengths is b.wavelengths or np.array_equal(a.wavelengths, b.wavelengths)):
+    if not _same_grid(a.wavelengths, b.wavelengths):
         raise GridMismatchError("spectra are on different wavelength grids; resample first")
 
 
@@ -130,7 +141,7 @@ def resample(s: Spectrum, grid: ArrayLike) -> Spectrum:
     performed. Source points are reproduced exactly, so a ``grid`` equal in
     value to ``s.wavelengths`` returns ``s`` itself.
     """
-    if grid is s.wavelengths or np.array_equal(grid, s.wavelengths):
+    if _same_grid(grid, s.wavelengths):
         return s
     g = _grid(np.ravel(grid), "resample grid")
     lo, hi = s.span
@@ -159,26 +170,35 @@ def _require_within(span: tuple[float, float], lo: float, hi: float) -> None:
         raise RangeError(f"window [{lo}, {hi}] outside grid range [{span[0]}, {span[1]}]")
 
 
-def _window_slice(
-    s: Spectrum, lo: float, hi: float
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Grid points strictly inside (lo, hi) plus interpolated edge values."""
-    w, y = s.wavelengths, s.intensities
-    _require_within(s.span, lo, hi)
-    # Two O(log n) searches; np.interp copies a read-only array, so it gets two points per edge.
-    i, j = w.searchsorted(lo, "right"), w.searchsorted(hi, "left")
-    y_lo, y_hi = (np.interp(v, w[k - 1:k + 1], y[k - 1:k + 1]) for v, k in ((lo, i), (hi, j)))
-    xs = np.concatenate(((lo,), w[i:j], (hi,)))
-    ys = np.concatenate(((y_lo,), y[i:j], (y_hi,)))
-    return xs, ys
+class _WindowCut:
+    """Adjacent windows [e0, e1], [e1, e2], ... of ``edges`` cut once from ``grid``; edges off
+    the grid are clamped, not checked. Window k's ``nodes`` are its edges around the grid points
+    strictly inside it; ``values`` gives every edge value with one np.interp call on the grid
+    points around the edges, as np.interp on the whole grid would, without copying the grid."""
+
+    def __init__(self, grid: NDArray[np.float64], edges: tuple[float, ...]) -> None:
+        lo = grid.searchsorted(edges[:-1], "right").tolist()
+        hi = grid.searchsorted(edges[1:], "left").tolist()
+        self.edges, self.cuts = edges, list(zip(lo, hi))
+        self.nodes = [np.concatenate(((edges[k],), grid[i:j], (edges[k + 1],)))
+                      for k, (i, j) in enumerate(self.cuts)]
+        # Edge k lies between grid points i - 1 and i, where i is lo[k] (hi[-1] for the last).
+        near = sorted({min(max(k, 0), grid.size - 1) for i in lo + hi[-1:] for k in (i - 1, i)})
+        self.near, self.near_x = np.array(near), grid[near]
+
+    def values(self, s: Spectrum) -> list[NDArray[np.float64]]:
+        e, y = np.interp(self.edges, self.near_x, s.intensities[self.near]), s.intensities
+        return [np.concatenate((e[k:k + 1], y[i:j], e[k + 1:k + 2]))
+                for k, (i, j) in enumerate(self.cuts)]
 
 
 def area(s: Spectrum, window: WavelengthWindow | None = None) -> float:
     """Trapezoid-rule integral of ``s``, optionally restricted to ``window``."""
     if window is None:
         return _trapz(s.intensities, s.wavelengths)
-    xs, ys = _window_slice(s, window.lo, window.hi)
-    return _trapz(ys, xs)
+    _require_within(s.span, window.lo, window.hi)
+    cut = _WindowCut(s.wavelengths, (window.lo, window.hi))
+    return _trapz(cut.values(s)[0], cut.nodes[0])
 
 
 def normalize_area(s: Spectrum) -> Spectrum:
@@ -221,9 +241,7 @@ class BasisPair:
     def from_spectra(cls, s0: Spectrum, sminus: Spectrum) -> "BasisPair":
         """Normalize two raw component spectra and bundle them, on s0's grid if theirs are equal."""
         s0, sminus = normalize_area(s0), normalize_area(sminus)
-        if np.array_equal(sminus.wavelengths, s0.wavelengths):
-            sminus = _on_grid(s0, sminus.intensities)
-        return cls(s0, sminus)
+        return cls(s0, _onto(s0, sminus))
 
     @property
     def grid(self) -> NDArray[np.float64]:

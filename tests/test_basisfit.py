@@ -1,6 +1,7 @@
 """Two-component NNLS fits and field-sweep scale-factor analysis."""
 
 import math
+import re
 import sys
 import threading
 import warnings
@@ -186,8 +187,8 @@ class TestFieldSeries:
                 FieldSeries(((170.0, a), (400.0, b)))
 
     def test_ingest_resamples_only_grids_that_differ(self, grid02, monkeypatch):
-        """Byte-equal grids skip resample; a grid equal in value with -0.0 for 0.0 is
-        taken as it is; a grid one ulp off at an interior point is interpolated."""
+        """Equal grids skip resample, a grid with -0.0 for 0.0 among them, since it is equal
+        in value; a grid one ulp off at an interior point is interpolated."""
         calls = []
         monkeypatch.setattr(basisfit, "resample", lambda s, g: calls.append(s) or resample(s, g))
         sweep = [(b, make_spectrum(DEFAULT_NVM_SHAPE, grid02.copy(), b)) for b in (170.0, 400.0)]
@@ -203,7 +204,7 @@ class TestFieldSeries:
         assert neg_zero.tobytes() != grid.tobytes() and np.array_equal(neg_zero, grid)
         calls.clear()
         series = FieldSeries.ingest([(170.0, a), (400.0, b), (975.0, c)])
-        assert calls == [a, b, c]  # b and c hold other bytes than the common grid
+        assert calls == [a, c]  # b takes the common grid as it arrives; c is interpolated
         (_, sa), (_, sb), (_, sc) = series.entries
         assert sb.wavelengths is sa.wavelengths and sc.wavelengths is sa.wavelengths
         assert sb.intensities is b.intensities
@@ -233,27 +234,22 @@ class TestFieldSeries:
         for (_, s), (_, given_s) in zip(series.entries, sweep):
             assert s.wavelengths is sweep[0][1].wavelengths and s.intensities is given_s.intensities
 
-    def test_ingest_takes_the_head_grid_key_only_for_another_grid_object(self, grid02):
-        """Entries on the head's grid object never need the head grid's tobytes() key; an
-        entry on an equal grid in its own array takes it, once."""
-        keys = mock.Mock(side_effect=np.ndarray.tobytes)
-
-        class Grid(np.ndarray):
-            """A grid array whose tobytes() calls ``keys`` counts."""
-
-            def tobytes(self, *args, **kwargs):
-                return keys(self, *args, **kwargs)
-
+    def test_ingest_compares_only_another_grid_object(self, grid02, monkeypatch):
+        """Entries on the head's grid object are never compared with it; an entry on an equal
+        grid in its own array is compared once, and takes the head's grid."""
+        compare = mock.Mock(side_effect=np.array_equal)
+        monkeypatch.setattr(np, "array_equal", compare)
         head = make_spectrum(DEFAULT_NVM_SHAPE, grid02, 1.0)
-        object.__setattr__(head, "wavelengths", head.wavelengths.view(Grid))
         sweep = [(170.0, head)] + [(b, _on_grid(head, b * head.intensities)) for b in (400.0, 975.0)]
         own = [(b, make_spectrum(DEFAULT_NVM_SHAPE, grid02.copy(), b)) for b in (600.0, 700.0)]
         series = FieldSeries.ingest(sweep)
-        assert keys.call_count == 0
+        assert compare.call_count == 0
         assert all(s.wavelengths is head.wavelengths for _, s in series.entries)
         series = FieldSeries.ingest(sweep + own)
-        assert keys.call_count == 1
+        assert compare.call_count == 2
         assert all(s.wavelengths is head.wavelengths for _, s in series.entries)
+        held = dict(series.entries)
+        assert all(held[b].intensities is s.intensities for b, s in own)
 
     def test_ingest_takes_the_first_grid_as_each_entry_arrives(self, grid02):
         """From a generator of spectra on equal grids in separate arrays, each entry after the
@@ -740,3 +736,21 @@ class TestFindFullMixingField:
     def test_requires_three_rows(self):
         with pytest.raises(ValidationError):
             find_full_mixing_field(table_from([1.0, 2.0], [5.0, 4.0]))
+
+
+def _two_spectra(lo0, lo1):
+    return [(170.0, Spectrum([lo0, lo0 + 1.0], [1.0, 1.0])), (400.0, Spectrum([lo1, lo1 + 1.0], [1.0, 1.0]))]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FieldSeries.ingest(_two_spectra(600.0, 601.0)),
+     "series spectra share no usable wavelength range"),
+    (lambda: CoefficientTable(np.ones((2, 1)), np.ones(2), np.ones(2), np.ones(2)), "b_fields must be 1-D"),
+    (lambda: CoefficientTable([1.0, 2.0], [1.0], [1.0, 2.0], [0.0, 0.0]),
+     "table columns must have equal length"),
+    (lambda: CoefficientTable([2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 0.0]),
+     "b_fields must be strictly increasing"),
+], ids=["ingest-one-common-point", "table-2d", "table-lengths", "table-order"])
+def test_validation_messages(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()

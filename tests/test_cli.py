@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import stat
 import tracemalloc
 
@@ -15,6 +16,7 @@ from nvunmix import (
     DEFAULT_NV0_SHAPE,
     DEFAULT_NVM_SHAPE,
     BasisPair,
+    FieldResponseModel,
     FieldSeries,
     NonPhysicalWarning,
     PLMap,
@@ -26,6 +28,7 @@ from nvunmix import (
     load_map,
     load_spectrum,
     make_spectrum,
+    make_sweep,
     resample,
     save_map,
     save_spectrum,
@@ -453,6 +456,37 @@ class TestSweepFlow:
                        "spec_00170.0G.csv\n")
         assert not out.exists()
 
+    def test_sweep_on_a_field_response(self, tmp_path):
+        """A three-knot field_response sweeps its fields: one spectrum each, as make_sweep
+        gives them, and a manifest."""
+        response = {"c0_const": 10000.0, "cminus_curve": [[100, 62000], [500, 30000], [900, 50000]]}
+        grid = {"lo": 600.0, "hi": 700.0, "step": 0.5}
+        params = tmp_path / "sweep.json"
+        params.write_text(json.dumps({"field_response": response, "fields": [100, 500, 900], "grid": grid}))
+        out = tmp_path / "sw"
+        assert main(["simulate", "sweep", "--params", str(params), "--out", str(out)]) == 0
+        names = [f"spec_{b:07.1f}G.csv" for b in (100.0, 500.0, 900.0)]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + ["manifest.json", "metadata.json"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest == [{"b_field_gauss": b, "path": n} for b, n in zip((100.0, 500.0, 900.0), names)]
+        want = make_sweep([100.0, 500.0, 900.0], FieldResponseModel.from_dict(response),
+                          (DEFAULT_NV0_SHAPE, DEFAULT_NVM_SHAPE), np.linspace(600.0, 700.0, 201))
+        for name, (_, s) in zip(names, want):
+            assert load_spectrum(out / name).intensities.tobytes() == s.intensities.tobytes()
+
+    @pytest.mark.parametrize("params, message", [
+        ({"field_response": {"c0_const": 10000.0, "cminus_curve": [[100, 62000], [500, 30000]]},
+          "fields": [100, 600]}, "field 600.0 G outside knot range [100.0, 500.0] G"),
+        ({"grid": {"lo": 700.0, "hi": 600.0}}, "grid requires hi > lo and step > 0"),
+        ({"grid": {"lo": 600.0, "hi": 600.0}}, "grid requires hi > lo and step > 0"),
+    ], ids=["field-outside-knots", "grid-reversed", "grid-empty"])
+    def test_sweep_params_out_of_range_exit_2(self, tmp_path, capsys, params, message):
+        (tmp_path / "p.json").write_text(json.dumps(params))
+        out = tmp_path / "sw"
+        assert main(["simulate", "sweep", "--params", str(tmp_path / "p.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("params", [
         {"fields": [170, 170]},
         {"noise": {"kind": "pink"}},
@@ -592,6 +626,21 @@ class TestRenderAndReportCommands:
         out = tmp_path / "m.pgm"
         assert main(["render", "--map", str(tmp_path / "m"), "--out", str(out)]) == 0
         assert out.read_bytes().startswith(b"P2")
+
+    def test_render_values_whose_range_overflows(self, tmp_path, capsys):
+        """Values whose max - min overflows to inf render quietly: gray levels stay in 0..255
+        and the SVG holds no nan."""
+        values = np.array([1e308, -1e308, 0.0])
+        save_map(PLMap(values.reshape(1, 3)), tmp_path / "m")
+        (tmp_path / "s.csv").write_text("".join(f"{600.0 + i!r},{v!r}\n" for i, v in enumerate(values.tolist())))
+        assert main(["render", "--map", str(tmp_path / "m"), "--out", str(tmp_path / "m.pgm")]) == 0
+        assert main(["render", "--spectrum", str(tmp_path / "s.csv"), "--out", str(tmp_path / "s.svg")]) == 0
+        assert capsys.readouterr().err == ""
+        gray = [int(v) for v in (tmp_path / "m.pgm").read_text().splitlines()[-1].split()]
+        assert gray == [255, 0, 128] and all(0 <= v <= 255 for v in gray)
+        svg = (tmp_path / "s.svg").read_text()
+        assert not re.search(r"\bnan\b", svg) and not re.search(r"\binf\b", svg)
+        assert 'points="64.000,64.000 360.000,416.000 656.000,240.000"' in svg
 
     @pytest.mark.parametrize("clip", ["5000:0", "nan:1"])
     def test_render_bad_clip_exits_2(self, tmp_path, capsys, clip):

@@ -48,9 +48,8 @@ def gauss(grid, mu, sigma, area_total=1.0):
     )
 
 
-# The artifact metric and scale-factor search composed window by window from
-# ``_window_slice``-style cuts and ``_trapz``: the reference the window plan must match
-# bit for bit.
+# The artifact metric and scale-factor search composed window by window from one-window
+# cuts and a trapezoid sum: the reference the window plan must match bit for bit.
 
 
 def trapz_ref(y, x):
@@ -325,7 +324,7 @@ class TestOptimizeScaleFactor:
         search = ScaleSearchConfig(f_min, f_min + width)
         with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.simplefilter("ignore", NonPhysicalWarning)
-            f = _l1_scale_factor(np.diff(xs), r_low, r_diff, search)
+            f = _l1_scale_factor(xs, r_low, r_diff, search)
         assert search.f_min <= f <= search.f_max
 
         def objective(fs):
@@ -412,11 +411,11 @@ class TestWindowPlan:
         assert result == want
 
     def test_windows_copy_no_grid(self, grid02):
-        """On the 0.2 nm grid the windows allocate under 1 KB beyond the arrays they return:
-        np.interp gets the grid points around the four edges, not the read-only grid."""
+        """On the 0.2 nm grid the three windows' values allocate under 1 KB beyond the arrays
+        returned: np.interp gets the grid points around the four edges, not the read-only grid."""
         s = make_spectrum(CLEAN_NVM_SHAPE, grid02, 62000.0)
         plan = _WindowPlan(s.wavelengths, ZplArtifactConfig())
-        assert allocated_beyond_result(lambda: plan.windows(s)) < 1024
+        assert allocated_beyond_result(lambda: plan.values(s)) < 1024
 
     def test_matches_on_the_paper_grid(self, grid02):
         rng = np.random.default_rng(8)

@@ -1,6 +1,7 @@
 """Filter transmission model and transmissivity calculations."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -280,3 +281,16 @@ class TestTabulatedFilter:
 
     def test_window_default_is_emission_band(self):
         assert DEFAULT_EMISSION_WINDOW == WavelengthWindow(550.0, 850.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FilterModel(center=math.inf), "center must be finite"),
+    (lambda: FilterModel(center=math.nan), "center must be finite"),
+    (lambda: FilterModel().transmission(math.nan), "wavelength must be finite"),
+    (lambda: FilterModel().transmission([600.0, -math.inf]), "wavelength must be finite"),
+    (lambda: TabulatedFilter([600.0, 700.0], [0.1, 0.2, 0.3]),
+     "tabulated transmissions must match the wavelengths in shape"),
+], ids=["center-inf", "center-nan", "wavelength-nan", "wavelengths-inf", "table-shape"])
+def test_validation_messages(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()

@@ -310,3 +310,12 @@ class TestInPlaceArithmeticOracle:
         for nvm in (nv0, -nv0):
             got = maps._count_negative(nv0, nvm, plmap(low), plmap(high))
             assert got == _count_negative_reference(nv0, nvm, low, high)
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, b: field_unmix(a, b, 2.0),
+    lambda a, b: filter_unmix(a, b, TransmissivityPair(0.1, 0.8)),
+], ids=["field", "filter"])
+def test_unmix_rejects_different_pixel_pitches(call):
+    with pytest.raises(GridMismatchError, match="^maps have different pixel pitches$"):
+        call(plmap(np.ones((2, 3)), 0.1), plmap(np.ones((2, 3)), 0.2))

@@ -119,7 +119,8 @@ class TestMapPgm:
 
 def _svg_one_shot(s, *, zpl_guides=False):
     """``render_spectrum_svg`` as it formatted every point in one call, kept as the oracle,
-    with the renderer's bounds for a flat spectrum too large for ``y0 + 1.0`` to differ."""
+    with the renderer's bounds for a flat spectrum too large for ``y0 + 1.0`` to differ and
+    its scaling by 1/8 of a range too wide for ``y1 - y0`` to be finite."""
     w, h, m = 720, 480, 64
     x, y = s.wavelengths, s.intensities
     x0, x1 = float(x[0]), float(x[-1])
@@ -129,12 +130,13 @@ def _svg_one_shot(s, *, zpl_guides=False):
         if y1 == y0:
             y0, y1 = sorted((y0, math.nextafter(y0, 0.0)))
     xspan = x1 - x0 if x1 > x0 else 1.0
+    k = 1.0 if y1 - y0 < math.inf else 0.125
 
     def px(v):
         return m + (v - x0) / xspan * (w - 2 * m)
 
     def py(v):
-        return h - m - (v - y0) / (y1 - y0) * (h - 2 * m)
+        return h - m - (v * k - y0 * k) / (y1 * k - y0 * k) * (h - 2 * m)
 
     xy = np.column_stack((px(x), py(y))).ravel().tolist()
     points = " ".join(["%.3f,%.3f"] * x.size) % tuple(xy)
@@ -148,7 +150,7 @@ def _svg_one_shot(s, *, zpl_guides=False):
     ]
     for i in range(5):
         xv = x0 + (x1 - x0) * i / 4
-        yv = y0 + (y1 - y0) * i / 4
+        yv = (y0 * k + (y1 * k - y0 * k) * i / 4) / k
         xp, yp = px(xv), py(yv)
         parts.append(f'<line x1="{xp:.3f}" y1="{h - m}" x2="{xp:.3f}" y2="{h - m + 6}" stroke="black"/>')
         parts.append(
@@ -188,7 +190,8 @@ def _svg_one_shot(s, *, zpl_guides=False):
 
 
 def _pgm_one_shot(m, *, clamp_negative=False, clip=None):
-    """``render_map_pgm`` as it formatted the whole map from one ``tolist()``, kept as the oracle."""
+    """``render_map_pgm`` as it formatted the whole map from one ``tolist()``, kept as the oracle,
+    with its scaling by 1/8 of a range too wide for ``vmax - vmin`` to be finite."""
     values = m.values
     transforms = []
     if clamp_negative:
@@ -201,7 +204,8 @@ def _pgm_one_shot(m, *, clamp_negative=False, clip=None):
     vmin = float(np.min(values))
     vmax = float(np.max(values))
     if vmax > vmin:
-        gray = np.rint((values - vmin) / (vmax - vmin) * 255).astype(int)
+        k = 1.0 if vmax - vmin < math.inf else 0.125
+        gray = np.rint((values * k - vmin * k) / (vmax * k - vmin * k) * 255).astype(int)
     else:
         gray = np.zeros_like(values, dtype=int)
     lines = ["P2", f"# pixel_pitch_um={m.pixel_pitch_um!r}", f"# min={vmin!r} max={vmax!r}"]

@@ -1,6 +1,7 @@
 """Spectrum construction, resampling, arithmetic, and quadrature."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from nvunmix import (
     scale,
     subtract,
 )
-from nvunmix.spectrum import _window_slice
+from nvunmix.spectrum import _WindowCut
 
 from conftest import CLEAN_NVM_SHAPE, allocated_beyond_result, assert_spectra_equal
 
@@ -57,8 +58,14 @@ def spectra(draw, min_points=2, max_points=30):
     return Spectrum(g, np.array(vals))
 
 
+def window_slice(s, lo, hi):
+    """The nodes and values of the one-window cut [lo, hi], as ``area`` integrates them."""
+    cut = _WindowCut(s.wavelengths, (lo, hi))
+    return cut.nodes[0], cut.values(s)[0]
+
+
 def window_slice_by_mask(s, lo, hi):
-    """Boolean-mask reference for _window_slice: full-grid masks and full-grid np.interp."""
+    """Boolean-mask reference for the window cut: full-grid masks and full-grid np.interp."""
     w, y = s.wavelengths, s.intensities
     inside = (w > lo) & (w < hi)
     xs = np.concatenate(([lo], w[inside], [hi]))
@@ -231,7 +238,7 @@ class TestWindowSlice:
         )
         lo, hi = sorted((data.draw(edge), data.draw(edge)))
         assume(lo < hi)
-        assert_same_bytes(_window_slice(s, lo, hi), window_slice_by_mask(s, lo, hi))
+        assert_same_bytes(window_slice(s, lo, hi), window_slice_by_mask(s, lo, hi))
 
     def test_matches_mask_oracle_on_a_fine_grid(self, grid02):
         rng = np.random.default_rng(5)
@@ -240,17 +247,22 @@ class TestWindowSlice:
         for lo, hi in rng.choice(edges, (400, 2)):
             if lo != hi:
                 lo, hi = min(lo, hi), max(lo, hi)
-                assert_same_bytes(_window_slice(s, lo, hi), window_slice_by_mask(s, lo, hi))
+                assert_same_bytes(window_slice(s, lo, hi), window_slice_by_mask(s, lo, hi))
 
 
 class TestArea:
     @pytest.mark.parametrize("lo, hi", [(636.5, 637.5), (600.0, 800.0), (550.0, 850.0)])
     def test_window_copies_no_grid(self, grid02, lo, hi):
-        """On the 0.2 nm grid, the windowed points area integrates allocate under 1 KB beyond
-        themselves, whatever the window's width: np.interp gets each edge's two grid points,
-        not the read-only grid."""
+        """On the 0.2 nm grid, the window cut and the values area integrates allocate under
+        1 KB beyond themselves, whatever the window's width: np.interp gets the grid points
+        around the edges, not the read-only grid."""
         s = make_spectrum(CLEAN_NVM_SHAPE, grid02, 62000.0)
-        assert allocated_beyond_result(lambda: _window_slice(s, lo, hi)) < 1024
+
+        def cut_and_values():
+            cut = _WindowCut(s.wavelengths, (lo, hi))
+            return cut, cut.values(s)
+
+        assert allocated_beyond_result(cut_and_values) < 1024
 
     def test_constant(self):
         g = np.linspace(550.0, 850.0, 1501)
@@ -389,3 +401,20 @@ class TestBasisPair:
         rawm = make_spectrum(CLEAN_NVM_SHAPE, grid02[:-1], 1.0)
         with pytest.raises(GridMismatchError):
             BasisPair.from_spectra(raw0, rawm)
+
+
+def _normalize_one_point():
+    s = Spectrum([600.0], [1.0])
+    assert area(s) == 0.0  # a one-point trapezoid sum
+    normalize_area(s)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: WavelengthWindow(math.nan, 700.0), "window bounds must be finite"),
+    (lambda: WavelengthWindow(600.0, math.inf), "window bounds must be finite"),
+    (lambda: WavelengthWindow(-math.inf, 700.0), "window bounds must be finite"),
+    (_normalize_one_point, "spectrum area must be positive, got 0.0"),
+], ids=["window-nan", "window-inf", "window-minus-inf", "normalize-one-point"])
+def test_validation_messages(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()

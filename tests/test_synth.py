@@ -1,5 +1,7 @@
 """Forward-model generators and their determinism/statistics."""
 
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,6 +32,7 @@ from nvunmix import (
     make_sweep,
     scale,
 )
+from nvunmix import synth
 
 from conftest import CLEAN_NV0_SHAPE, CLEAN_NVM_SHAPE
 
@@ -469,3 +472,31 @@ class TestGeneratedMapsOwnTheirArrays:
         assert peak < 3 * self.MAP_BYTES
         assert not low.values.flags.writeable and not high.values.flags.writeable
         assert np.array_equal(high.values, nv0.values + 0.7 * nvm.values)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SpectralShapeModel(575.0, math.nan, 1.0, ()), "shape parameters must be finite"),
+    (lambda: SpectralShapeModel(575.0, 1.8, 1.0, ((591.0, math.inf, 0.0),)),
+     "shape parameters must be finite"),
+    (lambda: SpectralShapeModel(575.0, 1.8, 1.25, ((591.0, 5.0, -0.25),)),
+     "component weights must be nonnegative"),
+    (lambda: FieldResponseModel(100.0, ((0.0, 1.0),)), "knot fields must be positive and finite"),
+    (lambda: FieldResponseModel(100.0, ((100.0, 1.0), (200.0, -1.0))),
+     "knot amplitudes must be finite and nonnegative"),
+    (lambda: synth._text_mask("NVX", 64, 64, 0, 32), "no glyph for character 'X'"),
+    (lambda: make_letter_map(0, 8), "map dimensions must be positive"),
+    (lambda: make_letter_map(8, 8, pl_nvm=-1.0), "pl_nvm must be finite and nonnegative"),
+    (lambda: make_letter_map(4, 3, (np.zeros((4, 3)), np.zeros((3, 4)))),
+     "masks must match the requested height x width"),
+], ids=["zpl-width-nan", "sideband-width-inf", "negative-weight", "knot-field-zero",
+        "negative-amplitude", "unknown-glyph", "zero-width-map", "negative-pl", "mask-shape"])
+def test_validation_messages(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_density_skips_zero_weight_components():
+    grid = np.linspace(550.0, 650.0, 501)
+    with_zero = SpectralShapeModel(575.0, 1.8, 0.6, ((591.0, 5.0, 0.4), (602.0, 4.5, 0.0)))
+    without = SpectralShapeModel(575.0, 1.8, 0.6, ((591.0, 5.0, 0.4),))
+    assert with_zero.density(grid).tobytes() == without.density(grid).tobytes()
