@@ -101,22 +101,15 @@ class CoefficientTable:
     _COLUMNS = ("b_fields", "c0", "cminus", "residuals")
 
     def __post_init__(self) -> None:
-        cols = {}
-        for name in self._COLUMNS:
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            if arr.ndim != 1:
+        cols = [np.asarray(getattr(self, name), dtype=float) for name in self._COLUMNS]
+        for name, col in zip(self._COLUMNS, cols):
+            if col.ndim != 1:
                 raise ValidationError(f"{name} must be 1-D")
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} must be finite")
-            arr.flags.writeable = False
-            cols[name] = arr
-        n = cols["b_fields"].size
-        if any(c.size != n for c in cols.values()):
+        if any(col.size != cols[0].size for col in cols):
             raise ValidationError("table columns must have equal length")
-        if n > 1 and not np.all(np.diff(cols["b_fields"]) > 0.0):
+        self.__dict__.update(self._of_block(np.array(cols)).__dict__)
+        if not (self.b_fields[1:] > self.b_fields[:-1]).all():
             raise ValidationError("b_fields must be strictly increasing")
-        for name, arr in cols.items():
-            object.__setattr__(self, name, arr)
 
     @classmethod
     def _of_block(cls, block: NDArray[np.float64]) -> "CoefficientTable":

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .basisfit import FieldSeries, _surface_sizes, fit_series, scale_factor_surface
-from .decompose import ScaleSearchConfig, ZplArtifactConfig, decompose
+from .decompose import NVM_ZPL_NM, ScaleSearchConfig, ZplArtifactConfig, decompose
 from .errors import (
     IdentifiabilityError,
     NoMinimumError,
@@ -31,9 +31,10 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .fileio import RunReport, load_json, load_map, load_spectrum, map_paths
+from .fileio import RunReport, _json_number, load_json, load_map, load_spectrum, map_paths
 from .fileio import _run_digests, _save_bytes, save_csv, save_json, save_map, save_spectrum
-from .filters import FilterModel, TabulatedFilter, TransmissivityPair, transmissivity
+from .filters import DEFAULT_EMISSION_WINDOW, FilterModel, TabulatedFilter, TransmissivityPair
+from .filters import transmissivity
 from .maps import PLMap, field_unmix, filter_unmix, fraction_map
 from .render import render_map_pgm, render_spectrum_svg
 from .spectrum import BasisPair, WavelengthWindow, _onto, _same_grid, resample
@@ -65,6 +66,11 @@ class _Run:
     outputs: list[str] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
     message: str = ""
+
+
+def _range_text(lo: float, hi: float) -> str:
+    """The LO:HI flag text of a range, as ``_parse_range`` reads it back."""
+    return f"{lo:g}:{hi:g}"
 
 
 def _parse_window(text: str) -> WavelengthWindow:
@@ -99,7 +105,6 @@ def cmd_decompose(args) -> _Run:
         "decompose",
         [args.low, args.high],
         {
-            "zpl_center": args.zpl_center,
             "zpl_window": args.zpl_window,
             "edge": args.edge,
             "f_range": args.f_range,
@@ -108,10 +113,8 @@ def cmd_decompose(args) -> _Run:
     )
     low = load_spectrum(args.low, negative=args.negative)
     high = load_spectrum(args.high, negative=args.negative)
-    cfg = ZplArtifactConfig(args.zpl_center, _parse_window(args.zpl_window), args.edge)
-    f_min, f_max = _parse_range(args.f_range)
-    search = ScaleSearchConfig(f_min, f_max)
-    result = decompose(low, high, cfg, search)
+    cfg = ZplArtifactConfig(NVM_ZPL_NM, _parse_window(args.zpl_window), args.edge)
+    result = decompose(low, high, cfg, ScaleSearchConfig(*_parse_range(args.f_range)))
     save_spectrum(result.nv0, args.out_nv0)
     save_spectrum(result.nvminus, args.out_nvm)
     run.outputs += [args.out_nv0, args.out_nvm]
@@ -149,8 +152,8 @@ def cmd_fit_series(args) -> _Run:
             if not isinstance(path, str) or "\0" in path:
                 raise ParseError(f"{args.series}: entry {i} needs a file name string 'path'")
             try:
-                b_field = float(item["b_field_gauss"])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                b_field = _json_number(item["b_field_gauss"])
+            except (KeyError, TypeError, OverflowError) as exc:
                 raise ParseError(
                     f"{args.series}: entry {i} needs a numeric 'b_field_gauss'") from exc
             path = os.path.join(base_dir, path)  # an absolute path replaces base_dir
@@ -313,14 +316,9 @@ def _simulate_sweep(params, seed, out_dir) -> tuple[list[str], dict]:
 
 def _letter_maps(lm: dict) -> tuple[PLMap, PLMap]:
     """The NV0/NV- truth letter maps described by the settings ``lm``."""
-    return make_letter_map(
-        int(lm.get("width", 512)),
-        int(lm.get("height", 512)),
-        None,
-        float(lm.get("pl_nv0", 8000.0)),
-        float(lm.get("pl_nvm", 12000.0)),
-        float(lm.get("pixel_pitch_um", 0.1)),
-    )
+    levels = {k: float(lm[k]) for k in ("pl_nv0", "pl_nvm", "pixel_pitch_um") if k in lm}
+    width, height = (_json_number(lm.get(k, 512), int) for k in ("width", "height"))
+    return make_letter_map(width, height, **levels)
 
 
 def _simulate_letter_map(params, seed, out_dir) -> tuple[list[str], dict]:
@@ -462,10 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--high", required=True, help="high-field spectrum (spec-csv)")
     p.add_argument("--out-nv0", required=True)
     p.add_argument("--out-nvm", required=True)
-    p.add_argument("--zpl-center", type=float, default=637.0)
-    p.add_argument("--zpl-window", default="630:644")
-    p.add_argument("--edge", type=float, default=4.0)
-    p.add_argument("--f-range", default="1:50", help="clamp for the scale factor LO:HI")
+    zpl, search = ZplArtifactConfig(), ScaleSearchConfig()
+    p.add_argument("--zpl-window", default=_range_text(zpl.inner.lo, zpl.inner.hi))
+    p.add_argument("--edge", type=float, default=zpl.edge_width)
+    p.add_argument("--f-range", default=_range_text(search.f_min, search.f_max),
+                   help="clamp for the scale factor LO:HI")
     p.add_argument("--report", default=None)
     _add_negative_flag(p)
     p.set_defaults(func=cmd_decompose)
@@ -483,10 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transmissivity", help="filter transmissivity of a spectrum")
     p.add_argument("--spectrum", required=True)
-    p.add_argument("--tmax", type=float, help="sigmoid peak transmission (default 0.9)")
-    p.add_argument("--center", type=float, help="sigmoid edge in nm (default 645)")
-    p.add_argument("--width", type=float, help="sigmoid edge width in nm (default 6.9)")
-    p.add_argument("--window", default="550:850")
+    fm = FilterModel()
+    p.add_argument("--tmax", type=float, help=f"sigmoid peak transmission (default {fm.t_max:g})")
+    p.add_argument("--center", type=float, help=f"sigmoid edge in nm (default {fm.center:g})")
+    p.add_argument("--width", type=float, help=f"sigmoid edge width in nm (default {fm.width:g})")
+    p.add_argument("--window", default=_range_text(DEFAULT_EMISSION_WINDOW.lo,
+                                                   DEFAULT_EMISSION_WINDOW.hi))
     p.add_argument("--filter-table", default=None, help="CSV of wavelength,transmission")
     p.add_argument("--report", default=None)
     _add_negative_flag(p)

@@ -219,6 +219,16 @@ def load_json(path: str | os.PathLike, kind: type, what: str):
     return value
 
 
+def _json_number(value, kind: type = float):
+    """``value``, read from JSON, as a ``kind``: float takes a JSON number (an int or a float,
+    never a bool) and int only a JSON integer. TypeError for any other value; OverflowError
+    for an int beyond the float range."""
+    if type(value) is not int and (kind is int or type(value) is not float):
+        what = "integer" if kind is int else "number"
+        raise TypeError(f"{json.dumps(value)} is not a JSON {what}")
+    return kind(value)
+
+
 def save_spectrum(s: Spectrum, path: str | os.PathLike) -> None:
     """Write a spectrum as spec-csv v1 (wavelength_nm,intensity rows)."""
     save_csv(path, SPEC_CSV_HEADER, (s.wavelengths, s.intensities))
@@ -286,13 +296,14 @@ def load_map(path: str | os.PathLike, *, negative: str = "allow") -> PLMap:
     if sidecar.get("format") != "plmap" or sidecar.get("version") != 1:
         raise ParseError(f"{json_path}: not a plmap v1 sidecar")
     try:
-        width, height, pitch = (sidecar[k] for k in ("width", "height", "pixel_pitch_um"))
-        pitch = float(pitch) if type(pitch) in (int, float) else None  # bool is not a number
+        width, height, pitch = (_json_number(sidecar[k], kind) for k, kind in
+                                (("width", int), ("height", int), ("pixel_pitch_um", float)))
     except (KeyError, OverflowError) as exc:
         raise ParseError(f"{json_path}: bad sidecar fields: {exc}") from exc
-    if type(width) is not int or type(height) is not int or pitch is None:
+    except TypeError as exc:
         raise ParseError(
-            f"{json_path}: width and height must be JSON integers, pixel_pitch_um a JSON number")
+            f"{json_path}: width and height must be JSON integers, pixel_pitch_um a JSON number"
+        ) from exc
     if width < 1 or height < 1:
         raise ParseError(f"{json_path}: width and height must be positive")
     values, data = _rows(csv_path, width)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .decompose import NV0_ZPL_NM, NVM_ZPL_NM
 from .errors import ValidationError
 from .maps import PLMap
 from .spectrum import Spectrum
@@ -34,7 +35,7 @@ def _unit(lo: float, hi: float) -> float:
 def render_spectrum_svg(s: Spectrum, *, zpl_guides: bool = False) -> bytes:
     """Line plot with axis labels in nm and counts/s and a min/max legend.
 
-    ``zpl_guides`` draws dashed lines at the 575 nm and 637 nm zero-phonon lines. The
+    ``zpl_guides`` draws dashed lines at the NV0 and NV- zero-phonon lines. The
     polyline is formatted ``_BLOCK`` points at a time, one block of Python floats at once.
     """
     w, h, m = _WIDTH, _HEIGHT, _MARGIN
@@ -46,14 +47,14 @@ def render_spectrum_svg(s: Spectrum, *, zpl_guides: bool = False) -> bytes:
         y1 = y0 + 1.0
         if y1 == y0:
             y0, y1 = sorted((y0, float(np.nextafter(y0, 0.0))))
-    xspan = x1 - x0 if x1 > x0 else 1.0
-    k = _unit(y0, y1)
+    kx, ky = _unit(x0, x1), _unit(y0, y1)
+    xspan = x1 * kx - x0 * kx if x1 > x0 else 1.0
 
     def px(v):  # a float, or an array elementwise in the same IEEE operations
-        return m + (v - x0) / xspan * (w - 2 * m)
+        return m + (v * kx - x0 * kx) / xspan * (w - 2 * m)
 
     def py(v):
-        return h - m - (v * k - y0 * k) / (y1 * k - y0 * k) * (h - 2 * m)
+        return h - m - (v * ky - y0 * ky) / (y1 * ky - y0 * ky) * (h - 2 * m)
 
     xy = np.column_stack((px(x), py(y)))
     points = " ".join(" ".join(["%.3f,%.3f"] * len(b)) % tuple(b.ravel().tolist())
@@ -66,8 +67,8 @@ def render_spectrum_svg(s: Spectrum, *, zpl_guides: bool = False) -> bytes:
         f'<line x1="{m}" y1="{m}" x2="{m}" y2="{h - m}" stroke="black"/>',
     ]
     for i in range(5):
-        xv = x0 + (x1 - x0) * i / 4
-        yv = (y0 * k + (y1 * k - y0 * k) * i / 4) / k
+        xv = (x0 * kx + (x1 * kx - x0 * kx) * i / 4) / kx
+        yv = (y0 * ky + (y1 * ky - y0 * ky) * i / 4) / ky
         xp, yp = px(xv), py(yv)
         parts.append(f'<line x1="{xp:.3f}" y1="{h - m}" x2="{xp:.3f}" y2="{h - m + 6}" stroke="black"/>')
         parts.append(
@@ -79,7 +80,7 @@ def render_spectrum_svg(s: Spectrum, *, zpl_guides: bool = False) -> bytes:
             f'dominant-baseline="middle">{_fmt(yv)}</text>'
         )
     if zpl_guides:
-        for guide, label in ((575.0, "575"), (637.0, "637")):
+        for guide in (NV0_ZPL_NM, NVM_ZPL_NM):
             if x0 <= guide <= x1:
                 gp = px(guide)
                 parts.append(
@@ -88,7 +89,7 @@ def render_spectrum_svg(s: Spectrum, *, zpl_guides: bool = False) -> bytes:
                 )
                 parts.append(
                     f'<text x="{gp:.3f}" y="{m - 6}" font-size="11" '
-                    f'text-anchor="middle" fill="gray">{label} nm</text>'
+                    f'text-anchor="middle" fill="gray">{guide:g} nm</text>'
                 )
     parts.append(f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="1.2"/>')
     del xy, points  # parts holds the polyline

@@ -44,7 +44,7 @@ def _grid(values: ArrayLike, name: str, min_size: int = 1) -> NDArray[np.float64
         raise ValidationError(f"{name} has too few points ({arr.size} < {min_size})")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} must be finite")
-    if not np.all(np.diff(arr) > 0.0):
+    if not np.all(arr[1:] > arr[:-1]):  # no difference, which can overflow
         raise ValidationError(f"{name} must be strictly increasing")
     return arr
 

@@ -14,6 +14,7 @@ All generators are deterministic for a fixed seed.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -146,15 +147,16 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "poisson", "gaussian"):
             raise ValidationError(f"unknown noise kind {self.kind!r}")
-        if int(self.scans) < 1:
-            raise ValidationError("scans must be >= 1")
-        object.__setattr__(self, "scans", int(self.scans))
+        scans = self.scans
+        if isinstance(scans, bool) or not isinstance(scans, numbers.Integral) or scans < 1:
+            raise ValidationError(f"scans must be an integer >= 1, got {scans!r}")
+        object.__setattr__(self, "scans", int(scans))
         if not (np.isfinite(self.dwell) and self.dwell > 0.0):
             raise ValidationError("dwell must be positive")
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "NoiseModel":
-        return cls(str(d.get("kind", "none")), int(d.get("scans", 1)), float(d.get("dwell", 0.01)))
+        return cls(str(d.get("kind", "none")), d.get("scans", 1), float(d.get("dwell", 0.01)))
 
 
 NOISELESS = NoiseModel("none")

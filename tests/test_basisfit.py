@@ -750,7 +750,24 @@ def _two_spectra(lo0, lo1):
      "table columns must have equal length"),
     (lambda: CoefficientTable([2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 0.0]),
      "b_fields must be strictly increasing"),
-], ids=["ingest-one-common-point", "table-2d", "table-lengths", "table-order"])
+    (lambda: CoefficientTable([1.0, np.inf], [1.0, 1.0], [1.0, 2.0], [0.0, 0.0]),
+     "b_fields must be finite"),
+    (lambda: CoefficientTable([1.0, 2.0], [1.0, 1.0], [1.0, 2.0], [0.0, np.nan]),
+     "residuals must be finite"),
+    (lambda: CoefficientTable([1.0, 2.0], [1.0, 1.0], np.ones((1, 2)), [0.0, 0.0]),
+     "cminus must be 1-D"),
+], ids=["ingest-one-common-point", "table-2d", "table-lengths", "table-order", "table-inf-field",
+        "table-nan-residual", "table-2d-cminus"])
 def test_validation_messages(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_table_holds_fresh_read_only_columns():
+    """The public constructor copies its columns into one read-only block, as fit_series's
+    tables are, and orders fields whose difference overflows without a warning."""
+    cols = [np.array([-1e308, 1e308]), np.array([1.0, 2.0]), [3, 4], (0.0, 0.5)]
+    table = CoefficientTable(*cols)
+    cols[0][0] = 0.0
+    assert table.b_fields.tolist() == [-1e308, 1e308] and table.cminus.dtype == np.float64
+    assert all(not getattr(table, name).flags.writeable for name in CoefficientTable._COLUMNS)

@@ -13,20 +13,25 @@ import numpy as np
 import pytest
 
 from nvunmix import (
+    DEFAULT_EMISSION_WINDOW,
     DEFAULT_NV0_SHAPE,
     DEFAULT_NVM_SHAPE,
     BasisPair,
     FieldResponseModel,
     FieldSeries,
+    FilterModel,
     NonPhysicalWarning,
     PLMap,
     ScaleFactorSurface,
+    ScaleSearchConfig,
     Spectrum,
+    ZplArtifactConfig,
     default_letter_masks,
     fileio,
     fit_series,
     load_map,
     load_spectrum,
+    make_letter_map,
     make_spectrum,
     make_sweep,
     resample,
@@ -36,6 +41,7 @@ from nvunmix import (
 )
 from nvunmix import cli
 from nvunmix.cli import build_parser, main
+from nvunmix.decompose import NVM_ZPL_NM
 from nvunmix.fileio import RunReport
 
 from conftest import CLEAN_NV0_SHAPE, CLEAN_NVM_SHAPE
@@ -642,6 +648,15 @@ class TestRenderAndReportCommands:
         assert not re.search(r"\bnan\b", svg) and not re.search(r"\binf\b", svg)
         assert 'points="64.000,64.000 360.000,416.000 656.000,240.000"' in svg
 
+    def test_render_wavelengths_whose_span_overflows(self, tmp_path, capsys):
+        """A grid whose x1 - x0 overflows to inf renders quietly, its x axis scaled as the y axis."""
+        (tmp_path / "s.csv").write_text("-1e308,1.0\n1e308,2.0\n")
+        assert main(["render", "--spectrum", str(tmp_path / "s.csv"), "--out", str(tmp_path / "s.svg")]) == 0
+        assert capsys.readouterr().err == ""
+        svg = (tmp_path / "s.svg").read_text()
+        assert not re.search(r"\bnan\b", svg) and not re.search(r"\binf\b", svg)
+        assert 'points="64.000,416.000 656.000,64.000"' in svg and ">1e+308</text>" in svg
+
     @pytest.mark.parametrize("clip", ["5000:0", "nan:1"])
     def test_render_bad_clip_exits_2(self, tmp_path, capsys, clip):
         save_map(PLMap(np.arange(12.0).reshape(3, 4)), tmp_path / "m")
@@ -650,6 +665,45 @@ class TestRenderAndReportCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: clip range") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_zpl_center_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--low", "l", "--high", "h", "--out-nv0", "a", "--out-nvm", "b",
+                  "--zpl-center", "637"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --zpl-center 637" in capsys.readouterr().err
+
+    def test_defaults_are_the_librarys(self):
+        parse = build_parser().parse_args
+        args = parse(["decompose", "--low", "l", "--high", "h", "--out-nv0", "a", "--out-nvm", "b"])
+        zpl = ZplArtifactConfig(NVM_ZPL_NM, cli._parse_window(args.zpl_window), args.edge)
+        assert zpl == ZplArtifactConfig()
+        assert ScaleSearchConfig(*cli._parse_range(args.f_range)) == ScaleSearchConfig()
+        args = parse(["transmissivity", "--spectrum", "s"])
+        assert cli._parse_window(args.window) == DEFAULT_EMISSION_WINDOW
+        assert (args.tmax, args.center, args.width) == (None, None, None)  # FilterModel's own
+
+    def test_simulate_letter_map_defaults_are_the_librarys(self, tmp_path):
+        (tmp_path / "p.json").write_text("{}")
+        assert main(["simulate", "letter-map", "--params", str(tmp_path / "p.json"),
+                     "--out", str(tmp_path / "sim")]) == 0
+        for got, want in zip((load_map(tmp_path / "sim" / "nv0_truth"),
+                              load_map(tmp_path / "sim" / "nvm_truth")), make_letter_map(512, 512)):
+            assert np.array_equal(got.values, want.values)
+            assert got.pixel_pitch_um == want.pixel_pitch_um
+
+    @pytest.mark.parametrize("command", [None, "decompose", "fit-series", "transmissivity",
+                                         "unmix-map-field", "unmix-map-filter", "simulate",
+                                         "render", "report"])
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: nvunmix")
+        if command == "transmissivity":
+            fm = FilterModel()
+            assert all(f"(default {v:g})" in out for v in (fm.t_max, fm.center, fm.width))
 
     def test_cached_parser_keeps_calls_apart(self):
         first = build_parser().parse_args(["render", "--out", "a.svg", "--clip", "0:1", "--clamp"])
@@ -780,6 +834,9 @@ _MAP_ARGS = ["render", "--map", "{d}/m", "--out", "{d}/m.pgm"]
 _PARAMS_ARGS = ["simulate", "spectrum", "--params", "{d}/p.json", "--out", "{d}/sim"]
 _REPORT_ARGS = ["report", "--run", "{d}/r.json"]
 _LETTER_MAP_ARGS = ["simulate", "letter-map", "--params", "{d}/p.json", "--out", "{d}/sim"]
+_SWEEP_ARGS = ["simulate", "sweep", "--params", "{d}/p.json", "--out", "{d}/sim"]
+_SERIES_ARGS = ["fit-series", "--basis-nv0", "{d}/s.csv", "--basis-nvm", "{d}/b.csv",
+                "--series", "{d}/series.json", "--out-table", "{d}/table.csv"]
 
 
 class TestInputBoundary:
@@ -820,6 +877,14 @@ class TestInputBoundary:
             (_MAP_ARGS, "m.json", _SIDECAR.replace(b'"height": 1', b'"height": 1.0')),
             (_MAP_ARGS, "m.json", _SIDECAR.replace(b'"pixel_pitch_um": 1.0', b'"pixel_pitch_um": "0.1"')),
             (_MAP_ARGS, "m.json", _SIDECAR.replace(b'"pixel_pitch_um": 1.0', b'"pixel_pitch_um": true')),
+            (_SERIES_ARGS, "series.json", b'[{"b_field_gauss": true, "path": "s.csv"}]'),
+            (_SERIES_ARGS, "series.json", b'[{"b_field_gauss": "975", "path": "s.csv"}]'),
+            (_SERIES_ARGS, "series.json", b'[{"b_field_gauss": " 4e2 ", "path": "s.csv"}]'),
+            (_LETTER_MAP_ARGS, "p.json", b'{"width": 24.9, "height": 16}'),
+            (_LETTER_MAP_ARGS, "p.json", b'{"width": 24, "height": 16.0}'),
+            (_SWEEP_ARGS, "p.json", b'{"noise": {"kind": "poisson", "scans": 2.9}}'),
+            (_SWEEP_ARGS, "p.json", b'{"noise": {"kind": "poisson", "scans": true}}'),
+            (_SWEEP_ARGS, "p.json", b'{"noise": {"kind": "poisson", "scans": 3.0}}'),
         ],
         ids=[
             "spectrum-not-utf8",
@@ -853,17 +918,28 @@ class TestInputBoundary:
             "sidecar-height-float",
             "sidecar-pitch-string",
             "sidecar-pitch-bool",
+            "manifest-field-bool",
+            "manifest-field-string",
+            "manifest-field-padded-string",
+            "params-letter-map-width-float",
+            "params-letter-map-height-integral-float",
+            "params-sweep-scans-float",
+            "params-sweep-scans-bool",
+            "params-sweep-scans-integral-float",
         ],
     )
     def test_malformed_file_exits_2(self, tmp_path, capsys, monkeypatch, argv, name, data):
         (tmp_path / "s.csv").write_text("600.0,1.0\n601.0,2.0\n")
+        (tmp_path / "b.csv").write_text("600.0,2.0\n601.0,1.0\n")
         (tmp_path / "m.json").write_bytes(_SIDECAR)
         (tmp_path / "m.csv").write_text("1.0,2.0\n")
         (tmp_path / name).write_bytes(data)
+        before = set(tmp_path.iterdir())
         rc = main([a.format(d=tmp_path) for a in argv])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert set(tmp_path.iterdir()) == before
         # The line reader alone gives the same exit and message.
         monkeypatch.setattr(fileio, "_fast_rows", lambda data, width: None)
         assert main([a.format(d=tmp_path) for a in argv]) == rc

@@ -2,7 +2,9 @@
 
 Each case starts from valid input files for one command, mutates one of them
 (a flipped or inserted byte, or a JSON value swapped for one of another type)
-and runs ``cli.main``: it must return a documented exit code, never raise.
+and runs ``cli.main``: it must return a documented exit code, never raise, and
+exit 2 where a swap breaks the JSON number rule (a manifest field that is not a
+number, a scan count that is not a positive integer).
 Each case runs twice, the second time with ``fileio``'s ``np.loadtxt`` fast path
 declined, and both runs must give the same exit code, stderr and warnings.
 Mutations are single edits of small files so that no example can ask for a
@@ -44,6 +46,13 @@ _PARAMS = json.dumps(
         "total_counts": 100.0,
     }
 ).encode()
+_SWEEP_PARAMS = json.dumps(
+    {
+        "grid": {"lo": 600, "hi": 700, "step": 1},
+        "fields": [170.0, 975.0],
+        "noise": {"kind": "poisson", "scans": 3, "dwell": 0.01},
+    }
+).encode()
 _REPORT = json.dumps(
     {
         "command": "decompose",
@@ -67,6 +76,8 @@ CASES = {
         "--out-surface", "{d}/surface.csv"]),
     "params": ("p.json", _PARAMS, ["simulate", "spectrum", "--params", "{d}/p.json",
                                    "--out", "{d}/sim"]),
+    "sweep-params": ("sw.json", _SWEEP_PARAMS, ["simulate", "sweep", "--params", "{d}/sw.json",
+                                                "--out", "{d}/sweep"]),
     "report": ("r.json", _REPORT, ["report", "--run", "{d}/r.json"]),
 }
 
@@ -119,8 +130,17 @@ def _value_paths(doc, prefix=()):
             yield from _value_paths(value, prefix + (key,))
 
 
+def _refused(path: tuple, value) -> bool:
+    """Whether the JSON number rule refuses ``value`` swapped in at ``path``: a field in gauss
+    must be a number (an int or a float, never a bool), a scan count a positive integer."""
+    if path[-1:] == ("b_field_gauss",):
+        return type(value) not in (int, float)
+    return path[-1:] == ("scans",) and (type(value) is not int or value < 1)
+
+
 @st.composite
-def _mutated(draw, data: bytes) -> bytes:
+def _mutated(draw, data: bytes) -> tuple[bytes, bool]:
+    """The mutated bytes, and whether a swap put in a value the JSON number rule refuses."""
     edits = ["flip", "insert"] + (["swap"] if data.startswith((b"{", b"[")) else [])
     edit = draw(st.sampled_from(edits))
     if edit == "swap":
@@ -128,18 +148,18 @@ def _mutated(draw, data: bytes) -> bytes:
         path = draw(st.sampled_from(list(_value_paths(doc))))
         value = draw(st.sampled_from(_SWAP_VALUES))
         if not path:
-            return json.dumps(value).encode()
+            return json.dumps(value).encode(), False
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = value
-        return json.dumps(doc).encode()
+        return json.dumps(doc).encode(), _refused(path, value)
     byte = draw(st.integers(1, 255))
     if edit == "flip":
         i = draw(st.integers(0, len(data) - 1))
-        return data[:i] + bytes([data[i] ^ byte]) + data[i + 1:]
+        return data[:i] + bytes([data[i] ^ byte]) + data[i + 1:], False
     i = draw(st.integers(0, len(data)))
-    return data[:i] + bytes([byte]) + data[i:]
+    return data[:i] + bytes([byte]) + data[i:], False
 
 
 @pytest.mark.parametrize("kind", sorted(CASES))
@@ -153,8 +173,11 @@ def test_valid_inputs_succeed(work, kind):
 @given(data=st.data())
 def test_mutated_input_never_escapes(work, kind, data):
     name, valid, argv = CASES[kind]
-    _write_inputs(work, name, data.draw(_mutated(valid), label="mutated"))
+    mutated, refused = data.draw(_mutated(valid), label="mutated")
+    _write_inputs(work, name, mutated)
     rc, err, _ = _run(argv, work)
     assert rc in (0, 2, 3, 4)
+    if refused:
+        assert rc == 2
     if rc != 0:
         assert err.count("\n") == 1 and err.startswith(("error: ", "i/o error: "))

@@ -120,7 +120,9 @@ class TestMapPgm:
 def _svg_one_shot(s, *, zpl_guides=False):
     """``render_spectrum_svg`` as it formatted every point in one call, kept as the oracle,
     with the renderer's bounds for a flat spectrum too large for ``y0 + 1.0`` to differ and
-    its scaling by 1/8 of a range too wide for ``y1 - y0`` to be finite."""
+    its scaling by 1/8 of a range too wide for ``y1 - y0`` to be finite. Its x axis is left
+    unscaled, so the renderer's bytes for every grid with a finite span, as drawn here, stay
+    those of the unscaled axis."""
     w, h, m = 720, 480, 64
     x, y = s.wavelengths, s.intensities
     x0, x1 = float(x[0]), float(x[-1])

@@ -92,6 +92,11 @@ class TestSpectrumValidation:
         with pytest.raises(ValidationError):
             Spectrum([601.0, 600.0], [1.0, 2.0])
 
+    def test_grid_whose_span_overflows(self):
+        """The increasing check takes no difference, so a grid spanning past the float range
+        raises no overflow warning (warnings are errors here)."""
+        assert Spectrum([-1e308, 1e308], [1.0, 2.0]).span == (-1e308, 1e308)
+
     def test_non_finite(self):
         with pytest.raises(ValidationError):
             Spectrum([600.0, 601.0], [1.0, np.nan])

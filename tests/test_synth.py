@@ -217,6 +217,19 @@ class TestMakeFieldSpectrum:
         with pytest.raises(ValidationError):
             NoiseModel("poisson", scans=10, dwell=0.0)
 
+    @pytest.mark.parametrize("scans", [2.9, 3.0, True, "3", None])
+    def test_scans_must_be_an_integer(self, scans):
+        """A float or bool count is refused, not truncated, from JSON params too."""
+        message = f"^scans must be an integer >= 1, got {re.escape(repr(scans))}$"
+        with pytest.raises(ValidationError, match=message):
+            NoiseModel("poisson", scans)
+        with pytest.raises(ValidationError, match=message):
+            NoiseModel.from_dict({"kind": "poisson", "scans": scans})
+
+    def test_scans_takes_any_integer_type(self):
+        scans = NoiseModel("poisson", np.int64(3)).scans
+        assert scans == 3 and type(scans) is int
+
 
 class TestMakeSweep:
     def test_deterministic_and_ordered(self, grid02):
