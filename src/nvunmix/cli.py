@@ -1,11 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 validation/parse error, 3 numerical error
-(singularity/identifiability), 4 I/O error. ``fileio`` reads every input file
-(JSON through ``load_json``) and writes every output file, ``render``'s included.
-Each command returns a ``_Run``; ``main`` saves its report, capturing inputs (with
-the digests of the bytes the run read), effective parameters, outputs and
-diagnostics, after every output is written, and then prints its message.
+Exit codes: 0 success, 2 validation/parse error, 3 numerical error (singularity/
+identifiability), 4 I/O error. ``fileio`` reads every input file and writes every output
+file, ``render``'s included; a JSON input is read by a key spec (a params file by its kind's
+in ``_SIMULATORS``), so an unknown key or a wrong type exits 2 naming the key path. Each
+command returns a ``_Run``; ``main`` saves its report (inputs with the digests of the bytes
+read, parameters, outputs, diagnostics) after every output is written, then prints its message.
 """
 
 from __future__ import annotations
@@ -31,13 +31,14 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .fileio import RunReport, _json_number, load_json, load_map, load_spectrum, map_paths
-from .fileio import _run_digests, _save_bytes, save_csv, save_json, save_map, save_spectrum
+from .fileio import _ABSENT, _REQUIRED, RunReport, _from_json, _run_digests, _save_bytes, load_json
+from .fileio import load_map, load_spectrum, map_paths, save_csv, save_json, save_map, save_spectrum
 from .filters import DEFAULT_EMISSION_WINDOW, FilterModel, TabulatedFilter, TransmissivityPair
 from .filters import transmissivity
 from .maps import PLMap, field_unmix, filter_unmix, fraction_map
 from .render import render_map_pgm, render_spectrum_svg
 from .spectrum import BasisPair, WavelengthWindow, _onto, _same_grid, resample
+from .synth import _NOISE_JSON, _RESPONSE_JSON, _SHAPE_JSON
 from .synth import (
     DEFAULT_FIELD_RESPONSE,
     DEFAULT_NV0_SHAPE,
@@ -139,7 +140,7 @@ def cmd_fit_series(args) -> _Run:
         load_spectrum(args.basis_nv0, negative=args.negative),
         load_spectrum(args.basis_nvm, negative=args.negative),
     )
-    manifest = load_json(args.series, list, "manifest")
+    manifest = load_json(args.series, [{"b_field_gauss": (float, _REQUIRED), "path": (str, _REQUIRED)}])
     if not manifest:
         raise ParseError(f"{args.series}: manifest must be a non-empty JSON list of entries")
     if args.out_surface and len(manifest) < 2:
@@ -147,18 +148,12 @@ def cmd_fit_series(args) -> _Run:
     base_dir = os.path.dirname(os.path.abspath(args.series))
 
     def entries():  # as ingest asks; one on a grid equal to the basis's drops its own at once
-        for i, item in enumerate(manifest):
-            path = item.get("path") if isinstance(item, dict) else None
-            if not isinstance(path, str) or "\0" in path:
-                raise ParseError(f"{args.series}: entry {i} needs a file name string 'path'")
-            try:
-                b_field = _json_number(item["b_field_gauss"])
-            except (KeyError, TypeError, OverflowError) as exc:
-                raise ParseError(
-                    f"{args.series}: entry {i} needs a numeric 'b_field_gauss'") from exc
-            path = os.path.join(base_dir, path)  # an absolute path replaces base_dir
+        for i, entry in enumerate(manifest):
+            if "\0" in entry["path"]:
+                raise ParseError(f"{args.series}: [{i}].path: holds a NUL character")
+            path = os.path.join(base_dir, entry["path"])  # an absolute path replaces base_dir
             run.inputs.append(path)
-            yield b_field, _onto(basis.s0, load_spectrum(path, negative=args.negative))
+            yield entry["b_field_gauss"], _onto(basis.s0, load_spectrum(path, negative=args.negative))
 
     series = FieldSeries.ingest(entries())
     grid = series.entries[0][1].wavelengths
@@ -183,7 +178,7 @@ def cmd_transmissivity(args) -> _Run:
         args.report,
         "transmissivity",
         [args.spectrum] + ([args.filter_table] if args.filter_table else []),
-        {"window": args.window},
+        {"window": args.window, "negative": args.negative},
     )
     spec = load_spectrum(args.spectrum, negative=args.negative)
     fm, parameters = _load_filter(args)
@@ -251,108 +246,78 @@ def cmd_unmix_map_filter(args) -> _Run:
     return _unmix_common(args, run, unmixed, m0)
 
 
-def _section(params: dict, key: str) -> dict:
-    """The settings object under ``key`` of a parameter file ({} when absent)."""
-    value = params.get(key, {})
-    if not isinstance(value, dict):
-        raise TypeError(f"{key!r} must be a JSON object")
-    return value
+_GRID_KEYS = {"lo": (float, 550.0), "hi": (float, 850.0), "step": (float, 0.2)}
+_LETTER_MAP_KEYS = {"width": (int, 512), "height": (int, 512), "pl_nv0": (float, _ABSENT),
+                    "pl_nvm": (float, _ABSENT), "pixel_pitch_um": (float, _ABSENT)}
 
 
-def _model(params: dict, key: str, default):
-    """The model of ``default``'s type set under ``key``, else ``default``."""
-    return type(default).from_dict(_section(params, key)) if key in params else default
-
-
-def _simulate_spectrum(params, seed, out_dir) -> tuple[list[str], dict]:
-    shape = _model(params, "shape", DEFAULT_NVM_SHAPE)
-    grid = _grid_from_params(params)
-    total = float(params.get("total_counts", 62000.0))
-    spec = make_spectrum(shape, grid, total)
-    path = os.path.join(out_dir, "spectrum.csv")
-    save_spectrum(spec, path)
-    return [path], {"total_counts": total, "points": len(spec)}
-
-
-def _grid_from_params(params) -> np.ndarray:
-    g = _section(params, "grid")
-    lo = float(g.get("lo", 550.0))
-    hi = float(g.get("hi", 850.0))
-    step = float(g.get("step", 0.2))
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     if not (hi > lo and step > 0.0):
         raise ValidationError("grid requires hi > lo and step > 0")
-    n = int(round((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
 
 
-def _simulate_sweep(params, seed, out_dir) -> tuple[list[str], dict]:
-    response = _model(params, "field_response", DEFAULT_FIELD_RESPONSE)
-    shape_params = _section(params, "shapes")
-    shapes = (
-        _model(shape_params, "nv0", DEFAULT_NV0_SHAPE),
-        _model(shape_params, "nvminus", DEFAULT_NVM_SHAPE),
-    )
-    grid = _grid_from_params(params)
-    noise = _model(params, "noise", NOISELESS)
-    fields = [float(b) for b in params.get("fields", response.fields)]
-    sweep = make_sweep(fields, response, shapes, grid, noise, seed)
+def _save_maps(out_dir: str, **maps: PLMap) -> list[str]:  # the paths written
+    return [path for name, m in maps.items() for path in save_map(m, os.path.join(out_dir, name))]
+
+
+def _simulate_spectrum(p, seed, out_dir) -> tuple[list[str], dict]:
+    spec = make_spectrum(p.get("shape", DEFAULT_NVM_SHAPE), _grid(**p["grid"]), p["total_counts"])
+    path = os.path.join(out_dir, "spectrum.csv")
+    save_spectrum(spec, path)
+    return [path], {"total_counts": p["total_counts"], "points": len(spec)}
+
+
+def _simulate_sweep(p, seed, out_dir) -> tuple[list[str], dict]:
+    response = p.get("field_response", DEFAULT_FIELD_RESPONSE)
+    shapes = p["shapes"].get("nv0", DEFAULT_NV0_SHAPE), p["shapes"].get("nvminus", DEFAULT_NVM_SHAPE)
+    noise = p.get("noise", NOISELESS)
+    fields = p.get("fields", response.fields)
+    if not fields:
+        raise ValidationError("fields: a sweep needs at least one field")
+    sweep = make_sweep(fields, response, shapes, _grid(**p["grid"]), noise, seed)
     names = {}
     for b, _ in sweep:
         name = f"spec_{b:07.1f}G.csv"
         if name in names:
             raise ValidationError(f"fields {names[name]!r} and {b!r} G both name the file {name}")
         names[name] = b
-    manifest = []
-    outputs = []
-    for (b, spec), name in zip(sweep, names):
-        save_spectrum(spec, os.path.join(out_dir, name))
-        manifest.append({"b_field_gauss": b, "path": name})
-        outputs.append(os.path.join(out_dir, name))
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    save_json(manifest_path, manifest)
-    outputs.append(manifest_path)
+    outputs = [os.path.join(out_dir, name) for name in [*names, "manifest.json"]]
+    for (_, spec), path in zip(sweep, outputs):
+        save_spectrum(spec, path)
+    save_json(outputs[-1], [{"b_field_gauss": b, "path": name} for name, b in names.items()])
     return outputs, {"fields": len(fields), "noise": noise.kind}
 
 
-def _letter_maps(lm: dict) -> tuple[PLMap, PLMap]:
-    """The NV0/NV- truth letter maps described by the settings ``lm``."""
-    levels = {k: float(lm[k]) for k in ("pl_nv0", "pl_nvm", "pixel_pitch_um") if k in lm}
-    width, height = (_json_number(lm.get(k, 512), int) for k in ("width", "height"))
-    return make_letter_map(width, height, **levels)
-
-
-def _simulate_letter_map(params, seed, out_dir) -> tuple[list[str], dict]:
-    nv0, nvm = _letter_maps(params)
-    outputs = [*save_map(nv0, os.path.join(out_dir, "nv0_truth"))]
-    outputs += save_map(nvm, os.path.join(out_dir, "nvm_truth"))
-    diag = {"width": nv0.width, "height": nv0.height}
-    if "t0" in params and "tminus" in params:
-        t0 = float(params["t0"])
-        tm = float(params["tminus"])
-        m0 = PLMap._of_fresh(nv0.values + nvm.values, nv0.pixel_pitch_um)
-        mlpf = PLMap._of_fresh(t0 * nv0.values + tm * nvm.values, nv0.pixel_pitch_um)
-        outputs += save_map(m0, os.path.join(out_dir, "m0"))
-        outputs += save_map(mlpf, os.path.join(out_dir, "mlpf"))
+def _simulate_letter_map(p, seed, out_dir) -> tuple[list[str], dict]:
+    t0, tm = p.pop("t0", None), p.pop("tminus", None)
+    nv0, nvm = make_letter_map(**p)
+    maps, diag = {"nv0_truth": nv0, "nvm_truth": nvm}, {"width": nv0.width, "height": nv0.height}
+    if t0 is not None and tm is not None:  # composed, and so checked, before any map is written
+        maps["m0"] = PLMap._of_fresh(nv0.values + nvm.values, nv0.pixel_pitch_um)
+        maps["mlpf"] = PLMap._of_fresh(t0 * nv0.values + tm * nvm.values, nv0.pixel_pitch_um)
         diag.update({"t0": t0, "tminus": tm})
-    return outputs, diag
+    return _save_maps(out_dir, **maps), diag
 
 
-def _simulate_field_map_pair(params, seed, out_dir) -> tuple[list[str], dict]:
-    suppression = float(params.get("suppression", 1.0 / 6.2))
-    nv0, nvm = _letter_maps(_section(params, "letter_map"))
-    low, high = make_field_map_pair(nv0, nvm, suppression)
-    outputs = [*save_map(nv0, os.path.join(out_dir, "nv0_truth"))]
-    outputs += save_map(nvm, os.path.join(out_dir, "nvm_truth"))
-    outputs += save_map(low, os.path.join(out_dir, "low"))
-    outputs += save_map(high, os.path.join(out_dir, "high"))
-    return outputs, {"suppression": suppression, "implied_f": 1.0 / suppression}
+def _simulate_field_map_pair(p, seed, out_dir) -> tuple[list[str], dict]:
+    nv0, nvm = make_letter_map(**p["letter_map"])
+    low, high = make_field_map_pair(nv0, nvm, p["suppression"])
+    outputs = _save_maps(out_dir, nv0_truth=nv0, nvm_truth=nvm, low=low, high=high)
+    return outputs, {"suppression": p["suppression"], "implied_f": 1.0 / p["suppression"]}
 
 
-_SIMULATORS = {
-    "spectrum": _simulate_spectrum,
-    "sweep": _simulate_sweep,
-    "letter-map": _simulate_letter_map,
-    "field-map-pair": _simulate_field_map_pair,
+_SHAPES_KEYS = {"nv0": (_SHAPE_JSON, _ABSENT), "nvminus": (_SHAPE_JSON, _ABSENT)}
+_SIMULATORS = {  # kind: (simulator, the key spec of its params file)
+    "spectrum": (_simulate_spectrum, {"shape": (_SHAPE_JSON, _ABSENT), "grid": (_GRID_KEYS, {}),
+                                      "total_counts": (float, 62000.0)}),
+    "sweep": (_simulate_sweep, {"field_response": (_RESPONSE_JSON, _ABSENT),
+                                "shapes": (_SHAPES_KEYS, {}), "grid": (_GRID_KEYS, {}),
+                                "noise": (_NOISE_JSON, _ABSENT), "fields": ([float], _ABSENT)}),
+    "letter-map": (_simulate_letter_map, {**_LETTER_MAP_KEYS, "t0": (float, _ABSENT),
+                                          "tminus": (float, _ABSENT)}),
+    "field-map-pair": (_simulate_field_map_pair, {"letter_map": (_LETTER_MAP_KEYS, {}),
+                                                  "suppression": (float, 1.0 / 6.2)}),
 }
 
 
@@ -367,17 +332,17 @@ def cmd_simulate(args) -> _Run:
     seed = args.seed or 0
     if seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {seed}")
-    params = load_json(args.params, dict, "params") if args.params else {}
+    params = load_json(args.params, dict) if args.params else {}
+    simulate, keys = _SIMULATORS[args.kind]
+    typed = _from_json(params, keys, args.params)
     created = not os.path.isdir(args.out)
     os.makedirs(args.out, exist_ok=True)
     try:
-        run.outputs, run.diagnostics = _SIMULATORS[args.kind](params, seed, args.out)
+        run.outputs, run.diagnostics = simulate(typed, seed, args.out)
     except NvUnmixError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as exc:
-        # Models validate values themselves; these are missing keys, wrong types
-        # or sizes no array can have.
-        raise ParseError(f"{args.params}: bad {args.kind} params: {exc!r}") from exc
+    except (MemoryError, ValueError, OverflowError) as exc:  # numpy refuses the size outright
+        raise ParseError(f"{args.params}: no array can have the size asked for: {exc}") from exc
     finally:
         if created and not run.outputs:  # the simulator raised; each returns what it wrote
             with contextlib.suppress(OSError):  # empty, as simulators check before they write

@@ -205,28 +205,57 @@ def _apply_negative(values: np.ndarray, data: bytes, negative: str, path) -> np.
     return np.maximum(values, 0.0)
 
 
-def load_json(path: str | os.PathLike, kind: type, what: str):
-    """Read a UTF-8 JSON file whose top level must be of type ``kind``
-    (``dict`` or ``list``); ``what`` names the file in error messages."""
+def load_json(path: str | os.PathLike, spec):
+    """The value of a UTF-8 JSON file, read by ``spec`` (see ``_from_json``)."""
     text = _read(path).decode("utf-8")
     try:
         value = json.loads(text)
         json.dumps(value, ensure_ascii=False).encode("utf-8")  # a lone \ud800 escape is not text
     except (ValueError, RecursionError) as exc:
-        raise ParseError(f"{path}: invalid {what} JSON: {exc}") from exc
-    if not isinstance(value, kind):
-        raise ParseError(f"{path}: {what} must be a JSON {'object' if kind is dict else 'list'}")
-    return value
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    return _from_json(value, spec, path)
 
 
-def _json_number(value, kind: type = float):
-    """``value``, read from JSON, as a ``kind``: float takes a JSON number (an int or a float,
-    never a bool) and int only a JSON integer. TypeError for any other value; OverflowError
-    for an int beyond the float range."""
-    if type(value) is not int and (kind is int or type(value) is not float):
-        what = "integer" if kind is int else "number"
-        raise TypeError(f"{json.dumps(value)} is not a JSON {what}")
-    return kind(value)
+_REQUIRED = object()  # a key spec default: the key must be set
+_ABSENT = object()  # a key spec default: an unset key stays out of the result
+_JSON_TYPES = {dict: "object", list: "list", float: "number", int: "integer", str: "string"}
+
+
+def _from_json(value, spec, where, path: str = ""):
+    """``value``, parsed from JSON, read by ``spec``; a mismatch raises one ``ParseError`` line
+    naming ``where`` (the file) and the key path. Specs: ``float`` (a JSON number, never a
+    bool), ``int``, ``str``, ``dict`` or ``list`` (any object or list, as it is); ``[spec]`` (a
+    list of any length) or ``[spec, spec, ...]`` (one item per spec); ``{key: (spec, default)}``
+    (an object of those keys only, an unset key refused if its default is ``_REQUIRED``, left
+    out if ``_ABSENT``, else read as its default); ``(build, key spec)`` (``build(**keys)``)."""
+    at = f"{where}: {path}: " if path else f"{where}: "  # what a refusal names
+    if spec is None or value is _REQUIRED:  # a key the key spec lacks, or a required key unset
+        raise ParseError(at + ("unknown key" if spec is None else "missing required key"))
+    if isinstance(spec, tuple):
+        return spec[0](**_from_json(value, spec[1], where, path))
+    kind = type(spec) if isinstance(spec, (dict, list)) else spec
+    if type(value) is not kind and (kind, type(value)) != (float, int):
+        got = {dict: "a JSON object", list: "a JSON list"}.get(type(value)) or json.dumps(value)
+        raise ParseError(f"{at}expected a JSON {_JSON_TYPES[kind]}, got {got}")
+    if isinstance(spec, dict):
+        keys = {key: (None, None) for key in value if key not in spec} | spec  # unknown ones first
+        return {key: _from_json(value.get(key, default), item, where, _key_path(path, key))
+                for key, (item, default) in keys.items() if key in value or default is not _ABSENT}
+    if isinstance(spec, list):
+        if len(spec) > 1 and len(value) != len(spec):
+            raise ParseError(f"{at}expected a JSON list of {len(spec)} items, got {len(value)}")
+        items = spec if len(spec) > 1 else itertools.repeat(spec[0])
+        return [_from_json(v, s, where, f"{path}[{i}]")
+                for i, (v, s) in enumerate(zip(value, items))]
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ParseError(f"{at}number beyond the float range") from None
+
+
+def _key_path(path: str, key: str) -> str:
+    key = key if key.isprintable() and key else json.dumps(key)  # one line, never empty
+    return f"{path}.{key}" if path else key
 
 
 def save_spectrum(s: Spectrum, path: str | os.PathLike) -> None:
@@ -292,18 +321,12 @@ def load_map(path: str | os.PathLike, *, negative: str = "allow") -> PLMap:
     """
     _check_negative_mode(negative)
     json_path, csv_path = map_paths(path)
-    sidecar = load_json(json_path, dict, "plmap sidecar")
-    if sidecar.get("format") != "plmap" or sidecar.get("version") != 1:
+    sidecar = load_json(json_path, {
+        "format": (str, _REQUIRED), "version": (int, _REQUIRED), "width": (int, _REQUIRED),
+        "height": (int, _REQUIRED), "pixel_pitch_um": (float, _REQUIRED)})
+    if sidecar["format"] != "plmap" or sidecar["version"] != 1:
         raise ParseError(f"{json_path}: not a plmap v1 sidecar")
-    try:
-        width, height, pitch = (_json_number(sidecar[k], kind) for k, kind in
-                                (("width", int), ("height", int), ("pixel_pitch_um", float)))
-    except (KeyError, OverflowError) as exc:
-        raise ParseError(f"{json_path}: bad sidecar fields: {exc}") from exc
-    except TypeError as exc:
-        raise ParseError(
-            f"{json_path}: width and height must be JSON integers, pixel_pitch_um a JSON number"
-        ) from exc
+    width, height, pitch = (sidecar[k] for k in ("width", "height", "pixel_pitch_um"))
     if width < 1 or height < 1:
         raise ParseError(f"{json_path}: width and height must be positive")
     values, data = _rows(csv_path, width)
@@ -350,7 +373,7 @@ class RunReport:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "RunReport":
-        d = load_json(path, dict, "report")
+        d = load_json(path, dict)
         r = cls(**{name: d.get(name, empty) for name, empty in vars(cls("")).items()})
         valid = {
             "command": isinstance(r.command, str),

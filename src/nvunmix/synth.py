@@ -16,12 +16,13 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import RangeError, ValidationError
+from .fileio import _ABSENT, _REQUIRED, _from_json
 from .maps import PLMap, _require_same_shape
 from .spectrum import Spectrum, _on_grid, area, scale
 
@@ -83,13 +84,15 @@ class SpectralShapeModel:
         return out
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "SpectralShapeModel":
-        return cls(
-            zpl_center=float(d["zpl_center"]),
-            zpl_width=float(d["zpl_width"]),
-            zpl_weight=float(d["zpl_weight"]),
-            sideband_components=tuple(tuple(c) for c in d.get("sidebands", ())),
-        )
+    def from_dict(cls, d: dict) -> "SpectralShapeModel":
+        return _from_json(d, _SHAPE_JSON, cls.__name__)
+
+
+_SHAPE_JSON = (  # "sidebands": [center, width, weight] triples
+    lambda sidebands=(), **zpl: SpectralShapeModel(sideband_components=sidebands, **zpl),
+    {"zpl_center": (float, _REQUIRED), "zpl_width": (float, _REQUIRED),
+     "zpl_weight": (float, _REQUIRED), "sidebands": ([[float, float, float]], _ABSENT)},
+)
 
 
 @dataclass(frozen=True)
@@ -132,8 +135,12 @@ class FieldResponseModel:
         return float(np.interp(b, *self._knots))
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "FieldResponseModel":
-        return cls(float(d["c0_const"]), tuple(tuple(k) for k in d["cminus_curve"]))
+    def from_dict(cls, d: dict) -> "FieldResponseModel":
+        return _from_json(d, _RESPONSE_JSON, cls.__name__)
+
+
+_RESPONSE_JSON = (FieldResponseModel, {"c0_const": (float, _REQUIRED),
+                                        "cminus_curve": ([[float, float]], _REQUIRED)})
 
 
 @dataclass(frozen=True)
@@ -155,10 +162,12 @@ class NoiseModel:
             raise ValidationError("dwell must be positive")
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "NoiseModel":
-        return cls(str(d.get("kind", "none")), d.get("scans", 1), float(d.get("dwell", 0.01)))
+    def from_dict(cls, d: dict) -> "NoiseModel":
+        return _from_json(d, _NOISE_JSON, cls.__name__)
 
 
+_NOISE_JSON = (NoiseModel, {"kind": (str, _ABSENT), "scans": (int, _ABSENT),
+                            "dwell": (float, _ABSENT)})
 NOISELESS = NoiseModel("none")
 
 # Default shapes. Sideband placement keeps the neutral-state emission nearly

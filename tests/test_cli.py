@@ -497,7 +497,8 @@ class TestSweepFlow:
         {"fields": [170, 170]},
         {"noise": {"kind": "pink"}},
         {"grid": 3},
-    ], ids=["shared-file-name", "unknown-noise", "grid-not-an-object"])
+        {"fields": []},
+    ], ids=["shared-file-name", "unknown-noise", "grid-not-an-object", "no-fields"])
     @pytest.mark.parametrize("existed", [False, True])
     def test_failed_simulate_leaves_only_an_out_that_existed(self, tmp_path, capsys, params,
                                                               existed):
@@ -772,6 +773,25 @@ class TestRenderAndReportCommands:
         assert rc == 2
 
 
+def _readme_params_examples() -> dict[str, str]:
+    """kind: the JSON text of the ```json example under README "simulate parameter files"."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme[readme.index("## simulate parameter files\n"):]
+    section = section[:section.index("\n## ")]
+    return {re.findall(r"`simulate ([a-z-]+)`", section[:m.start()])[-1]: m[1]
+            for m in re.finditer(r"```json\n(.*?)```", section, re.S)}
+
+
+@pytest.mark.parametrize("kind", sorted(cli._SIMULATORS))
+def test_readme_params_example_runs(tmp_path, capsys, kind):
+    """Each kind's README parameter file is one the strict reader takes."""
+    (tmp_path / "p.json").write_text(_readme_params_examples()[kind])
+    argv = ["simulate", kind, "--params", str(tmp_path / "p.json"), "--out", str(tmp_path / "sim")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 _RENDER_SPECTRUM = ["render", "--spectrum", "{d}/s.csv", "--out", "{d}/out", "--report", "{d}/r.json"]
 _RENDER_MAP = ["render", "--map", "{d}/m", "--out", "{d}/out", "--report", "{d}/r.json"]
 _TABLE_FILTER = ["transmissivity", "--spectrum", "{d}/s.csv", "--filter-table", "{d}/ft.csv",
@@ -820,9 +840,10 @@ class TestRejectedFlags:
         expected = [
             (_RENDER_SPECTRUM, {"zpl_guides": False}),
             (_RENDER_MAP + ["--clip", "0:5"], {"clamp": False, "clip": "0:5"}),
-            (_TABLE_FILTER, {"filter_table": str(tmp_path / "ft.csv"), "window": "550:850"}),
+            (_TABLE_FILTER, {"filter_table": str(tmp_path / "ft.csv"), "window": "550:850",
+                             "negative": "error"}),
             (sigmoid, {"tmax": 0.9, "center": 645.0, "width": 5.0, "window": "550:850",
-                       "filter_table": None}),
+                       "filter_table": None, "negative": "error"}),
         ]
         for argv, parameters in expected:
             assert main([a.format(d=tmp_path) for a in argv]) == 0
@@ -885,6 +906,7 @@ class TestInputBoundary:
             (_SWEEP_ARGS, "p.json", b'{"noise": {"kind": "poisson", "scans": 2.9}}'),
             (_SWEEP_ARGS, "p.json", b'{"noise": {"kind": "poisson", "scans": true}}'),
             (_SWEEP_ARGS, "p.json", b'{"noise": {"kind": "poisson", "scans": 3.0}}'),
+            (_LETTER_MAP_ARGS, "p.json", b'{"width": 24, "height": 16, "t0": NaN, "tminus": 0.8}'),
         ],
         ids=[
             "spectrum-not-utf8",
@@ -926,6 +948,7 @@ class TestInputBoundary:
             "params-sweep-scans-float",
             "params-sweep-scans-bool",
             "params-sweep-scans-integral-float",
+            "params-letter-map-t0-nan",
         ],
     )
     def test_malformed_file_exits_2(self, tmp_path, capsys, monkeypatch, argv, name, data):
@@ -944,6 +967,69 @@ class TestInputBoundary:
         monkeypatch.setattr(fileio, "_fast_rows", lambda data, width: None)
         assert main([a.format(d=tmp_path) for a in argv]) == rc
         assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize(
+        "argv, name, data, error",
+        [
+            (_SWEEP_ARGS, "p.json", b'{"noise": {"kind": "poisson", "scan": 3000}}',
+             "{d}/p.json: noise.scan: unknown key"),
+            (_SWEEP_ARGS, "p.json", b'{"nosie": {"kind": "poisson", "scans": 3000}}',
+             "{d}/p.json: nosie: unknown key"),
+            (_PARAMS_ARGS, "p.json", b'{"total_counts": "100", "grid": {"lo": true, "hi": "700", '
+             b'"step": 1}}', "{d}/p.json: grid.lo: expected a JSON number, got true"),
+            (_PARAMS_ARGS, "p.json", b'{"total_counts": "100"}',
+             '{d}/p.json: total_counts: expected a JSON number, got "100"'),
+            (_PARAMS_ARGS, "p.json", b'{"grid": {"hi": "700"}}',
+             '{d}/p.json: grid.hi: expected a JSON number, got "700"'),
+            (_LETTER_MAP_ARGS, "p.json", b'{"pl_nv0": true, "t0": "0.3", "tminus": true}',
+             "{d}/p.json: pl_nv0: expected a JSON number, got true"),
+            (_LETTER_MAP_ARGS, "p.json", b'{"t0": "0.3", "tminus": 0.8}',
+             '{d}/p.json: t0: expected a JSON number, got "0.3"'),
+            (_LETTER_MAP_ARGS, "p.json", b'{"t0": 0.3, "tminus": true}',
+             "{d}/p.json: tminus: expected a JSON number, got true"),
+            (_SWEEP_ARGS, "p.json", b'{"fields": [170, "975"]}',
+             '{d}/p.json: fields[1]: expected a JSON number, got "975"'),
+            (_SWEEP_ARGS, "p.json", b'{"noise": {"kind": "poisson", "dwell": "0.01"}}',
+             '{d}/p.json: noise.dwell: expected a JSON number, got "0.01"'),
+            (_SWEEP_ARGS, "p.json", b'{"fields": []}', "fields: a sweep needs at least one field"),
+            (_SWEEP_ARGS, "p.json", b'{"shapes": {"nvminus": {"zpl_center": 637, "zpl_width": 1.7, '
+             b'"zpl_weight": 0.4, "sidebands": [[660, 9]]}}}',
+             "{d}/p.json: shapes.nvminus.sidebands[0]: expected a JSON list of 3 items, got 2"),
+            (_PARAMS_ARGS, "p.json", b'{"shape": {"zpl_center": 637, "zpl_weight": 1}}',
+             "{d}/p.json: shape.zpl_width: missing required key"),
+            (_PARAMS_ARGS, "p.json", b'{"grid": {"lo": 1' + b"0" * 400 + b"}}",
+             "{d}/p.json: grid.lo: number beyond the float range"),
+            (_PARAMS_ARGS, "p.json", b'{"\\n": 1}', '{d}/p.json: "\\n": unknown key'),
+            (["simulate", "field-map-pair", "--params", "{d}/p.json", "--out", "{d}/sim"], "p.json",
+             b'{"letter_map": {"width": 24, "height": 16, "t0": 0.3}}',
+             "{d}/p.json: letter_map.t0: unknown key"),
+            (_MAP_ARGS, "m.json", _SIDECAR[:-1] + b', "pitch": 1.0}', "{d}/m.json: pitch: unknown key"),
+            (_MAP_ARGS, "m.json", _SIDECAR.replace(b'"version": 1', b'"version": true'),
+             "{d}/m.json: version: expected a JSON integer, got true"),
+            (_SERIES_ARGS, "series.json", b'[{"b_field_gauss": 170, "path": "s.csv", "b": 1}]',
+             "{d}/series.json: [0].b: unknown key"),
+            (_SERIES_ARGS, "series.json",
+             b'[{"b_field_gauss": 170, "path": "s.csv"}, {"b_field_gauss": 975, "path": 5}]',
+             "{d}/series.json: [1].path: expected a JSON string, got 5"),
+        ],
+        ids=["misspelt-noise-key", "misspelt-section", "spectrum-motivation", "total-counts-string",
+             "grid-string", "letter-map-motivation", "t0-string", "tminus-bool", "fields-string",
+             "dwell-string", "fields-empty", "sideband-pair", "shape-missing-key",
+             "int-beyond-float", "newline-key", "letter-map-t0", "sidecar-unknown-key",
+             "sidecar-version-bool", "manifest-unknown-key", "manifest-path-number"],
+    )
+    def test_json_refusal_names_the_key_path(self, tmp_path, capsys, argv, name, data, error):
+        """A JSON input with an unknown key or a value of the wrong type exits 2 with one line
+        that names the file and the key path, and writes nothing."""
+        (tmp_path / "s.csv").write_text("600.0,1.0\n601.0,2.0\n")
+        (tmp_path / "b.csv").write_text("600.0,2.0\n601.0,1.0\n")
+        (tmp_path / "m.json").write_bytes(_SIDECAR)
+        (tmp_path / "m.csv").write_text("1.0,2.0\n")
+        (tmp_path / name).write_bytes(data)
+        before = set(tmp_path.iterdir())
+        assert main([a.format(d=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {error.format(d=tmp_path)}\n"
+        assert set(tmp_path.iterdir()) == before
 
     def _run_both_paths(self, argv, capsys, monkeypatch) -> str:
         """The one stderr line of a run that exits 2, the same with the fast path off."""

@@ -1,10 +1,12 @@
 """Mutation fuzzing of the CLI input boundary.
 
 Each case starts from valid input files for one command, mutates one of them
-(a flipped or inserted byte, or a JSON value swapped for one of another type)
-and runs ``cli.main``: it must return a documented exit code, never raise, and
-exit 2 where a swap breaks the JSON number rule (a manifest field that is not a
-number, a scan count that is not a positive integer).
+(a flipped or inserted byte, a JSON value swapped for another, or a JSON key
+renamed) and runs ``cli.main``: it must return a documented exit code, never
+raise. In a file the typed JSON reader reads (a params file, a manifest or a
+plmap sidecar), a renamed key, a value swapped for one of another JSON type,
+and a count (``scans``, ``width``, ``height``) swapped for anything but a
+positive integer must exit 2 with one line and write nothing.
 Each case runs twice, the second time with ``fileio``'s ``np.loadtxt`` fast path
 declined, and both runs must give the same exit code, stderr and warnings.
 Mutations are single edits of small files so that no example can ask for a
@@ -53,6 +55,10 @@ _SWEEP_PARAMS = json.dumps(
         "noise": {"kind": "poisson", "scans": 3, "dwell": 0.01},
     }
 ).encode()
+_LETTER_PARAMS = json.dumps(
+    {"width": 24, "height": 16, "pl_nv0": 8000.0, "t0": 0.3, "tminus": 0.8}
+).encode()
+_PAIR_PARAMS = json.dumps({"letter_map": {"width": 24, "height": 16}, "suppression": 0.25}).encode()
 _REPORT = json.dumps(
     {
         "command": "decompose",
@@ -78,8 +84,13 @@ CASES = {
                                    "--out", "{d}/sim"]),
     "sweep-params": ("sw.json", _SWEEP_PARAMS, ["simulate", "sweep", "--params", "{d}/sw.json",
                                                 "--out", "{d}/sweep"]),
+    "letter-params": ("lm.json", _LETTER_PARAMS, ["simulate", "letter-map", "--params",
+                                                  "{d}/lm.json", "--out", "{d}/letters"]),
+    "pair-params": ("fp.json", _PAIR_PARAMS, ["simulate", "field-map-pair", "--params",
+                                              "{d}/fp.json", "--out", "{d}/pair"]),
     "report": ("r.json", _REPORT, ["report", "--run", "{d}/r.json"]),
 }
+_TYPED = set(CASES) - {"spec-csv", "plmap-csv", "report"}  # files the typed JSON reader reads
 
 _SWAP_VALUES = [None, True, 0, -1, 2.5, "x", [], {}, [1.0], {"a": 1}]
 
@@ -130,36 +141,67 @@ def _value_paths(doc, prefix=()):
             yield from _value_paths(value, prefix + (key,))
 
 
-def _refused(path: tuple, value) -> bool:
-    """Whether the JSON number rule refuses ``value`` swapped in at ``path``: a field in gauss
-    must be a number (an int or a float, never a bool), a scan count a positive integer."""
-    if path[-1:] == ("b_field_gauss",):
-        return type(value) not in (int, float)
-    return path[-1:] == ("scans",) and (type(value) is not int or value < 1)
+def _json_type(value) -> str:
+    """JSON's type of ``value``: an int and a float are both numbers."""
+    return {bool: "boolean", int: "number", float: "number", str: "string", list: "array",
+            dict: "object", type(None): "null"}[type(value)]
+
+
+def _refused(path: tuple, old, new) -> bool:
+    """Whether the typed JSON reader refuses ``new`` swapped in for ``old`` at ``path``: a value
+    of another JSON type, or a count that is not a positive integer."""
+    if _json_type(new) != _json_type(old):
+        return True
+    return path[-1:] in (("scans",), ("width",), ("height",)) and (type(new) is not int or new < 1)
 
 
 @st.composite
 def _mutated(draw, data: bytes) -> tuple[bytes, bool]:
-    """The mutated bytes, and whether a swap put in a value the JSON number rule refuses."""
-    edits = ["flip", "insert"] + (["swap"] if data.startswith((b"{", b"[")) else [])
+    """The mutated bytes, and whether the typed JSON reader refuses the edit: a swap that
+    ``_refused`` names, or a key renamed to one its object does not hold."""
+    edits = ["flip", "insert"] + (["swap", "rename"] if data.startswith((b"{", b"[")) else [])
     edit = draw(st.sampled_from(edits))
-    if edit == "swap":
+    if edit in ("swap", "rename"):
         doc = json.loads(data)
-        path = draw(st.sampled_from(list(_value_paths(doc))))
+        paths = list(_value_paths(doc))
+        if edit == "rename":
+            paths = [p for p in paths if isinstance(_at(doc, p), dict) and _at(doc, p)]
+            path = draw(st.sampled_from(paths))
+            obj = _at(doc, path)
+            key = draw(st.sampled_from(sorted(obj)))
+            new_key = draw(st.sampled_from([key[:-1], key + "s", key + "_", key.upper()]))
+            renamed = {new_key if k == key else k: v for k, v in obj.items()}
+            doc = _replaced(doc, path, renamed)
+            return json.dumps(doc).encode(), new_key not in obj
+        path = draw(st.sampled_from(paths))
         value = draw(st.sampled_from(_SWAP_VALUES))
-        if not path:
-            return json.dumps(value).encode(), False
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-        return json.dumps(doc).encode(), _refused(path, value)
+        refused = _refused(path, _at(doc, path), value)
+        return json.dumps(_replaced(doc, path, value)).encode(), refused
     byte = draw(st.integers(1, 255))
     if edit == "flip":
         i = draw(st.integers(0, len(data) - 1))
         return data[:i] + bytes([data[i] ^ byte]) + data[i + 1:], False
     i = draw(st.integers(0, len(data)))
     return data[:i] + bytes([byte]) + data[i:], False
+
+
+def _at(doc, path: tuple):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replaced(doc, path: tuple, value):
+    """``doc`` with ``value`` at ``path`` (``doc`` itself changed, unless ``path`` is empty)."""
+    if not path:
+        return value
+    _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def _written(d: Path) -> dict:
+    """Every file and directory under ``d``, with what tells a rewritten file from the old one."""
+    return {p: (p.stat().st_ino, p.stat().st_mtime_ns) for p in d.rglob("*")}
 
 
 @pytest.mark.parametrize("kind", sorted(CASES))
@@ -174,10 +216,13 @@ def test_valid_inputs_succeed(work, kind):
 def test_mutated_input_never_escapes(work, kind, data):
     name, valid, argv = CASES[kind]
     mutated, refused = data.draw(_mutated(valid), label="mutated")
+    refused = refused and kind in _TYPED
     _write_inputs(work, name, mutated)
+    before = _written(work)
     rc, err, _ = _run(argv, work)
     assert rc in (0, 2, 3, 4)
     if refused:
         assert rc == 2
+        assert _written(work) == before
     if rc != 0:
         assert err.count("\n") == 1 and err.startswith(("error: ", "i/o error: "))

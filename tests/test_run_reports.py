@@ -192,6 +192,19 @@ def test_report_and_stdout_match_golden(inputs, case):
     _assert_same(got["report"], want["report"])
 
 
+def test_transmissivity_report_records_the_negative_mode(inputs, capsys):
+    """On a spectrum with no negative value, --negative error and --negative clamp give
+    reports that differ in parameters.negative only."""
+    argv, report = _CASES["transmissivity"]
+    reports = {}
+    for mode in ("error", "clamp"):
+        assert main(_fill(argv + ["--negative", mode], inputs)) == 0
+        reports[mode] = json.loads(Path(_fill(report, inputs)).read_text())
+        reports[mode].pop("timestamp")
+        assert reports[mode]["parameters"].pop("negative") == mode
+    assert reports["error"] == reports["clamp"]
+
+
 @pytest.mark.parametrize("case", _CASES)
 def test_unwritable_report_exits_4_after_the_outputs(inputs, capsys, case):
     """Exit 4 with one line on stderr and nothing on stdout; the outputs written

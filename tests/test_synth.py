@@ -1,5 +1,6 @@
 """Forward-model generators and their determinism/statistics."""
 
+import json
 import math
 import re
 import tracemalloc
@@ -17,6 +18,7 @@ from nvunmix import (
     FieldResponseModel,
     GridMismatchError,
     NoiseModel,
+    ParseError,
     PLMap,
     RangeError,
     SpectralShapeModel,
@@ -223,7 +225,8 @@ class TestMakeFieldSpectrum:
         message = f"^scans must be an integer >= 1, got {re.escape(repr(scans))}$"
         with pytest.raises(ValidationError, match=message):
             NoiseModel("poisson", scans)
-        with pytest.raises(ValidationError, match=message):
+        message = f"^NoiseModel: scans: expected a JSON integer, got {re.escape(json.dumps(scans))}$"
+        with pytest.raises(ParseError, match=message):
             NoiseModel.from_dict({"kind": "poisson", "scans": scans})
 
     def test_scans_takes_any_integer_type(self):
