@@ -289,13 +289,24 @@ def _simulate_sweep(p, seed, out_dir) -> tuple[list[str], dict]:
     return outputs, {"fields": len(fields), "noise": noise.kind}
 
 
+def _letter_map_params(**p) -> dict:
+    """A letter-map params file's keys; ``t0`` and ``tminus`` weigh one composed pair, so a
+    file sets both or neither."""
+    if ("t0" in p) != ("tminus" in p):
+        raise ValidationError(f"{'tminus' if 't0' in p else 't0'}: missing; "
+                              "the composed m0/mlpf pair needs both t0 and tminus")
+    return p
+
+
 def _simulate_letter_map(p, seed, out_dir) -> tuple[list[str], dict]:
     t0, tm = p.pop("t0", None), p.pop("tminus", None)
     nv0, nvm = make_letter_map(**p)
     maps, diag = {"nv0_truth": nv0, "nvm_truth": nvm}, {"width": nv0.width, "height": nv0.height}
-    if t0 is not None and tm is not None:  # composed, and so checked, before any map is written
-        maps["m0"] = PLMap._of_fresh(nv0.values + nvm.values, nv0.pixel_pitch_um)
-        maps["mlpf"] = PLMap._of_fresh(t0 * nv0.values + tm * nvm.values, nv0.pixel_pitch_um)
+    if t0 is not None:  # composed, and so checked, before any map is written
+        with np.errstate(over="ignore"):  # an overflow is refused below, as a non-finite map
+            m0, mlpf = nv0.values + nvm.values, t0 * nv0.values + tm * nvm.values
+        maps["m0"] = PLMap._of_fresh(m0, nv0.pixel_pitch_um)
+        maps["mlpf"] = PLMap._of_fresh(mlpf, nv0.pixel_pitch_um)
         diag.update({"t0": t0, "tminus": tm})
     return _save_maps(out_dir, **maps), diag
 
@@ -314,8 +325,8 @@ _SIMULATORS = {  # kind: (simulator, the key spec of its params file)
     "sweep": (_simulate_sweep, {"field_response": (_RESPONSE_JSON, _ABSENT),
                                 "shapes": (_SHAPES_KEYS, {}), "grid": (_GRID_KEYS, {}),
                                 "noise": (_NOISE_JSON, _ABSENT), "fields": ([float], _ABSENT)}),
-    "letter-map": (_simulate_letter_map, {**_LETTER_MAP_KEYS, "t0": (float, _ABSENT),
-                                          "tminus": (float, _ABSENT)}),
+    "letter-map": (_simulate_letter_map, (_letter_map_params, {
+        **_LETTER_MAP_KEYS, "t0": (float, _ABSENT), "tminus": (float, _ABSENT)})),
     "field-map-pair": (_simulate_field_map_pair, {"letter_map": (_LETTER_MAP_KEYS, {}),
                                                   "suppression": (float, 1.0 / 6.2)}),
 }

@@ -6,8 +6,15 @@ The low-minus-high difference is therefore a pure negative-state shape, and a
 single positive scale factor maps it back onto the full low-field
 contribution. A wrong factor leaves a dip or peak at the 637 nm zero-phonon
 line in the remainder, so the factor is chosen by minimizing an L1
-baseline-deviation metric over a window straddling that line. Each call cuts
-its windows from the grid once; a spectrum then costs one interpolation.
+baseline-deviation metric over a window straddling that line.
+
+A ``ZplArtifactConfig`` keeps the windows it cut from the last grid it was
+applied to, with a reference to that grid array, and reuses them while later
+spectra come on that array or on one holding the same bytes; any other grid
+cuts them anew and takes the kept place. The kept pair is read and replaced
+as one tuple, so threads sharing a config never pair one grid with another
+grid's windows. A spectrum on a kept grid then costs one interpolation. The
+range and band checks still run on every call.
 """
 
 from __future__ import annotations
@@ -82,6 +89,8 @@ class ZplArtifactConfig:
 # fraction of the low-field windowed area above which its score warns.
 _NV0_ZPL_CONFIG = ZplArtifactConfig.around(NV0_ZPL_NM)
 _WARN_FRACTION = 0.002
+# What a ``None`` config stands for; shared, so its kept windows serve every call.
+_DEFAULT_ZPL = ZplArtifactConfig()
 
 
 @dataclass(frozen=True)
@@ -100,6 +109,9 @@ class ScaleSearchConfig:
     def at_bound(self, f: float) -> bool:
         """True when ``f`` lies on or outside the clamp range."""
         return not self.f_min < f < self.f_max
+
+
+_DEFAULT_SEARCH = ScaleSearchConfig()
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,13 +156,26 @@ class _WindowPlan(_WindowCut):
         return ys[1] - (mean_lo + (mean_hi - mean_lo) / self.run * self.offset)
 
 
+def _plan(cfg: ZplArtifactConfig, grid: NDArray[np.float64]) -> _WindowPlan:
+    """``cfg``'s windows cut from ``grid``: the plan ``cfg`` kept when ``grid`` is its kept
+    grid or holds the same bytes (compared in place, not copied), else a new plan it keeps."""
+    kept = cfg.__dict__.get("_kept_plan")  # read once: a (grid, plan) pair replaced whole
+    if kept is not None and (
+        kept[0] is grid or np.array_equal(kept[0].view(np.uint64), grid.view(np.uint64))
+    ):
+        return kept[1]
+    plan = _WindowPlan(grid, cfg)
+    object.__setattr__(cfg, "_kept_plan", (grid, plan))  # not a field: eq, hash and repr skip it
+    return plan
+
+
 def zpl_artifact(candidate: Spectrum, cfg: ZplArtifactConfig | None = None) -> float:
     """L1 deviation of ``candidate`` from its local straight baseline.
 
     Zero iff the candidate coincides with the edge-band line across the inner
     window; blind to the sign of the deviation, so dips and peaks score alike.
     """
-    plan = _WindowPlan(candidate.wavelengths, cfg or ZplArtifactConfig())
+    plan = _plan(cfg or _DEFAULT_ZPL, candidate.wavelengths)
     plan.require_bands(candidate.span)
     return _trapz(np.abs(plan.residual(plan.values(candidate))), plan.nodes[1])
 
@@ -164,7 +189,7 @@ def difference_spectrum(low_b: Spectrum, high_b: Spectrum) -> tuple[Spectrum, fl
     The score is NaN when the grid does not cover the diagnostic window.
     """
     diff = subtract(low_b, high_b)
-    plan = _WindowPlan(low_b.wavelengths, _NV0_ZPL_CONFIG)
+    plan = _plan(_NV0_ZPL_CONFIG, low_b.wavelengths)
     if plan.edges[0] < low_b.span[0] or plan.edges[-1] > low_b.span[1]:
         return diff, math.nan
     score = _trapz(np.abs(plan.residual(plan.values(diff))), plan.nodes[1])
@@ -225,10 +250,10 @@ def optimize_scale_factor(
     ``[f_min, f_max]`` (see :func:`_l1_scale_factor`). Returns the factor and
     the artifact metric at it.
     """
-    cfg = cfg or ZplArtifactConfig()
-    search = search or ScaleSearchConfig()
+    cfg = cfg or _DEFAULT_ZPL
+    search = search or _DEFAULT_SEARCH
     _require_same_grid(low_b, diff)
-    plan = _WindowPlan(low_b.wavelengths, cfg)
+    plan = _plan(cfg, low_b.wavelengths)
     _require_within(diff.span, cfg.inner.lo, cfg.inner.hi)
     d = plan.values(diff)
     if _trapz(d[1], plan.nodes[1]) <= 0.0:
@@ -258,7 +283,7 @@ def decompose(
     (they diagnose a wrong factor or a model violation) and flagged with a
     warning rather than clipped.
     """
-    search = search or ScaleSearchConfig()
+    search = search or _DEFAULT_SEARCH
     diff, score575 = difference_spectrum(low_b, high_b)
     f, metric = optimize_scale_factor(low_b, diff, cfg, search)
     nvminus = scale(diff, f)

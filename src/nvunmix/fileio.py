@@ -22,6 +22,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import stat
@@ -223,8 +224,8 @@ _JSON_TYPES = {dict: "object", list: "list", float: "number", int: "integer", st
 
 def _from_json(value, spec, where, path: str = ""):
     """``value``, parsed from JSON, read by ``spec``; a mismatch raises one ``ParseError`` line
-    naming ``where`` (the file) and the key path. Specs: ``float`` (a JSON number, never a
-    bool), ``int``, ``str``, ``dict`` or ``list`` (any object or list, as it is); ``[spec]`` (a
+    naming ``where`` (the file) and the key path. Specs: ``float`` (a finite JSON number, never
+    a bool), ``int``, ``str``, ``dict`` or ``list`` (any object or list, as it is); ``[spec]`` (a
     list of any length) or ``[spec, spec, ...]`` (one item per spec); ``{key: (spec, default)}``
     (an object of those keys only, an unset key refused if its default is ``_REQUIRED``, left
     out if ``_ABSENT``, else read as its default); ``(build, key spec)`` (``build(**keys)``)."""
@@ -248,9 +249,12 @@ def _from_json(value, spec, where, path: str = ""):
         return [_from_json(v, s, where, f"{path}[{i}]")
                 for i, (v, s) in enumerate(zip(value, items))]
     try:
-        return kind(value)
+        read = kind(value)
     except OverflowError:
         raise ParseError(f"{at}number beyond the float range") from None
+    if kind is float and not math.isfinite(read):  # NaN, Infinity: Python's literals, not JSON's
+        raise ParseError(f"{at}expected a JSON number, got {json.dumps(value)}")
+    return read
 
 
 def _key_path(path: str, key: str) -> str:

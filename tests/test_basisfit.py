@@ -527,6 +527,7 @@ class TestFitOracle:
         got, want = basisfit._pair_indices(n), np.triu_indices(n, 1)
         for g, w in zip(got, want, strict=True):
             assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert not g.flags.writeable  # kept for later calls, so shared
 
 
 def test_threads_share_one_basis_pair(default_basis):

@@ -4,6 +4,7 @@ import errno
 import gc
 import hashlib
 import json
+import math
 import os
 import re
 import stat
@@ -77,6 +78,19 @@ class TestDecomposeCommand:
         nv0 = load_spectrum(tmp_path / "nv0.csv", negative="allow")
         assert np.max(np.abs(nv0.intensities - s0.intensities)) < 1e-3 * np.max(s0.intensities)
         assert "f = 6.2" in capsys.readouterr().out
+
+    def test_report_with_a_nan_score_prints(self, tmp_path, capsys):
+        """On a grid that starts at 600 nm the 575 nm window is off the grid, so the report
+        records a NaN score; reports are read as they are, so ``report --run`` prints it."""
+        write_low_high(tmp_path, np.linspace(600.0, 850.0, 1251))
+        assert main(["decompose", "--low", str(tmp_path / "low.csv"),
+                     "--high", str(tmp_path / "high.csv"), "--out-nv0", str(tmp_path / "nv0.csv"),
+                     "--out-nvm", str(tmp_path / "nvm.csv")]) == 0
+        report = tmp_path / "nv0.report.json"
+        assert math.isnan(RunReport.load(report).diagnostics["nv0_zpl575_score"])
+        capsys.readouterr()
+        assert main(["report", "--run", str(report)]) == 0
+        assert "  nv0_zpl575_score = nan\n" in capsys.readouterr().out
 
     def test_factor_on_bound_flagged(self, tmp_path, grid02):
         write_low_high(tmp_path, grid02)
@@ -907,6 +921,7 @@ class TestInputBoundary:
             (_SWEEP_ARGS, "p.json", b'{"noise": {"kind": "poisson", "scans": true}}'),
             (_SWEEP_ARGS, "p.json", b'{"noise": {"kind": "poisson", "scans": 3.0}}'),
             (_LETTER_MAP_ARGS, "p.json", b'{"width": 24, "height": 16, "t0": NaN, "tminus": 0.8}'),
+            (_LETTER_MAP_ARGS, "p.json", b'{"width": 24, "height": 16, "t0": 1e308, "tminus": 0.8}'),
         ],
         ids=[
             "spectrum-not-utf8",
@@ -949,6 +964,7 @@ class TestInputBoundary:
             "params-sweep-scans-bool",
             "params-sweep-scans-integral-float",
             "params-letter-map-t0-nan",
+            "params-letter-map-t0-overflow",
         ],
     )
     def test_malformed_file_exits_2(self, tmp_path, capsys, monkeypatch, argv, name, data):
@@ -987,6 +1003,16 @@ class TestInputBoundary:
              '{d}/p.json: t0: expected a JSON number, got "0.3"'),
             (_LETTER_MAP_ARGS, "p.json", b'{"t0": 0.3, "tminus": true}',
              "{d}/p.json: tminus: expected a JSON number, got true"),
+            (_LETTER_MAP_ARGS, "p.json", b'{"width": 24, "height": 16, "t0": 0.3}',
+             "tminus: missing; the composed m0/mlpf pair needs both t0 and tminus"),
+            (_LETTER_MAP_ARGS, "p.json", b'{"tminus": 0.8}',
+             "t0: missing; the composed m0/mlpf pair needs both t0 and tminus"),
+            (_PARAMS_ARGS, "p.json", b'{"grid": {"lo": -Infinity}}',
+             "{d}/p.json: grid.lo: expected a JSON number, got -Infinity"),
+            (_PARAMS_ARGS, "p.json", b'{"total_counts": Infinity}',
+             "{d}/p.json: total_counts: expected a JSON number, got Infinity"),
+            (_SWEEP_ARGS, "p.json", b'{"fields": [170, NaN]}',
+             "{d}/p.json: fields[1]: expected a JSON number, got NaN"),
             (_SWEEP_ARGS, "p.json", b'{"fields": [170, "975"]}',
              '{d}/p.json: fields[1]: expected a JSON number, got "975"'),
             (_SWEEP_ARGS, "p.json", b'{"noise": {"kind": "poisson", "dwell": "0.01"}}',
@@ -1013,7 +1039,8 @@ class TestInputBoundary:
              "{d}/series.json: [1].path: expected a JSON string, got 5"),
         ],
         ids=["misspelt-noise-key", "misspelt-section", "spectrum-motivation", "total-counts-string",
-             "grid-string", "letter-map-motivation", "t0-string", "tminus-bool", "fields-string",
+             "grid-string", "letter-map-motivation", "t0-string", "tminus-bool", "t0-without-tminus", "tminus-without-t0",
+             "grid-lo-minus-infinity", "total-counts-infinity", "fields-nan", "fields-string",
              "dwell-string", "fields-empty", "sideband-pair", "shape-missing-key",
              "int-beyond-float", "newline-key", "letter-map-t0", "sidecar-unknown-key",
              "sidecar-version-bool", "manifest-unknown-key", "manifest-path-number"],

@@ -1,8 +1,13 @@
 """Difference decomposition: artifact metric, scale-factor search, pipeline."""
 
+import dataclasses
+import importlib
 import math
 import re
+import sys
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +40,7 @@ from nvunmix.decompose import _l1_scale_factor, _WindowPlan
 from conftest import CLEAN_NV0_SHAPE, CLEAN_NVM_SHAPE, allocated_beyond_result
 from test_spectrum import gaussian_window_area
 
+decompose_module = importlib.import_module("nvunmix.decompose")  # nvunmix.decompose is the function
 FINE = np.arange(550.0, 850.05, 0.05)
 
 
@@ -137,6 +143,20 @@ def outcome(fn, *args):
     if isinstance(result, DecompositionResult):
         result = result.f, result.zpl_metric
     return [float(v).hex() for v in np.atleast_1d(result)]
+
+
+def decomposed(low, high, cfg=None):
+    result = decompose(low, high, cfg)
+    return result.f, result.zpl_metric, result.zpl575_score
+
+
+def fresh_outcome(fn, *args):
+    """``outcome(fn, *args)`` with every window cut anew: the configs in ``args`` and the
+    module's shared ones are replaced by equal copies that keep no plan."""
+    args = [dataclasses.replace(a) if isinstance(a, ZplArtifactConfig) else a for a in args]
+    with mock.patch.multiple(decompose_module, _DEFAULT_ZPL=ZplArtifactConfig(),
+                             _NV0_ZPL_CONFIG=ZplArtifactConfig.around(575.0)):
+        return outcome(fn, *args)
 
 
 @st.composite
@@ -428,6 +448,71 @@ class TestWindowPlan:
             cfg = ZplArtifactConfig()
             assert outcome(lambda: difference_spectrum(low, high)[1]) == outcome(score575_ref, low, diff)
             assert outcome(optimize_scale_factor, low, diff, cfg) == outcome(optimize_ref, low, diff, cfg)
+
+
+class TestKeptPlan:
+    @given(plan_cases(), plan_cases(), st.booleans(), st.integers(0, 2**16))
+    def test_grid_changes_match_fresh_plans(self, case_a, case_b, nudge, at):
+        """A config applied to grid A, then B, then A, then a copy of A holding the same bytes:
+        zpl_artifact, optimize_scale_factor and decompose, with that config and with none,
+        give by float.hex, or by error class and message, what windows cut anew give. B is
+        another drawn grid, or A with one point moved, so it has A's size."""
+        low, high, cfg = case_a
+        if nudge and low.wavelengths.size > 2:
+            grid, k = low.wavelengths.copy(), 1 + at % (low.wavelengths.size - 2)
+            grid[k] = 0.5 * (grid[k - 1] + grid[k])
+            other = Spectrum(grid, low.intensities), Spectrum(grid, high.intensities)
+        else:
+            other = case_b[:2]
+        assume(other[0].wavelengths.tobytes() != low.wavelengths.tobytes())
+        copy = Spectrum(low.wavelengths, low.intensities), Spectrum(high.wavelengths, high.intensities)
+        assert copy[0].wavelengths is not low.wavelengths
+        for a, b in ((low, high), other, (low, high), copy):
+            diff = subtract(a, b)
+            for fn, args in ((zpl_artifact, (a, cfg)), (zpl_artifact, (a,)),
+                             (optimize_scale_factor, (a, diff, cfg)),
+                             (optimize_scale_factor, (a, diff)),
+                             (decomposed, (a, b, cfg)), (decomposed, (a, b))):
+                assert outcome(fn, *args) == fresh_outcome(fn, *args)
+
+    def test_threads_share_the_default_configs(self, grid02):
+        """Eight threads (more than the two cores the suite is sized for) take turns on two
+        grids through decompose on the shared default configs: the 0.2 nm grid, another grid,
+        and a second array holding the 0.2 nm grid's bytes, so a kept plan is also matched by
+        comparing bytes. A short switch interval lets them interleave between reading a kept
+        plan and replacing it; every result equals the fresh-plan one bit for bit."""
+        pairs = []
+        for grid in (grid02, np.linspace(560.0, 760.0, 801), grid02.copy()):
+            nv0 = make_spectrum(CLEAN_NV0_SHAPE, grid, 10000.0).intensities
+            nvm = make_spectrum(CLEAN_NVM_SHAPE, grid, 62000.0).intensities
+            pairs.append((Spectrum(grid, nv0 + nvm), Spectrum(grid, nv0 + nvm * (1.0 - 1.0 / 6.2))))
+        want = [fresh_outcome(decomposed, *pair) for pair in pairs]
+        assert want[0] != want[1] and want[0] == want[2]
+        start = threading.Barrier(8)
+        results, failures = [], []
+
+        def work():
+            try:
+                start.wait(timeout=30)
+                for k in range(60):  # no warning fires on these pairs, so none is caught here
+                    results.append((k % 3, [float(v).hex() for v in decomposed(*pairs[k % 3])]))
+            except Exception as exc:  # reported through ``failures``, not lost in the thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert len(results) == 8 * 60
+        assert all(got == want[k] for k, got in results)
 
 
 class TestErrorPrecedence:
