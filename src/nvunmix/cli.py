@@ -273,8 +273,6 @@ def _simulate_sweep(p, seed, out_dir) -> tuple[list[str], dict]:
     shapes = p["shapes"].get("nv0", DEFAULT_NV0_SHAPE), p["shapes"].get("nvminus", DEFAULT_NVM_SHAPE)
     noise = p.get("noise", NOISELESS)
     fields = p.get("fields", response.fields)
-    if not fields:
-        raise ValidationError("fields: a sweep needs at least one field")
     sweep = make_sweep(fields, response, shapes, _grid(**p["grid"]), noise, seed)
     names = {}
     for b, _ in sweep:
@@ -287,6 +285,13 @@ def _simulate_sweep(p, seed, out_dir) -> tuple[list[str], dict]:
         save_spectrum(spec, path)
     save_json(outputs[-1], [{"b_field_gauss": b, "path": name} for name, b in names.items()])
     return outputs, {"fields": len(fields), "noise": noise.kind}
+
+
+def _sweep_params(**p) -> dict:
+    """A sweep params file's keys; a ``fields`` list it sets must name a field."""
+    if p.get("fields") == []:
+        raise ValidationError("fields: a sweep needs at least one field")
+    return p
 
 
 def _letter_map_params(**p) -> dict:
@@ -322,9 +327,9 @@ _SHAPES_KEYS = {"nv0": (_SHAPE_JSON, _ABSENT), "nvminus": (_SHAPE_JSON, _ABSENT)
 _SIMULATORS = {  # kind: (simulator, the key spec of its params file)
     "spectrum": (_simulate_spectrum, {"shape": (_SHAPE_JSON, _ABSENT), "grid": (_GRID_KEYS, {}),
                                       "total_counts": (float, 62000.0)}),
-    "sweep": (_simulate_sweep, {"field_response": (_RESPONSE_JSON, _ABSENT),
-                                "shapes": (_SHAPES_KEYS, {}), "grid": (_GRID_KEYS, {}),
-                                "noise": (_NOISE_JSON, _ABSENT), "fields": ([float], _ABSENT)}),
+    "sweep": (_simulate_sweep, (_sweep_params, {
+        "field_response": (_RESPONSE_JSON, _ABSENT), "shapes": (_SHAPES_KEYS, {}),
+        "grid": (_GRID_KEYS, {}), "noise": (_NOISE_JSON, _ABSENT), "fields": ([float], _ABSENT)})),
     "letter-map": (_simulate_letter_map, (_letter_map_params, {
         **_LETTER_MAP_KEYS, "t0": (float, _ABSENT), "tminus": (float, _ABSENT)})),
     "field-map-pair": (_simulate_field_map_pair, {"letter_map": (_LETTER_MAP_KEYS, {}),

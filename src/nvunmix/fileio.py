@@ -228,12 +228,16 @@ def _from_json(value, spec, where, path: str = ""):
     a bool), ``int``, ``str``, ``dict`` or ``list`` (any object or list, as it is); ``[spec]`` (a
     list of any length) or ``[spec, spec, ...]`` (one item per spec); ``{key: (spec, default)}``
     (an object of those keys only, an unset key refused if its default is ``_REQUIRED``, left
-    out if ``_ABSENT``, else read as its default); ``(build, key spec)`` (``build(**keys)``)."""
+    out if ``_ABSENT``, else read as its default); ``(build, key spec)`` (``build(**keys)``,
+    whose ``ValidationError`` becomes the ``ParseError`` line naming ``where`` and the path)."""
     at = f"{where}: {path}: " if path else f"{where}: "  # what a refusal names
     if spec is None or value is _REQUIRED:  # a key the key spec lacks, or a required key unset
         raise ParseError(at + ("unknown key" if spec is None else "missing required key"))
     if isinstance(spec, tuple):
-        return spec[0](**_from_json(value, spec[1], where, path))
+        try:
+            return spec[0](**_from_json(value, spec[1], where, path))
+        except ValidationError as exc:  # build's own; a key's refusal is a ParseError already
+            raise ParseError(f"{at}{exc}") from exc
     kind = type(spec) if isinstance(spec, (dict, list)) else spec
     if type(value) is not kind and (kind, type(value)) != (float, int):
         got = {dict: "a JSON object", list: "a JSON list"}.get(type(value)) or json.dumps(value)
@@ -270,10 +274,10 @@ def save_spectrum(s: Spectrum, path: str | os.PathLike) -> None:
 def load_spectrum(path: str | os.PathLike, *, negative: str = "error") -> Spectrum:
     """Read a spec-csv v1 file.
 
-    ``negative`` controls how negative intensities are treated: ``"error"``
-    rejects the file (raw measurements must be nonnegative), ``"clamp"`` sets
-    them to zero with a warning, ``"allow"`` keeps them (use for computed
-    difference spectra).
+    ``negative`` is the package's one nonnegativity check: ``"error"`` rejects
+    a negative intensity (raw measurements must be nonnegative), ``"clamp"``
+    sets it to zero with a warning, ``"allow"`` keeps it (computed spectra, such
+    as ``decompose``'s outputs, are signed, and every computation takes them).
     """
     _check_negative_mode(negative)
     rows, data = _rows(path, 2)

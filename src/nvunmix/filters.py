@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import ConditioningWarning, ValidationError
-from .spectrum import Spectrum, WavelengthWindow, _as_readonly_array, _grid, _on_grid, _peak, area
+from .spectrum import Spectrum, WavelengthWindow, _as_readonly_array, _grid, _on_grid, area
 
 __all__ = [
     "FilterModel",
@@ -114,13 +114,13 @@ def transmissivity(
     fm: FilterModel | TabulatedFilter,
     window: WavelengthWindow = DEFAULT_EMISSION_WINDOW,
 ) -> float:
-    """Intensity-weighted mean transmission of ``s`` over ``window``."""
-    if len(s) and float(np.min(s.intensities)) < -1e-12 * _peak(s.intensities):
-        raise ValidationError("transmissivity requires a nonnegative spectrum")
+    """The filtered/unfiltered ``window`` area ratio t of ``s``, signed or not; t is in [0, 1]."""
     denom = area(s, window)
     if not denom > 0.0:
         raise ValidationError("spectrum has zero area over the integration window")
-    return area(apply_filter(s, fm), window) / denom
+    if not 0.0 <= (t := area(apply_filter(s, fm), window) / denom) <= 1.0:
+        raise ValidationError(f"transmissivity t = {t!r} lies outside [0, 1]")
+    return t
 
 
 def transmissivity_pair(

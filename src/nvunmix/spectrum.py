@@ -64,9 +64,10 @@ def _trapz(y: NDArray[np.float64], x: NDArray[np.float64]) -> float:
 class Spectrum:
     """A wavelength grid (nm, strictly increasing) with per-bin intensities (counts/s).
 
-    Negative intensities are tolerated because computed difference spectra dip
-    below zero; raw measured data is validated as nonnegative by the file
-    loaders, not here.
+    Intensities may be signed: computed spectra (differences, decomposed components) dip
+    below zero. Nonnegativity belongs to raw measurements only, and the file loaders check
+    it as a file loads (``negative="error"``); every computation takes a signed spectrum
+    wherever its maths is defined.
     """
 
     wavelengths: NDArray[np.float64]
@@ -202,10 +203,7 @@ def area(s: Spectrum, window: WavelengthWindow | None = None) -> float:
 
 
 def normalize_area(s: Spectrum) -> Spectrum:
-    """Rescale a nonnegative spectrum so its full-grid area is 1."""
-    y = s.intensities
-    if y.size and float(np.min(y)) < -1e-9 * _peak(y):
-        raise ValidationError("cannot area-normalize a spectrum with negative values")
+    """Rescale ``s``, signed or not, so its full-grid area is 1; the area must be positive."""
     a = area(s)
     if not a > 0.0:
         raise ValidationError(f"spectrum area must be positive, got {a}")
@@ -214,10 +212,12 @@ def normalize_area(s: Spectrum) -> Spectrum:
 
 @dataclass(frozen=True, eq=False)
 class BasisPair:
-    """Unit-area, nonnegative component spectra on one shared grid.
+    """Unit-area component spectra on one shared grid.
 
     ``s0`` holds the neutral charge-state shape and ``sminus`` the negative
     one; both integrate to 1 so fitted coefficients carry the full count rate.
+    A component may be signed, as a decomposed estimate is; a zero-norm or
+    collinear pair is refused at its first fit.
     Its Gram terms are computed on its first fit and kept for later fits, from any thread.
     """
 
@@ -229,8 +229,6 @@ class BasisPair:
     def __post_init__(self) -> None:
         _require_same_grid(self.s0, self.sminus)
         for name, s in (("s0", self.s0), ("sminus", self.sminus)):
-            if float(np.min(s.intensities)) < -1e-12 * _peak(s.intensities):
-                raise ValidationError(f"basis spectrum {name} has negative values")
             a = area(s)
             if abs(a - 1.0) > self._AREA_RTOL:
                 raise ValidationError(

@@ -21,6 +21,7 @@ from nvunmix import (
     FieldResponseModel,
     FieldSeries,
     FilterModel,
+    ModelViolationWarning,
     NonPhysicalWarning,
     PLMap,
     ScaleFactorSurface,
@@ -39,10 +40,12 @@ from nvunmix import (
     save_map,
     save_spectrum,
     scale_factor_surface,
+    transmissivity,
 )
 from nvunmix import cli
 from nvunmix.cli import build_parser, main
 from nvunmix.decompose import NVM_ZPL_NM
+from nvunmix.errors import ClampedNegativeWarning
 from nvunmix.fileio import RunReport
 
 from conftest import CLEAN_NV0_SHAPE, CLEAN_NVM_SHAPE
@@ -463,6 +466,50 @@ class TestSweepFlow:
         report = RunReport.load(tmp_path / "table.report.json")
         assert report.diagnostics["surface_pairs"] == len(surface.rows)
         assert report.diagnostics["surface_skipped"] == len(surface.skipped)
+
+    def test_decomposed_components_feed_transmissivity_and_fit_series(self, tmp_path, capsys):
+        """The paper's chain through the CLI: decompose's signed NV0 and NV- estimates of a
+        noisy 170/975 G sweep load under --negative allow into transmissivity and fit-series,
+        which give the library's values for the loaded files; --negative error still refuses
+        them, and the unclamped t0 lies nearer the truth than the clamped one."""
+        params = tmp_path / "sweep.json"
+        params.write_text(json.dumps({"noise": {"kind": "poisson", "scans": 3000},
+                                      "fields": [170.0, 975.0]}))
+        sweep = tmp_path / "sweep"
+        assert main(["simulate", "sweep", "--params", str(params), "--seed", "3", "--out", str(sweep)]) == 0
+        nv0, nvm = str(tmp_path / "nv0.csv"), str(tmp_path / "nvm.csv")
+        with pytest.warns(ModelViolationWarning) as caught:  # the 575 nm score's warning too
+            assert main(["decompose", "--low", str(sweep / "spec_00170.0G.csv"), "--high",
+                         str(sweep / "spec_00975.0G.csv"), "--out-nv0", nv0, "--out-nvm", nvm]) == 0
+        assert any("negative excursions" in str(w.message) for w in caught)
+        signed = {path: load_spectrum(path, negative="allow") for path in (nv0, nvm)}
+        assert float(signed[nv0].intensities.min()) < 0.0
+        capsys.readouterr()
+        for path, s in signed.items():
+            assert main(["transmissivity", "--spectrum", path, "--negative", "allow"]) == 0
+            assert capsys.readouterr().out == f"{transmissivity(s, FilterModel()):.6g}\n"
+
+        table = tmp_path / "table.csv"
+        assert main(["fit-series", "--basis-nv0", nv0, "--basis-nvm", nvm, "--series",
+                     str(sweep / "manifest.json"), "--out-table", str(table), "--negative", "allow"]) == 0
+        series = FieldSeries.ingest([(e["b_field_gauss"], load_spectrum(sweep / e["path"]))
+                                     for e in json.loads((sweep / "manifest.json").read_text())])
+        want = fit_series(series, BasisPair.from_spectra(signed[nv0], signed[nvm]))
+        rows = zip(want.b_fields.tolist(), want.c0.tolist(), want.cminus.tolist(), want.residuals.tolist())
+        assert table.read_text() == "b_gauss,c0,cminus,residual\n" + "".join(
+            f"{b!r},{c0!r},{cm!r},{r!r}\n" for b, c0, cm, r in rows)
+
+        capsys.readouterr()
+        assert main(["transmissivity", "--spectrum", nv0, "--negative", "error"]) == 2
+        assert "negative value" in capsys.readouterr().err
+        with pytest.warns(ClampedNegativeWarning):
+            assert main(["transmissivity", "--spectrum", nv0, "--negative", "clamp"]) == 0
+        clamped = float(capsys.readouterr().out)
+        truth = transmissivity(make_spectrum(DEFAULT_NV0_SHAPE, signed[nv0].wavelengths, 1.0),
+                               FilterModel())
+        assert truth == pytest.approx(0.2096, abs=5e-5)
+        t0 = transmissivity(signed[nv0], FilterModel())
+        assert abs(t0 - truth) < abs(clamped - truth)
 
     @pytest.mark.parametrize("fields", [[170.01, 170.04, 975], [170, 170]])
     def test_sweep_fields_that_share_a_file_name_exit_2(self, tmp_path, capsys, fields):
@@ -1004,9 +1051,9 @@ class TestInputBoundary:
             (_LETTER_MAP_ARGS, "p.json", b'{"t0": 0.3, "tminus": true}',
              "{d}/p.json: tminus: expected a JSON number, got true"),
             (_LETTER_MAP_ARGS, "p.json", b'{"width": 24, "height": 16, "t0": 0.3}',
-             "tminus: missing; the composed m0/mlpf pair needs both t0 and tminus"),
+             "{d}/p.json: tminus: missing; the composed m0/mlpf pair needs both t0 and tminus"),
             (_LETTER_MAP_ARGS, "p.json", b'{"tminus": 0.8}',
-             "t0: missing; the composed m0/mlpf pair needs both t0 and tminus"),
+             "{d}/p.json: t0: missing; the composed m0/mlpf pair needs both t0 and tminus"),
             (_PARAMS_ARGS, "p.json", b'{"grid": {"lo": -Infinity}}',
              "{d}/p.json: grid.lo: expected a JSON number, got -Infinity"),
             (_PARAMS_ARGS, "p.json", b'{"total_counts": Infinity}',
@@ -1017,12 +1064,16 @@ class TestInputBoundary:
              '{d}/p.json: fields[1]: expected a JSON number, got "975"'),
             (_SWEEP_ARGS, "p.json", b'{"noise": {"kind": "poisson", "dwell": "0.01"}}',
              '{d}/p.json: noise.dwell: expected a JSON number, got "0.01"'),
-            (_SWEEP_ARGS, "p.json", b'{"fields": []}', "fields: a sweep needs at least one field"),
+            (_SWEEP_ARGS, "p.json", b'{"fields": []}',
+             "{d}/p.json: fields: a sweep needs at least one field"),
             (_SWEEP_ARGS, "p.json", b'{"shapes": {"nvminus": {"zpl_center": 637, "zpl_width": 1.7, '
              b'"zpl_weight": 0.4, "sidebands": [[660, 9]]}}}',
              "{d}/p.json: shapes.nvminus.sidebands[0]: expected a JSON list of 3 items, got 2"),
             (_PARAMS_ARGS, "p.json", b'{"shape": {"zpl_center": 637, "zpl_weight": 1}}',
              "{d}/p.json: shape.zpl_width: missing required key"),
+            (_PARAMS_ARGS, "p.json", b'{"shape": {"zpl_center": 637, "zpl_width": 1.7, '
+             b'"zpl_weight": 0.7, "sidebands": [[660, 9, 0.5]]}}',
+             "{d}/p.json: shape: component weights must sum to 1, got 1.2"),
             (_PARAMS_ARGS, "p.json", b'{"grid": {"lo": 1' + b"0" * 400 + b"}}",
              "{d}/p.json: grid.lo: number beyond the float range"),
             (_PARAMS_ARGS, "p.json", b'{"\\n": 1}', '{d}/p.json: "\\n": unknown key'),
@@ -1041,7 +1092,7 @@ class TestInputBoundary:
         ids=["misspelt-noise-key", "misspelt-section", "spectrum-motivation", "total-counts-string",
              "grid-string", "letter-map-motivation", "t0-string", "tminus-bool", "t0-without-tminus", "tminus-without-t0",
              "grid-lo-minus-infinity", "total-counts-infinity", "fields-nan", "fields-string",
-             "dwell-string", "fields-empty", "sideband-pair", "shape-missing-key",
+             "dwell-string", "fields-empty", "sideband-pair", "shape-missing-key", "shape-weights",
              "int-beyond-float", "newline-key", "letter-map-t0", "sidecar-unknown-key",
              "sidecar-version-bool", "manifest-unknown-key", "manifest-path-number"],
     )

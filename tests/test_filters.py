@@ -168,20 +168,59 @@ class TestTransmissivity:
         with pytest.raises(ValidationError):
             transmissivity(Spectrum(g, np.zeros_like(g)), FilterModel())
 
-    def test_negative_rejected(self):
-        g = np.linspace(550.0, 850.0, 51)
-        y = np.full_like(g, 1.0)
-        y[3] = -2.0
-        with pytest.raises(ValidationError):
-            transmissivity(Spectrum(g, y), FilterModel())
+    def test_signed_spectrum_gives_the_signed_area_ratio(self):
+        """A signed spectrum, as decompose recovers one, gives its filtered over its
+        unfiltered window area, negative points counted with their sign."""
+        g = np.linspace(550.0, 850.0, 301)
+        y = np.exp(-(((g - 700.0) / 40.0) ** 2)) - 0.05 * np.exp(-(((g - 600.0) / 5.0) ** 2))
+        assert float(y.min()) < 0.0
+        fm = FilterModel()
+        t = transmissivity(Spectrum(g, y), fm)
+        trapz = lambda v: 0.5 * float(np.dot(np.diff(g), v[1:] + v[:-1]))  # noqa: E731
+        assert t == pytest.approx(trapz(y * fm.transmission(g)) / trapz(y), rel=1e-12)
+        assert 0.0 < t < 1.0
+
+    @pytest.mark.parametrize("low, high", [(-0.9, 1.0), (1.0, -0.9)], ids=["above-1", "below-0"])
+    def test_signed_t_outside_unit_interval_rejected(self, low, high):
+        """A positive window area whose signed parts weigh t out of [0, 1] is refused,
+        the refusal naming t."""
+        g = np.linspace(550.0, 850.0, 301)
+        s, fm = Spectrum(g, np.where(g < 700.0, low, high)), FilterModel()
+        t = transmissivity_by_mask(s, fm, DEFAULT_EMISSION_WINDOW, check=False)
+        assert not 0.0 <= t <= 1.0
+        with pytest.raises(ValidationError, match=f"^transmissivity t = {re.escape(repr(t))} "
+                                                  r"lies outside \[0, 1\]$"):
+            transmissivity(s, fm)
+
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), ones=st.booleans())
+    def test_nonnegative_spectrum_never_meets_the_range_refusal(self, n, seed, ones):
+        """Every nonnegative spectrum with a positive window area gives a t in [0, 1], through
+        tabulated filters that reach 0 and 1 exactly too, so the range check refuses no t that
+        a nonnegative spectrum gives."""
+        rng = np.random.default_rng(seed)
+        w = 550.0 + np.cumsum(rng.uniform(0.05, 20.0, n))
+        y = rng.uniform(0.0, 1e4, n) * (rng.random(n) < 0.7)
+        k = max(2, n // 2)
+        table = rng.uniform(0.0, 1.0, k)
+        if ones:
+            table[rng.random(k) < 0.5] = 1.0
+            table[rng.random(k) < 0.2] = 0.0
+        fm = TabulatedFilter(np.sort(rng.choice(w, k, replace=False)), table)
+        lo, hi = sorted(rng.uniform(float(w[0]), float(w[-1]), 2))
+        assume(lo < hi)
+        try:
+            t = transmissivity(Spectrum(w, y), fm, WavelengthWindow(lo, hi))
+        except ValidationError as exc:
+            assert str(exc) == "spectrum has zero area over the integration window"
+        else:
+            assert 0.0 <= t <= 1.0
 
 
-def transmissivity_by_mask(s, fm, window):
-    """``transmissivity`` as it was computed, kept as the oracle: a full-size |y| for the
-    sign check, full-grid masks and full-grid np.interp for both windowed areas."""
+def transmissivity_by_mask(s, fm, window, check=True):
+    """``transmissivity`` computed on the full grid, kept as the oracle: full-grid masks and
+    full-grid np.interp for both windowed areas, then (unless not ``check``) the [0, 1]
+    check on t."""
     y = s.intensities
-    if float(np.min(y)) < -1e-12 * float(np.max(np.abs(y))):
-        raise ValidationError("transmissivity requires a nonnegative spectrum")
 
     def windowed_area(w, v):
         _require_within(s.span, window.lo, window.hi)
@@ -193,7 +232,10 @@ def transmissivity_by_mask(s, fm, window):
     denom = windowed_area(s.wavelengths, y)
     if not denom > 0.0:
         raise ValidationError("spectrum has zero area over the integration window")
-    return windowed_area(s.wavelengths, y * fm.transmission(s.wavelengths)) / denom
+    t = windowed_area(s.wavelengths, y * fm.transmission(s.wavelengths)) / denom
+    if check and not 0.0 <= t <= 1.0:
+        raise ValidationError(f"transmissivity t = {t!r} lies outside [0, 1]")
+    return t
 
 
 def _outcome(fn, *args):

@@ -340,10 +340,16 @@ class TestNormalizeArea:
         with pytest.raises(ValidationError):
             normalize_area(s)
 
-    def test_negative_rejected(self):
-        s = Spectrum([600.0, 650.0, 700.0], [1.0, -1.0, 1.0])
-        with pytest.raises(ValidationError):
-            normalize_area(s)
+    def test_signed_spectrum_normalizes(self):
+        """A signed spectrum with a positive area scales to unit area, its signs kept."""
+        out = normalize_area(Spectrum([600.0, 650.0, 700.0], [1.0, -0.5, 1.0]))
+        assert area(out) == 1.0
+        assert out.intensities.tolist() == [0.04, -0.02, 0.04]
+
+    @pytest.mark.parametrize("y, a", [([1.0, -1.0, 1.0], "0.0"), ([-1.0, 0.5, -1.0], "-25.0")])
+    def test_signed_spectrum_without_positive_area_rejected(self, y, a):
+        with pytest.raises(ValidationError, match=f"^spectrum area must be positive, got {a}$"):
+            normalize_area(Spectrum([600.0, 650.0, 700.0], y))
 
     @given(st.floats(1e-3, 1e3))
     def test_scale_invariant(self, k):
@@ -367,12 +373,19 @@ class TestBasisPair:
         with pytest.raises(GridMismatchError):
             BasisPair(a, b)
 
-    def test_negative_rejected(self, grid02):
+    def test_signed_pair_builds_and_fits(self, grid02):
+        """A unit-area pair with negative points, as decompose recovers one, builds and fits
+        a mixture of its components back to their weights."""
         a = make_spectrum(CLEAN_NVM_SHAPE, grid02, 1.0)
-        vals = a.intensities.copy()
-        vals[0] = -0.01
-        with pytest.raises(ValidationError):
-            BasisPair(Spectrum(grid02, vals), a)
+        dip = 0.002 * np.sin(grid02 / 3.0)
+        s0 = normalize_area(Spectrum(grid02, make_spectrum(DEFAULT_NV0_SHAPE, grid02, 1.0).intensities + dip))
+        assert float(s0.intensities.min()) < 0.0
+        pair = BasisPair(s0, a)
+        mixed = Spectrum(grid02, 30.0 * s0.intensities + 70.0 * a.intensities)
+        for nonneg in (True, False):
+            c0, cm, rms = fit_coefficients(mixed, pair, nonneg=nonneg)
+            assert (c0, cm) == pytest.approx((30.0, 70.0), rel=1e-9)
+            assert rms == pytest.approx(0.0, abs=1e-9)
 
     def test_from_spectra_normalizes(self, grid02):
         raw0 = make_spectrum(CLEAN_NVM_SHAPE, grid02, 123.0)

@@ -56,6 +56,14 @@ class TestShapeModel:
         }
         assert SpectralShapeModel.from_dict(d) == DEFAULT_NVM_SHAPE
 
+    def test_from_dict_refusal_names_the_class(self):
+        """A value the model refuses is one ParseError line naming the class, as a wrong type is."""
+        d = {"zpl_center": 637.0, "zpl_width": 1.7, "zpl_weight": 0.5,
+             "sidebands": [[687.0, 25.0, 0.4]]}
+        message = r"^SpectralShapeModel: component weights must sum to 1, got 0\.9$"
+        with pytest.raises(ParseError, match=message):
+            SpectralShapeModel.from_dict(d)
+
 
 class TestMakeSpectrum:
     def test_zero_counts(self, grid02):
