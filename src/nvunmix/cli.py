@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 validation/parse error, 3 numerical error (singularity/
 identifiability), 4 I/O error. ``fileio`` reads every input file and writes every output
 file, ``render``'s included; a JSON input is read by a key spec (a params file by its kind's
 in ``_SIMULATORS``), so an unknown key or a wrong type exits 2 naming the key path. Each
-command returns a ``_Run``; ``main`` saves its report (inputs with the digests of the bytes
-read, parameters, outputs, diagnostics) after every output is written, then prints its message.
+command returns a ``_Run``; ``main`` saves its report after every output is written, then
+prints its message. The report's inputs are the files the run read, with the digests of the
+bytes read, and its outputs the files it wrote, both in order, from ``fileio``'s run log.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from .errors import (
     NoMinimumError,
     NvUnmixError,
     ParseError,
+    RangeError,
     SingularityError,
     ValidationError,
 )
-from .fileio import _ABSENT, _REQUIRED, RunReport, _from_json, _run_digests, _save_bytes, load_json
-from .fileio import load_map, load_spectrum, map_paths, save_csv, save_json, save_map, save_spectrum
+from .fileio import _ABSENT, _LOG, _REQUIRED, RunReport, _from_json, _run_log, _save_bytes
+from .fileio import load_json, load_map, load_spectrum, save_csv, save_json, save_map, save_spectrum
 from .filters import DEFAULT_EMISSION_WINDOW, FilterModel, TabulatedFilter, TransmissivityPair
 from .filters import transmissivity
 from .maps import PLMap, field_unmix, filter_unmix, fraction_map
@@ -58,13 +60,11 @@ _EXIT_IO = 4
 @dataclass
 class _Run:
     """What one command did: the report ``main`` saves at ``report`` (None: no
-    report) and the ``message`` it prints after that."""
+    report), with the files the run's log holds, and the ``message`` it prints after that."""
 
     report: str | None
     command: str
-    inputs: list[str] = field(default_factory=list)
     parameters: dict = field(default_factory=dict)
-    outputs: list[str] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
     message: str = ""
 
@@ -104,7 +104,6 @@ def cmd_decompose(args) -> _Run:
     run = _Run(
         args.report or os.path.splitext(args.out_nv0)[0] + ".report.json",
         "decompose",
-        [args.low, args.high],
         {
             "zpl_window": args.zpl_window,
             "edge": args.edge,
@@ -118,7 +117,6 @@ def cmd_decompose(args) -> _Run:
     result = decompose(low, high, cfg, ScaleSearchConfig(*_parse_range(args.f_range)))
     save_spectrum(result.nv0, args.out_nv0)
     save_spectrum(result.nvminus, args.out_nvm)
-    run.outputs += [args.out_nv0, args.out_nvm]
     run.diagnostics = {
         "f": result.f,
         "zpl_metric": result.zpl_metric,
@@ -130,12 +128,8 @@ def cmd_decompose(args) -> _Run:
 
 
 def cmd_fit_series(args) -> _Run:
-    run = _Run(
-        args.report or os.path.splitext(args.out_table)[0] + ".report.json",
-        "fit-series",
-        [args.basis_nv0, args.basis_nvm, args.series],
-        {"unconstrained": args.unconstrained, "negative": args.negative},
-    )
+    run = _Run(args.report or os.path.splitext(args.out_table)[0] + ".report.json", "fit-series",
+               {"unconstrained": args.unconstrained, "negative": args.negative})
     basis = BasisPair.from_spectra(
         load_spectrum(args.basis_nv0, negative=args.negative),
         load_spectrum(args.basis_nvm, negative=args.negative),
@@ -152,7 +146,6 @@ def cmd_fit_series(args) -> _Run:
             if "\0" in entry["path"]:
                 raise ParseError(f"{args.series}: [{i}].path: holds a NUL character")
             path = os.path.join(base_dir, entry["path"])  # an absolute path replaces base_dir
-            run.inputs.append(path)
             yield entry["b_field_gauss"], _onto(basis.s0, load_spectrum(path, negative=args.negative))
 
     series = FieldSeries.ingest(entries())
@@ -162,11 +155,9 @@ def cmd_fit_series(args) -> _Run:
     table = fit_series(series, basis, nonneg=not args.unconstrained)
     save_csv(args.out_table, "b_gauss,c0,cminus,residual",
              (table.b_fields, table.c0, table.cminus, table.residuals))
-    run.outputs.append(args.out_table)
     if args.out_surface:
         surface = scale_factor_surface(table)
         save_csv(args.out_surface, "b1,b2,f", (surface.b1, surface.b2, surface.f))
-        run.outputs.append(args.out_surface)
     pairs, skipped = _surface_sizes(table)  # counted: a surface is built only to be written
     run.diagnostics = {"rows": len(table), "surface_pairs": pairs, "surface_skipped": skipped}
     run.message = f"fitted {len(table)} spectra  report = {run.report}"
@@ -174,12 +165,7 @@ def cmd_fit_series(args) -> _Run:
 
 
 def cmd_transmissivity(args) -> _Run:
-    run = _Run(
-        args.report,
-        "transmissivity",
-        [args.spectrum] + ([args.filter_table] if args.filter_table else []),
-        {"window": args.window, "negative": args.negative},
-    )
+    run = _Run(args.report, "transmissivity", {"window": args.window, "negative": args.negative})
     spec = load_spectrum(args.spectrum, negative=args.negative)
     fm, parameters = _load_filter(args)
     run.parameters.update(parameters)
@@ -209,8 +195,8 @@ def _unmix_common(args, run, unmixed, low_like) -> _Run:
         "nvm_fraction_mean": float(np.sum(frac.values)) / counted if counted else None,
     }
     del frac
-    run.outputs += save_map(unmixed.nv0, args.out + ".nv0")
-    run.outputs += save_map(unmixed.nvminus, args.out + ".nvm")
+    save_map(unmixed.nv0, args.out + ".nv0")
+    save_map(unmixed.nvminus, args.out + ".nvm")
     run.message = (
         f"negative pixels: {unmixed.negative_pixel_count}  "
         f"reconstruction residual: {residual:.6g}  report = {run.report}"
@@ -219,12 +205,8 @@ def _unmix_common(args, run, unmixed, low_like) -> _Run:
 
 
 def cmd_unmix_map_field(args) -> _Run:
-    run = _Run(
-        args.report or args.out + ".nv0.report.json",
-        "unmix-map-field",
-        [*map_paths(args.low), *map_paths(args.high)],
-        {"f": args.f, "negative": args.negative},
-    )
+    run = _Run(args.report or args.out + ".nv0.report.json", "unmix-map-field",
+               {"f": args.f, "negative": args.negative})
     low = load_map(args.low, negative=args.negative)
     high = load_map(args.high, negative=args.negative)
     unmixed = field_unmix(low, high, args.f)
@@ -233,12 +215,8 @@ def cmd_unmix_map_field(args) -> _Run:
 
 
 def cmd_unmix_map_filter(args) -> _Run:
-    run = _Run(
-        args.report or args.out + ".nv0.report.json",
-        "unmix-map-filter",
-        [*map_paths(args.m0), *map_paths(args.mlpf)],
-        {"t0": args.t0, "tm": args.tm, "negative": args.negative},
-    )
+    run = _Run(args.report or args.out + ".nv0.report.json", "unmix-map-filter",
+               {"t0": args.t0, "tm": args.tm, "negative": args.negative})
     m0 = load_map(args.m0, negative=args.negative)
     mlpf = load_map(args.mlpf, negative=args.negative)
     unmixed = filter_unmix(m0, mlpf, TransmissivityPair(args.t0, args.tm))
@@ -257,18 +235,18 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
 
 
-def _save_maps(out_dir: str, **maps: PLMap) -> list[str]:  # the paths written
-    return [path for name, m in maps.items() for path in save_map(m, os.path.join(out_dir, name))]
+def _save_maps(out_dir: str, **maps: PLMap) -> None:
+    for name, m in maps.items():
+        save_map(m, os.path.join(out_dir, name))
 
 
-def _simulate_spectrum(p, seed, out_dir) -> tuple[list[str], dict]:
+def _simulate_spectrum(p, seed, out_dir) -> dict:
     spec = make_spectrum(p.get("shape", DEFAULT_NVM_SHAPE), _grid(**p["grid"]), p["total_counts"])
-    path = os.path.join(out_dir, "spectrum.csv")
-    save_spectrum(spec, path)
-    return [path], {"total_counts": p["total_counts"], "points": len(spec)}
+    save_spectrum(spec, os.path.join(out_dir, "spectrum.csv"))
+    return {"total_counts": p["total_counts"], "points": len(spec)}
 
 
-def _simulate_sweep(p, seed, out_dir) -> tuple[list[str], dict]:
+def _simulate_sweep(p, seed, out_dir) -> dict:
     response = p.get("field_response", DEFAULT_FIELD_RESPONSE)
     shapes = p["shapes"].get("nv0", DEFAULT_NV0_SHAPE), p["shapes"].get("nvminus", DEFAULT_NVM_SHAPE)
     noise = p.get("noise", NOISELESS)
@@ -280,11 +258,11 @@ def _simulate_sweep(p, seed, out_dir) -> tuple[list[str], dict]:
         if name in names:
             raise ValidationError(f"fields {names[name]!r} and {b!r} G both name the file {name}")
         names[name] = b
-    outputs = [os.path.join(out_dir, name) for name in [*names, "manifest.json"]]
-    for (_, spec), path in zip(sweep, outputs):
-        save_spectrum(spec, path)
-    save_json(outputs[-1], [{"b_field_gauss": b, "path": name} for name, b in names.items()])
-    return outputs, {"fields": len(fields), "noise": noise.kind}
+    for (_, spec), name in zip(sweep, names):
+        save_spectrum(spec, os.path.join(out_dir, name))
+    save_json(os.path.join(out_dir, "manifest.json"),
+              [{"b_field_gauss": b, "path": name} for name, b in names.items()])
+    return {"fields": len(fields), "noise": noise.kind}
 
 
 def _sweep_params(**p) -> dict:
@@ -303,7 +281,7 @@ def _letter_map_params(**p) -> dict:
     return p
 
 
-def _simulate_letter_map(p, seed, out_dir) -> tuple[list[str], dict]:
+def _simulate_letter_map(p, seed, out_dir) -> dict:
     t0, tm = p.pop("t0", None), p.pop("tminus", None)
     nv0, nvm = make_letter_map(**p)
     maps, diag = {"nv0_truth": nv0, "nvm_truth": nvm}, {"width": nv0.width, "height": nv0.height}
@@ -313,14 +291,15 @@ def _simulate_letter_map(p, seed, out_dir) -> tuple[list[str], dict]:
         maps["m0"] = PLMap._of_fresh(m0, nv0.pixel_pitch_um)
         maps["mlpf"] = PLMap._of_fresh(mlpf, nv0.pixel_pitch_um)
         diag.update({"t0": t0, "tminus": tm})
-    return _save_maps(out_dir, **maps), diag
+    _save_maps(out_dir, **maps)
+    return diag
 
 
-def _simulate_field_map_pair(p, seed, out_dir) -> tuple[list[str], dict]:
+def _simulate_field_map_pair(p, seed, out_dir) -> dict:
     nv0, nvm = make_letter_map(**p["letter_map"])
     low, high = make_field_map_pair(nv0, nvm, p["suppression"])
-    outputs = _save_maps(out_dir, nv0_truth=nv0, nvm_truth=nvm, low=low, high=high)
-    return outputs, {"suppression": p["suppression"], "implied_f": 1.0 / p["suppression"]}
+    _save_maps(out_dir, nv0_truth=nv0, nvm_truth=nvm, low=low, high=high)
+    return {"suppression": p["suppression"], "implied_f": 1.0 / p["suppression"]}
 
 
 _SHAPES_KEYS = {"nv0": (_SHAPE_JSON, _ABSENT), "nvminus": (_SHAPE_JSON, _ABSENT)}
@@ -338,11 +317,7 @@ _SIMULATORS = {  # kind: (simulator, the key spec of its params file)
 
 
 def cmd_simulate(args) -> _Run:
-    run = _Run(
-        os.path.join(args.out, "metadata.json"),
-        f"simulate {args.kind}",
-        [args.params] if args.params else [],
-    )
+    run = _Run(os.path.join(args.out, "metadata.json"), f"simulate {args.kind}")
     if args.seed is not None and args.kind != "sweep":
         raise ValidationError(f"--seed applies only to simulate sweep, not {args.kind}")
     seed = args.seed or 0
@@ -351,22 +326,27 @@ def cmd_simulate(args) -> _Run:
     params = load_json(args.params, dict) if args.params else {}
     simulate, keys = _SIMULATORS[args.kind]
     typed = _from_json(params, keys, args.params)
+    written = _LOG.get().written  # main's run log: the files written, none yet
     created = not os.path.isdir(args.out)
     os.makedirs(args.out, exist_ok=True)
     try:
-        run.outputs, run.diagnostics = simulate(typed, seed, args.out)
+        run.diagnostics = simulate(typed, seed, args.out)
+    except (ValidationError, RangeError) as exc:  # a value the key spec let through
+        if not args.params:
+            raise
+        raise ParseError(f"{args.params}: {exc}") from exc
     except NvUnmixError:
         raise
     except (MemoryError, ValueError, OverflowError) as exc:  # numpy refuses the size outright
         raise ParseError(f"{args.params}: no array can have the size asked for: {exc}") from exc
     finally:
-        if created and not run.outputs:  # the simulator raised; each returns what it wrote
+        if created and not written:  # the simulator raised before it wrote
             with contextlib.suppress(OSError):  # empty, as simulators check before they write
                 os.rmdir(args.out)
     seeded = {"seed": seed} if args.kind == "sweep" else {}
     run.diagnostics.update(seeded)
     run.parameters = {"params": params, **seeded}
-    run.message = f"wrote {len(run.outputs)} files to {args.out}  metadata = {run.report}"
+    run.message = f"wrote {len(written)} files to {args.out}  metadata = {run.report}"
     return run
 
 
@@ -380,16 +360,14 @@ def cmd_render(args) -> _Run:
         data = render_spectrum_svg(
             load_spectrum(args.spectrum, negative="allow"), zpl_guides=args.zpl_guides
         )
-        run.inputs, run.parameters = [args.spectrum], {"zpl_guides": args.zpl_guides}
+        run.parameters = {"zpl_guides": args.zpl_guides}
     else:
         if args.zpl_guides:
             raise ValidationError("--zpl-guides applies only with --spectrum")
         clip = _parse_range(args.clip) if args.clip else None
         data = render_map_pgm(load_map(args.map), clamp_negative=args.clamp, clip=clip)
-        run.inputs = list(map_paths(args.map))
         run.parameters = {"clamp": args.clamp, "clip": args.clip}
     _save_bytes(args.out, data)
-    run.outputs.append(args.out)
     run.diagnostics["bytes"] = len(data)
     run.message = f"wrote {args.out} ({len(data)} bytes)"
     return run
@@ -518,12 +496,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with _run_digests():
+        with _run_log() as log:
             run = args.func(args)
-            if run.report:
-                RunReport.create(
-                    run.command, run.inputs, run.parameters, run.outputs, run.diagnostics
-                ).save(run.report)
+            if run.report:  # created before it is saved, so the report does not list itself
+                RunReport.create(run.command, [path for path, _ in log.read], run.parameters,
+                                 log.written, run.diagnostics).save(run.report)
     except (SingularityError, IdentifiabilityError, NoMinimumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL

@@ -5,7 +5,8 @@ writes equal-length float columns with ``repr``, so save/load round trips are
 bit-exact, formatting at most ``_WRITE_VALUES`` values (or one row) per write;
 ``save_json`` writes every JSON file and ``_save_bytes`` ``render``'s bytes.
 ``_read`` reads an input's bytes once, so pipes and FIFOs load like files. Inside
-a run's scope (``_run_digests``) it hashes those bytes for the run's report. It
+a run's scope (``_run_log``) it logs each input with the sha256 of those bytes, in read
+order, and ``_replacing`` each output, in write order: a CLI report lists these. It
 checks once that they are UTF-8 (ASCII needs no decode; other bytes are decoded
 once and the text dropped), naming the first bad byte's absolute offset. ``_rows``
 parses a CSV input with one ``np.loadtxt`` call on those bytes (no decoded copy) or,
@@ -66,6 +67,8 @@ def _replacing(path: str, flags: int) -> int:
     except (OSError, AttributeError):  # no such path, or a refused unlink; no os.geteuid
         fresh = False
     fd = os.open(path, flags, 0o666)
+    if (log := _LOG.get()) is not None:
+        log.written.append(os.fspath(path))
     if fresh:
         os.fchmod(fd, stat.S_IMODE(st.st_mode))
     return fd
@@ -103,25 +106,33 @@ def save_json(path: str | os.PathLike, value) -> None:
         fh.write("\n")
 
 
-_DIGESTS = contextvars.ContextVar("_DIGESTS", default=None)  # the run's {path: sha256} or None
+@dataclass
+class _RunLog:
+    """The files one run read, each with the sha256 of the bytes read, and wrote, in order."""
+
+    read: list[tuple[str, str]] = field(default_factory=list)
+    written: list[str] = field(default_factory=list)
+
+
+_LOG = contextvars.ContextVar("_LOG", default=None)  # the run's _RunLog, or None
 
 
 @contextlib.contextmanager
-def _run_digests():
-    """A run's scope: ``_read`` records each input's digest, and ``RunReport.create`` takes it."""
-    token = _DIGESTS.set({})
+def _run_log():
+    """A run's scope: yields the log to which ``_read`` and ``_replacing`` add its files."""
+    token = _LOG.set(log := _RunLog())
     try:
-        yield
+        yield log
     finally:
-        _DIGESTS.reset(token)
+        _LOG.reset(token)
 
 
 def _read(path: str | os.PathLike) -> bytes:
-    """``path``'s bytes, read once (and hashed in a run); bytes not UTF-8 raise ``ParseError``."""
+    """``path``'s bytes, read once (and logged in a run); bytes not UTF-8 raise ``ParseError``."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if (digests := _DIGESTS.get()) is not None:
-        digests[os.fspath(path)] = hashlib.sha256(data).hexdigest()
+    if (log := _LOG.get()) is not None:
+        log.read.append((os.fspath(path), hashlib.sha256(data).hexdigest()))
     if not data.isascii():
         try:
             data.decode("utf-8")
@@ -199,7 +210,7 @@ def _apply_negative(values: np.ndarray, data: bytes, negative: str, path) -> np.
         first = np.unravel_index(np.argmax(below), values.shape)
         raise ParseError(
             f"{path}: line {_line_no(data, first[0])}: negative value {float(values[first])!r} "
-            "(pass negative='clamp' or 'allow' for computed data)"
+            '(pass --negative allow, or negative="allow" in the library, for computed data)'
         )
     message = f"{path}: clamped {int(np.count_nonzero(below))} negative values to 0"
     warnings.warn(message, ClampedNegativeWarning, stacklevel=3)
@@ -347,8 +358,9 @@ def load_map(path: str | os.PathLike, *, negative: str = "allow") -> PLMap:
 
 @dataclass
 class RunReport:
-    """Record of one CLI run: inputs (with the sha256 of the bytes the run read, None for one
-    it did not read), effective parameters, outputs, and diagnostics."""
+    """Record of one run: inputs (with the sha256 of the bytes the run read, None for one it
+    did not read), effective parameters, outputs, and diagnostics. A CLI run's inputs and
+    outputs are the files its log holds."""
 
     command: str
     inputs: list[tuple[str, str | None]] = field(default_factory=list)
@@ -366,7 +378,7 @@ class RunReport:
         outputs: list[str],
         diagnostics: dict,
     ) -> "RunReport":
-        digests = _DIGESTS.get() or {}
+        digests = dict(log.read) if (log := _LOG.get()) is not None else {}
         return cls(
             command=command,
             inputs=[(p, digests.get(p)) for p in input_paths],

@@ -511,6 +511,27 @@ class TestSweepFlow:
         t0 = transmissivity(signed[nv0], FilterModel())
         assert abs(t0 - truth) < abs(clamped - truth)
 
+    def test_signed_component_refusal_names_the_flag(self, tmp_path, capsys):
+        """transmissivity under the default --negative error refuses decompose's signed NV0
+        with one line that names --negative allow."""
+        params = tmp_path / "sweep.json"
+        params.write_text(json.dumps({"noise": {"kind": "poisson", "scans": 3000},
+                                      "fields": [170.0, 975.0]}))
+        sweep = tmp_path / "sweep"
+        assert main(["simulate", "sweep", "--params", str(params), "--seed", "3", "--out", str(sweep)]) == 0
+        nv0 = str(tmp_path / "nv0.csv")
+        with pytest.warns(ModelViolationWarning):
+            assert main(["decompose", "--low", str(sweep / "spec_00170.0G.csv"), "--high",
+                         str(sweep / "spec_00975.0G.csv"), "--out-nv0", nv0,
+                         "--out-nvm", str(tmp_path / "nvm.csv")]) == 0
+        y = load_spectrum(nv0, negative="allow").intensities
+        first = int(np.argmax(y < 0.0))
+        capsys.readouterr()
+        assert main(["transmissivity", "--spectrum", nv0]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {nv0}: line {first + 2}: negative value {float(y[first])!r} "
+            '(pass --negative allow, or negative="allow" in the library, for computed data)\n')
+
     @pytest.mark.parametrize("fields", [[170.01, 170.04, 975], [170, 170]])
     def test_sweep_fields_that_share_a_file_name_exit_2(self, tmp_path, capsys, fields):
         """Fields that round to one spec_<field>G.csv name exit 2 with one line, no file written."""
@@ -519,7 +540,7 @@ class TestSweepFlow:
         out = tmp_path / "sw"
         assert main(["simulate", "sweep", "--params", str(params), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == (f"error: fields {float(fields[0])!r} and {float(fields[1])!r} G both name the file "
+        assert err == (f"error: {params}: fields {float(fields[0])!r} and {float(fields[1])!r} G both name the file "
                        "spec_00170.0G.csv\n")
         assert not out.exists()
 
@@ -551,7 +572,16 @@ class TestSweepFlow:
         (tmp_path / "p.json").write_text(json.dumps(params))
         out = tmp_path / "sw"
         assert main(["simulate", "sweep", "--params", str(tmp_path / "p.json"), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'p.json'}: {message}\n"
+        assert not out.exists()
+
+    def test_letter_map_value_refusal_names_the_params_file(self, tmp_path, capsys):
+        (tmp_path / "p.json").write_text(json.dumps({"width": 0}))
+        out = tmp_path / "lm"
+        assert main(["simulate", "letter-map", "--params", str(tmp_path / "p.json"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'p.json'}: map dimensions must be positive\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("params", [

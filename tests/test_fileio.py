@@ -340,7 +340,7 @@ class TestRunReport:
         data = tmp_path / "in.csv"
         save_spectrum(Spectrum([600.0, 601.0], [1.0, 2.0]), data)
         digest = hashlib.sha256(data.read_bytes()).hexdigest()
-        with fileio._run_digests():
+        with fileio._run_log():
             load_spectrum(data)
             report = RunReport.create(
                 "decompose", [str(data), "unread.csv"], {"f_range": "1:50"}, ["out.csv"],
@@ -352,7 +352,7 @@ class TestRunReport:
         assert back.command == "decompose"
         assert back.diagnostics["f"] == 6.2
         assert back.inputs == [(str(data), digest), ("unread.csv", None)]
-        with fileio._run_digests():  # each run starts with no digests
+        with fileio._run_log():  # each run starts with no digests
             assert RunReport.create("decompose", [str(data)], {}, [], {}).inputs == [
                 (str(data), None)]
             load_spectrum(data)
@@ -362,7 +362,7 @@ class TestRunReport:
 
     def test_input_that_is_not_a_regular_file_has_the_digest_of_its_bytes(self, tmp_path, piped):
         path = piped(b"600.0,1.0\n")
-        with fileio._run_digests():
+        with fileio._run_log():
             load_spectrum(path)
             RunReport.create("transmissivity", [path], {}, [], {}).save(tmp_path / "r.json")
         digest = hashlib.sha256(b"600.0,1.0\n").hexdigest()
@@ -374,7 +374,7 @@ class TestRunReport:
         the run's."""
         data = tmp_path / "in.csv"
         save_spectrum(Spectrum([600.0, 601.0], [1.0, 2.0]), data)
-        with fileio._run_digests():
+        with fileio._run_log():
             thread = threading.Thread(target=load_spectrum, args=(data,))
             thread.start()
             thread.join(timeout=30)

@@ -289,6 +289,21 @@ def test_input_the_run_wrote_over_has_the_digest_of_what_was_read(inputs, spelli
                                 [str(inputs / "high.csv"), high]]
 
 
+def test_an_input_read_twice_is_listed_twice(inputs):
+    """A manifest that names one spectrum at two fields gives a report that lists it at each,
+    with its sha256, in manifest order after the bases and the manifest."""
+    (inputs / "series.json").write_text(json.dumps([
+        {"b_field_gauss": 170.0, "path": "s0.csv"}, {"b_field_gauss": 400.0, "path": "s1.csv"},
+        {"b_field_gauss": 975.0, "path": "s0.csv"}]))
+    argv, report = _CASES["fit-series"]
+    with redirect_stdout(io.StringIO()):
+        assert main(_fill(argv, inputs)) == 0
+    names = ["b0.csv", "bm.csv", "series.json", "s0.csv", "s1.csv", "s0.csv"]
+    want = [[str(inputs / name), hashlib.sha256((inputs / name).read_bytes()).hexdigest()]
+            for name in names]
+    assert json.loads(Path(_fill(report, inputs)).read_text())["inputs"] == want
+
+
 def _file_events(monkeypatch, argv) -> list[tuple[str, str, str]]:
     """Each ``("read", path, "")`` through ``fileio._read`` and ``("open", path, mode)``
     through ``open`` of one successful run of ``argv``, in order."""
