@@ -3,8 +3,12 @@
 The package decomposes mixed NV0/NV- emission into per-charge-state
 components along two routes: differencing spectra or maps taken at two
 magnetic field strengths, and inverting the 2x2 system formed by acquisitions
-with and without a long-pass filter. A synthetic forward-model generator
-provides ground truth for verifying both routes end to end.
+with and without a long-pass filter. ``import nvunmix`` loads only those
+analysis modules (``spectrum``, ``basisfit``, ``decompose``, ``filters``,
+``maps``, ``errors``), and this namespace holds their API. The rest is imported
+by name, and paid for only then: ``nvunmix.fileio`` (file formats and run
+reports), ``nvunmix.render`` (SVG and PGM), ``nvunmix.synth`` (the synthetic
+forward model that gives both routes ground truth) and ``nvunmix.cli``.
 """
 
 __version__ = "0.1.0"
@@ -44,7 +48,6 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .fileio import RunReport, load_map, load_spectrum, save_map, save_spectrum
 from .filters import (
     DEFAULT_EMISSION_WINDOW,
     FilterModel,
@@ -61,7 +64,6 @@ from .maps import (
     filter_unmix,
     fraction_map,
 )
-from .render import render_map_pgm, render_spectrum_svg
 from .spectrum import (
     BasisPair,
     Spectrum,
@@ -71,19 +73,4 @@ from .spectrum import (
     resample,
     scale,
     subtract,
-)
-from .synth import (
-    DEFAULT_FIELD_RESPONSE,
-    DEFAULT_NV0_SHAPE,
-    DEFAULT_NVM_SHAPE,
-    NOISELESS,
-    FieldResponseModel,
-    NoiseModel,
-    SpectralShapeModel,
-    default_letter_masks,
-    make_field_map_pair,
-    make_field_spectrum,
-    make_letter_map,
-    make_spectrum,
-    make_sweep,
 )

@@ -79,6 +79,10 @@ class ZplArtifactConfig:
         if not (np.isfinite(self.edge_width) and self.edge_width > 0.0):
             raise ValidationError("edge_width must be positive")
 
+    def __getstate__(self) -> dict:
+        """The fields alone: a pickle or deep copy leaves the kept grid and windows behind."""
+        return {key: value for key, value in self.__dict__.items() if key != "_kept_plan"}
+
     @classmethod
     def around(cls, center: float) -> "ZplArtifactConfig":
         """The default window geometry (7 nm each side) moved to ``center``."""

@@ -28,7 +28,7 @@ import os
 import re
 import stat
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -100,9 +100,10 @@ def save_csv(path: str | os.PathLike, header: str | None, columns) -> None:
 
 
 def save_json(path: str | os.PathLike, value) -> None:
-    """Write ``value`` as JSON with sorted keys and two-space indents."""
+    """Write ``value`` as JSON with sorted keys and two-space indents; a NaN or infinite
+    float, which JSON does not have, raises ``ValueError``."""
     with open(path, "w", encoding="utf-8", newline="\n", opener=_replacing) as fh:
-        json.dump(value, fh, indent=2, sort_keys=True)
+        json.dump(value, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -359,8 +360,9 @@ def load_map(path: str | os.PathLike, *, negative: str = "allow") -> PLMap:
 @dataclass
 class RunReport:
     """Record of one run: inputs (with the sha256 of the bytes the run read, None for one it
-    did not read), effective parameters, outputs, and diagnostics. A CLI run's inputs and
-    outputs are the files its log holds."""
+    did not read), effective parameters, outputs, and diagnostics, a NaN or infinite one
+    recorded as None (JSON ``null``). A CLI run's inputs and outputs are the files its log
+    holds."""
 
     command: str
     inputs: list[tuple[str, str | None]] = field(default_factory=list)
@@ -384,7 +386,8 @@ class RunReport:
             inputs=[(p, digests.get(p)) for p in input_paths],
             parameters=dict(parameters),
             outputs=list(outputs),
-            diagnostics=dict(diagnostics),
+            diagnostics={key: None if isinstance(value, float) and not math.isfinite(value)
+                         else value for key, value in diagnostics.items()},
             timestamp=_dt.datetime.now(_dt.timezone.utc).isoformat(),
         )
 
@@ -394,7 +397,10 @@ class RunReport:
     @classmethod
     def load(cls, path: str | os.PathLike) -> "RunReport":
         d = load_json(path, dict)
-        r = cls(**{name: d.get(name, empty) for name, empty in vars(cls("")).items()})
+        names = [f.name for f in fields(cls)]
+        if missing := [name for name in names if name not in d]:
+            raise ParseError(f"{path}: not a run report: missing {', '.join(missing)}")
+        r = cls(**{name: d[name] for name in names})
         valid = {
             "command": isinstance(r.command, str),
             "inputs": isinstance(r.inputs, list) and all(

@@ -1,4 +1,5 @@
 import gc
+import json
 import os
 import tracemalloc
 
@@ -6,14 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from nvunmix import (
-    DEFAULT_NV0_SHAPE,
-    DEFAULT_NVM_SHAPE,
-    BasisPair,
-    Spectrum,
-    make_spectrum,
-)
-from nvunmix.synth import SpectralShapeModel
+from nvunmix import BasisPair, Spectrum
+from nvunmix.synth import DEFAULT_NV0_SHAPE, DEFAULT_NVM_SHAPE, SpectralShapeModel, make_spectrum
 
 settings.register_profile(
     "suite", max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -84,6 +79,15 @@ def combine(basis: BasisPair, c0: float, cminus: float) -> Spectrum:
 def assert_spectra_equal(a: Spectrum, b: Spectrum) -> None:
     assert np.array_equal(a.wavelengths, b.wavelengths)
     assert np.array_equal(a.intensities, b.intensities)
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"{token} is not JSON")
+
+
+def strict_json(text: str):
+    """``text`` parsed as JSON, which has no NaN or Infinity."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 def allocated_beyond_result(call) -> int:

@@ -11,12 +11,8 @@ import numpy as np
 import pytest
 
 from nvunmix import (
-    DEFAULT_FIELD_RESPONSE,
-    DEFAULT_NV0_SHAPE,
-    DEFAULT_NVM_SHAPE,
     FieldSeries,
     FilterModel,
-    NoiseModel,
     NonPhysicalWarning,
     PLMap,
     Spectrum,
@@ -28,20 +24,22 @@ from nvunmix import (
     find_full_mixing_field,
     fit_coefficients,
     fit_series,
-    load_map,
-    load_spectrum,
-    make_field_map_pair,
-    make_letter_map,
-    make_spectrum,
-    make_sweep,
-    render_map_pgm,
-    render_spectrum_svg,
-    save_map,
-    save_spectrum,
     scale_factor_from_coefficients,
     scale_factor_from_nvminus,
     scale_factor_surface,
     transmissivity,
+)
+from nvunmix.fileio import load_map, load_spectrum, save_map, save_spectrum
+from nvunmix.render import render_map_pgm, render_spectrum_svg
+from nvunmix.synth import (
+    DEFAULT_FIELD_RESPONSE,
+    DEFAULT_NV0_SHAPE,
+    DEFAULT_NVM_SHAPE,
+    NoiseModel,
+    make_field_map_pair,
+    make_letter_map,
+    make_spectrum,
+    make_sweep,
 )
 
 from conftest import combine

@@ -14,16 +14,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nvunmix import (
-    DEFAULT_FIELD_RESPONSE,
-    DEFAULT_NV0_SHAPE,
-    DEFAULT_NVM_SHAPE,
     BasisPair,
     CoefficientTable,
     FieldSeries,
     FlatWarning,
     GridMismatchError,
     IdentifiabilityError,
-    NoiseModel,
     NoMinimumError,
     NonPhysicalWarning,
     NvUnmixError,
@@ -33,8 +29,6 @@ from nvunmix import (
     fit_coefficients,
     fit_series,
     find_full_mixing_field,
-    make_spectrum,
-    make_sweep,
     normalize_area,
     resample,
     scale,
@@ -43,6 +37,14 @@ from nvunmix import (
     scale_factor_surface,
 )
 from nvunmix import basisfit
+from nvunmix.synth import (
+    DEFAULT_FIELD_RESPONSE,
+    DEFAULT_NV0_SHAPE,
+    DEFAULT_NVM_SHAPE,
+    NoiseModel,
+    make_spectrum,
+    make_sweep,
+)
 from nvunmix.spectrum import _on_grid
 
 from conftest import combine

@@ -4,7 +4,6 @@ import errno
 import gc
 import hashlib
 import json
-import math
 import os
 import re
 import stat
@@ -15,10 +14,7 @@ import pytest
 
 from nvunmix import (
     DEFAULT_EMISSION_WINDOW,
-    DEFAULT_NV0_SHAPE,
-    DEFAULT_NVM_SHAPE,
     BasisPair,
-    FieldResponseModel,
     FieldSeries,
     FilterModel,
     ModelViolationWarning,
@@ -28,17 +24,9 @@ from nvunmix import (
     ScaleSearchConfig,
     Spectrum,
     ZplArtifactConfig,
-    default_letter_masks,
     fileio,
     fit_series,
-    load_map,
-    load_spectrum,
-    make_letter_map,
-    make_spectrum,
-    make_sweep,
     resample,
-    save_map,
-    save_spectrum,
     scale_factor_surface,
     transmissivity,
 )
@@ -46,9 +34,18 @@ from nvunmix import cli
 from nvunmix.cli import build_parser, main
 from nvunmix.decompose import NVM_ZPL_NM
 from nvunmix.errors import ClampedNegativeWarning
-from nvunmix.fileio import RunReport
+from nvunmix.fileio import RunReport, load_map, load_spectrum, save_map, save_spectrum
+from nvunmix.synth import (
+    DEFAULT_NV0_SHAPE,
+    DEFAULT_NVM_SHAPE,
+    FieldResponseModel,
+    default_letter_masks,
+    make_letter_map,
+    make_spectrum,
+    make_sweep,
+)
 
-from conftest import CLEAN_NV0_SHAPE, CLEAN_NVM_SHAPE
+from conftest import CLEAN_NV0_SHAPE, CLEAN_NVM_SHAPE, strict_json
 
 
 def write_low_high(tmp_path, grid):
@@ -83,17 +80,19 @@ class TestDecomposeCommand:
         assert "f = 6.2" in capsys.readouterr().out
 
     def test_report_with_a_nan_score_prints(self, tmp_path, capsys):
-        """On a grid that starts at 600 nm the 575 nm window is off the grid, so the report
-        records a NaN score; reports are read as they are, so ``report --run`` prints it."""
+        """On a grid that starts at 600 nm the 575 nm window is off the grid, so the score is
+        NaN; the report records it as null, parses as strict JSON, and ``report --run`` prints
+        null."""
         write_low_high(tmp_path, np.linspace(600.0, 850.0, 1251))
         assert main(["decompose", "--low", str(tmp_path / "low.csv"),
                      "--high", str(tmp_path / "high.csv"), "--out-nv0", str(tmp_path / "nv0.csv"),
                      "--out-nvm", str(tmp_path / "nvm.csv")]) == 0
         report = tmp_path / "nv0.report.json"
-        assert math.isnan(RunReport.load(report).diagnostics["nv0_zpl575_score"])
+        assert '"nv0_zpl575_score": null' in report.read_text()
+        assert strict_json(report.read_text())["diagnostics"]["nv0_zpl575_score"] is None
         capsys.readouterr()
         assert main(["report", "--run", str(report)]) == 0
-        assert "  nv0_zpl575_score = nan\n" in capsys.readouterr().out
+        assert "  nv0_zpl575_score = null\n" in capsys.readouterr().out
 
     def test_factor_on_bound_flagged(self, tmp_path, grid02):
         write_low_high(tmp_path, grid02)
@@ -209,6 +208,17 @@ class TestMapCommands:
         diagnostics = RunReport.load(tmp_path / "sep.nv0.report.json").diagnostics
         assert diagnostics["nv0_min"] < 0.0
         assert diagnostics["negative_pixel_count"] == 0
+
+    def test_implied_factor_beyond_the_float_range_is_recorded_as_null(self, tmp_path):
+        """The least positive suppression implies f = 1/5e-324, which overflows; the
+        metadata records null and stays strict JSON."""
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"letter_map": {"width": 24, "height": 16},
+                                      "suppression": 5e-324}))
+        argv = ["simulate", "field-map-pair", "--params", str(params), "--out", str(tmp_path / "sim")]
+        assert main(argv) == 0
+        text = (tmp_path / "sim" / "metadata.json").read_text()
+        assert strict_json(text)["diagnostics"]["implied_f"] is None
 
     def test_simulate_then_field_unmix(self, tmp_path):
         params = tmp_path / "params.json"

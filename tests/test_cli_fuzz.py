@@ -25,8 +25,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nvunmix import Spectrum, fileio, make_spectrum, save_spectrum
+from nvunmix import Spectrum, fileio
 from nvunmix.cli import main
+from nvunmix.fileio import save_spectrum
+from nvunmix.synth import make_spectrum
 
 from conftest import CLEAN_NV0_SHAPE, CLEAN_NVM_SHAPE
 

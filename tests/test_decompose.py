@@ -3,10 +3,12 @@
 import dataclasses
 import importlib
 import math
+import pickle
 import re
 import sys
 import threading
 import warnings
+from copy import deepcopy
 from unittest import mock
 
 import numpy as np
@@ -29,13 +31,13 @@ from nvunmix import (
     ZplArtifactConfig,
     decompose,
     difference_spectrum,
-    make_spectrum,
     optimize_scale_factor,
     scale,
     subtract,
     zpl_artifact,
 )
 from nvunmix.decompose import _l1_scale_factor, _WindowPlan
+from nvunmix.synth import make_spectrum
 
 from conftest import CLEAN_NV0_SHAPE, CLEAN_NVM_SHAPE, allocated_beyond_result
 from test_spectrum import gaussian_window_area
@@ -474,6 +476,18 @@ class TestKeptPlan:
                              (optimize_scale_factor, (a, diff)),
                              (decomposed, (a, b, cfg)), (decomposed, (a, b))):
                 assert outcome(fn, *args) == fresh_outcome(fn, *args)
+
+    def test_pickle_and_deepcopy_leave_the_kept_plan_behind(self, grid02):
+        """A config that kept a plan for the 0.2 nm grid pickles to the bytes of an equal fresh
+        config and round-trips equal; its deep copy keeps no plan and scores alike."""
+        cfg, spec = ZplArtifactConfig(), make_spectrum(CLEAN_NVM_SHAPE, grid02, 62000.0)
+        score = zpl_artifact(spec, cfg)
+        assert "_kept_plan" in vars(cfg)
+        assert pickle.dumps(cfg) == pickle.dumps(ZplArtifactConfig())
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        copied = deepcopy(cfg)
+        assert copied == cfg and "_kept_plan" not in vars(copied)
+        assert zpl_artifact(spec, copied) == score
 
     def test_threads_share_the_default_configs(self, grid02):
         """Eight threads (more than the two cores the suite is sized for) take turns on two

@@ -15,12 +15,20 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from nvunmix import ParseError, PLMap, Spectrum, fileio, load_map, load_spectrum, save_map, save_spectrum
+from nvunmix import ParseError, PLMap, Spectrum, fileio
 from nvunmix.cli import main
 from nvunmix.errors import ClampedNegativeWarning, NvUnmixError, ValidationError
-from nvunmix.fileio import SPEC_CSV_HEADER, RunReport, map_paths
+from nvunmix.fileio import (
+    SPEC_CSV_HEADER,
+    RunReport,
+    load_map,
+    load_spectrum,
+    map_paths,
+    save_map,
+    save_spectrum,
+)
 
-from conftest import assert_spectra_equal
+from conftest import assert_spectra_equal, strict_json
 
 
 def tricky_spectrum():
@@ -381,6 +389,17 @@ class TestRunReport:
             assert not thread.is_alive()
             assert RunReport.create("decompose", [str(data)], {}, [], {}).inputs == [
                 (str(data), None)]
+
+    def test_non_finite_diagnostics_are_recorded_as_null(self, tmp_path):
+        """JSON has no NaN or infinity: a report records such a diagnostic as null and saves
+        strict JSON, and ``save_json`` refuses the value outright rather than write it."""
+        report = RunReport.create("decompose", [], {}, [],
+                                  {"nan": float("nan"), "inf": -float("inf"), "f": 6.2, "n": 3})
+        report.save(tmp_path / "r.json")
+        saved = strict_json((tmp_path / "r.json").read_text())
+        assert saved["diagnostics"] == {"nan": None, "inf": None, "f": 6.2, "n": 3}
+        with pytest.raises(ValueError):
+            fileio.save_json(tmp_path / "x.json", {"x": float("nan")})
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "r.json"

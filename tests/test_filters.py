@@ -18,10 +18,10 @@ from nvunmix import (
     ValidationError,
     WavelengthWindow,
     apply_filter,
-    make_spectrum,
     transmissivity,
     transmissivity_pair,
 )
+from nvunmix.synth import make_spectrum
 from nvunmix.filters import DEFAULT_EMISSION_WINDOW
 from nvunmix.spectrum import _require_within
 

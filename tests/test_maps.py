@@ -17,10 +17,9 @@ from nvunmix import (
     field_unmix,
     filter_unmix,
     fraction_map,
-    load_map,
-    save_map,
 )
 from nvunmix import fileio, maps
+from nvunmix.fileio import load_map, save_map
 
 
 def plmap(values, pitch=1.0):

@@ -13,17 +13,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nvunmix import (
-    DEFAULT_NVM_SHAPE,
-    PLMap,
-    Spectrum,
-    ValidationError,
-    make_letter_map,
-    make_spectrum,
-    render_map_pgm,
-    render_spectrum_svg,
-)
+from nvunmix import PLMap, Spectrum, ValidationError
 from nvunmix import render
+from nvunmix.render import render_map_pgm, render_spectrum_svg
+from nvunmix.synth import DEFAULT_NVM_SHAPE, make_letter_map, make_spectrum
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 

@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nvunmix import PLMap, Spectrum, fileio, save_map, save_spectrum
+from nvunmix import PLMap, Spectrum, fileio
 from nvunmix.cli import main
+from nvunmix.fileio import save_map, save_spectrum
 
 GOLDEN = Path(__file__).parent / "golden" / "reports.json"
 
@@ -258,14 +259,28 @@ _PRINTED = (
 )
 
 
-@pytest.mark.parametrize("report, printed", [
-    (_REPORT, _PRINTED),
-    ({"command": "render"}, "command:    render\ntimestamp:  \ninputs:\nparameters:\noutputs:\ndiagnostics:\n"),
-], ids=["every_field", "command_only"])
+@pytest.mark.parametrize("report, printed", [(_REPORT, _PRINTED)], ids=["every_field"])
 def test_report_run_prints_every_field(tmp_path, capsys, report, printed):
     (tmp_path / "r.json").write_text(json.dumps(report))
     assert main(["report", "--run", str(tmp_path / "r.json")]) == 0
     assert capsys.readouterr() == (printed, "")
+
+
+@pytest.mark.parametrize("value, missing", [
+    ({}, "command, inputs, parameters, outputs, diagnostics, timestamp"),
+    ({"command": "render"}, "inputs, parameters, outputs, diagnostics, timestamp"),
+    (None, "command, inputs, parameters, outputs, diagnostics, timestamp"),
+], ids=["empty", "command_only", "plmap_sidecar"])
+def test_report_run_refuses_a_file_that_is_not_a_run_report(tmp_path, capsys, value, missing):
+    """A JSON object that lacks any report field (None: a plmap sidecar) exits 2 with one
+    line naming the file and every missing field, instead of printing a blank report."""
+    if value is None:
+        path = Path(save_map(PLMap(np.ones((1, 2))), tmp_path / "m")[0])
+    else:
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(value))
+    assert main(["report", "--run", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: not a run report: missing {missing}\n")
 
 
 @pytest.mark.parametrize("spelling", ["same path", "symlink"])

@@ -9,7 +9,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nvunmix import (
-    DEFAULT_NV0_SHAPE,
     BasisPair,
     GridMismatchError,
     RangeError,
@@ -18,13 +17,13 @@ from nvunmix import (
     WavelengthWindow,
     area,
     fit_coefficients,
-    make_spectrum,
     normalize_area,
     resample,
     scale,
     subtract,
 )
-from nvunmix.spectrum import _WindowCut
+from nvunmix.spectrum import _on_grid, _WindowCut
+from nvunmix.synth import DEFAULT_NV0_SHAPE, make_spectrum
 
 from conftest import CLEAN_NVM_SHAPE, allocated_beyond_result, assert_spectra_equal
 
@@ -102,6 +101,16 @@ class TestSpectrumValidation:
             Spectrum([600.0, 601.0], [1.0, np.nan])
         with pytest.raises(ValidationError):
             Spectrum([600.0, np.inf], [1.0, 2.0])
+
+    def test_on_grid_refusals(self):
+        """``_on_grid`` refuses intensities of another length and a fresh array holding inf;
+        a Spectrum's read-only array, checked when it was built, is taken as it is."""
+        s = Spectrum([600.0, 601.0], [1.0, 2.0])
+        with pytest.raises(ValidationError, match="equal length"):
+            _on_grid(s, np.array([1.0]))
+        with pytest.raises(ValidationError, match="finite"):
+            _on_grid(s, np.array([1.0, np.inf]))
+        assert _on_grid(s, s.intensities).intensities is s.intensities
 
     def test_immutable(self):
         s = Spectrum([600.0, 601.0], [1.0, 2.0])

@@ -11,30 +11,32 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nvunmix import (
+    GridMismatchError,
+    ParseError,
+    PLMap,
+    RangeError,
+    Spectrum,
+    ValidationError,
+    area,
+    fit_coefficients,
+    scale,
+)
+from nvunmix import synth
+from nvunmix.synth import (
     DEFAULT_FIELD_RESPONSE,
     DEFAULT_NV0_SHAPE,
     DEFAULT_NVM_SHAPE,
     NOISELESS,
     FieldResponseModel,
-    GridMismatchError,
     NoiseModel,
-    ParseError,
-    PLMap,
-    RangeError,
     SpectralShapeModel,
-    Spectrum,
-    ValidationError,
-    area,
     default_letter_masks,
-    fit_coefficients,
     make_field_map_pair,
     make_field_spectrum,
     make_letter_map,
     make_spectrum,
     make_sweep,
-    scale,
 )
-from nvunmix import synth
 
 from conftest import CLEAN_NV0_SHAPE, CLEAN_NVM_SHAPE
 
