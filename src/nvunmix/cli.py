@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 validation/parse error, 3 numerical error (singularity/
 identifiability), 4 I/O error. ``fileio`` reads every input file and writes every output
 file, ``render``'s included; a JSON input is read by a key spec (a params file by its kind's
-in ``_SIMULATORS``), so an unknown key or a wrong type exits 2 naming the key path. Each
-command returns a ``_Run``; ``main`` saves its report after every output is written, then
+in ``synth._SIMULATORS``), so an unknown key or a wrong type exits 2 naming the key path. Only
+``simulate`` loads ``synth``, when it runs; the parser and every other command leave it out.
+Each command returns a ``_Run``; ``main`` saves its report after every output is written, then
 prints its message. The report's inputs are the files the run read, with the digests of the
 bytes read, and its outputs the files it wrote, both in order, from ``fileio``'s run log.
 """
@@ -33,24 +34,13 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .fileio import _ABSENT, _LOG, _REQUIRED, RunReport, _from_json, _run_log, _save_bytes
-from .fileio import load_json, load_map, load_spectrum, save_csv, save_json, save_map, save_spectrum
+from .fileio import _LOG, _REQUIRED, RunReport, _from_json, _run_log, _save_bytes
+from .fileio import load_json, load_map, load_spectrum, save_csv, save_map, save_spectrum
 from .filters import DEFAULT_EMISSION_WINDOW, FilterModel, TabulatedFilter, TransmissivityPair
 from .filters import transmissivity
-from .maps import PLMap, field_unmix, filter_unmix, fraction_map
+from .maps import field_unmix, filter_unmix, fraction_map
 from .render import render_map_pgm, render_spectrum_svg
 from .spectrum import BasisPair, WavelengthWindow, _onto, _same_grid, resample
-from .synth import _NOISE_JSON, _RESPONSE_JSON, _SHAPE_JSON
-from .synth import (
-    DEFAULT_FIELD_RESPONSE,
-    DEFAULT_NV0_SHAPE,
-    DEFAULT_NVM_SHAPE,
-    NOISELESS,
-    make_field_map_pair,
-    make_letter_map,
-    make_spectrum,
-    make_sweep,
-)
 
 _EXIT_VALIDATION = 2
 _EXIT_NUMERICAL = 3
@@ -224,99 +214,9 @@ def cmd_unmix_map_filter(args) -> _Run:
     return _unmix_common(args, run, unmixed, m0)
 
 
-_GRID_KEYS = {"lo": (float, 550.0), "hi": (float, 850.0), "step": (float, 0.2)}
-_LETTER_MAP_KEYS = {"width": (int, 512), "height": (int, 512), "pl_nv0": (float, _ABSENT),
-                    "pl_nvm": (float, _ABSENT), "pixel_pitch_um": (float, _ABSENT)}
-
-
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    if not (hi > lo and step > 0.0):
-        raise ValidationError("grid requires hi > lo and step > 0")
-    return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
-
-
-def _save_maps(out_dir: str, **maps: PLMap) -> None:
-    for name, m in maps.items():
-        save_map(m, os.path.join(out_dir, name))
-
-
-def _simulate_spectrum(p, seed, out_dir) -> dict:
-    spec = make_spectrum(p.get("shape", DEFAULT_NVM_SHAPE), _grid(**p["grid"]), p["total_counts"])
-    save_spectrum(spec, os.path.join(out_dir, "spectrum.csv"))
-    return {"total_counts": p["total_counts"], "points": len(spec)}
-
-
-def _simulate_sweep(p, seed, out_dir) -> dict:
-    response = p.get("field_response", DEFAULT_FIELD_RESPONSE)
-    shapes = p["shapes"].get("nv0", DEFAULT_NV0_SHAPE), p["shapes"].get("nvminus", DEFAULT_NVM_SHAPE)
-    noise = p.get("noise", NOISELESS)
-    fields = p.get("fields", response.fields)
-    sweep = make_sweep(fields, response, shapes, _grid(**p["grid"]), noise, seed)
-    names = {}
-    for b, _ in sweep:
-        name = f"spec_{b:07.1f}G.csv"
-        if name in names:
-            raise ValidationError(f"fields {names[name]!r} and {b!r} G both name the file {name}")
-        names[name] = b
-    for (_, spec), name in zip(sweep, names):
-        save_spectrum(spec, os.path.join(out_dir, name))
-    save_json(os.path.join(out_dir, "manifest.json"),
-              [{"b_field_gauss": b, "path": name} for name, b in names.items()])
-    return {"fields": len(fields), "noise": noise.kind}
-
-
-def _sweep_params(**p) -> dict:
-    """A sweep params file's keys; a ``fields`` list it sets must name a field."""
-    if p.get("fields") == []:
-        raise ValidationError("fields: a sweep needs at least one field")
-    return p
-
-
-def _letter_map_params(**p) -> dict:
-    """A letter-map params file's keys; ``t0`` and ``tminus`` weigh one composed pair, so a
-    file sets both or neither."""
-    if ("t0" in p) != ("tminus" in p):
-        raise ValidationError(f"{'tminus' if 't0' in p else 't0'}: missing; "
-                              "the composed m0/mlpf pair needs both t0 and tminus")
-    return p
-
-
-def _simulate_letter_map(p, seed, out_dir) -> dict:
-    t0, tm = p.pop("t0", None), p.pop("tminus", None)
-    nv0, nvm = make_letter_map(**p)
-    maps, diag = {"nv0_truth": nv0, "nvm_truth": nvm}, {"width": nv0.width, "height": nv0.height}
-    if t0 is not None:  # composed, and so checked, before any map is written
-        with np.errstate(over="ignore"):  # an overflow is refused below, as a non-finite map
-            m0, mlpf = nv0.values + nvm.values, t0 * nv0.values + tm * nvm.values
-        maps["m0"] = PLMap._of_fresh(m0, nv0.pixel_pitch_um)
-        maps["mlpf"] = PLMap._of_fresh(mlpf, nv0.pixel_pitch_um)
-        diag.update({"t0": t0, "tminus": tm})
-    _save_maps(out_dir, **maps)
-    return diag
-
-
-def _simulate_field_map_pair(p, seed, out_dir) -> dict:
-    nv0, nvm = make_letter_map(**p["letter_map"])
-    low, high = make_field_map_pair(nv0, nvm, p["suppression"])
-    _save_maps(out_dir, nv0_truth=nv0, nvm_truth=nvm, low=low, high=high)
-    return {"suppression": p["suppression"], "implied_f": 1.0 / p["suppression"]}
-
-
-_SHAPES_KEYS = {"nv0": (_SHAPE_JSON, _ABSENT), "nvminus": (_SHAPE_JSON, _ABSENT)}
-_SIMULATORS = {  # kind: (simulator, the key spec of its params file)
-    "spectrum": (_simulate_spectrum, {"shape": (_SHAPE_JSON, _ABSENT), "grid": (_GRID_KEYS, {}),
-                                      "total_counts": (float, 62000.0)}),
-    "sweep": (_simulate_sweep, (_sweep_params, {
-        "field_response": (_RESPONSE_JSON, _ABSENT), "shapes": (_SHAPES_KEYS, {}),
-        "grid": (_GRID_KEYS, {}), "noise": (_NOISE_JSON, _ABSENT), "fields": ([float], _ABSENT)})),
-    "letter-map": (_simulate_letter_map, (_letter_map_params, {
-        **_LETTER_MAP_KEYS, "t0": (float, _ABSENT), "tminus": (float, _ABSENT)})),
-    "field-map-pair": (_simulate_field_map_pair, {"letter_map": (_LETTER_MAP_KEYS, {}),
-                                                  "suppression": (float, 1.0 / 6.2)}),
-}
-
-
 def cmd_simulate(args) -> _Run:
+    from . import synth  # only simulate runs the generator, so only it loads the module
+
     run = _Run(os.path.join(args.out, "metadata.json"), f"simulate {args.kind}")
     if args.seed is not None and args.kind != "sweep":
         raise ValidationError(f"--seed applies only to simulate sweep, not {args.kind}")
@@ -324,7 +224,7 @@ def cmd_simulate(args) -> _Run:
     if seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {seed}")
     params = load_json(args.params, dict) if args.params else {}
-    simulate, keys = _SIMULATORS[args.kind]
+    simulate, keys = synth._SIMULATORS[args.kind]
     typed = _from_json(params, keys, args.params)
     written = _LOG.get().written  # main's run log: the files written, none yet
     created = not os.path.isdir(args.out)
@@ -332,8 +232,6 @@ def cmd_simulate(args) -> _Run:
     try:
         run.diagnostics = simulate(typed, seed, args.out)
     except (ValidationError, RangeError) as exc:  # a value the key spec let through
-        if not args.params:
-            raise
         raise ParseError(f"{args.params}: {exc}") from exc
     except NvUnmixError:
         raise
@@ -470,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_unmix_map_filter, negative="allow")
 
     p = sub.add_parser("simulate", help="generate synthetic data")
-    p.add_argument("kind", choices=sorted(_SIMULATORS))
+    # synth._SIMULATORS's kinds, sorted, named here so that building the parser loads no synth
+    p.add_argument("kind", choices=("field-map-pair", "letter-map", "spectrum", "sweep"))
     p.add_argument("--params", default=None, help="JSON parameter file")
     p.add_argument("--seed", type=int, default=None, help="noise seed (sweep only; default 0)")
     p.add_argument("--out", required=True, help="output directory")

@@ -361,8 +361,8 @@ def load_map(path: str | os.PathLike, *, negative: str = "allow") -> PLMap:
 class RunReport:
     """Record of one run: inputs (with the sha256 of the bytes the run read, None for one it
     did not read), effective parameters, outputs, and diagnostics, a NaN or infinite one
-    recorded as None (JSON ``null``). A CLI run's inputs and outputs are the files its log
-    holds."""
+    recorded as None (JSON ``null``), so ``load`` refuses a report holding one. A CLI run's
+    inputs and outputs are the files its log holds."""
 
     command: str
     inputs: list[tuple[str, str | None]] = field(default_factory=list)
@@ -400,6 +400,10 @@ class RunReport:
         names = [f.name for f in fields(cls)]
         if missing := [name for name in names if name not in d]:
             raise ParseError(f"{path}: not a run report: missing {', '.join(missing)}")
+        try:
+            json.dumps(d, allow_nan=False)  # reports are strict JSON, as save_json writes them
+        except ValueError:
+            raise ParseError(f"{path}: not a run report: holds a NaN or an infinity") from None
         r = cls(**{name: d[name] for name in names})
         valid = {
             "command": isinstance(r.command, str),

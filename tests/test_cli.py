@@ -1,5 +1,6 @@
 """End-to-end CLI flows against synthetic data in temporary directories."""
 
+import argparse
 import errno
 import gc
 import hashlib
@@ -30,10 +31,10 @@ from nvunmix import (
     scale_factor_surface,
     transmissivity,
 )
-from nvunmix import cli
+from nvunmix import cli, synth
 from nvunmix.cli import build_parser, main
 from nvunmix.decompose import NVM_ZPL_NM
-from nvunmix.errors import ClampedNegativeWarning
+from nvunmix.errors import ClampedNegativeWarning, GridMismatchError
 from nvunmix.fileio import RunReport, load_map, load_spectrum, save_map, save_spectrum
 from nvunmix.synth import (
     DEFAULT_NV0_SHAPE,
@@ -288,7 +289,7 @@ class TestMapCommands:
             saved[os.path.basename(stem)] = m
             return save_map(m, stem)
 
-        monkeypatch.setattr(cli, "save_map", save)
+        monkeypatch.setattr(synth, "save_map", save)
         monkeypatch.setattr(PLMap, "__post_init__", lambda self: copied.append(self))
         assert main(["simulate", "letter-map", "--params", str(params), "--out", str(tmp_path)]) == 0
         assert copied == []
@@ -614,6 +615,18 @@ class TestSweepFlow:
         assert out.exists() == existed
         assert not existed or list(out.iterdir()) == []
 
+    def test_a_simulators_library_error_keeps_its_own_line(self, tmp_path, capsys, monkeypatch):
+        """An ``NvUnmixError`` that is also a ``ValueError`` exits 2 with its own message, not
+        as an array size numpy refused."""
+        def simulate(p, seed, out_dir):
+            raise GridMismatchError("x")
+
+        keys = synth._SIMULATORS["spectrum"][1]
+        monkeypatch.setitem(synth._SIMULATORS, "spectrum", (simulate, keys))
+        assert main(["simulate", "spectrum", "--out", str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr() == ("", "error: x\n")
+        assert not (tmp_path / "sim").exists()
+
     def test_fit_series_holds_its_spectra_one_file_and_its_rows(self, tmp_path, capsys, grid02):
         """On an 8-field noisy sweep of 1501 points with a unit-area basis on its grid,
         fit-series's tracemalloc peak stays within one spectrum-size per field plus three
@@ -884,7 +897,15 @@ def _readme_params_examples() -> dict[str, str]:
             for m in re.finditer(r"```json\n(.*?)```", section, re.S)}
 
 
-@pytest.mark.parametrize("kind", sorted(cli._SIMULATORS))
+def test_simulate_kinds_are_synths():
+    """The parser names simulate's kinds itself, so building it loads no synth; they are the
+    kinds ``synth._SIMULATORS`` runs."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    kind = next(a for a in sub.choices["simulate"]._actions if a.dest == "kind")
+    assert list(kind.choices) == sorted(synth._SIMULATORS)
+
+
+@pytest.mark.parametrize("kind", sorted(synth._SIMULATORS))
 def test_readme_params_example_runs(tmp_path, capsys, kind):
     """Each kind's README parameter file is one the strict reader takes."""
     (tmp_path / "p.json").write_text(_readme_params_examples()[kind])

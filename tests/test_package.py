@@ -32,6 +32,20 @@ def test_import_loads_only_the_analysis_modules():
                            "nvunmix.filters", "nvunmix.maps", "nvunmix.spectrum"]
 
 
+def test_building_the_parser_loads_no_synthetic_generator():
+    """In a fresh interpreter, ``cli.build_parser()`` leaves out ``nvunmix.synth``, which only
+    ``simulate`` loads."""
+    code = ("import sys; from nvunmix import cli; cli.build_parser(); "
+            "print(' '.join(sorted(m for m in sys.modules if 'nvunmix' in m)))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nvunmix.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["nvunmix", "nvunmix.basisfit", "nvunmix.cli", "nvunmix.decompose",
+                           "nvunmix.errors", "nvunmix.fileio", "nvunmix.filters", "nvunmix.maps",
+                           "nvunmix.render", "nvunmix.spectrum"]
+
+
 def test_namespace_holds_the_analysis_api_and_the_rest_resolves_by_module():
     public = {name for name, value in vars(nvunmix).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}

@@ -283,6 +283,21 @@ def test_report_run_refuses_a_file_that_is_not_a_run_report(tmp_path, capsys, va
     assert capsys.readouterr() == ("", f"error: {path}: not a run report: missing {missing}\n")
 
 
+@pytest.mark.parametrize("text", [
+    '{"command": "x", "inputs": [], "parameters": {"p": NaN}, "outputs": [], '
+    '"diagnostics": {"f": Infinity}, "timestamp": ""}',
+    '{"command": "x", "inputs": [], "parameters": {"params": {"grid": {"lo": [1, -Infinity]}}}, '
+    '"outputs": [], "diagnostics": {}, "timestamp": ""}',
+], ids=["top_level", "nested"])
+def test_report_run_refuses_a_nan_or_an_infinity(tmp_path, capsys, text):
+    """No run writes NaN or Infinity (reports are strict JSON), so a report holding one at
+    any depth exits 2 with one line naming the file, instead of printing ``nan``."""
+    (tmp_path / "r.json").write_text(text)
+    assert main(["report", "--run", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {tmp_path / 'r.json'}: not a run report: holds a NaN or an infinity\n")
+
+
 @pytest.mark.parametrize("spelling", ["same path", "symlink"])
 def test_input_the_run_wrote_over_has_the_digest_of_what_was_read(inputs, spelling):
     """An input that is now one of the run's outputs keeps the digest of the bytes the run
