@@ -297,7 +297,7 @@ def cmd_report(args) -> _Run:
 def _add_negative_flag(parser) -> None:
     parser.add_argument(
         "--negative",
-        choices=["error", "clamp", "allow"],
+        choices=["error", "allow"],
         default="error",
         help="how to treat negative intensities in input files (default: error)",
     )

@@ -51,7 +51,3 @@ class ConditioningWarning(NvUnmixWarning):
 
 class FlatWarning(NvUnmixWarning):
     """A scanned column is constant; the result is a tie-break convention."""
-
-
-class ClampedNegativeWarning(NvUnmixWarning):
-    """Negative raw values were clamped to zero on load."""

@@ -27,12 +27,11 @@ import math
 import os
 import re
 import stat
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ClampedNegativeWarning, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .maps import PLMap
 from .spectrum import Spectrum
 
@@ -48,7 +47,7 @@ __all__ = [
 
 SPEC_CSV_HEADER = "# spec-csv v1"
 
-_NEGATIVE_MODES = ("error", "clamp", "allow")
+_NEGATIVE_MODES = ("error", "allow")
 
 
 def _check_negative_mode(mode: str) -> None:
@@ -202,20 +201,15 @@ def _rows(path: str | os.PathLike, width: int) -> tuple[np.ndarray, bytes]:
     return rows, data
 
 
-def _apply_negative(values: np.ndarray, data: bytes, negative: str, path) -> np.ndarray:
-    """Apply the ``negative`` mode to ``values``, whose row ``i`` is data row
-    ``i`` of ``data``, read from ``path``."""
-    if negative == "allow" or not np.any(below := values < 0.0):
-        return values
-    if negative == "error":
+def _refuse_negative(values: np.ndarray, data: bytes, negative: str, path) -> None:
+    """Refuse a negative value in ``values``, whose row ``i`` is data row ``i`` of ``data``,
+    read from ``path``, unless ``negative`` is ``"allow"``."""
+    if negative == "error" and np.any(below := values < 0.0):
         first = np.unravel_index(np.argmax(below), values.shape)
         raise ParseError(
             f"{path}: line {_line_no(data, first[0])}: negative value {float(values[first])!r} "
             '(pass --negative allow, or negative="allow" in the library, for computed data)'
         )
-    message = f"{path}: clamped {int(np.count_nonzero(below))} negative values to 0"
-    warnings.warn(message, ClampedNegativeWarning, stacklevel=3)
-    return np.maximum(values, 0.0)
 
 
 def load_json(path: str | os.PathLike, spec):
@@ -287,9 +281,9 @@ def load_spectrum(path: str | os.PathLike, *, negative: str = "error") -> Spectr
     """Read a spec-csv v1 file.
 
     ``negative`` is the package's one nonnegativity check: ``"error"`` rejects
-    a negative intensity (raw measurements must be nonnegative), ``"clamp"``
-    sets it to zero with a warning, ``"allow"`` keeps it (computed spectra, such
-    as ``decompose``'s outputs, are signed, and every computation takes them).
+    a negative intensity (raw measurements must be nonnegative), ``"allow"``
+    keeps it (computed spectra, such as ``decompose``'s outputs, are signed, and
+    every computation takes them).
     """
     _check_negative_mode(negative)
     rows, data = _rows(path, 2)
@@ -303,9 +297,9 @@ def load_spectrum(path: str | os.PathLike, *, negative: str = "error") -> Spectr
             f"{path}: line {_line_no(data, i)}: wavelength {float(w[i])!r} "
             f"does not increase past {float(w[i - 1])!r}"
         )
-    y = _apply_negative(rows[:, 1], data, negative, path)
+    _refuse_negative(rows[:, 1], data, negative, path)
     del data  # the file's bytes go before the Spectrum's copies are made
-    return Spectrum(w, y)
+    return Spectrum(w, rows[:, 1])
 
 
 def map_paths(path: str | os.PathLike) -> tuple[str, str]:
@@ -354,7 +348,8 @@ def load_map(path: str | os.PathLike, *, negative: str = "allow") -> PLMap:
         raise ParseError(
             f"{csv_path}: expected {height} rows for a {width}x{height} map, got {len(values)}"
         )
-    return PLMap._of_fresh(_apply_negative(values, data, negative, csv_path), pitch)
+    _refuse_negative(values, data, negative, csv_path)
+    return PLMap._of_fresh(values, pitch)
 
 
 @dataclass

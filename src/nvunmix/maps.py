@@ -90,6 +90,17 @@ def _count_negative(nv0: NDArray[np.float64], nvm: NDArray[np.float64], *inputs:
     return int(np.count_nonzero((nv0 < -tol) | (nvm < -tol)))
 
 
+def _unmixed(nv0: NDArray[np.float64], nvm: NDArray[np.float64], route: str,
+             *inputs: PLMap) -> UnmixedMaps:
+    """The component maps ``route`` computed from ``inputs``, two checked maps of one shape and
+    pitch, so a non-finite pixel is an overflow: it is refused in one line naming ``route``."""
+    try:
+        nv0_map, nvm_map = (PLMap._of_fresh(v, inputs[0].pixel_pitch_um) for v in (nv0, nvm))
+    except ValidationError:
+        raise ValidationError(f"{route} overflows the float range") from None
+    return UnmixedMaps(nv0_map, nvm_map, _count_negative(nv0, nvm, *inputs))
+
+
 def field_unmix(low_b: PLMap, high_b: PLMap, f: float) -> UnmixedMaps:
     """Split a low-field map using the high-field map and scale factor ``f``.
 
@@ -98,14 +109,11 @@ def field_unmix(low_b: PLMap, high_b: PLMap, f: float) -> UnmixedMaps:
     _require_same_shape(low_b, high_b)
     if not (np.isfinite(f) and f > 0.0):
         raise ValidationError("scale factor f must be positive and finite")
-    nvm = np.subtract(low_b.values, high_b.values)
-    np.multiply(f, nvm, out=nvm)
-    nv0 = low_b.values - nvm
-    return UnmixedMaps(
-        PLMap._of_fresh(nv0, low_b.pixel_pitch_um),
-        PLMap._of_fresh(nvm, low_b.pixel_pitch_um),
-        _count_negative(nv0, nvm, low_b, high_b),
-    )
+    with np.errstate(over="ignore"):  # an overflow is refused by _unmixed
+        nvm = np.subtract(low_b.values, high_b.values)
+        np.multiply(f, nvm, out=nvm)
+        nv0 = low_b.values - nvm
+    return _unmixed(nv0, nvm, f"field_unmix with f = {f!r}", low_b, high_b)
 
 
 def filter_unmix(m0: PLMap, mlpf: PLMap, t: TransmissivityPair) -> UnmixedMaps:
@@ -120,13 +128,10 @@ def filter_unmix(m0: PLMap, mlpf: PLMap, t: TransmissivityPair) -> UnmixedMaps:
         raise SingularityError(
             f"t0={t.t0} and tminus={t.tminus} are too close to invert"
         )
-    nv0 = (mlpf.values - t.tminus * m0.values) / den
-    nvm = (t.t0 * m0.values - mlpf.values) / den
-    return UnmixedMaps(
-        PLMap._of_fresh(nv0, m0.pixel_pitch_um),
-        PLMap._of_fresh(nvm, m0.pixel_pitch_um),
-        _count_negative(nv0, nvm, m0, mlpf),
-    )
+    with np.errstate(over="ignore"):  # an overflow is refused by _unmixed
+        nv0 = (mlpf.values - t.tminus * m0.values) / den
+        nvm = (t.t0 * m0.values - mlpf.values) / den
+    return _unmixed(nv0, nvm, f"filter_unmix with t0 = {t.t0!r}, tminus = {t.tminus!r}", m0, mlpf)
 
 
 def fraction_map(unmixed: UnmixedMaps, total: PLMap) -> tuple[PLMap, int]:

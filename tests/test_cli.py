@@ -34,7 +34,7 @@ from nvunmix import (
 from nvunmix import cli, synth
 from nvunmix.cli import build_parser, main
 from nvunmix.decompose import NVM_ZPL_NM
-from nvunmix.errors import ClampedNegativeWarning, GridMismatchError
+from nvunmix.errors import GridMismatchError
 from nvunmix.fileio import RunReport, load_map, load_spectrum, save_map, save_spectrum
 from nvunmix.synth import (
     DEFAULT_NV0_SHAPE,
@@ -220,6 +220,22 @@ class TestMapCommands:
         assert main(argv) == 0
         text = (tmp_path / "sim" / "metadata.json").read_text()
         assert strict_json(text)["diagnostics"]["implied_f"] is None
+
+    @pytest.mark.parametrize("argv, route", [
+        (["unmix-map-field", "--low", "{d}/big", "--high", "{d}/zero", "--f", "1e10"],
+         "field_unmix with f = 10000000000.0"),
+        (["unmix-map-filter", "--m0", "{d}/big", "--mlpf", "{d}/big", "--t0", "0.3", "--tm", "0.3001"],
+         "filter_unmix with t0 = 0.3, tminus = 0.3001"),
+    ], ids=["field", "filter"])
+    def test_overflowing_inversion_exits_2_in_one_line(self, tmp_path, capsys, argv, route):
+        """Finite maps whose inversion overflows exit 2 with one line naming the route and
+        its factor, with no numpy warning, and write nothing."""
+        save_map(PLMap(np.full((4, 4), 1e306)), tmp_path / "big")
+        save_map(PLMap(np.zeros((4, 4))), tmp_path / "zero")
+        before = set(tmp_path.iterdir())
+        assert main([a.format(d=tmp_path) for a in argv] + ["--out", str(tmp_path / "sep")]) == 2
+        assert capsys.readouterr().err == f"error: {route} overflows the float range\n"
+        assert set(tmp_path.iterdir()) == before
 
     def test_simulate_then_field_unmix(self, tmp_path):
         params = tmp_path / "params.json"
@@ -482,7 +498,7 @@ class TestSweepFlow:
         """The paper's chain through the CLI: decompose's signed NV0 and NV- estimates of a
         noisy 170/975 G sweep load under --negative allow into transmissivity and fit-series,
         which give the library's values for the loaded files; --negative error still refuses
-        them, and the unclamped t0 lies nearer the truth than the clamped one."""
+        them."""
         params = tmp_path / "sweep.json"
         params.write_text(json.dumps({"noise": {"kind": "poisson", "scans": 3000},
                                       "fields": [170.0, 975.0]}))
@@ -513,14 +529,9 @@ class TestSweepFlow:
         capsys.readouterr()
         assert main(["transmissivity", "--spectrum", nv0, "--negative", "error"]) == 2
         assert "negative value" in capsys.readouterr().err
-        with pytest.warns(ClampedNegativeWarning):
-            assert main(["transmissivity", "--spectrum", nv0, "--negative", "clamp"]) == 0
-        clamped = float(capsys.readouterr().out)
         truth = transmissivity(make_spectrum(DEFAULT_NV0_SHAPE, signed[nv0].wavelengths, 1.0),
                                FilterModel())
         assert truth == pytest.approx(0.2096, abs=5e-5)
-        t0 = transmissivity(signed[nv0], FilterModel())
-        assert abs(t0 - truth) < abs(clamped - truth)
 
     def test_signed_component_refusal_names_the_flag(self, tmp_path, capsys):
         """transmissivity under the default --negative error refuses decompose's signed NV0
@@ -787,6 +798,17 @@ class TestRenderAndReportCommands:
                   "--zpl-center", "637"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --zpl-center 637" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--low", "l", "--high", "h", "--out-nv0", "a", "--out-nvm", "b"],
+        ["fit-series", "--basis-nv0", "a", "--basis-nvm", "b", "--series", "s", "--out-table", "t"],
+        ["transmissivity", "--spectrum", "s"],
+    ], ids=["decompose", "fit-series", "transmissivity"])
+    def test_negative_clamp_is_not_a_mode(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--negative", "clamp"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'clamp'" in capsys.readouterr().err
 
     def test_defaults_are_the_librarys(self):
         parse = build_parser().parse_args

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from nvunmix import (
     DecompositionResult,
+    FilterModel,
     GridMismatchError,
     IdentifiabilityError,
     ModelViolationWarning,
@@ -34,10 +35,19 @@ from nvunmix import (
     optimize_scale_factor,
     scale,
     subtract,
+    transmissivity,
     zpl_artifact,
 )
 from nvunmix.decompose import _l1_scale_factor, _WindowPlan
-from nvunmix.synth import make_spectrum
+from nvunmix.synth import (
+    DEFAULT_FIELD_RESPONSE,
+    DEFAULT_NV0_SHAPE,
+    DEFAULT_NVM_SHAPE,
+    NOISELESS,
+    NoiseModel,
+    make_spectrum,
+    make_sweep,
+)
 
 from conftest import CLEAN_NV0_SHAPE, CLEAN_NVM_SHAPE, allocated_beyond_result
 from test_spectrum import gaussian_window_area
@@ -416,6 +426,45 @@ class TestDecompose:
         r2 = decompose(scale(low, 3.0), scale(high, 3.0))
         assert r2.f == pytest.approx(r1.f, rel=1e-9)
         assert np.allclose(r2.nv0.intensities, 3.0 * r1.nv0.intensities, rtol=1e-8, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def default_pairs(grid02):
+    """The default 170/975 G pair, noiseless and under 3000-scan Poisson noise (seed 3), each
+    with its unscaled decomposition and the transmissivity of its recovered NV0."""
+    pairs = {}
+    for noise in (NOISELESS, NoiseModel("poisson", scans=3000)):
+        sweep = make_sweep([170.0, 975.0], DEFAULT_FIELD_RESPONSE,
+                           (DEFAULT_NV0_SHAPE, DEFAULT_NVM_SHAPE), grid02, noise, seed=3)
+        (_, low), (_, high) = sweep
+        result, caught = _decomposed_with_warnings(low, high)
+        pairs[noise.kind] = low, high, result, caught, transmissivity(result.nv0, FilterModel())
+    return pairs
+
+
+def _decomposed_with_warnings(low, high):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = decompose(low, high)
+    return result, [w.category for w in caught]
+
+
+def _times_2_to_the(s: Spectrum, k: int) -> Spectrum:
+    return Spectrum(s.wavelengths, np.ldexp(s.intensities, k))
+
+
+@given(kind=st.sampled_from(["none", "poisson"]), k=st.integers(-600, 600))
+def test_power_of_two_scaling_is_exact(default_pairs, kind, k):
+    """Intensity scaling by 2**k, exact in floating point over this range, leaves decompose's
+    f, its warnings and the recovered NV0's transmissivity bit-identical, and scales both
+    components by exactly 2**k."""
+    low, high, base, base_warnings, t0 = default_pairs[kind]
+    result, caught = _decomposed_with_warnings(_times_2_to_the(low, k), _times_2_to_the(high, k))
+    assert result.f.hex() == base.f.hex()
+    assert caught == base_warnings
+    for got, want in ((result.nv0, base.nv0), (result.nvminus, base.nvminus)):
+        assert got.intensities.tobytes() == np.ldexp(want.intensities, k).tobytes()
+    assert transmissivity(result.nv0, FilterModel()).hex() == t0.hex()
 
 
 class TestWindowPlan:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from nvunmix import ParseError, PLMap, Spectrum, fileio
 from nvunmix.cli import main
-from nvunmix.errors import ClampedNegativeWarning, NvUnmixError, ValidationError
+from nvunmix.errors import NvUnmixError, ValidationError
 from nvunmix.fileio import (
     SPEC_CSV_HEADER,
     RunReport,
@@ -29,6 +29,9 @@ from nvunmix.fileio import (
 )
 
 from conftest import assert_spectra_equal, strict_json
+
+# An unknown mode, "clamp" among them, is refused naming the two modes.
+_UNKNOWN_MODE = r"^negative mode must be one of \('error', 'allow'\), got '{}'$"
 
 
 def tricky_spectrum():
@@ -96,16 +99,14 @@ class TestSpectrumFormat:
         path.write_text("600.0,1.0\n601.0,-2.0\n")
         with pytest.raises(ParseError, match="line 2"):
             load_spectrum(path)
-        with pytest.warns(ClampedNegativeWarning):
-            clamped = load_spectrum(path, negative="clamp")
-        assert clamped.intensities.tolist() == [1.0, 0.0]
         allowed = load_spectrum(path, negative="allow")
         assert allowed.intensities.tolist() == [1.0, -2.0]
 
-    def test_unknown_negative_mode_is_validation_error(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["drop", "clamp"])
+    def test_unknown_negative_mode_is_validation_error(self, tmp_path, mode):
         save_spectrum(Spectrum([600.0, 601.0], [1.0, 2.0]), tmp_path / "s.csv")
-        with pytest.raises(ValidationError, match="negative mode"):
-            load_spectrum(tmp_path / "s.csv", negative="drop")
+        with pytest.raises(ValidationError, match=_UNKNOWN_MODE.format(mode)):
+            load_spectrum(tmp_path / "s.csv", negative=mode)
 
 
 class TestMapFormat:
@@ -161,17 +162,15 @@ class TestMapFormat:
         save_map(PLMap(np.array([[1.0, 2.0], [3.0, -4.0]])), tmp_path / "m")
         with pytest.raises(ParseError, match="line 2: negative value -4.0"):
             load_map(tmp_path / "m", negative="error")
-        with pytest.warns(ClampedNegativeWarning):
-            clamped = load_map(tmp_path / "m", negative="clamp")
-        assert clamped.values.tolist() == [[1.0, 2.0], [3.0, 0.0]]
         (tmp_path / "m.csv").write_text("# header\n1.0,2.0\n3.0,inf\n")
         with pytest.raises(ParseError, match="line 3: non-finite"):
             load_map(tmp_path / "m")
 
-    def test_unknown_negative_mode_is_validation_error(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["drop", "clamp"])
+    def test_unknown_negative_mode_is_validation_error(self, tmp_path, mode):
         save_map(PLMap(np.ones((2, 3))), tmp_path / "m")
-        with pytest.raises(ValidationError, match="negative mode"):
-            load_map(tmp_path / "m", negative="drop")
+        with pytest.raises(ValidationError, match=_UNKNOWN_MODE.format(mode)):
+            load_map(tmp_path / "m", negative=mode)
 
 
 class TestPipedInput:
@@ -282,7 +281,7 @@ def oracle_dir(tmp_path_factory) -> Path:
 class TestFastPathOracle:
     """The ``np.loadtxt`` fast path against the line reader."""
 
-    @given(text=_csv_text(2), negative=st.sampled_from(["error", "clamp", "allow"]))
+    @given(text=_csv_text(2), negative=st.sampled_from(["error", "allow"]))
     def test_spectrum_loads_as_line_reader(self, oracle_dir, text, negative):
         text, _, clean = text
         path = oracle_dir / "s.csv"
@@ -291,7 +290,7 @@ class TestFastPathOracle:
 
     # The sidecar mostly gives the true height, sometimes one row more.
     @given(width=st.integers(1, 4), data=st.data(), height_off=st.sampled_from([0, 0, 0, 1]),
-           negative=st.sampled_from(["error", "clamp", "allow"]))
+           negative=st.sampled_from(["error", "allow"]))
     def test_map_loads_as_line_reader(self, oracle_dir, width, data, height_off, negative):
         text, height, clean = data.draw(_csv_text(width), label="csv")
         (oracle_dir / "m.json").write_text(json.dumps(

@@ -1,5 +1,6 @@
 """Per-pixel map decomposition by field differencing and filter inversion."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -318,3 +319,16 @@ class TestInPlaceArithmeticOracle:
 def test_unmix_rejects_different_pixel_pitches(call):
     with pytest.raises(GridMismatchError, match="^maps have different pixel pitches$"):
         call(plmap(np.ones((2, 3)), 0.1), plmap(np.ones((2, 3)), 0.2))
+
+
+@pytest.mark.parametrize("call, route", [
+    (lambda a, b: field_unmix(a, b, 1e10), "field_unmix with f = 10000000000.0"),
+    (lambda a, b: filter_unmix(a, a, TransmissivityPair(0.3, 0.3001)),
+     "filter_unmix with t0 = 0.3, tminus = 0.3001"),
+], ids=["field", "filter"])
+def test_overflowing_inversion_is_one_validation_error(call, route):
+    """Finite inputs whose components overflow raise one ValidationError naming the route and
+    its factor, with no numpy RuntimeWarning (which the suite's filters would raise)."""
+    big, zero = plmap(np.full((4, 4), 1e306)), plmap(np.zeros((4, 4)))
+    with pytest.raises(ValidationError, match=f"^{re.escape(route)} overflows the float range$"):
+        call(big, zero)

@@ -194,16 +194,16 @@ def test_report_and_stdout_match_golden(inputs, case):
 
 
 def test_transmissivity_report_records_the_negative_mode(inputs, capsys):
-    """On a spectrum with no negative value, --negative error and --negative clamp give
+    """On a spectrum with no negative value, --negative error and --negative allow give
     reports that differ in parameters.negative only."""
     argv, report = _CASES["transmissivity"]
     reports = {}
-    for mode in ("error", "clamp"):
+    for mode in ("error", "allow"):
         assert main(_fill(argv + ["--negative", mode], inputs)) == 0
         reports[mode] = json.loads(Path(_fill(report, inputs)).read_text())
         reports[mode].pop("timestamp")
         assert reports[mode]["parameters"].pop("negative") == mode
-    assert reports["error"] == reports["clamp"]
+    assert reports["error"] == reports["allow"]
 
 
 @pytest.mark.parametrize("case", _CASES)
