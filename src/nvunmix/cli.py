@@ -6,8 +6,9 @@ file, ``render``'s included; a JSON input is read by a key spec (a params file b
 in ``synth._SIMULATORS``), so an unknown key or a wrong type exits 2 naming the key path. Only
 ``simulate`` loads ``synth``, when it runs; the parser and every other command leave it out.
 Each command returns a ``_Run``; ``main`` saves its report after every output is written, then
-prints its message. The report's inputs are the files the run read, with the digests of the
-bytes read, and its outputs the files it wrote, both in order, from ``fileio``'s run log.
+prints its message. The report's command and parameters are the parsed command line, every
+option by its ``dest``; its inputs are the files the run read, with the digests of the bytes
+read, and its outputs the files it wrote, both in order, from ``fileio``'s run log.
 """
 
 from __future__ import annotations
@@ -49,12 +50,10 @@ _EXIT_IO = 4
 
 @dataclass
 class _Run:
-    """What one command did: the report ``main`` saves at ``report`` (None: no
-    report), with the files the run's log holds, and the ``message`` it prints after that."""
+    """What one command did: the report ``main`` saves at ``report`` (None: no report), with
+    the command line, the run log's files and ``diagnostics``, and the ``message`` it prints."""
 
     report: str | None
-    command: str
-    parameters: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     message: str = ""
 
@@ -76,31 +75,20 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise ValidationError(f"bad range {text!r} (expected LO:HI)") from exc
 
 
-def _load_filter(args) -> tuple[FilterModel | TabulatedFilter, dict]:
-    """The filter the flags select, and the parameters that define it."""
+def _load_filter(args) -> FilterModel | TabulatedFilter:
+    """The filter the flags select."""
     sigmoid = {"t_max": args.tmax, "center": args.center, "width": args.width}
     sigmoid = {name: value for name, value in sigmoid.items() if value is not None}
     if args.filter_table:
         if sigmoid:
             raise ValidationError("--tmax, --center and --width do not apply with --filter-table")
         spec = load_spectrum(args.filter_table, negative="error")
-        table = TabulatedFilter(spec.wavelengths, spec.intensities)
-        return table, {"filter_table": args.filter_table}
-    fm = FilterModel(**sigmoid)
-    return fm, {"tmax": fm.t_max, "center": fm.center, "width": fm.width, "filter_table": None}
+        return TabulatedFilter(spec.wavelengths, spec.intensities)
+    return FilterModel(**sigmoid)
 
 
 def cmd_decompose(args) -> _Run:
-    run = _Run(
-        args.report or os.path.splitext(args.out_nv0)[0] + ".report.json",
-        "decompose",
-        {
-            "zpl_window": args.zpl_window,
-            "edge": args.edge,
-            "f_range": args.f_range,
-            "negative": args.negative,
-        },
-    )
+    run = _Run(args.report or os.path.splitext(args.out_nv0)[0] + ".report.json")
     low = load_spectrum(args.low, negative=args.negative)
     high = load_spectrum(args.high, negative=args.negative)
     cfg = ZplArtifactConfig(NVM_ZPL_NM, _parse_window(args.zpl_window), args.edge)
@@ -118,8 +106,7 @@ def cmd_decompose(args) -> _Run:
 
 
 def cmd_fit_series(args) -> _Run:
-    run = _Run(args.report or os.path.splitext(args.out_table)[0] + ".report.json", "fit-series",
-               {"unconstrained": args.unconstrained, "negative": args.negative})
+    run = _Run(args.report or os.path.splitext(args.out_table)[0] + ".report.json")
     basis = BasisPair.from_spectra(
         load_spectrum(args.basis_nv0, negative=args.negative),
         load_spectrum(args.basis_nvm, negative=args.negative),
@@ -155,11 +142,9 @@ def cmd_fit_series(args) -> _Run:
 
 
 def cmd_transmissivity(args) -> _Run:
-    run = _Run(args.report, "transmissivity", {"window": args.window, "negative": args.negative})
+    run = _Run(args.report)
     spec = load_spectrum(args.spectrum, negative=args.negative)
-    fm, parameters = _load_filter(args)
-    run.parameters.update(parameters)
-    t = transmissivity(spec, fm, _parse_window(args.window))
+    t = transmissivity(spec, _load_filter(args), _parse_window(args.window))
     run.diagnostics["transmissivity"] = t
     run.message = f"{t:.6g}"
     return run
@@ -195,20 +180,18 @@ def _unmix_common(args, run, unmixed, low_like) -> _Run:
 
 
 def cmd_unmix_map_field(args) -> _Run:
-    run = _Run(args.report or args.out + ".nv0.report.json", "unmix-map-field",
-               {"f": args.f, "negative": args.negative})
-    low = load_map(args.low, negative=args.negative)
-    high = load_map(args.high, negative=args.negative)
+    run = _Run(args.report or args.out + ".nv0.report.json")
+    low = load_map(args.low)
+    high = load_map(args.high)
     unmixed = field_unmix(low, high, args.f)
     del high
     return _unmix_common(args, run, unmixed, low)
 
 
 def cmd_unmix_map_filter(args) -> _Run:
-    run = _Run(args.report or args.out + ".nv0.report.json", "unmix-map-filter",
-               {"t0": args.t0, "tm": args.tm, "negative": args.negative})
-    m0 = load_map(args.m0, negative=args.negative)
-    mlpf = load_map(args.mlpf, negative=args.negative)
+    run = _Run(args.report or args.out + ".nv0.report.json")
+    m0 = load_map(args.m0)
+    mlpf = load_map(args.mlpf)
     unmixed = filter_unmix(m0, mlpf, TransmissivityPair(args.t0, args.tm))
     del mlpf
     return _unmix_common(args, run, unmixed, m0)
@@ -217,15 +200,14 @@ def cmd_unmix_map_filter(args) -> _Run:
 def cmd_simulate(args) -> _Run:
     from . import synth  # only simulate runs the generator, so only it loads the module
 
-    run = _Run(os.path.join(args.out, "metadata.json"), f"simulate {args.kind}")
+    run = _Run(os.path.join(args.out, "metadata.json"))
     if args.seed is not None and args.kind != "sweep":
         raise ValidationError(f"--seed applies only to simulate sweep, not {args.kind}")
     seed = args.seed or 0
     if seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {seed}")
-    params = load_json(args.params, dict) if args.params else {}
     simulate, keys = synth._SIMULATORS[args.kind]
-    typed = _from_json(params, keys, args.params)
+    typed = load_json(args.params, keys) if args.params else _from_json({}, keys, args.params)
     written = _LOG.get().written  # main's run log: the files written, none yet
     created = not os.path.isdir(args.out)
     os.makedirs(args.out, exist_ok=True)
@@ -241,15 +223,14 @@ def cmd_simulate(args) -> _Run:
         if created and not written:  # the simulator raised before it wrote
             with contextlib.suppress(OSError):  # empty, as simulators check before they write
                 os.rmdir(args.out)
-    seeded = {"seed": seed} if args.kind == "sweep" else {}
-    run.diagnostics.update(seeded)
-    run.parameters = {"params": params, **seeded}
+    if args.kind == "sweep":
+        run.diagnostics["seed"] = seed
     run.message = f"wrote {len(written)} files to {args.out}  metadata = {run.report}"
     return run
 
 
 def cmd_render(args) -> _Run:
-    run = _Run(args.report, "render")
+    run = _Run(args.report)
     if (args.spectrum is None) == (args.map is None):
         raise ValidationError("render needs exactly one of --spectrum or --map")
     if args.spectrum:
@@ -258,13 +239,11 @@ def cmd_render(args) -> _Run:
         data = render_spectrum_svg(
             load_spectrum(args.spectrum, negative="allow"), zpl_guides=args.zpl_guides
         )
-        run.parameters = {"zpl_guides": args.zpl_guides}
     else:
         if args.zpl_guides:
             raise ValidationError("--zpl-guides applies only with --spectrum")
         clip = _parse_range(args.clip) if args.clip else None
         data = render_map_pgm(load_map(args.map), clamp_negative=args.clamp, clip=clip)
-        run.parameters = {"clamp": args.clamp, "clip": args.clip}
     _save_bytes(args.out, data)
     run.diagnostics["bytes"] = len(data)
     run.message = f"wrote {args.out} ({len(data)} bytes)"
@@ -279,10 +258,10 @@ def _shown(value, float_format: str = "") -> str:
 
 
 def cmd_report(args) -> _Run:
-    run = _Run(None, "report")
+    run = _Run(None)
     report = RunReport.load(args.run)
     lines = [f"command:    {report.command}", f"timestamp:  {report.timestamp}", "inputs:"]
-    lines += [f"  {p}  sha256={'null' if d is None else d}" for p, d in report.inputs]
+    lines += [f"  {p}  sha256={d}" for p, d in report.inputs]
     lines.append("parameters:")
     lines += [f"  {key} = {_shown(report.parameters[key])}" for key in sorted(report.parameters)]
     lines.append("outputs:")
@@ -356,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", type=float, required=True)
     p.add_argument("--out", required=True, help="output stem")
     p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_unmix_map_field, negative="allow")
+    p.set_defaults(func=cmd_unmix_map_field)
 
     p = sub.add_parser("unmix-map-filter", help="filter-unmix unfiltered/filtered maps")
     p.add_argument("--m0", required=True)
@@ -365,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tm", type=float, required=True)
     p.add_argument("--out", required=True, help="output stem")
     p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_unmix_map_filter, negative="allow")
+    p.set_defaults(func=cmd_unmix_map_filter)
 
     p = sub.add_parser("simulate", help="generate synthetic data")
     # synth._SIMULATORS's kinds, sorted, named here so that building the parser loads no synth
@@ -398,7 +377,8 @@ def main(argv: list[str] | None = None) -> int:
         with _run_log() as log:
             run = args.func(args)
             if run.report:  # created before it is saved, so the report does not list itself
-                RunReport.create(run.command, [path for path, _ in log.read], run.parameters,
+                parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+                RunReport.create(args.command, [path for path, _ in log.read], parameters,
                                  log.written, run.diagnostics).save(run.report)
     except (SingularityError, IdentifiabilityError, NoMinimumError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ import math
 import os
 import re
 import stat
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -352,15 +352,20 @@ def load_map(path: str | os.PathLike, *, negative: str = "allow") -> PLMap:
     return PLMap._of_fresh(values, pitch)
 
 
+_REPORT_KEYS = {"command": (str, _REQUIRED), "inputs": ([[str, str]], _REQUIRED),
+                "parameters": (dict, _REQUIRED), "outputs": ([str], _REQUIRED),
+                "diagnostics": (dict, _REQUIRED), "timestamp": (str, _REQUIRED)}
+
+
 @dataclass
 class RunReport:
-    """Record of one run: inputs (with the sha256 of the bytes the run read, None for one it
-    did not read), effective parameters, outputs, and diagnostics, a NaN or infinite one
-    recorded as None (JSON ``null``), so ``load`` refuses a report holding one. A CLI run's
-    inputs and outputs are the files its log holds."""
+    """Record of one run: inputs (with the sha256 of the bytes the run read), parameters,
+    outputs, and diagnostics, a NaN or infinite one recorded as None (JSON ``null``), so
+    ``load`` refuses a report holding one. A CLI run's parameters are its command line and its
+    inputs and outputs the files its log holds."""
 
     command: str
-    inputs: list[tuple[str, str | None]] = field(default_factory=list)
+    inputs: list[tuple[str, str]] = field(default_factory=list)
     parameters: dict = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
@@ -375,10 +380,13 @@ class RunReport:
         outputs: list[str],
         diagnostics: dict,
     ) -> "RunReport":
+        """A report of the run in progress; an input it has not read raises ``ValidationError``."""
         digests = dict(log.read) if (log := _LOG.get()) is not None else {}
+        if unread := [p for p in input_paths if p not in digests]:
+            raise ValidationError(f"{unread[0]}: not read in this run, so it has no digest")
         return cls(
             command=command,
-            inputs=[(p, digests.get(p)) for p in input_paths],
+            inputs=[(p, digests[p]) for p in input_paths],
             parameters=dict(parameters),
             outputs=list(outputs),
             diagnostics={key: None if isinstance(value, float) and not math.isfinite(value)
@@ -391,27 +399,11 @@ class RunReport:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "RunReport":
-        d = load_json(path, dict)
-        names = [f.name for f in fields(cls)]
-        if missing := [name for name in names if name not in d]:
-            raise ParseError(f"{path}: not a run report: missing {', '.join(missing)}")
+        value = load_json(path, dict)
         try:
-            json.dumps(d, allow_nan=False)  # reports are strict JSON, as save_json writes them
+            json.dumps(value, allow_nan=False)  # reports are strict JSON, as save_json writes them
         except ValueError:
             raise ParseError(f"{path}: not a run report: holds a NaN or an infinity") from None
-        r = cls(**{name: d[name] for name in names})
-        valid = {
-            "command": isinstance(r.command, str),
-            "inputs": isinstance(r.inputs, list) and all(
-                isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
-                and (p[1] is None or isinstance(p[1], str)) for p in r.inputs),
-            "parameters": isinstance(r.parameters, dict),
-            "outputs": isinstance(r.outputs, list) and all(isinstance(p, str) for p in r.outputs),
-            "diagnostics": isinstance(r.diagnostics, dict),
-            "timestamp": isinstance(r.timestamp, str),
-        }
-        bad = [name for name, ok in valid.items() if not ok]
-        if bad:
-            raise ParseError(f"{path}: bad report fields: {', '.join(bad)}")
+        r = _from_json(value, (cls, _REPORT_KEYS), f"{path}: not a run report")
         r.inputs = [(p, digest) for p, digest in r.inputs]
         return r

@@ -90,14 +90,19 @@ def _count_negative(nv0: NDArray[np.float64], nvm: NDArray[np.float64], *inputs:
     return int(np.count_nonzero((nv0 < -tol) | (nvm < -tol)))
 
 
-def _unmixed(nv0: NDArray[np.float64], nvm: NDArray[np.float64], route: str,
-             *inputs: PLMap) -> UnmixedMaps:
-    """The component maps ``route`` computed from ``inputs``, two checked maps of one shape and
-    pitch, so a non-finite pixel is an overflow: it is refused in one line naming ``route``."""
+def _computed(v: NDArray[np.float64], route: str, pixel_pitch_um: float) -> PLMap:
+    """A map holding ``v``, which ``route`` computed from checked maps of one shape, so a
+    non-finite pixel is an overflow: it is refused in one line naming ``route``."""
     try:
-        nv0_map, nvm_map = (PLMap._of_fresh(v, inputs[0].pixel_pitch_um) for v in (nv0, nvm))
+        return PLMap._of_fresh(v, pixel_pitch_um)
     except ValidationError:
         raise ValidationError(f"{route} overflows the float range") from None
+
+
+def _unmixed(nv0: NDArray[np.float64], nvm: NDArray[np.float64], route: str,
+             *inputs: PLMap) -> UnmixedMaps:
+    """The component maps ``route`` computed from ``inputs``, two checked maps of one pitch."""
+    nv0_map, nvm_map = (_computed(v, route, inputs[0].pixel_pitch_um) for v in (nv0, nvm))
     return UnmixedMaps(nv0_map, nvm_map, _count_negative(nv0, nvm, *inputs))
 
 
@@ -139,11 +144,14 @@ def fraction_map(unmixed: UnmixedMaps, total: PLMap) -> tuple[PLMap, int]:
 
     Pixels whose total is at or below ``_REL_EPS * max(total)`` yield 0 and are
     counted. The NV0 fraction is one minus this map up to rounding. Values
-    are not clipped; clipping exists only as a rendering option.
+    are not clipped; clipping exists only as a rendering option. A fraction beyond the float
+    range raises ``ValidationError``.
     """
     _require_same_shape(unmixed.nvminus, total)
     tv = total.values
     ok = tv > _REL_EPS * max(float(np.max(tv)), 0.0)
     fracm = np.zeros_like(tv)
-    np.divide(unmixed.nvminus.values, tv, out=fracm, where=ok)
-    return PLMap._of_fresh(fracm, total.pixel_pitch_um), int(tv.size - np.count_nonzero(ok))
+    with np.errstate(over="ignore"):  # an overflow is refused by _computed
+        np.divide(unmixed.nvminus.values, tv, out=fracm, where=ok)
+    zero_total = int(tv.size - np.count_nonzero(ok))
+    return _computed(fracm, "fraction_map", total.pixel_pitch_um), zero_total

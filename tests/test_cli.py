@@ -237,6 +237,18 @@ class TestMapCommands:
         assert capsys.readouterr().err == f"error: {route} overflows the float range\n"
         assert set(tmp_path.iterdir()) == before
 
+    def test_overflowing_fraction_exits_2_in_one_line(self, tmp_path, capsys):
+        """Finite components whose NV- fraction of the low map overflows exit 2 with one line
+        naming fraction_map, with no numpy warning, and write nothing."""
+        save_map(PLMap(np.full((2, 2), 1e-10)), tmp_path / "low")
+        save_map(PLMap(np.full((2, 2), -1e300)), tmp_path / "high")
+        before = set(tmp_path.iterdir())
+        argv = ["unmix-map-field", "--low", str(tmp_path / "low"), "--high", str(tmp_path / "high"),
+                "--f", "1", "--out", str(tmp_path / "sep")]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: fraction_map overflows the float range\n")
+        assert set(tmp_path.iterdir()) == before
+
     def test_simulate_then_field_unmix(self, tmp_path):
         params = tmp_path / "params.json"
         params.write_text(
@@ -976,22 +988,58 @@ class TestRejectedFlags:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert set(tmp_path.iterdir()) == before
 
-    def test_reports_record_only_flags_that_apply(self, tmp_path, grid02):
+    def test_reports_record_every_option(self, tmp_path, grid02):
+        """A report's parameters are the parsed command line: every option by its dest, an
+        unset option null and an unset flag false, whichever mode the options select."""
         save_spectrum(make_spectrum(CLEAN_NVM_SHAPE, grid02, 100.0), tmp_path / "s.csv")
         save_spectrum(Spectrum([550.0, 645.0, 850.0], [0.0, 0.5, 0.9]), tmp_path / "ft.csv")
         save_map(PLMap(np.arange(12.0).reshape(3, 4)), tmp_path / "m")
         sigmoid = ["transmissivity", "--spectrum", "{d}/s.csv", "--width", "5", "--report", "{d}/r.json"]
+        d, r = str(tmp_path), str(tmp_path / "r.json")
+        render = {"spectrum": None, "map": None, "out": f"{d}/out", "zpl_guides": False,
+                  "clamp": False, "clip": None, "report": r}
+        transmissivity = {"spectrum": f"{d}/s.csv", "tmax": None, "center": None, "width": None,
+                          "window": "550:850", "filter_table": None, "report": r,
+                          "negative": "error"}
         expected = [
-            (_RENDER_SPECTRUM, {"zpl_guides": False}),
-            (_RENDER_MAP + ["--clip", "0:5"], {"clamp": False, "clip": "0:5"}),
-            (_TABLE_FILTER, {"filter_table": str(tmp_path / "ft.csv"), "window": "550:850",
-                             "negative": "error"}),
-            (sigmoid, {"tmax": 0.9, "center": 645.0, "width": 5.0, "window": "550:850",
-                       "filter_table": None, "negative": "error"}),
+            (_RENDER_SPECTRUM, render | {"spectrum": f"{d}/s.csv"}),
+            (_RENDER_MAP + ["--clip", "0:5"], render | {"map": f"{d}/m", "clip": "0:5"}),
+            (_TABLE_FILTER, transmissivity | {"filter_table": f"{d}/ft.csv"}),
+            (sigmoid, transmissivity | {"width": 5.0}),
         ]
         for argv, parameters in expected:
             assert main([a.format(d=tmp_path) for a in argv]) == 0
-            assert RunReport.load(tmp_path / "r.json").parameters == parameters
+            report = RunReport.load(tmp_path / "r.json")
+            assert report.command == argv[0]
+            assert report.parameters == parameters
+
+
+_NON_FINITE_ARGS = {
+    "edge": ["decompose", "--low", "{d}/s0.csv", "--high", "{d}/s.csv", "--out-nv0", "{d}/n0.csv",
+             "--out-nvm", "{d}/nm.csv"],
+    **dict.fromkeys(["tmax", "center", "width"],
+                    ["transmissivity", "--spectrum", "{d}/s.csv", "--report", "{d}/r.json"]),
+    "f": ["unmix-map-field", "--low", "{d}/m", "--high", "{d}/m", "--out", "{d}/sep"],
+    "t0": ["unmix-map-filter", "--m0", "{d}/m", "--mlpf", "{d}/m", "--tm", "0.8", "--out", "{d}/sep"],
+    "tm": ["unmix-map-filter", "--m0", "{d}/m", "--mlpf", "{d}/m", "--t0", "0.3", "--out", "{d}/sep"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option", _NON_FINITE_ARGS)
+def test_non_finite_option_exits_2_without_a_report(tmp_path, grid02, capsys, option, value):
+    """Reports are strict JSON and record every option, so each float option refuses a
+    non-finite value before the report is written: exit 2, one line, nothing written."""
+    save_spectrum(make_spectrum(CLEAN_NV0_SHAPE, grid02, 100.0), tmp_path / "s0.csv")
+    save_spectrum(make_spectrum(CLEAN_NVM_SHAPE, grid02, 100.0), tmp_path / "s.csv")
+    save_map(PLMap(np.arange(12.0).reshape(3, 4)), tmp_path / "m")
+    before = set(tmp_path.iterdir())
+    argv = [a.format(d=tmp_path) for a in _NON_FINITE_ARGS[option]] + [f"--{option}={value}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert set(tmp_path.iterdir()) == before
 
 
 _SIDECAR = b'{"format": "plmap", "version": 1, "width": 2, "height": 1, "pixel_pitch_um": 1.0}'

@@ -343,29 +343,31 @@ class TestFastPathOracle:
 class TestRunReport:
     def test_round_trip_and_hashing(self, tmp_path):
         """Inside a run's scope, an input gets the sha256 of the bytes the run read there;
-        an input the run did not read, or a report made outside a run, gets None."""
+        an input the run did not read, or a report made outside a run, is refused by name."""
         data = tmp_path / "in.csv"
         save_spectrum(Spectrum([600.0, 601.0], [1.0, 2.0]), data)
         digest = hashlib.sha256(data.read_bytes()).hexdigest()
         with fileio._run_log():
             load_spectrum(data)
             report = RunReport.create(
-                "decompose", [str(data), "unread.csv"], {"f_range": "1:50"}, ["out.csv"],
-                {"f": 6.2},
-            )
+                "decompose", [str(data)], {"f_range": "1:50"}, ["out.csv"], {"f": 6.2})
+            with pytest.raises(ValidationError, match="^unread.csv: not read in this run"):
+                RunReport.create("decompose", [str(data), "unread.csv"], {}, [], {})
         path = tmp_path / "run.report.json"
         report.save(path)
         back = RunReport.load(path)
         assert back.command == "decompose"
         assert back.diagnostics["f"] == 6.2
-        assert back.inputs == [(str(data), digest), ("unread.csv", None)]
+        assert back.inputs == [(str(data), digest)]
         with fileio._run_log():  # each run starts with no digests
-            assert RunReport.create("decompose", [str(data)], {}, [], {}).inputs == [
-                (str(data), None)]
+            with pytest.raises(ValidationError, match="in.csv: not read in this run"):
+                RunReport.create("decompose", [str(data)], {}, [], {})
             load_spectrum(data)
             assert RunReport.create("decompose", [str(data)], {}, [], {}).inputs == [
                 (str(data), digest)]
-        assert RunReport.create("decompose", [str(data)], {}, [], {}).inputs == [(str(data), None)]
+        with pytest.raises(ValidationError, match="in.csv: not read in this run"):
+            RunReport.create("decompose", [str(data)], {}, [], {})
+        assert RunReport.create("decompose", [], {}, [], {}).inputs == []
 
     def test_input_that_is_not_a_regular_file_has_the_digest_of_its_bytes(self, tmp_path, piped):
         path = piped(b"600.0,1.0\n")
@@ -386,8 +388,8 @@ class TestRunReport:
             thread.start()
             thread.join(timeout=30)
             assert not thread.is_alive()
-            assert RunReport.create("decompose", [str(data)], {}, [], {}).inputs == [
-                (str(data), None)]
+            with pytest.raises(ValidationError, match="in.csv: not read in this run"):
+                RunReport.create("decompose", [str(data)], {}, [], {})
 
     def test_non_finite_diagnostics_are_recorded_as_null(self, tmp_path):
         """JSON has no NaN or infinity: a report records such a diagnostic as null and saves

@@ -182,6 +182,14 @@ class TestFractionMaps:
         assert fracminus.values[0, 0] == -0.5
         assert 1.0 - fracminus.values[0, 0] == 1.5  # NV0
 
+    def test_overflowing_fraction_is_one_validation_error(self):
+        """A finite NV- far above a small total overflows the ratio: one ValidationError naming
+        fraction_map, with no numpy RuntimeWarning (which the suite's filters would raise)."""
+        total = plmap(np.full((2, 2), 1e-10))
+        unmixed = field_unmix(total, plmap(np.full((2, 2), -1e300)), 1.0)
+        with pytest.raises(ValidationError, match="^fraction_map overflows the float range$"):
+            fraction_map(unmixed, total)
+
 
 
 class TestFreshMaps:

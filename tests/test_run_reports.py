@@ -1,5 +1,5 @@
-"""Every command's run report and closing stdout line against fixtures, and the
-exit-4 path of every command that writes a report.
+"""Every command's run report and closing stdout line against fixtures, the run each
+report replays on its own, and the exit-4 path of every command that writes a report.
 
 The fixtures in ``tests/golden/reports.json`` were written by the code in which
 each command saved its own report and printed its own line. Regenerate them
@@ -179,6 +179,23 @@ def write_golden_reports(path: Path) -> None:
     path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
 
 
+def replayed_argv(report: dict) -> list[str]:
+    """The command line a report records: its command, ``kind`` as a positional, then each
+    other parameter as ``--<dest with dashes> value``, a true flag bare, a null or false one
+    left out."""
+    parameters = dict(report["parameters"])
+    argv = [report["command"]]
+    if "kind" in parameters:
+        argv.append(parameters.pop("kind"))
+    for dest, value in parameters.items():
+        if value is None or value is False:
+            continue
+        argv.append("--" + dest.replace("_", "-"))
+        if value is not True:
+            argv.append(str(value))
+    return argv
+
+
 @pytest.fixture
 def inputs(tmp_path) -> Path:
     write_inputs(tmp_path)
@@ -191,6 +208,27 @@ def test_report_and_stdout_match_golden(inputs, case):
     got = run_case(case, inputs)
     assert got["stdout"] == want["stdout"]
     _assert_same(got["report"], want["report"])
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_report_alone_replays_the_run(tmp_path, case):
+    """The command line rebuilt from a report alone, rerun in a fresh directory that holds
+    the same inputs, exits 0, writes the same bytes and the same report, with the directory
+    and the timestamp masked."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    for d in (first, second):
+        d.mkdir()
+        write_inputs(d)
+    want = run_case(case, first)
+    argv = _fill(replayed_argv(want["report"]), second)
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    got = json.loads(Path(_fill(_CASES[case][1], second)).read_text())
+    assert isinstance(got.pop("timestamp"), str)
+    assert _mask(got, second) == want["report"]
+    assert _mask(out.getvalue(), second) == want["stdout"]
+    for output in want["report"]["outputs"]:
+        assert Path(_fill(output, second)).read_bytes() == Path(_fill(output, first)).read_bytes()
 
 
 def test_transmissivity_report_records_the_negative_mode(inputs, capsys):
@@ -225,7 +263,7 @@ def test_unwritable_report_exits_4_after_the_outputs(inputs, capsys, case):
 
 _REPORT = {
     "command": "simulate sweep",
-    "inputs": [["p.json", "ab12cd"], ["/dev/fd/3", None]],
+    "inputs": [["p.json", "ab12cd"], ["/dev/fd/3", "ef34"]],
     "parameters": {"unconstrained": False, "seed": 3, "f_range": "1:50",
                    "params": {"grid": {"lo": 600.0, "step": 0.2}, "fields": [170, 975.5]}},
     "outputs": ["a.csv", "b c.csv"],
@@ -239,7 +277,7 @@ _PRINTED = (
     "timestamp:  2026-01-02T03:04:05+00:00\n"
     "inputs:\n"
     "  p.json  sha256=ab12cd\n"
-    "  /dev/fd/3  sha256=null\n"
+    "  /dev/fd/3  sha256=ef34\n"
     "parameters:\n"
     "  f_range = 1:50\n"
     "  params = {\"grid\": {\"lo\": 600.0, \"step\": 0.2}, \"fields\": [170, 975.5]}\n"
@@ -266,21 +304,24 @@ def test_report_run_prints_every_field(tmp_path, capsys, report, printed):
     assert capsys.readouterr() == (printed, "")
 
 
-@pytest.mark.parametrize("value, missing", [
-    ({}, "command, inputs, parameters, outputs, diagnostics, timestamp"),
-    ({"command": "render"}, "inputs, parameters, outputs, diagnostics, timestamp"),
-    (None, "command, inputs, parameters, outputs, diagnostics, timestamp"),
-], ids=["empty", "command_only", "plmap_sidecar"])
-def test_report_run_refuses_a_file_that_is_not_a_run_report(tmp_path, capsys, value, missing):
-    """A JSON object that lacks any report field (None: a plmap sidecar) exits 2 with one
-    line naming the file and every missing field, instead of printing a blank report."""
+@pytest.mark.parametrize("value, refusal", [
+    ({}, "command: missing required key"),
+    ({"command": "render"}, "inputs: missing required key"),
+    (None, "format: unknown key"),
+    (_REPORT | {"schema": 1}, "schema: unknown key"),
+    (_REPORT | {"inputs": [["p.json", "ab12cd"], ["/dev/fd/3", None]]},
+     "inputs[1][1]: expected a JSON string, got null"),
+], ids=["empty", "command_only", "plmap_sidecar", "unknown_key", "null_digest"])
+def test_report_run_refuses_a_file_that_is_not_a_run_report(tmp_path, capsys, value, refusal):
+    """A JSON object that is not a run report by its key spec (None: a plmap sidecar) exits 2
+    with one line naming the file and the first key refused, instead of printing a report."""
     if value is None:
         path = Path(save_map(PLMap(np.ones((1, 2))), tmp_path / "m")[0])
     else:
         path = tmp_path / "r.json"
         path.write_text(json.dumps(value))
     assert main(["report", "--run", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"error: {path}: not a run report: missing {missing}\n")
+    assert capsys.readouterr() == ("", f"error: {path}: not a run report: {refusal}\n")
 
 
 @pytest.mark.parametrize("text", [
