@@ -63,10 +63,6 @@ def _range_text(lo: float, hi: float) -> str:
     return f"{lo:g}:{hi:g}"
 
 
-def _parse_window(text: str) -> WavelengthWindow:
-    return WavelengthWindow(*_parse_range(text))
-
-
 def _parse_range(text: str) -> tuple[float, float]:
     lo, _, hi = text.partition(":")
     try:
@@ -91,7 +87,7 @@ def cmd_decompose(args) -> _Run:
     run = _Run(args.report or os.path.splitext(args.out_nv0)[0] + ".report.json")
     low = load_spectrum(args.low, negative=args.negative)
     high = load_spectrum(args.high, negative=args.negative)
-    cfg = ZplArtifactConfig(NVM_ZPL_NM, _parse_window(args.zpl_window), args.edge)
+    cfg = ZplArtifactConfig(NVM_ZPL_NM, WavelengthWindow(*_parse_range(args.zpl_window)), args.edge)
     result = decompose(low, high, cfg, ScaleSearchConfig(*_parse_range(args.f_range)))
     save_spectrum(result.nv0, args.out_nv0)
     save_spectrum(result.nvminus, args.out_nvm)
@@ -144,7 +140,7 @@ def cmd_fit_series(args) -> _Run:
 def cmd_transmissivity(args) -> _Run:
     run = _Run(args.report)
     spec = load_spectrum(args.spectrum, negative=args.negative)
-    t = transmissivity(spec, _load_filter(args), _parse_window(args.window))
+    t = transmissivity(spec, _load_filter(args), WavelengthWindow(*_parse_range(args.window)))
     run.diagnostics["transmissivity"] = t
     run.message = f"{t:.6g}"
     return run
@@ -158,6 +154,10 @@ def _unmix_common(args, run, unmixed, low_like) -> _Run:
     del buf
     frac, zero_total = fraction_map(unmixed, low_like)
     counted = frac.values.size - zero_total
+    # Zero-total pixels hold 0, so the sum covers the others; past the float range, sum frac/counted.
+    with np.errstate(over="ignore"):
+        total = float(np.sum(frac.values))
+    mean = total / max(counted, 1) if np.isfinite(total) else float(np.sum(frac.values / counted))
     run.diagnostics = {
         "negative_pixel_count": unmixed.negative_pixel_count,
         "nv0_min": float(np.min(unmixed.nv0.values)),
@@ -166,8 +166,7 @@ def _unmix_common(args, run, unmixed, low_like) -> _Run:
         "nvm_max": float(np.max(unmixed.nvminus.values)),
         "reconstruction_residual": residual,
         "zero_total_pixels": zero_total,
-        # Zero-total pixels hold 0 in the map, so the sum covers the others.
-        "nvm_fraction_mean": float(np.sum(frac.values)) / counted if counted else None,
+        "nvm_fraction_mean": mean if counted else None,
     }
     del frac
     save_map(unmixed.nv0, args.out + ".nv0")

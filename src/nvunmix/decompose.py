@@ -76,7 +76,9 @@ class ZplArtifactConfig:
     def __post_init__(self) -> None:
         if not (self.inner.lo < self.center < self.inner.hi):
             raise ValidationError("inner window must contain the line center")
-        if not (np.isfinite(self.edge_width) and self.edge_width > 0.0):
+        if not np.isfinite(self.edge_width):
+            raise ValidationError(f"edge_width must be finite, got {self.edge_width!r}")
+        if not self.edge_width > 0.0:
             raise ValidationError("edge_width must be positive")
 
     def __getstate__(self) -> dict:
@@ -105,9 +107,12 @@ class ScaleSearchConfig:
     f_max: float = 50.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.f_min) and self.f_min > 0.0):
+        for name, value in (("f_min", self.f_min), ("f_max", self.f_max)):
+            if not np.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
+        if not self.f_min > 0.0:
             raise ValidationError("f_min must be positive")
-        if not (np.isfinite(self.f_max) and self.f_max > self.f_min):
+        if not self.f_max > self.f_min:
             raise ValidationError("f_max must exceed f_min")
 
     def at_bound(self, f: float) -> bool:
@@ -122,10 +127,11 @@ _DEFAULT_SEARCH = ScaleSearchConfig()
 class DecompositionResult:
     """Outputs of the difference decomposition.
 
-    ``nv0 + nvminus`` reconstructs the low-field input to rounding error and
-    ``nvminus == f * diff`` by construction. ``zpl_metric`` is the residual
-    artifact score at the returned factor; ``zpl575_score`` is the flatness
-    diagnostic of the difference spectrum at the neutral-state line.
+    ``nv0 + nvminus`` reconstructs the low-field input to rounding error, and
+    ``nvminus == f * difference_spectrum(low, high)[0]`` elementwise by
+    construction. ``zpl_metric`` is the residual artifact score at the
+    returned factor; ``zpl575_score`` is the flatness diagnostic of the
+    difference spectrum at the neutral-state line.
     ``f_at_bound`` marks a factor clamped to the search range, which then
     bounds the true minimizer rather than locating it.
     """
@@ -133,7 +139,6 @@ class DecompositionResult:
     f: float
     nv0: Spectrum
     nvminus: Spectrum
-    diff: Spectrum
     zpl_metric: float
     zpl575_score: float
     f_at_bound: bool
@@ -283,6 +288,8 @@ def decompose(
 ) -> DecompositionResult:
     """Full difference-decomposition pipeline.
 
+    The result holds ``f``, ``nv0``, ``nvminus``, ``zpl_metric``, ``zpl575_score`` and
+    ``f_at_bound``, not the difference: :func:`difference_spectrum` returns that.
     Negative excursions in the recovered neutral-state spectrum are preserved
     (they diagnose a wrong factor or a model violation) and flagged with a
     warning rather than clipped.
@@ -301,6 +308,6 @@ def decompose(
             stacklevel=2,
         )
     return DecompositionResult(
-        f=f, nv0=nv0, nvminus=nvminus, diff=diff, zpl_metric=metric, zpl575_score=score575,
+        f=f, nv0=nv0, nvminus=nvminus, zpl_metric=metric, zpl575_score=score575,
         f_at_bound=search.at_bound(f),
     )

@@ -51,7 +51,9 @@ class FilterModel:
     def __post_init__(self) -> None:
         if not (0.0 < self.t_max <= 1.0):
             raise ValidationError("t_max must lie in (0, 1]")
-        if not (np.isfinite(self.width) and self.width > 0.0):
+        if not np.isfinite(self.width):
+            raise ValidationError(f"width must be finite, got {self.width!r}")
+        if not self.width > 0.0:
             raise ValidationError("width must be positive")
         if not np.isfinite(self.center):
             raise ValidationError("center must be finite")

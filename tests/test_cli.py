@@ -24,6 +24,7 @@ from nvunmix import (
     ScaleFactorSurface,
     ScaleSearchConfig,
     Spectrum,
+    WavelengthWindow,
     ZplArtifactConfig,
     fileio,
     fit_series,
@@ -248,6 +249,18 @@ class TestMapCommands:
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: fraction_map overflows the float range\n")
         assert set(tmp_path.iterdir()) == before
+
+    def test_fraction_mean_past_the_float_range_is_recorded(self, tmp_path, capsys):
+        """Finite fractions (each 1e308) whose sum passes the float maximum: exit 0 with no
+        numpy warning, and the report records their mean, not null."""
+        save_map(PLMap(np.full((2, 2), 1e-10)), tmp_path / "low")
+        save_map(PLMap(np.full((2, 2), -1e298)), tmp_path / "high")
+        argv = ["unmix-map-field", "--low", str(tmp_path / "low"), "--high", str(tmp_path / "high"),
+                "--f", "1", "--out", str(tmp_path / "sep")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        diagnostics = RunReport.load(tmp_path / "sep.nv0.report.json").diagnostics
+        assert diagnostics["nvm_fraction_mean"] == 1e308
 
     def test_simulate_then_field_unmix(self, tmp_path):
         params = tmp_path / "params.json"
@@ -825,11 +838,11 @@ class TestRenderAndReportCommands:
     def test_defaults_are_the_librarys(self):
         parse = build_parser().parse_args
         args = parse(["decompose", "--low", "l", "--high", "h", "--out-nv0", "a", "--out-nvm", "b"])
-        zpl = ZplArtifactConfig(NVM_ZPL_NM, cli._parse_window(args.zpl_window), args.edge)
+        zpl = ZplArtifactConfig(NVM_ZPL_NM, WavelengthWindow(*cli._parse_range(args.zpl_window)), args.edge)
         assert zpl == ZplArtifactConfig()
         assert ScaleSearchConfig(*cli._parse_range(args.f_range)) == ScaleSearchConfig()
         args = parse(["transmissivity", "--spectrum", "s"])
-        assert cli._parse_window(args.window) == DEFAULT_EMISSION_WINDOW
+        assert WavelengthWindow(*cli._parse_range(args.window)) == DEFAULT_EMISSION_WINDOW
         assert (args.tmax, args.center, args.width) == (None, None, None)  # FilterModel's own
 
     def test_simulate_letter_map_defaults_are_the_librarys(self, tmp_path):
@@ -1039,6 +1052,26 @@ def test_non_finite_option_exits_2_without_a_report(tmp_path, grid02, capsys, op
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if option in ("edge", "width"):  # named as non-finite, not as non-positive
+        assert captured.err.endswith(f" must be finite, got {value}\n")
+    assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("f_range, message", [
+    ("inf:50", "f_min must be finite, got inf"),
+    ("1:nan", "f_max must be finite, got nan"),
+    ("-inf:50", "f_min must be finite, got -inf"),
+    ("1:inf", "f_max must be finite, got inf"),
+], ids=["min-inf", "max-nan", "min-minus-inf", "max-inf"])
+def test_non_finite_f_range_exits_2_without_a_report(tmp_path, grid02, capsys, f_range, message):
+    """A NaN or infinite bound of --f-range is named as non-finite in one line, and
+    nothing is written."""
+    save_spectrum(make_spectrum(CLEAN_NV0_SHAPE, grid02, 100.0), tmp_path / "s0.csv")
+    save_spectrum(make_spectrum(CLEAN_NVM_SHAPE, grid02, 100.0), tmp_path / "s.csv")
+    before = set(tmp_path.iterdir())
+    argv = [a.format(d=tmp_path) for a in _NON_FINITE_ARGS["edge"]] + [f"--f-range={f_range}"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert set(tmp_path.iterdir()) == before
 
 

@@ -1,12 +1,14 @@
 """Difference decomposition: artifact metric, scale-factor search, pipeline."""
 
 import dataclasses
+import gc
 import importlib
 import math
 import pickle
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 from copy import deepcopy
 from unittest import mock
@@ -405,8 +407,12 @@ class TestDecompose:
         tol = 1e-9 * np.max(np.abs(low.intensities))
         assert np.all(np.abs(recon - low.intensities) <= tol)
         assert np.array_equal(
-            result.nvminus.intensities, result.f * result.diff.intensities
+            result.nvminus.intensities, result.f * difference_spectrum(low, high)[0].intensities
         )
+
+    def test_result_holds_the_components_not_the_difference(self):
+        names = {f.name for f in dataclasses.fields(DecompositionResult)}
+        assert names == {"f", "nv0", "nvminus", "zpl_metric", "zpl575_score", "f_at_bound"}
 
     def test_no_suppression_rejected(self, grid02):
         _, low, _ = self._forward(grid02)
@@ -440,6 +446,23 @@ def default_pairs(grid02):
         result, caught = _decomposed_with_warnings(low, high)
         pairs[noise.kind] = low, high, result, caught, transmissivity(result.nv0, FilterModel())
     return pairs
+
+
+def test_result_keeps_two_spectra(default_pairs):
+    """A result holds nv0 and nvminus on the input grid and no third spectrum: on the
+    noiseless 170/975 G pair, under 2.5 spectrum-sizes stay allocated after the call
+    (warmed once, so the configs' kept windows do not count)."""
+    low, high = default_pairs["none"][:2]
+    decompose(low, high)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = decompose(low, high)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.nv0.wavelengths is low.wavelengths
+    assert kept < 2.5 * low.intensities.nbytes
 
 
 def _decomposed_with_warnings(low, high):

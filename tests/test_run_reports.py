@@ -181,8 +181,8 @@ def write_golden_reports(path: Path) -> None:
 
 def replayed_argv(report: dict) -> list[str]:
     """The command line a report records: its command, ``kind`` as a positional, then each
-    other parameter as ``--<dest with dashes> value``, a true flag bare, a null or false one
-    left out."""
+    other parameter as ``--<dest with dashes>=value`` (so a value may start with ``-``), a
+    true flag bare, a null or false one left out."""
     parameters = dict(report["parameters"])
     argv = [report["command"]]
     if "kind" in parameters:
@@ -190,9 +190,8 @@ def replayed_argv(report: dict) -> list[str]:
     for dest, value in parameters.items():
         if value is None or value is False:
             continue
-        argv.append("--" + dest.replace("_", "-"))
-        if value is not True:
-            argv.append(str(value))
+        flag = "--" + dest.replace("_", "-")
+        argv.append(flag if value is True else f"{flag}={value}")
     return argv
 
 
@@ -229,6 +228,29 @@ def test_report_alone_replays_the_run(tmp_path, case):
     assert _mask(out.getvalue(), second) == want["stdout"]
     for output in want["report"]["outputs"]:
         assert Path(_fill(output, second)).read_bytes() == Path(_fill(output, first)).read_bytes()
+
+
+def test_report_alone_replays_a_value_starting_with_a_dash(tmp_path):
+    """``--clip=-5:5`` is recorded as ``"-5:5"``, which argparse takes for an option when
+    it stands alone; the replay from the report alone exits 0 with the same bytes and
+    the same report."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    for d in (first, second):
+        d.mkdir()
+        write_inputs(d)
+    argv = ["render", "--map", "{d}/lowmap", "--out", "{d}/low.pgm", "--clip=-5:5",
+            "--report", "{d}/r.json"]
+    reports = []
+    for d in (first, second):
+        run = _fill(argv if d is first else replayed_argv(reports[0]), d)
+        with redirect_stdout(io.StringIO()):
+            assert main(run) == 0
+        report = json.loads((d / "r.json").read_text())
+        assert isinstance(report.pop("timestamp"), str)
+        reports.append(_mask(report, d))
+    assert reports[0]["parameters"]["clip"] == "-5:5"
+    assert reports[1] == reports[0]
+    assert (second / "low.pgm").read_bytes() == (first / "low.pgm").read_bytes()
 
 
 def test_transmissivity_report_records_the_negative_mode(inputs, capsys):
