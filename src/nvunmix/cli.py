@@ -6,9 +6,10 @@ file, ``render``'s included; a JSON input is read by a key spec (a params file b
 in ``synth._SIMULATORS``), so an unknown key or a wrong type exits 2 naming the key path. Only
 ``simulate`` loads ``synth``, when it runs; the parser and every other command leave it out.
 Each command returns a ``_Run``; ``main`` saves its report after every output is written, then
-prints its message. The report's command and parameters are the parsed command line, every
-option by its ``dest``; its inputs are the files the run read, with the digests of the bytes
-read, and its outputs the files it wrote, both in order, from ``fileio``'s run log.
+prints its message, and shows each warning as one ``warning: <message>`` stderr line. The
+report's command and parameters are the parsed command line, every option by its ``dest``; its
+inputs are the files the run read, with the digests of the bytes read, and its outputs the
+files it wrote, both in order, from ``fileio``'s run log.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +37,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .fileio import _LOG, _REQUIRED, RunReport, _from_json, _run_log, _save_bytes
+from .fileio import _LOG, _NEGATIVE_MODES, _REQUIRED, RunReport, _from_json, _run_log, _save_bytes
 from .fileio import load_json, load_map, load_spectrum, save_csv, save_map, save_spectrum
 from .filters import DEFAULT_EMISSION_WINDOW, FilterModel, TabulatedFilter, TransmissivityPair
 from .filters import transmissivity
@@ -275,7 +277,7 @@ def cmd_report(args) -> _Run:
 def _add_negative_flag(parser) -> None:
     parser.add_argument(
         "--negative",
-        choices=["error", "allow"],
+        choices=_NEGATIVE_MODES,
         default="error",
         help="how to treat negative intensities in input files (default: error)",
     )
@@ -372,6 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    formatwarning = warnings.formatwarning  # a shown warning takes one line for the run
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         with _run_log() as log:
             run = args.func(args)
@@ -388,6 +392,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return _EXIT_IO
+    finally:
+        warnings.formatwarning = formatwarning
     print(run.message)
     return 0
 

@@ -48,8 +48,6 @@ __all__ = [
     "ZplArtifactConfig",
     "ScaleSearchConfig",
     "DecompositionResult",
-    "NV0_ZPL_NM",
-    "NVM_ZPL_NM",
     "zpl_artifact",
     "difference_spectrum",
     "optimize_scale_factor",
@@ -74,6 +72,8 @@ class ZplArtifactConfig:
     edge_width: float = 4.0
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.center):
+            raise ValidationError(f"center must be finite, got {self.center!r}")
         if not (self.inner.lo < self.center < self.inner.hi):
             raise ValidationError("inner window must contain the line center")
         if not np.isfinite(self.edge_width):

@@ -10,8 +10,9 @@ order, and ``_replacing`` each output, in write order: a CLI report lists these.
 checks once that they are UTF-8 (ASCII needs no decode; other bytes are decoded
 once and the text dropped), naming the first bad byte's absolute offset. ``_rows``
 parses a CSV input with one ``np.loadtxt`` call on those bytes (no decoded copy) or,
-where it declines, line by line (the only source of parse errors). Each loader runs
-each check once on those rows; ``_line_no`` finds a failing row's line.
+where it declines, line by line (the only source of parse errors), then refuses a
+non-finite value once. Each loader runs each check once on those rows; ``_line_no``
+finds a failing row's line.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def _line_no(data: bytes, i: int) -> int:
 def _fast_rows(data: bytes, width: int) -> np.ndarray | None:
     """``data``'s rows parsed by ``np.loadtxt`` from the bytes, or None on no data row, a
     field ``loadtxt`` rejects (a blank or ``#`` line, or a lone ``\\r`` line end, after the
-    first data row included), a wrong field count or a non-finite value."""
+    first data row included), or a wrong field count."""
     # np.loadtxt strips \x1c-\x1f around a field and float() does not.
     if any(space in data for space in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
         return None
@@ -174,26 +175,26 @@ def _fast_rows(data: bytes, width: int) -> np.ndarray | None:
         rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
     except ValueError:
         return None
-    return rows if rows.shape[1] == width and np.isfinite(rows).all() else None
+    return rows if rows.shape[1] == width else None
 
 
 def _rows(path: str | os.PathLike, width: int) -> tuple[np.ndarray, bytes]:
     """``path``'s rows of ``width`` comma-separated finite floats, blank and ``#`` lines
-    skipped, and its bytes; the line reader parses what ``_fast_rows`` declines."""
+    skipped, and its bytes; the line reader parses what ``_fast_rows`` declines, and one
+    check after either parser names the line of a non-finite value."""
     data = _read(path)
     rows = _fast_rows(data, width)
-    if rows is not None:
-        return rows, data
-    values: list[float] = []
-    for n, line in _data_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")):
-        parts = line.split(",")
-        if len(parts) != width:
-            raise ParseError(f"{path}: line {n}: expected {width} fields, got {len(parts)}")
-        try:
-            values.extend(map(float, parts))
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {n}: {exc}") from exc
-    rows = np.array(values).reshape(-1, width)
+    if rows is None:
+        values: list[float] = []
+        for n, line in _data_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")):
+            parts = line.split(",")
+            if len(parts) != width:
+                raise ParseError(f"{path}: line {n}: expected {width} fields, got {len(parts)}")
+            try:
+                values.extend(map(float, parts))
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {n}: {exc}") from exc
+        rows = np.array(values).reshape(-1, width)
     finite = np.isfinite(rows)
     if not finite.all():
         n = _line_no(data, int(np.argmin(finite)) // width)

@@ -8,6 +8,8 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -557,6 +559,28 @@ class TestSweepFlow:
         truth = transmissivity(make_spectrum(DEFAULT_NV0_SHAPE, signed[nv0].wavelengths, 1.0),
                                FilterModel())
         assert truth == pytest.approx(0.2096, abs=5e-5)
+
+    def test_shown_warnings_take_one_line_each(self, tmp_path):
+        """In a fresh interpreter under the "default" warning filter, the noisy chain
+        decompose's two warnings reach stderr as one ``warning: `` line each, naming no
+        source file, and main puts back the formatter it found."""
+        params = tmp_path / "sweep.json"
+        params.write_text(json.dumps({"noise": {"kind": "poisson", "scans": 3000},
+                                      "fields": [170.0, 975.0]}))
+        sweep = tmp_path / "sweep"
+        assert main(["simulate", "sweep", "--params", str(params), "--seed", "3", "--out", str(sweep)]) == 0
+        code = ("import sys, warnings; from nvunmix.cli import main; found = warnings.formatwarning; "
+                "rc = main(sys.argv[1:]); assert warnings.formatwarning is found; sys.exit(rc)")
+        argv = ["decompose", "--low", str(sweep / "spec_00170.0G.csv"), "--high",
+                str(sweep / "spec_00975.0G.csv"), "--out-nv0", str(tmp_path / "nv0.csv"),
+                "--out-nvm", str(tmp_path / "nvm.csv")]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        done = subprocess.run([sys.executable, "-W", "default", "-c", code, *argv], text=True,
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+        assert done.returncode == 0, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 2 and all(line.startswith("warning: ") for line in lines), lines
+        assert not any(".py:" in line for line in lines), lines
 
     def test_signed_component_refusal_names_the_flag(self, tmp_path, capsys):
         """transmissivity under the default --negative error refuses decompose's signed NV0

@@ -230,6 +230,9 @@ class TestZplArtifact:
             ZplArtifactConfig(600.0, WavelengthWindow(630.0, 644.0), 4.0)
         with pytest.raises(ValidationError):
             ZplArtifactConfig(637.0, WavelengthWindow(630.0, 644.0), -1.0)
+        for center in (math.nan, math.inf):  # named as non-finite, not as outside the window
+            with pytest.raises(ValidationError, match=f"^center must be finite, got {center!r}$"):
+                ZplArtifactConfig(center, WavelengthWindow(630.0, 644.0), 4.0)
 
     def test_around_helper(self):
         cfg = ZplArtifactConfig.around(575.0)

@@ -83,10 +83,15 @@ class TestSpectrumFormat:
             load_spectrum(path)
 
     def test_non_finite_rejected(self, tmp_path):
+        """A NaN cell is named by its line on both parsers: the plain file takes the fast
+        path, and a trailing ``#`` line sends the same rows to the line reader."""
         path = tmp_path / "s.csv"
-        path.write_text("600.0,nan\n601.0,1.0\n")
-        with pytest.raises(ParseError):
-            load_spectrum(path)
+        for tail, fast in (("", True), ("# end\n", False)):
+            path.write_text("# spec-csv v1\n600.0,1.0\n601.0,nan\n602.0,2.0\n" + tail)
+            assert (fileio._fast_rows(path.read_bytes(), 2) is not None) == fast
+            with pytest.raises(ParseError) as caught:
+                load_spectrum(path)
+            assert str(caught.value) == f"{path}: line 3: non-finite value"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -165,6 +170,12 @@ class TestMapFormat:
         (tmp_path / "m.csv").write_text("# header\n1.0,2.0\n3.0,inf\n")
         with pytest.raises(ParseError, match="line 3: non-finite"):
             load_map(tmp_path / "m")
+        for tail, fast in (("", True), ("# end\n", False)):  # the fast path, the line reader
+            (tmp_path / "m.csv").write_text("1.0,nan\n3.0,4.0\n" + tail)
+            assert (fileio._fast_rows((tmp_path / "m.csv").read_bytes(), 2) is not None) == fast
+            with pytest.raises(ParseError) as caught:
+                load_map(tmp_path / "m")
+            assert str(caught.value) == f"{tmp_path / 'm.csv'}: line 1: non-finite value"
 
     @pytest.mark.parametrize("mode", ["drop", "clamp"])
     def test_unknown_negative_mode_is_validation_error(self, tmp_path, mode):

@@ -1,6 +1,7 @@
 """The package namespace: ``import nvunmix`` loads the analysis modules only, and the modules
 that read and write files, draw or simulate are imported by name."""
 
+import argparse
 import importlib
 import os
 import subprocess
@@ -8,9 +9,14 @@ import sys
 import types
 
 import nvunmix
+from nvunmix import cli, fileio
+
+# The modules whose public names the package republishes.
+_ANALYSIS = ("basisfit", "decompose", "errors", "filters", "maps", "spectrum")
 
 # Names that live in their own modules only, not in the package namespace.
 _BY_NAME = {
+    "decompose": ("NV0_ZPL_NM", "NVM_ZPL_NM"),
     "fileio": ("RunReport", "load_map", "load_spectrum", "save_map", "save_spectrum"),
     "render": ("render_map_pgm", "render_spectrum_svg"),
     "synth": ("DEFAULT_FIELD_RESPONSE", "DEFAULT_NV0_SHAPE", "DEFAULT_NVM_SHAPE", "NOISELESS",
@@ -18,6 +24,12 @@ _BY_NAME = {
               "make_field_map_pair", "make_field_spectrum", "make_letter_map", "make_spectrum",
               "make_sweep"),
 }
+
+
+def _public_names() -> set[str]:
+    """The package namespace's public names, its submodules left out."""
+    return {name for name, value in vars(nvunmix).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)}
 
 
 def test_import_loads_only_the_analysis_modules():
@@ -47,10 +59,29 @@ def test_building_the_parser_loads_no_synthetic_generator():
 
 
 def test_namespace_holds_the_analysis_api_and_the_rest_resolves_by_module():
-    public = {name for name, value in vars(nvunmix).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    public = _public_names()
     assert len(public) == 49
     for module, names in _BY_NAME.items():
         for name in names:
             assert name not in public
             assert hasattr(importlib.import_module(f"nvunmix.{module}"), name)
+
+
+def test_namespace_is_the_analysis_modules_public_names():
+    """Each analysis module owns its public names (its ``__all__``, or every public name of
+    ``errors``, which has none), and the package republishes exactly those."""
+    owned = set()
+    for name in _ANALYSIS:
+        module = importlib.import_module(f"nvunmix.{name}")
+        owned.update(getattr(module, "__all__", [n for n in vars(module) if not n.startswith("_")]))
+    assert _public_names() == owned
+
+
+def test_negative_flag_takes_fileio_modes():
+    """Every ``--negative`` flag offers the modes that ``fileio`` checks, and only those."""
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {command: action.choices for command, parser in commands.items()
+             for action in parser._actions if action.dest == "negative"}
+    assert sorted(flags) == ["decompose", "fit-series", "transmissivity"]
+    assert all(choices is fileio._NEGATIVE_MODES for choices in flags.values())
