@@ -9,7 +9,10 @@ analysis modules (``spectrum``, ``basisfit``, ``decompose``, ``filters``,
 ``__all__``, and every class of ``errors``. The rest is imported
 by name, and paid for only then: ``nvunmix.fileio`` (file formats and run
 reports), ``nvunmix.render`` (SVG and PGM), ``nvunmix.synth`` (the synthetic
-forward model that gives both routes ground truth) and ``nvunmix.cli``.
+forward model that gives both routes ground truth) and ``nvunmix.cli``. The
+attribute ``nvunmix.decompose`` is the function, which shadows the submodule,
+so the ZPL constants are imported by name:
+``from nvunmix.decompose import NVM_ZPL_NM``.
 """
 
 __version__ = "0.1.0"

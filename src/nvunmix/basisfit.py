@@ -244,11 +244,8 @@ def scale_factor_from_nvminus(cm_1: float, cm_2: float) -> float:
 
 @lru_cache(maxsize=4)
 def _pair_indices(n: int) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
-    """``np.triu_indices(n, 1)`` built run by run (i repeated n-1-i times), with no n x n mask;
-    kept for the last few ``n``, so both arrays are read-only."""
-    runs = np.arange(n - 1, 0, -1)
-    i, j = np.arange(n - 1, dtype=np.intp).repeat(runs), np.arange(runs.sum(), dtype=np.intp)
-    j -= (runs.cumsum() - runs - np.arange(1, n)).repeat(runs)  # run i of j counts from i + 1
+    """``np.triu_indices(n, 1)``, kept for the last few ``n``, so both arrays are read-only."""
+    i, j = np.triu_indices(n, 1)
     i.flags.writeable = j.flags.writeable = False
     return i, j
 

@@ -5,6 +5,7 @@ identifiability), 4 I/O error. ``fileio`` reads every input file and writes ever
 file, ``render``'s included; a JSON input is read by a key spec (a params file by its kind's
 in ``synth._SIMULATORS``), so an unknown key or a wrong type exits 2 naming the key path. Only
 ``simulate`` loads ``synth``, when it runs; the parser and every other command leave it out.
+A simulator writes nothing: ``simulate`` creates ``--out`` once its files are computed.
 Each command returns a ``_Run``; ``main`` saves its report after every output is written, then
 prints its message, and shows each warning as one ``warning: <message>`` stderr line. The
 report's command and parameters are the parsed command line, every option by its ``dest``; its
@@ -15,7 +16,6 @@ files it wrote, both in order, from ``fileio``'s run log.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -38,12 +38,12 @@ from .errors import (
     ValidationError,
 )
 from .fileio import _LOG, _NEGATIVE_MODES, _REQUIRED, RunReport, _from_json, _run_log, _save_bytes
-from .fileio import load_json, load_map, load_spectrum, save_csv, save_map, save_spectrum
+from .fileio import load_json, load_map, load_spectrum, save_csv, save_json, save_map, save_spectrum
 from .filters import DEFAULT_EMISSION_WINDOW, FilterModel, TabulatedFilter, TransmissivityPair
 from .filters import transmissivity
-from .maps import field_unmix, filter_unmix, fraction_map
+from .maps import PLMap, field_unmix, filter_unmix, fraction_map
 from .render import render_map_pgm, render_spectrum_svg
-from .spectrum import BasisPair, WavelengthWindow, _onto, _same_grid, resample
+from .spectrum import BasisPair, Spectrum, WavelengthWindow, _onto, _same_grid, resample
 
 _EXIT_VALIDATION = 2
 _EXIT_NUMERICAL = 3
@@ -81,7 +81,10 @@ def _load_filter(args) -> FilterModel | TabulatedFilter:
         if sigmoid:
             raise ValidationError("--tmax, --center and --width do not apply with --filter-table")
         spec = load_spectrum(args.filter_table, negative="error")
-        return TabulatedFilter(spec.wavelengths, spec.intensities)
+        try:
+            return TabulatedFilter(spec.wavelengths, spec.intensities)
+        except ValidationError as exc:  # a value the table holds
+            raise ParseError(f"{args.filter_table}: {exc}") from exc
     return FilterModel(**sigmoid)
 
 
@@ -209,24 +212,19 @@ def cmd_simulate(args) -> _Run:
         raise ValidationError(f"--seed must be >= 0, got {seed}")
     simulate, keys = synth._SIMULATORS[args.kind]
     typed = load_json(args.params, keys) if args.params else _from_json({}, keys, args.params)
-    written = _LOG.get().written  # main's run log: the files written, none yet
-    created = not os.path.isdir(args.out)
-    os.makedirs(args.out, exist_ok=True)
     try:
-        run.diagnostics = simulate(typed, seed, args.out)
+        files, run.diagnostics = simulate(typed, seed)
     except (ValidationError, RangeError) as exc:  # a value the key spec let through
         raise ParseError(f"{args.params}: {exc}") from exc
     except NvUnmixError:
         raise
     except (MemoryError, ValueError, OverflowError) as exc:  # numpy refuses the size outright
         raise ParseError(f"{args.params}: no array can have the size asked for: {exc}") from exc
-    finally:
-        if created and not written:  # the simulator raised before it wrote
-            with contextlib.suppress(OSError):  # empty, as simulators check before they write
-                os.rmdir(args.out)
-    if args.kind == "sweep":
-        run.diagnostics["seed"] = seed
-    run.message = f"wrote {len(written)} files to {args.out}  metadata = {run.report}"
+    os.makedirs(args.out, exist_ok=True)  # only now that every file is computed
+    save = {Spectrum: save_spectrum, PLMap: save_map, list: lambda v, path: save_json(path, v)}
+    for name, value in files.items():  # a spectrum, a map by its stem, or the sweep's manifest
+        save[type(value)](value, os.path.join(args.out, name))
+    run.message = f"wrote {len(_LOG.get().written)} files to {args.out}  metadata = {run.report}"
     return run
 
 

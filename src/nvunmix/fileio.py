@@ -350,7 +350,10 @@ def load_map(path: str | os.PathLike, *, negative: str = "allow") -> PLMap:
             f"{csv_path}: expected {height} rows for a {width}x{height} map, got {len(values)}"
         )
     _refuse_negative(values, data, negative, csv_path)
-    return PLMap._of_fresh(values, pitch)
+    try:
+        return PLMap._of_fresh(values, pitch)
+    except ValidationError as exc:  # the sidecar's pitch: the rows passed every check above
+        raise ParseError(f"{json_path}: {exc}") from exc
 
 
 _REPORT_KEYS = {"command": (str, _REQUIRED), "inputs": ([[str, str]], _REQUIRED),

@@ -9,15 +9,15 @@ default field response dips to a minimum at 829 G and then rises a few
 percent, so sweep analyses see both regimes.
 
 All generators are deterministic for a fixed seed. ``_SIMULATORS`` holds the
-``nvunmix simulate`` kinds: each one's writer and the key spec of its params
-file, so this module alone knows the params-file format.
+``nvunmix simulate`` kinds: each one's simulator and the key spec of its params
+file, so this module alone knows the params-file format. A simulator returns its
+files by name, in write order, with its diagnostics, and writes nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 import numbers
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import RangeError, ValidationError
-from .fileio import _ABSENT, _REQUIRED, _from_json, save_json, save_map, save_spectrum
+from .fileio import _ABSENT, _REQUIRED, _from_json
 from .maps import PLMap, _require_same_shape
 from .spectrum import Spectrum, _on_grid, area, scale
 
@@ -406,7 +406,7 @@ def make_field_map_pair(
     return PLMap._of_fresh(low, pitch), PLMap._of_fresh(high, pitch)
 
 
-# `nvunmix simulate`: what each kind writes, and the key specs of its params file.
+# `nvunmix simulate`: the files each kind computes, and the key specs of its params file.
 _GRID_KEYS = {"lo": (float, 550.0), "hi": (float, 850.0), "step": (float, 0.2)}
 _LETTER_MAP_KEYS = {"width": (int, 512), "height": (int, 512), "pl_nv0": (float, _ABSENT),
                     "pl_nvm": (float, _ABSENT), "pixel_pitch_um": (float, _ABSENT)}
@@ -418,82 +418,61 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
 
 
-def _save_maps(out_dir: str, **maps: PLMap) -> None:
-    for name, m in maps.items():
-        save_map(m, os.path.join(out_dir, name))
-
-
-def _simulate_spectrum(p, seed, out_dir) -> dict:
+def _simulate_spectrum(p, seed) -> tuple[dict, dict]:
     spec = make_spectrum(p.get("shape", DEFAULT_NVM_SHAPE), _grid(**p["grid"]), p["total_counts"])
-    save_spectrum(spec, os.path.join(out_dir, "spectrum.csv"))
-    return {"total_counts": p["total_counts"], "points": len(spec)}
+    return {"spectrum.csv": spec}, {"total_counts": p["total_counts"], "points": len(spec)}
 
 
-def _simulate_sweep(p, seed, out_dir) -> dict:
+def _simulate_sweep(p, seed) -> tuple[dict, dict]:
+    if p.get("fields") == []:
+        raise ValidationError("fields: a sweep needs at least one field")
     response = p.get("field_response", DEFAULT_FIELD_RESPONSE)
     shapes = p["shapes"].get("nv0", DEFAULT_NV0_SHAPE), p["shapes"].get("nvminus", DEFAULT_NVM_SHAPE)
     noise = p.get("noise", NOISELESS)
     fields = p.get("fields", response.fields)
     sweep = make_sweep(fields, response, shapes, _grid(**p["grid"]), noise, seed)
-    names = {}
-    for b, _ in sweep:
+    files, names = {}, {}
+    for b, spec in sweep:
         name = f"spec_{b:07.1f}G.csv"
         if name in names:
             raise ValidationError(f"fields {names[name]!r} and {b!r} G both name the file {name}")
-        names[name] = b
-    for (_, spec), name in zip(sweep, names):
-        save_spectrum(spec, os.path.join(out_dir, name))
-    save_json(os.path.join(out_dir, "manifest.json"),
-              [{"b_field_gauss": b, "path": name} for name, b in names.items()])
-    return {"fields": len(fields), "noise": noise.kind}
+        names[name], files[name] = b, spec
+    files["manifest.json"] = [{"b_field_gauss": b, "path": name} for name, b in names.items()]
+    return files, {"fields": len(fields), "noise": noise.kind, "seed": seed}
 
 
-def _sweep_params(**p) -> dict:
-    """A sweep params file's keys; a ``fields`` list it sets must name a field."""
-    if p.get("fields") == []:
-        raise ValidationError("fields: a sweep needs at least one field")
-    return p
-
-
-def _letter_map_params(**p) -> dict:
-    """A letter-map params file's keys; ``t0`` and ``tminus`` weigh one composed pair, so a
-    file sets both or neither."""
-    if ("t0" in p) != ("tminus" in p):
+def _simulate_letter_map(p, seed) -> tuple[dict, dict]:
+    if ("t0" in p) != ("tminus" in p):  # t0 and tminus weigh one composed pair
         raise ValidationError(f"{'tminus' if 't0' in p else 't0'}: missing; "
                               "the composed m0/mlpf pair needs both t0 and tminus")
-    return p
-
-
-def _simulate_letter_map(p, seed, out_dir) -> dict:
     t0, tm = p.pop("t0", None), p.pop("tminus", None)
     nv0, nvm = make_letter_map(**p)
     maps, diag = {"nv0_truth": nv0, "nvm_truth": nvm}, {"width": nv0.width, "height": nv0.height}
-    if t0 is not None:  # composed, and so checked, before any map is written
+    if t0 is not None:
         with np.errstate(over="ignore"):  # an overflow is refused below, as a non-finite map
             m0, mlpf = nv0.values + nvm.values, t0 * nv0.values + tm * nvm.values
         maps["m0"] = PLMap._of_fresh(m0, nv0.pixel_pitch_um)
         maps["mlpf"] = PLMap._of_fresh(mlpf, nv0.pixel_pitch_um)
         diag.update({"t0": t0, "tminus": tm})
-    _save_maps(out_dir, **maps)
-    return diag
+    return maps, diag
 
 
-def _simulate_field_map_pair(p, seed, out_dir) -> dict:
+def _simulate_field_map_pair(p, seed) -> tuple[dict, dict]:
     nv0, nvm = make_letter_map(**p["letter_map"])
     low, high = make_field_map_pair(nv0, nvm, p["suppression"])
-    _save_maps(out_dir, nv0_truth=nv0, nvm_truth=nvm, low=low, high=high)
-    return {"suppression": p["suppression"], "implied_f": 1.0 / p["suppression"]}
+    return ({"nv0_truth": nv0, "nvm_truth": nvm, "low": low, "high": high},
+            {"suppression": p["suppression"], "implied_f": 1.0 / p["suppression"]})
 
 
 _SHAPES_KEYS = {"nv0": (_SHAPE_JSON, _ABSENT), "nvminus": (_SHAPE_JSON, _ABSENT)}
 _SIMULATORS = {  # kind: (simulator, the key spec of its params file)
     "spectrum": (_simulate_spectrum, {"shape": (_SHAPE_JSON, _ABSENT), "grid": (_GRID_KEYS, {}),
                                       "total_counts": (float, 62000.0)}),
-    "sweep": (_simulate_sweep, (_sweep_params, {
+    "sweep": (_simulate_sweep, {
         "field_response": (_RESPONSE_JSON, _ABSENT), "shapes": (_SHAPES_KEYS, {}),
-        "grid": (_GRID_KEYS, {}), "noise": (_NOISE_JSON, _ABSENT), "fields": ([float], _ABSENT)})),
-    "letter-map": (_simulate_letter_map, (_letter_map_params, {
-        **_LETTER_MAP_KEYS, "t0": (float, _ABSENT), "tminus": (float, _ABSENT)})),
+        "grid": (_GRID_KEYS, {}), "noise": (_NOISE_JSON, _ABSENT), "fields": ([float], _ABSENT)}),
+    "letter-map": (_simulate_letter_map, {**_LETTER_MAP_KEYS, "t0": (float, _ABSENT),
+                                          "tminus": (float, _ABSENT)}),
     "field-map-pair": (_simulate_field_map_pair, {"letter_map": (_LETTER_MAP_KEYS, {}),
                                                   "suppression": (float, 1.0 / 6.2)}),
 }

@@ -332,7 +332,7 @@ class TestMapCommands:
             saved[os.path.basename(stem)] = m
             return save_map(m, stem)
 
-        monkeypatch.setattr(synth, "save_map", save)
+        monkeypatch.setattr(cli, "save_map", save)
         monkeypatch.setattr(PLMap, "__post_init__", lambda self: copied.append(self))
         assert main(["simulate", "letter-map", "--params", str(params), "--out", str(tmp_path)]) == 0
         assert copied == []
@@ -664,8 +664,8 @@ class TestSweepFlow:
     @pytest.mark.parametrize("existed", [False, True])
     def test_failed_simulate_leaves_only_an_out_that_existed(self, tmp_path, capsys, params,
                                                               existed):
-        """A simulate run that exits 2 removes the --out directory it created, and keeps one
-        that was there before it, empty as it was."""
+        """A simulate run that exits 2 creates no --out directory, and keeps one that was
+        there before it, empty as it was."""
         (tmp_path / "p.json").write_text(json.dumps(params))
         out = tmp_path / "sw"
         if existed:
@@ -675,10 +675,50 @@ class TestSweepFlow:
         assert out.exists() == existed
         assert not existed or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_letter_map_t0_alone_leaves_only_an_out_that_existed(self, tmp_path, capsys,
+                                                                  existed):
+        """t0 without tminus exits 2 with one line naming the params file, and creates no
+        --out; one that was there before stays empty."""
+        (tmp_path / "p.json").write_text(json.dumps({"t0": 0.3}))
+        out = tmp_path / "lm"
+        if existed:
+            out.mkdir()
+        argv = ["simulate", "letter-map", "--params", str(tmp_path / "p.json"), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {tmp_path / 'p.json'}: tminus: missing; "
+                                           "the composed m0/mlpf pair needs both t0 and tminus\n")
+        assert out.exists() == existed
+        assert not existed or list(out.iterdir()) == []
+
+    def test_value_refusal_comes_before_an_out_that_cannot_be_made(self, tmp_path, capsys):
+        """A refused value exits 2 even where --out is a file, which makedirs would refuse."""
+        (tmp_path / "p.json").write_text(json.dumps({"grid": {"lo": 700.0, "hi": 600.0}}))
+        (tmp_path / "out").write_text("")
+        argv = ["simulate", "spectrum", "--params", str(tmp_path / "p.json"),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {tmp_path / 'p.json'}: grid requires hi > lo and step > 0\n")
+
+    def test_write_error_exits_4_keeping_the_files_written(self, tmp_path, capsys):
+        """An output that cannot be opened exits 4 with one line; the files written before it
+        stay, as for every command."""
+        (tmp_path / "p.json").write_text(json.dumps({"fields": [170.0, 975.0],
+                                                     "grid": {"lo": 600.0, "hi": 700.0}}))
+        out = tmp_path / "sw"
+        (out / "manifest.json").mkdir(parents=True)
+        argv = ["simulate", "sweep", "--params", str(tmp_path / "p.json"), "--out", str(out)]
+        assert main(argv) == 4
+        assert capsys.readouterr() == ("", f"i/o error: [Errno {errno.EISDIR}] "
+                                           f"{os.strerror(errno.EISDIR)}: {str(out / 'manifest.json')!r}\n")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "spec_00170.0G.csv", "spec_00975.0G.csv"]
+
     def test_a_simulators_library_error_keeps_its_own_line(self, tmp_path, capsys, monkeypatch):
         """An ``NvUnmixError`` that is also a ``ValueError`` exits 2 with its own message, not
         as an array size numpy refused."""
-        def simulate(p, seed, out_dir):
+        def simulate(p, seed):
             raise GridMismatchError("x")
 
         keys = synth._SIMULATORS["spectrum"][1]
@@ -974,6 +1014,21 @@ def test_simulate_kinds_are_synths():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     kind = next(a for a in sub.choices["simulate"]._actions if a.dest == "kind")
     assert list(kind.choices) == sorted(synth._SIMULATORS)
+
+
+@pytest.mark.parametrize("kind", sorted(synth._SIMULATORS))
+def test_simulator_computes_the_files_its_run_writes(tmp_path, kind):
+    """A simulator writes nothing: run on its kind's default params inside a run's log, it
+    logs no file and returns, in order, the files that ``simulate`` lists in metadata.json
+    (a map by its stem, written as its .json and .csv pair)."""
+    simulate, keys = synth._SIMULATORS[kind]
+    with fileio._run_log() as log:
+        files, _ = simulate(fileio._from_json({}, keys, None), 0)
+    assert log.written == []
+    assert main(["simulate", kind, "--out", str(tmp_path)]) == 0
+    names = [path for name, value in files.items()
+             for path in (fileio.map_paths(name) if isinstance(value, PLMap) else (name,))]
+    assert RunReport.load(tmp_path / "metadata.json").outputs == [str(tmp_path / n) for n in names]
 
 
 @pytest.mark.parametrize("kind", sorted(synth._SIMULATORS))
@@ -1295,6 +1350,25 @@ class TestInputBoundary:
         before = set(tmp_path.iterdir())
         assert main([a.format(d=tmp_path) for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {error.format(d=tmp_path)}\n"
+        assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("argv, name, data, error", [
+        (_TABLE_FILTER, "ft.csv", b"550.0,0.0\n645.0,1.5\n850.0,0.9\n",
+         "{d}/ft.csv: tabulated transmissions must lie in [0, 1]"),
+        (_TABLE_FILTER, "ft.csv", b"645.0,0.5\n",
+         "{d}/ft.csv: tabulated wavelengths has too few points (1 < 2)"),
+        (_MAP_ARGS, "m.json", _SIDECAR.replace(b'"pixel_pitch_um": 1.0', b'"pixel_pitch_um": 0.0'),
+         "{d}/m.json: pixel_pitch_um must be positive"),
+    ], ids=["table-above-1", "table-one-row", "sidecar-pitch-zero"])
+    def test_model_refusal_names_the_file(self, tmp_path, capsys, argv, name, data, error):
+        """A value that parses but that a model refuses exits 2 with one line naming the file
+        that holds it, and writes nothing."""
+        (tmp_path / "s.csv").write_text("600.0,1.0\n601.0,2.0\n")
+        (tmp_path / "m.csv").write_text("1.0,2.0\n")
+        (tmp_path / name).write_bytes(data)
+        before = set(tmp_path.iterdir())
+        assert main([a.format(d=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {error.format(d=tmp_path)}\n")
         assert set(tmp_path.iterdir()) == before
 
     def _run_both_paths(self, argv, capsys, monkeypatch) -> str:
