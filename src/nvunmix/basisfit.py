@@ -18,8 +18,8 @@ from typing import Iterable
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import FlatWarning, GridMismatchError, NoMinimumError, NonPhysicalWarning
-from .errors import SingularityError, ValidationError
+from .errors import GridMismatchError, IdentifiabilityError, ModelViolationWarning
+from .errors import NonPhysicalWarning, SingularityError, ValidationError
 from .spectrum import BasisPair, Spectrum, _on_grid, _onto, _same_grid, resample
 
 __all__ = [
@@ -282,17 +282,17 @@ def find_full_mixing_field(table: CoefficientTable) -> float:
     """Field of minimum NV- amplitude, i.e. the fully spin-mixed point.
 
     Ties break toward the lower field. A flat column returns the lowest field
-    with a FlatWarning; a monotone column has no detectable minimum and
-    raises.
+    with a ModelViolationWarning; a monotone column has no detectable minimum
+    and raises IdentifiabilityError.
     """
     if len(table) < 3:
         raise ValidationError("minimum detection needs at least three rows")
     cm, b = table.cminus, table.b_fields
     if float(cm.max() - cm.min()) == 0.0:
         warnings.warn("NV- amplitude is flat across the sweep; returning the lowest field",
-                      FlatWarning, stacklevel=2)
+                      ModelViolationWarning, stacklevel=2)
         return float(b[0])
     steps = cm[1:] - cm[:-1]
     if (steps <= 0.0).all() or (steps >= 0.0).all():
-        raise NoMinimumError("NV- amplitude is monotone; no interior minimum")
+        raise IdentifiabilityError("NV- amplitude is monotone; no interior minimum")
     return float(b[int(np.argmin(cm))])

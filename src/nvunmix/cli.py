@@ -30,7 +30,6 @@ from .basisfit import FieldSeries, _surface_sizes, fit_series, scale_factor_surf
 from .decompose import NVM_ZPL_NM, ScaleSearchConfig, ZplArtifactConfig, decompose
 from .errors import (
     IdentifiabilityError,
-    NoMinimumError,
     NvUnmixError,
     ParseError,
     RangeError,
@@ -381,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
                 parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
                 RunReport.create(args.command, [path for path, _ in log.read], parameters,
                                  log.written, run.diagnostics).save(run.report)
-    except (SingularityError, IdentifiabilityError, NoMinimumError) as exc:
+    except (SingularityError, IdentifiabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     except NvUnmixError as exc:

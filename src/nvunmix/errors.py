@@ -25,10 +25,6 @@ class SingularityError(NvUnmixError, ZeroDivisionError):
     """A denominator vanished; the requested ratio is undefined."""
 
 
-class NoMinimumError(NvUnmixError, ArithmeticError):
-    """The scanned column has no detectable minimum."""
-
-
 class ParseError(NvUnmixError, ValueError):
     """A data file does not conform to its declared format."""
 
@@ -47,7 +43,3 @@ class NonPhysicalWarning(NvUnmixWarning):
 
 class ConditioningWarning(NvUnmixWarning):
     """Inputs leave a downstream inversion poorly conditioned."""
-
-
-class FlatWarning(NvUnmixWarning):
-    """A scanned column is constant; the result is a tie-break convention."""

@@ -344,16 +344,15 @@ def load_map(path: str | os.PathLike, *, negative: str = "allow") -> PLMap:
     width, height, pitch = (sidecar[k] for k in ("width", "height", "pixel_pitch_um"))
     if width < 1 or height < 1:
         raise ParseError(f"{json_path}: width and height must be positive")
+    if fault := PLMap._pitch_fault(pitch):
+        raise ParseError(f"{json_path}: {fault}")
     values, data = _rows(csv_path, width)
     if len(values) != height:
         raise ParseError(
             f"{csv_path}: expected {height} rows for a {width}x{height} map, got {len(values)}"
         )
     _refuse_negative(values, data, negative, csv_path)
-    try:
-        return PLMap._of_fresh(values, pitch)
-    except ValidationError as exc:  # the sidecar's pitch: the rows passed every check above
-        raise ParseError(f"{json_path}: {exc}") from exc
+    return PLMap._of_fresh(values, pitch)
 
 
 _REPORT_KEYS = {"command": (str, _REQUIRED), "inputs": ([[str, str]], _REQUIRED),

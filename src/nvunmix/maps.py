@@ -51,12 +51,19 @@ class PLMap:
             raise ValidationError("map values must be a non-empty 2-D grid")
         if not np.all(np.isfinite(v)):
             raise ValidationError("map values must be finite")
-        if not (np.isfinite(pixel_pitch_um) and pixel_pitch_um > 0.0):
-            raise ValidationError("pixel_pitch_um must be positive")
+        if fault := cls._pitch_fault(pixel_pitch_um):
+            raise ValidationError(fault)
         v.flags.writeable = False
         m = object.__new__(cls)
         m.__dict__.update(values=v, pixel_pitch_um=pixel_pitch_um)
         return m
+
+    @staticmethod
+    def _pitch_fault(pixel_pitch_um: float) -> str | None:
+        """Why ``pixel_pitch_um`` cannot be a map's pitch, or None when it can."""
+        if not np.isfinite(pixel_pitch_um):
+            return f"pixel_pitch_um must be finite, got {pixel_pitch_um!r}"
+        return None if pixel_pitch_um > 0.0 else "pixel_pitch_um must be positive"
 
     @property
     def height(self) -> int:

@@ -161,7 +161,9 @@ class NoiseModel:
         if isinstance(scans, bool) or not isinstance(scans, numbers.Integral) or scans < 1:
             raise ValidationError(f"scans must be an integer >= 1, got {scans!r}")
         object.__setattr__(self, "scans", int(scans))
-        if not (np.isfinite(self.dwell) and self.dwell > 0.0):
+        if not np.isfinite(self.dwell):
+            raise ValidationError(f"dwell must be finite, got {self.dwell!r}")
+        if not self.dwell > 0.0:
             raise ValidationError("dwell must be positive")
 
     @classmethod
@@ -360,30 +362,17 @@ def default_letter_masks(width: int, height: int) -> tuple[NDArray[np.bool_], ND
 def make_letter_map(
     width: int,
     height: int,
-    pattern: tuple[ArrayLike, ArrayLike] | None = None,
     pl_nv0: float = 8000.0,
     pl_nvm: float = 12000.0,
     pixel_pitch_um: float = 0.1,
 ) -> tuple[PLMap, PLMap]:
-    """Ground-truth component maps: constant PL inside each mask, zero elsewhere.
-
-    ``pattern`` is a pair of boolean masks (nv0 region, nvminus region); when
-    omitted the built-in letter glyphs are used. Masks must be disjoint.
-    """
+    """Ground-truth component maps: constant PL inside each (disjoint) letter mask, else zero."""
     if width < 1 or height < 1:
         raise ValidationError("map dimensions must be positive")
     for name, v in (("pl_nv0", pl_nv0), ("pl_nvm", pl_nvm)):
         if not (np.isfinite(v) and v >= 0.0):
             raise ValidationError(f"{name} must be finite and nonnegative")
-    if pattern is None:
-        mask0, maskm = default_letter_masks(width, height)
-    else:
-        mask0 = np.asarray(pattern[0], dtype=bool)
-        maskm = np.asarray(pattern[1], dtype=bool)
-        if mask0.shape != (height, width) or maskm.shape != (height, width):
-            raise ValidationError("masks must match the requested height x width")
-    if np.any(mask0 & maskm):
-        raise ValidationError("letter masks must be disjoint")
+    mask0, maskm = default_letter_masks(width, height)
     nv0 = np.where(mask0, float(pl_nv0), 0.0)
     nvm = np.where(maskm, float(pl_nvm), 0.0)
     return PLMap._of_fresh(nv0, pixel_pitch_um), PLMap._of_fresh(nvm, pixel_pitch_um)

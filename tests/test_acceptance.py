@@ -52,7 +52,7 @@ def ok(n: int, text: str) -> None:
 
 def test_c1_filter_inversion_exact_on_letter_map():
     t0, tm = 0.3, 0.8
-    nv0, nvm = make_letter_map(512, 512, None, 8000.0, 12000.0)
+    nv0, nvm = make_letter_map(512, 512, 8000.0, 12000.0)
     start = time.perf_counter()
     m0 = PLMap(nv0.values + nvm.values, nv0.pixel_pitch_um)
     mlpf = PLMap(t0 * nv0.values + tm * nvm.values, nv0.pixel_pitch_um)
@@ -174,7 +174,7 @@ def test_c6_full_mixing_field_and_surface_shape(grid02, default_basis):
 
 
 def test_c7_field_map_identity_and_exact_recovery():
-    nv0, nvm = make_letter_map(256, 256, None, 8000.0, 12000.0)
+    nv0, nvm = make_letter_map(256, 256, 8000.0, 12000.0)
 
     # power-of-two suppression: recovery is bit-exact
     low, high = make_field_map_pair(nv0, nvm, suppression=0.5)
@@ -222,7 +222,7 @@ def test_c8_round_trips_and_deterministic_rendering(tmp_path):
     )
     with open(os.path.join(golden, "spectrum.svg"), "rb") as fh:
         assert svg == fh.read()
-    lnv0, lnvm = make_letter_map(64, 48, None, 8000.0, 12000.0)
+    lnv0, lnvm = make_letter_map(64, 48, 8000.0, 12000.0)
     pgm = render_map_pgm(PLMap(lnv0.values + lnvm.values, lnv0.pixel_pitch_um))
     with open(os.path.join(golden, "map.pgm"), "rb") as fh:
         assert pgm == fh.read()

@@ -17,10 +17,9 @@ from nvunmix import (
     BasisPair,
     CoefficientTable,
     FieldSeries,
-    FlatWarning,
     GridMismatchError,
     IdentifiabilityError,
-    NoMinimumError,
+    ModelViolationWarning,
     NonPhysicalWarning,
     NvUnmixError,
     SingularityError,
@@ -709,6 +708,8 @@ class TestScaleFactorSurface:
 
 
 class TestFindFullMixingField:
+    MONOTONE = "^NV- amplitude is monotone; no interior minimum$"
+
     def test_sweep_pipeline_locates_minimum(self, grid02, default_basis):
         sweep = make_sweep(
             DEFAULT_FIELD_RESPONSE.fields,
@@ -720,15 +721,16 @@ class TestFindFullMixingField:
         assert find_full_mixing_field(table) == 829.0
 
     def test_strictly_decreasing_has_no_minimum(self):
-        with pytest.raises(NoMinimumError):
+        with pytest.raises(IdentifiabilityError, match=self.MONOTONE):
             find_full_mixing_field(table_from([1.0, 2.0, 3.0], [5.0, 4.0, 3.0]))
 
     def test_strictly_increasing_has_no_minimum(self):
-        with pytest.raises(NoMinimumError):
+        with pytest.raises(IdentifiabilityError, match=self.MONOTONE):
             find_full_mixing_field(table_from([1.0, 2.0, 3.0], [3.0, 4.0, 5.0]))
 
     def test_flat_returns_lowest_field_with_warning(self):
-        with pytest.warns(FlatWarning):
+        with pytest.warns(ModelViolationWarning, match="^NV- amplitude is flat across the sweep; "
+                                                 "returning the lowest field$"):
             b = find_full_mixing_field(table_from([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]))
         assert b == 1.0
 

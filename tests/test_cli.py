@@ -1371,6 +1371,19 @@ class TestInputBoundary:
         assert capsys.readouterr() == ("", f"error: {error.format(d=tmp_path)}\n")
         assert set(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("csv", [b"x,y\n", None], ids=["csv-unparsable", "csv-missing"])
+    def test_sidecar_pitch_refused_before_the_csv_is_read(self, tmp_path, capsys, csv):
+        """A sidecar is checked whole first: its bad pitch is the one line, whatever its CSV
+        holds and whether or not there is one."""
+        zero = _SIDECAR.replace(b'"pixel_pitch_um": 1.0', b'"pixel_pitch_um": 0.0')
+        (tmp_path / "m.json").write_bytes(zero)
+        if csv is not None:
+            (tmp_path / "m.csv").write_bytes(csv)
+        before = set(tmp_path.iterdir())
+        assert main([a.format(d=tmp_path) for a in _MAP_ARGS]) == 2
+        assert capsys.readouterr() == ("", f"error: {tmp_path}/m.json: pixel_pitch_um must be positive\n")
+        assert set(tmp_path.iterdir()) == before
+
     def _run_both_paths(self, argv, capsys, monkeypatch) -> str:
         """The one stderr line of a run that exits 2, the same with the fast path off."""
         assert main(argv) == 2

@@ -1,5 +1,6 @@
 """Per-pixel map decomposition by field differencing and filter inversion."""
 
+import math
 import re
 import tracemalloc
 
@@ -40,6 +41,17 @@ class TestPLMap:
             PLMap(np.array([[np.nan]]))
         with pytest.raises(ValidationError):
             PLMap(np.ones((2, 2)), pixel_pitch_um=0.0)
+
+    @pytest.mark.parametrize("pitch, message", [
+        (0.0, "pixel_pitch_um must be positive"),
+        (-1.0, "pixel_pitch_um must be positive"),
+        (math.nan, "pixel_pitch_um must be finite, got nan"),
+        (math.inf, "pixel_pitch_um must be finite, got inf"),
+        (-math.inf, "pixel_pitch_um must be finite, got -inf"),
+    ], ids=["zero", "negative", "nan", "inf", "-inf"])
+    def test_pitch_messages(self, pitch, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            PLMap(np.ones((2, 2)), pitch)
 
     def test_shape_properties(self):
         m = plmap(np.zeros((3, 5)))

@@ -60,7 +60,7 @@ def test_building_the_parser_loads_no_synthetic_generator():
 
 def test_namespace_holds_the_analysis_api_and_the_rest_resolves_by_module():
     public = _public_names()
-    assert len(public) == 49
+    assert len(public) == 47
     for module, names in _BY_NAME.items():
         for name in names:
             assert name not in public

@@ -28,7 +28,7 @@ def golden_spectrum_bytes():
 
 
 def golden_map_bytes():
-    nv0, nvm = make_letter_map(64, 48, None, 8000.0, 12000.0)
+    nv0, nvm = make_letter_map(64, 48, 8000.0, 12000.0)
     m0 = PLMap(nv0.values + nvm.values, nv0.pixel_pitch_um)
     return render_map_pgm(m0)
 

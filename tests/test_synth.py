@@ -406,66 +406,55 @@ class TestMakeSweepOracle:
 
 
 class TestLetterMap:
-    def test_default_masks_disjoint_and_nonempty(self):
-        m0, mm = default_letter_masks(128, 96)
+    @given(width=st.integers(17, 200), height=st.integers(14, 200))
+    def test_default_masks_disjoint_and_nonempty(self, width, height):
+        """From the smallest frame the glyphs fit up, 'NV0' lies in the top half of the rows
+        and 'NV-' in the bottom half, so the masks never overlap."""
+        m0, mm = default_letter_masks(width, height)
+        assert m0.shape == mm.shape == (height, width)
         assert m0.any() and mm.any()
         assert not np.any(m0 & mm)
+        assert not m0[height // 2:].any() and not mm[:height // 2].any()
 
     def test_values_assigned_inside_masks_only(self):
-        nv0, nvm = make_letter_map(128, 96, None, 8000.0, 12000.0)
+        nv0, nvm = make_letter_map(128, 96, 8000.0, 12000.0)
         assert set(np.unique(nv0.values)) <= {0.0, 8000.0}
         assert set(np.unique(nvm.values)) <= {0.0, 12000.0}
         assert np.any(nv0.values == 8000.0) and np.any(nvm.values == 12000.0)
         assert not np.any((nv0.values > 0) & (nvm.values > 0))
 
-    def test_empty_masks_give_zero_maps(self):
-        empty = np.zeros((8, 8), dtype=bool)
-        nv0, nvm = make_letter_map(8, 8, (empty, empty), 10.0, 20.0)
-        assert np.all(nv0.values == 0.0) and np.all(nvm.values == 0.0)
-
-    def test_full_frame_mask(self):
-        full = np.ones((8, 8), dtype=bool)
-        empty = np.zeros((8, 8), dtype=bool)
-        nv0, _ = make_letter_map(8, 8, (full, empty), 10.0, 20.0)
-        assert np.all(nv0.values == 10.0)
-
-    def test_overlapping_masks_rejected(self):
-        full = np.ones((8, 8), dtype=bool)
-        with pytest.raises(ValidationError):
-            make_letter_map(8, 8, (full, full), 10.0, 20.0)
-
     def test_grid_too_small_for_glyphs(self):
         with pytest.raises(ValidationError):
-            make_letter_map(10, 10, None, 10.0, 20.0)
+            make_letter_map(10, 10, 10.0, 20.0)
 
 
 class TestFieldMapPair:
     def test_forward_composition(self):
-        nv0, nvm = make_letter_map(64, 48, None, 8000.0, 12000.0)
+        nv0, nvm = make_letter_map(64, 48, 8000.0, 12000.0)
         low, high = make_field_map_pair(nv0, nvm, suppression=0.5)
         assert np.array_equal(low.values, nv0.values + nvm.values)
         assert np.array_equal(high.values, nv0.values + 0.5 * nvm.values)
 
     def test_full_suppression_removes_nvm(self):
-        nv0, nvm = make_letter_map(64, 48, None, 8000.0, 12000.0)
+        nv0, nvm = make_letter_map(64, 48, 8000.0, 12000.0)
         _, high = make_field_map_pair(nv0, nvm, suppression=1.0)
         assert np.array_equal(high.values, nv0.values)
 
     def test_zero_suppression_rejected(self):
-        nv0, nvm = make_letter_map(64, 48, None, 8000.0, 12000.0)
+        nv0, nvm = make_letter_map(64, 48, 8000.0, 12000.0)
         with pytest.raises(ValidationError):
             make_field_map_pair(nv0, nvm, suppression=0.0)
         with pytest.raises(ValidationError):
             make_field_map_pair(nv0, nvm, suppression=1.5)
 
     def test_dimension_mismatch(self):
-        nv0, _ = make_letter_map(64, 48, None, 8000.0, 12000.0)
-        _, nvm = make_letter_map(64, 64, None, 8000.0, 12000.0)
+        nv0, _ = make_letter_map(64, 48, 8000.0, 12000.0)
+        _, nvm = make_letter_map(64, 64, 8000.0, 12000.0)
         with pytest.raises(GridMismatchError):
             make_field_map_pair(nv0, nvm, suppression=0.5)
 
     def test_maps_nonnegative_and_pitch_carried(self):
-        nv0, nvm = make_letter_map(64, 48, None, 8000.0, 12000.0, pixel_pitch_um=0.25)
+        nv0, nvm = make_letter_map(64, 48, 8000.0, 12000.0, pixel_pitch_um=0.25)
         low, high = make_field_map_pair(nv0, nvm, suppression=0.3)
         assert isinstance(low, PLMap)
         assert low.pixel_pitch_um == 0.25 and high.pixel_pitch_um == 0.25
@@ -512,10 +501,10 @@ class TestGeneratedMapsOwnTheirArrays:
     (lambda: synth._text_mask("NVX", 64, 64, 0, 32), "no glyph for character 'X'"),
     (lambda: make_letter_map(0, 8), "map dimensions must be positive"),
     (lambda: make_letter_map(8, 8, pl_nvm=-1.0), "pl_nvm must be finite and nonnegative"),
-    (lambda: make_letter_map(4, 3, (np.zeros((4, 3)), np.zeros((3, 4)))),
-     "masks must match the requested height x width"),
+    (lambda: NoiseModel("poisson", 1, math.nan), "dwell must be finite, got nan"),
+    (lambda: NoiseModel("poisson", 1, math.inf), "dwell must be finite, got inf"),
 ], ids=["zpl-width-nan", "sideband-width-inf", "negative-weight", "knot-field-zero",
-        "negative-amplitude", "unknown-glyph", "zero-width-map", "negative-pl", "mask-shape"])
+        "negative-amplitude", "unknown-glyph", "zero-width-map", "negative-pl", "dwell-nan", "dwell-inf"])
 def test_validation_messages(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()
