@@ -18,8 +18,7 @@ from typing import Iterable
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import GridMismatchError, IdentifiabilityError, ModelViolationWarning
-from .errors import NonPhysicalWarning, SingularityError, ValidationError
+from .errors import IdentifiabilityError, ModelViolationWarning, NonPhysicalWarning, ValidationError
 from .spectrum import BasisPair, Spectrum, _on_grid, _onto, _same_grid, resample
 
 __all__ = [
@@ -54,7 +53,7 @@ class FieldSeries:
         if len(set(bs)) != len(bs):
             raise ValidationError("field values must be distinct")
         if any(not _same_grid(s.wavelengths, entries[0][1].wavelengths) for _, s in entries[1:]):
-            raise GridMismatchError("series spectra are on different grids; use ingest()")
+            raise ValidationError("series spectra are on different grids; use ingest()")
 
     @classmethod
     def ingest(cls, entries: Iterable[tuple[float, Spectrum]]) -> "FieldSeries":
@@ -146,7 +145,7 @@ def _solver(basis: BasisPair, grid: NDArray[np.float64], nonneg: bool):
     """``solve(y) -> (c0, cminus, rms)`` for spectra on ``grid``, with the pair's kept Gram
     terms and two scratch rows that only this solver uses."""
     if not _same_grid(grid, basis.grid):
-        raise GridMismatchError("spectrum and basis are on different grids")
+        raise ValidationError("spectrum and basis are on different grids")
     g00, g11, g01 = basis._gram_terms
     a0, a1 = basis.s0.intensities, basis.sminus.intensities
     det, root_n = g00 * g11 - g01 * g01, math.sqrt(a0.size)
@@ -201,7 +200,7 @@ def fit_series(series: FieldSeries, basis: BasisPair, *, nonneg: bool = True) ->
 def _scale_factor(c0_1: float, cm_1: float, c0_2: float, cm_2: float, singular: str) -> float:
     """``cm_1 / ((c0_1 - c0_2) + (cm_1 - cm_2))`` for finite inputs.
 
-    Raises SingularityError with the message ``singular`` when the
+    Raises IdentifiabilityError with the message ``singular`` when the
     denominator is zero, and warns when the factor is not positive.
     """
     for name, v in (("c0_1", c0_1), ("cm_1", cm_1), ("c0_2", c0_2), ("cm_2", cm_2)):
@@ -209,7 +208,7 @@ def _scale_factor(c0_1: float, cm_1: float, c0_2: float, cm_2: float, singular: 
             raise ValidationError(f"{name} must be finite")
     den = (c0_1 - c0_2) + (cm_1 - cm_2)
     if den == 0.0:
-        raise SingularityError(singular)
+        raise IdentifiabilityError(singular)
     f = cm_1 / den
     if f <= 0.0:
         warnings.warn(

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 validation/parse error, 3 numerical error (singularity/
-identifiability), 4 I/O error. ``fileio`` reads every input file and writes every output
-file, ``render``'s included; a JSON input is read by a key spec (a params file by its kind's
-in ``synth._SIMULATORS``), so an unknown key or a wrong type exits 2 naming the key path. Only
+Exit codes: 0 success, 2 ``ValidationError`` or ``ParseError``, 3 ``IdentifiabilityError``,
+4 I/O error. ``fileio`` reads every input file and writes every output file, ``render``'s
+included; a JSON input is read by a key spec (a params file by its kind's in
+``synth._SIMULATORS``), so an unknown key or a wrong type exits 2 naming the key path. Only
 ``simulate`` loads ``synth``, when it runs; the parser and every other command leave it out.
 A simulator writes nothing: ``simulate`` creates ``--out`` once its files are computed.
 Each command returns a ``_Run``; ``main`` saves its report after every output is written, then
@@ -28,14 +28,7 @@ import numpy as np
 from . import __version__
 from .basisfit import FieldSeries, _surface_sizes, fit_series, scale_factor_surface
 from .decompose import NVM_ZPL_NM, ScaleSearchConfig, ZplArtifactConfig, decompose
-from .errors import (
-    IdentifiabilityError,
-    NvUnmixError,
-    ParseError,
-    RangeError,
-    SingularityError,
-    ValidationError,
-)
+from .errors import IdentifiabilityError, NvUnmixError, ParseError, ValidationError
 from .fileio import _LOG, _NEGATIVE_MODES, _REQUIRED, RunReport, _from_json, _run_log, _save_bytes
 from .fileio import load_json, load_map, load_spectrum, save_csv, save_json, save_map, save_spectrum
 from .filters import DEFAULT_EMISSION_WINDOW, FilterModel, TabulatedFilter, TransmissivityPair
@@ -87,10 +80,17 @@ def _load_filter(args) -> FilterModel | TabulatedFilter:
     return FilterModel(**sigmoid)
 
 
+def _load_pair(path: str, other: str, negative: str) -> tuple[Spectrum, Spectrum]:
+    """The spectra in ``path`` and ``other``; ``other`` is refused unless on ``path``'s grid."""
+    a, b = load_spectrum(path, negative=negative), load_spectrum(other, negative=negative)
+    if not _same_grid(a.wavelengths, b.wavelengths):
+        raise ValidationError(f"{other}: not on the wavelength grid of {path}")
+    return a, b
+
+
 def cmd_decompose(args) -> _Run:
     run = _Run(args.report or os.path.splitext(args.out_nv0)[0] + ".report.json")
-    low = load_spectrum(args.low, negative=args.negative)
-    high = load_spectrum(args.high, negative=args.negative)
+    low, high = _load_pair(args.low, args.high, args.negative)
     cfg = ZplArtifactConfig(NVM_ZPL_NM, WavelengthWindow(*_parse_range(args.zpl_window)), args.edge)
     result = decompose(low, high, cfg, ScaleSearchConfig(*_parse_range(args.f_range)))
     save_spectrum(result.nv0, args.out_nv0)
@@ -107,10 +107,7 @@ def cmd_decompose(args) -> _Run:
 
 def cmd_fit_series(args) -> _Run:
     run = _Run(args.report or os.path.splitext(args.out_table)[0] + ".report.json")
-    basis = BasisPair.from_spectra(
-        load_spectrum(args.basis_nv0, negative=args.negative),
-        load_spectrum(args.basis_nvm, negative=args.negative),
-    )
+    basis = BasisPair.from_spectra(*_load_pair(args.basis_nv0, args.basis_nvm, args.negative))
     manifest = load_json(args.series, [{"b_field_gauss": (float, _REQUIRED), "path": (str, _REQUIRED)}])
     if not manifest:
         raise ParseError(f"{args.series}: manifest must be a non-empty JSON list of entries")
@@ -125,9 +122,16 @@ def cmd_fit_series(args) -> _Run:
             path = os.path.join(base_dir, entry["path"])  # an absolute path replaces base_dir
             yield entry["b_field_gauss"], _onto(basis.s0, load_spectrum(path, negative=args.negative))
 
-    series = FieldSeries.ingest(entries())
+    try:
+        series = FieldSeries.ingest(entries())
+    except ValidationError as exc:  # the manifest's fields, or the ranges of the files it lists
+        raise ParseError(f"{args.series}: {exc}") from exc
     grid = series.entries[0][1].wavelengths
     if not _same_grid(basis.grid, grid):
+        lo, hi = basis.s0.span
+        if grid[0] < lo or grid[-1] > hi:
+            raise ValidationError(f"{args.basis_nv0}: wavelengths [{lo}, {hi}] do not cover the "
+                                  f"series grid [{grid[0]}, {grid[-1]}]")
         basis = BasisPair.from_spectra(resample(basis.s0, grid), resample(basis.sminus, grid))
     table = fit_series(series, basis, nonneg=not args.unconstrained)
     save_csv(args.out_table, "b_gauss,c0,cminus,residual",
@@ -213,7 +217,7 @@ def cmd_simulate(args) -> _Run:
     typed = load_json(args.params, keys) if args.params else _from_json({}, keys, args.params)
     try:
         files, run.diagnostics = simulate(typed, seed)
-    except (ValidationError, RangeError) as exc:  # a value the key spec let through
+    except ValidationError as exc:  # a value the key spec let through
         raise ParseError(f"{args.params}: {exc}") from exc
     except NvUnmixError:
         raise
@@ -380,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
                 parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
                 RunReport.create(args.command, [path for path, _ in log.read], parameters,
                                  log.written, run.diagnostics).save(run.report)
-    except (SingularityError, IdentifiabilityError) as exc:
+    except IdentifiabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     except NvUnmixError as exc:

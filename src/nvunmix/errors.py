@@ -6,23 +6,13 @@ class NvUnmixError(Exception):
 
 
 class ValidationError(NvUnmixError, ValueError):
-    """Input violates a documented precondition or type invariant."""
-
-
-class RangeError(NvUnmixError, ValueError):
-    """Requested wavelengths or field values fall outside the available grid."""
-
-
-class GridMismatchError(NvUnmixError, ValueError):
-    """Operands live on different wavelength grids or map shapes."""
+    """Input violates a documented precondition or type invariant: among them wavelengths or
+    field values outside the available grid, and operands on different wavelength grids or of
+    different map shapes."""
 
 
 class IdentifiabilityError(NvUnmixError, ArithmeticError):
-    """The data cannot pin down the requested quantity."""
-
-
-class SingularityError(NvUnmixError, ZeroDivisionError):
-    """A denominator vanished; the requested ratio is undefined."""
+    """The data cannot pin down the requested quantity, a vanished denominator among them."""
 
 
 class ParseError(NvUnmixError, ValueError):

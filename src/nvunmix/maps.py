@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import GridMismatchError, SingularityError, ValidationError
+from .errors import IdentifiabilityError, ValidationError
 from .filters import TransmissivityPair
 from .spectrum import _peak
 
@@ -85,11 +85,11 @@ class UnmixedMaps:
 
 def _require_same_shape(a: PLMap, b: PLMap) -> None:
     if a.values.shape != b.values.shape:
-        raise GridMismatchError(
+        raise ValidationError(
             f"map dimensions differ: {a.values.shape} vs {b.values.shape}"
         )
     if a.pixel_pitch_um != b.pixel_pitch_um:
-        raise GridMismatchError("maps have different pixel pitches")
+        raise ValidationError("maps have different pixel pitches")
 
 
 def _count_negative(nv0: NDArray[np.float64], nvm: NDArray[np.float64], *inputs: PLMap) -> int:
@@ -137,7 +137,7 @@ def filter_unmix(m0: PLMap, mlpf: PLMap, t: TransmissivityPair) -> UnmixedMaps:
     _require_same_shape(m0, mlpf)
     den = t.t0 - t.tminus
     if abs(den) < 1e-6:
-        raise SingularityError(
+        raise IdentifiabilityError(
             f"t0={t.t0} and tminus={t.tminus} are too close to invert"
         )
     with np.errstate(over="ignore"):  # an overflow is refused by _unmixed

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .errors import GridMismatchError, IdentifiabilityError, RangeError, ValidationError
+from .errors import IdentifiabilityError, ValidationError
 
 __all__ = [
     "Spectrum",
@@ -132,7 +132,7 @@ def _onto(grid_of: Spectrum, s: Spectrum) -> Spectrum:
 
 def _require_same_grid(a: Spectrum, b: Spectrum) -> None:
     if not _same_grid(a.wavelengths, b.wavelengths):
-        raise GridMismatchError("spectra are on different wavelength grids; resample first")
+        raise ValidationError("spectra are on different wavelength grids; resample first")
 
 
 def resample(s: Spectrum, grid: ArrayLike) -> Spectrum:
@@ -147,7 +147,7 @@ def resample(s: Spectrum, grid: ArrayLike) -> Spectrum:
     g = _grid(np.ravel(grid), "resample grid")
     lo, hi = s.span
     if g[0] < lo or g[-1] > hi:
-        raise RangeError(
+        raise ValidationError(
             f"grid [{g[0]}, {g[-1]}] exceeds source range [{lo}, {hi}]"
         )
     return Spectrum(g, np.interp(g, s.wavelengths, s.intensities))
@@ -168,7 +168,7 @@ def scale(s: Spectrum, k: float) -> Spectrum:
 
 def _require_within(span: tuple[float, float], lo: float, hi: float) -> None:
     if lo < span[0] or hi > span[1]:
-        raise RangeError(f"window [{lo}, {hi}] outside grid range [{span[0]}, {span[1]}]")
+        raise ValidationError(f"window [{lo}, {hi}] outside grid range [{span[0]}, {span[1]}]")
 
 
 class _WindowCut:

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .errors import RangeError, ValidationError
+from .errors import ValidationError
 from .fileio import _ABSENT, _REQUIRED, _from_json
 from .maps import PLMap, _require_same_shape
 from .spectrum import Spectrum, _on_grid, area, scale
@@ -134,7 +134,7 @@ class FieldResponseModel:
     def cminus(self, b: float) -> float:
         lo, hi = self.cminus_curve[0][0], self.cminus_curve[-1][0]
         if b < lo or b > hi:
-            raise RangeError(f"field {b} G outside knot range [{lo}, {hi}] G")
+            raise ValidationError(f"field {b} G outside knot range [{lo}, {hi}] G")
         return float(np.interp(b, *self._knots))
 
     @classmethod

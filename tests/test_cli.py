@@ -37,7 +37,7 @@ from nvunmix import (
 from nvunmix import cli, synth
 from nvunmix.cli import build_parser, main
 from nvunmix.decompose import NVM_ZPL_NM
-from nvunmix.errors import GridMismatchError
+from nvunmix.errors import ParseError
 from nvunmix.fileio import RunReport, load_map, load_spectrum, save_map, save_spectrum
 from nvunmix.synth import (
     DEFAULT_NV0_SHAPE,
@@ -719,7 +719,7 @@ class TestSweepFlow:
         """An ``NvUnmixError`` that is also a ``ValueError`` exits 2 with its own message, not
         as an array size numpy refused."""
         def simulate(p, seed):
-            raise GridMismatchError("x")
+            raise ParseError("x")
 
         keys = synth._SIMULATORS["spectrum"][1]
         monkeypatch.setitem(synth._SIMULATORS, "spectrum", (simulate, keys))
@@ -1359,11 +1359,29 @@ class TestInputBoundary:
          "{d}/ft.csv: tabulated wavelengths has too few points (1 < 2)"),
         (_MAP_ARGS, "m.json", _SIDECAR.replace(b'"pixel_pitch_um": 1.0', b'"pixel_pitch_um": 0.0'),
          "{d}/m.json: pixel_pitch_um must be positive"),
-    ], ids=["table-above-1", "table-one-row", "sidecar-pitch-zero"])
+        (_SERIES_ARGS, "series.json",
+         b'[{"b_field_gauss": 170, "path": "s.csv"}, {"b_field_gauss": 170.0, "path": "s.csv"}]',
+         "{d}/series.json: field values must be distinct"),
+        (_SERIES_ARGS, "series.json", b'[{"b_field_gauss": 0, "path": "s.csv"}]',
+         "{d}/series.json: field values must be positive and finite"),
+        (["decompose", "--low", "{d}/s.csv", "--high", "{d}/b.csv", "--out-nv0", "{d}/n0.csv",
+          "--out-nvm", "{d}/nm.csv"], "b.csv", b"600.0,2.0\n601.5,1.0\n",
+         "{d}/b.csv: not on the wavelength grid of {d}/s.csv"),
+        (_SERIES_ARGS, "b.csv", b"600.0,2.0\n601.5,1.0\n",
+         "{d}/b.csv: not on the wavelength grid of {d}/s.csv"),
+        (["fit-series", "--basis-nv0", "{d}/b.csv", "--basis-nvm", "{d}/b.csv",
+          "--series", "{d}/series.json", "--out-table", "{d}/table.csv"],
+         "b.csv", b"600.25,2.0\n600.75,1.0\n",
+         "{d}/b.csv: wavelengths [600.25, 600.75] do not cover the series grid [600.0, 601.0]"),
+    ], ids=["table-above-1", "table-one-row", "sidecar-pitch-zero", "manifest-field-repeated",
+            "manifest-field-zero", "decompose-grids-differ", "basis-grids-differ",
+            "basis-short-of-series"])
     def test_model_refusal_names_the_file(self, tmp_path, capsys, argv, name, data, error):
         """A value that parses but that a model refuses exits 2 with one line naming the file
         that holds it, and writes nothing."""
         (tmp_path / "s.csv").write_text("600.0,1.0\n601.0,2.0\n")
+        (tmp_path / "b.csv").write_text("600.0,2.0\n601.0,1.0\n")
+        (tmp_path / "series.json").write_text('[{"b_field_gauss": 170, "path": "s.csv"}]')
         (tmp_path / "m.csv").write_text("1.0,2.0\n")
         (tmp_path / name).write_bytes(data)
         before = set(tmp_path.iterdir())

@@ -21,12 +21,10 @@ from hypothesis import strategies as st
 from nvunmix import (
     DecompositionResult,
     FilterModel,
-    GridMismatchError,
     IdentifiabilityError,
     ModelViolationWarning,
     NonPhysicalWarning,
     NvUnmixError,
-    RangeError,
     ScaleSearchConfig,
     Spectrum,
     ValidationError,
@@ -80,7 +78,7 @@ def window_slice_ref(s, lo, hi):
     w, y = s.wavelengths, s.intensities
     gmin, gmax = s.span
     if lo < gmin or hi > gmax:
-        raise RangeError(f"window [{lo}, {hi}] outside grid range [{gmin}, {gmax}]")
+        raise ValidationError(f"window [{lo}, {hi}] outside grid range [{gmin}, {gmax}]")
     i, j = w.searchsorted(lo, "right"), w.searchsorted(hi, "left")
     y_lo, y_hi = np.interp((lo, hi), w, y)
     return np.concatenate(((lo,), w[i:j], (hi,))), np.concatenate(((y_lo,), y[i:j], (y_hi,)))
@@ -222,7 +220,7 @@ class TestZplArtifact:
 
     def test_window_outside_grid(self):
         s = Spectrum(np.linspace(630.0, 650.0, 21), np.ones(21))
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError):
             zpl_artifact(s)  # default edge bands reach below 630
 
     def test_config_validation(self):
@@ -268,7 +266,7 @@ class TestDifferenceSpectrum:
     def test_grid_mismatch(self):
         a = Spectrum(FINE, affine(FINE))
         b = Spectrum(FINE[:-1], affine(FINE[:-1]))
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(ValidationError):
             difference_spectrum(a, b)
 
     def test_score_nan_when_grid_misses_window(self):
@@ -617,10 +615,10 @@ class TestErrorPrecedence:
     @pytest.mark.parametrize(
         "start, sign, edge, error, message",
         [
-            (632.0, -1.0, 4.0, RangeError, "window [630.0, 644.0] outside"),
-            (632.0, 1.0, 4.0, RangeError, "window [630.0, 644.0] outside"),
+            (632.0, -1.0, 4.0, ValidationError, "window [630.0, 644.0] outside"),
+            (632.0, 1.0, 4.0, ValidationError, "window [630.0, 644.0] outside"),
             (629.0, -1.0, 4.0, IdentifiabilityError, "no positive area"),
-            (629.0, 1.0, 4.0, RangeError, "window [626.0, 630.0] outside"),
+            (629.0, 1.0, 4.0, ValidationError, "window [626.0, 630.0] outside"),
             (550.0, -1.0, 1e-14, IdentifiabilityError, "no positive area"),
             (550.0, 1.0, 1e-14, ValidationError, "window requires lo < hi, got [630.0, 630.0]"),
         ],
@@ -636,7 +634,7 @@ class TestErrorPrecedence:
     def test_zpl_artifact_reports_the_low_band_first(self):
         grid = np.linspace(632.0, 700.0, 341)
         s = Spectrum(grid, np.ones_like(grid))
-        with pytest.raises(RangeError, match=re.escape("window [626.0, 630.0] outside")):
+        with pytest.raises(ValidationError, match=re.escape("window [626.0, 630.0] outside")):
             zpl_artifact(s)
         cfg = ZplArtifactConfig()
         assert outcome(zpl_artifact, s, cfg) == outcome(zpl_artifact_ref, s, cfg)

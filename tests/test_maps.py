@@ -10,9 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nvunmix import (
-    GridMismatchError,
+    IdentifiabilityError,
     PLMap,
-    SingularityError,
     TransmissivityPair,
     UnmixedMaps,
     ValidationError,
@@ -102,7 +101,7 @@ class TestFieldUnmix:
         assert np.allclose(scaled.nvminus.values, k * base.nvminus.values, rtol=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(ValidationError):
             field_unmix(plmap(np.zeros((2, 2))), plmap(np.zeros((2, 3))), f=1.0)
 
     def test_bad_factor(self):
@@ -133,11 +132,11 @@ class TestFilterUnmix:
 
     def test_near_equal_transmissivities_singular(self):
         m = plmap(np.ones((2, 2)))
-        with pytest.raises(SingularityError):
+        with pytest.raises(IdentifiabilityError):
             filter_unmix(m, m, TransmissivityPair(0.5, 0.5 + 1e-9))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(ValidationError):
             filter_unmix(plmap(np.zeros((2, 2))), plmap(np.zeros((3, 2))), self.T)
 
     @given(
@@ -337,7 +336,7 @@ class TestInPlaceArithmeticOracle:
     lambda a, b: filter_unmix(a, b, TransmissivityPair(0.1, 0.8)),
 ], ids=["field", "filter"])
 def test_unmix_rejects_different_pixel_pitches(call):
-    with pytest.raises(GridMismatchError, match="^maps have different pixel pitches$"):
+    with pytest.raises(ValidationError, match="^maps have different pixel pitches$"):
         call(plmap(np.ones((2, 3)), 0.1), plmap(np.ones((2, 3)), 0.2))
 
 

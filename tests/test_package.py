@@ -8,8 +8,11 @@ import subprocess
 import sys
 import types
 
+import pytest
+
 import nvunmix
-from nvunmix import cli, fileio
+from nvunmix import cli, errors, fileio, synth
+from nvunmix.errors import IdentifiabilityError, ParseError, ValidationError
 
 # The modules whose public names the package republishes.
 _ANALYSIS = ("basisfit", "decompose", "errors", "filters", "maps", "spectrum")
@@ -60,7 +63,7 @@ def test_building_the_parser_loads_no_synthetic_generator():
 
 def test_namespace_holds_the_analysis_api_and_the_rest_resolves_by_module():
     public = _public_names()
-    assert len(public) == 47
+    assert len(public) == 44
     for module, names in _BY_NAME.items():
         for name in names:
             assert name not in public
@@ -85,3 +88,30 @@ def test_negative_flag_takes_fileio_modes():
              for action in parser._actions if action.dest == "negative"}
     assert sorted(flags) == ["decompose", "fit-series", "transmissivity"]
     assert all(choices is fileio._NEGATIVE_MODES for choices in flags.values())
+
+
+def test_errors_defines_one_class_per_outcome():
+    """Exit 2 is a ValidationError or a ParseError and exit 3 an IdentifiabilityError; the
+    other classes are the base class and the warnings."""
+    assert {n for n, v in vars(errors).items() if isinstance(v, type)} == {
+        "NvUnmixError", "ValidationError", "ParseError", "IdentifiabilityError",
+        "NvUnmixWarning", "ModelViolationWarning", "NonPhysicalWarning", "ConditioningWarning"}
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (ValidationError, 2, "error: {p}: x\n"),  # a value the params file holds
+    (ParseError, 2, "error: x\n"),
+    (IdentifiabilityError, 3, "error: x\n"),
+])
+def test_each_outcome_class_has_its_exit_code(tmp_path, capsys, monkeypatch, error, code, line):
+    """A command whose body raises one of the outcome classes exits with that class's code
+    and one ``error:`` line, and writes nothing."""
+    def simulate(p, seed):
+        raise error("x")
+
+    monkeypatch.setitem(synth._SIMULATORS, "spectrum", (simulate, synth._SIMULATORS["spectrum"][1]))
+    (tmp_path / "p.json").write_text("{}")
+    argv = ["simulate", "spectrum", "--params", str(tmp_path / "p.json"), "--out", str(tmp_path / "sim")]
+    assert cli.main(argv) == code
+    assert capsys.readouterr() == ("", line.format(p=tmp_path / "p.json"))
+    assert not (tmp_path / "sim").exists()

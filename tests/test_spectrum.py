@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from nvunmix import (
     BasisPair,
-    GridMismatchError,
-    RangeError,
     Spectrum,
     ValidationError,
     WavelengthWindow,
@@ -155,9 +153,9 @@ class TestResample:
 
     def test_out_of_range(self):
         s = Spectrum([600.0, 700.0], [0.0, 1.0])
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError):
             resample(s, [599.0, 650.0])
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError):
             resample(s, [650.0, 700.5])
 
     def test_degenerate_grid(self):
@@ -205,7 +203,7 @@ class TestSubtractScale:
     def test_grid_mismatch(self):
         a = Spectrum([600.0, 700.0], [1.0, 2.0])
         b = Spectrum([600.0, 701.0], [1.0, 2.0])
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(ValidationError):
             subtract(a, b)
 
     def test_scale_identity_and_zero(self):
@@ -307,7 +305,7 @@ class TestArea:
 
     def test_window_outside_grid(self):
         s = Spectrum([600.0, 700.0], [1.0, 1.0])
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError):
             area(s, WavelengthWindow(590.0, 650.0))
 
     @given(spectra())
@@ -379,7 +377,7 @@ class TestBasisPair:
     def test_grid_mismatch(self, grid02):
         a = make_spectrum(CLEAN_NVM_SHAPE, grid02, 1.0)
         b = make_spectrum(CLEAN_NVM_SHAPE, grid02[:-1], 1.0)
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(ValidationError):
             BasisPair(a, b)
 
     def test_signed_pair_builds_and_fits(self, grid02):
@@ -426,7 +424,7 @@ class TestBasisPair:
     def test_from_spectra_keeps_distinct_grids_apart(self, grid02):
         raw0 = make_spectrum(CLEAN_NVM_SHAPE, grid02, 1.0)
         rawm = make_spectrum(CLEAN_NVM_SHAPE, grid02[:-1], 1.0)
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(ValidationError):
             BasisPair.from_spectra(raw0, rawm)
 
 

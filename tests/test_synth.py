@@ -11,10 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nvunmix import (
-    GridMismatchError,
     ParseError,
     PLMap,
-    RangeError,
     Spectrum,
     ValidationError,
     area,
@@ -105,9 +103,9 @@ class TestFieldResponse:
 
     def test_out_of_range(self):
         fr = FieldResponseModel(10.0, ((100.0, 50.0), (200.0, 30.0)))
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError):
             fr.cminus(99.0)
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError):
             fr.cminus(201.0)
 
     def test_default_curve_shape(self):
@@ -138,7 +136,7 @@ class TestFieldResponse:
         for b in [*bs, *mids, np.float64(bs[0]), np.float64(bs[-1])]:
             assert fr.cminus(b).hex() == float(np.interp(b, bs, cs)).hex()
         for b in (np.nextafter(bs[0], 0.0), np.nextafter(bs[-1], np.inf), -1.0, 1e300):
-            with pytest.raises(RangeError) as err:
+            with pytest.raises(ValidationError) as err:
                 fr.cminus(b)
             assert str(err.value) == f"field {b} G outside knot range [{bs[0]}, {bs[-1]}] G"
 
@@ -182,7 +180,7 @@ class TestMakeFieldSpectrum:
         assert not np.array_equal(a.intensities, c.intensities)
 
     def test_field_outside_knots(self, grid02):
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError):
             make_field_spectrum(
                 80.0, DEFAULT_FIELD_RESPONSE, (DEFAULT_NV0_SHAPE, DEFAULT_NVM_SHAPE), grid02
             )
@@ -450,7 +448,7 @@ class TestFieldMapPair:
     def test_dimension_mismatch(self):
         nv0, _ = make_letter_map(64, 48, 8000.0, 12000.0)
         _, nvm = make_letter_map(64, 64, 8000.0, 12000.0)
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(ValidationError):
             make_field_map_pair(nv0, nvm, suppression=0.5)
 
     def test_maps_nonnegative_and_pitch_carried(self):
