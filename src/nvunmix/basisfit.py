@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import IdentifiabilityError, ModelViolationWarning, NonPhysicalWarning, ValidationError
-from .spectrum import BasisPair, Spectrum, _on_grid, _onto, _same_grid, resample
+from .spectrum import BasisPair, Spectrum, _on_grid, _onto, _require_number, _same_grid, resample
 
 __all__ = [
     "FieldSeries",
@@ -204,8 +204,7 @@ def _scale_factor(c0_1: float, cm_1: float, c0_2: float, cm_2: float, singular: 
     denominator is zero, and warns when the factor is not positive.
     """
     for name, v in (("c0_1", c0_1), ("cm_1", cm_1), ("c0_2", c0_2), ("cm_2", cm_2)):
-        if not np.isfinite(v):
-            raise ValidationError(f"{name} must be finite")
+        _require_number(name, v)
     den = (c0_1 - c0_2) + (cm_1 - cm_2)
     if den == 0.0:
         raise IdentifiabilityError(singular)

@@ -37,6 +37,7 @@ from .spectrum import (
     WavelengthWindow,
     _WindowCut,
     _peak,
+    _require_number,
     _require_same_grid,
     _require_within,
     _trapz,
@@ -72,14 +73,10 @@ class ZplArtifactConfig:
     edge_width: float = 4.0
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.center):
-            raise ValidationError(f"center must be finite, got {self.center!r}")
+        _require_number("center", self.center)
         if not (self.inner.lo < self.center < self.inner.hi):
             raise ValidationError("inner window must contain the line center")
-        if not np.isfinite(self.edge_width):
-            raise ValidationError(f"edge_width must be finite, got {self.edge_width!r}")
-        if not self.edge_width > 0.0:
-            raise ValidationError("edge_width must be positive")
+        _require_number("edge_width", self.edge_width, "positive")
 
     def __getstate__(self) -> dict:
         """The fields alone: a pickle or deep copy leaves the kept grid and windows behind."""
@@ -107,11 +104,9 @@ class ScaleSearchConfig:
     f_max: float = 50.0
 
     def __post_init__(self) -> None:
-        for name, value in (("f_min", self.f_min), ("f_max", self.f_max)):
-            if not np.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-        if not self.f_min > 0.0:
-            raise ValidationError("f_min must be positive")
+        _require_number("f_min", self.f_min)
+        _require_number("f_max", self.f_max)
+        _require_number("f_min", self.f_min, "positive")
         if not self.f_max > self.f_min:
             raise ValidationError("f_max must exceed f_min")
 

@@ -3,7 +3,8 @@
 Every file the package writes is opened here, by ``_replacing``. ``save_csv``
 writes equal-length float columns with ``repr``, so save/load round trips are
 bit-exact, formatting at most ``_WRITE_VALUES`` values (or one row) per write;
-``save_json`` writes every JSON file and ``_save_bytes`` ``render``'s bytes.
+``_save_bytes`` writes ``render``'s bytes and every JSON file, which ``save_json``
+serializes whole before its file opens.
 ``_read`` reads an input's bytes once, so pipes and FIFOs load like files. Inside
 a run's scope (``_run_log``) it logs each input with the sha256 of those bytes, in read
 order, and ``_replacing`` each output, in write order: a CLI report lists these. It
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .maps import PLMap
-from .spectrum import Spectrum
+from .spectrum import Spectrum, _require_number
 
 __all__ = [
     "SPEC_CSV_HEADER",
@@ -101,10 +102,9 @@ def save_csv(path: str | os.PathLike, header: str | None, columns) -> None:
 
 def save_json(path: str | os.PathLike, value) -> None:
     """Write ``value`` as JSON with sorted keys and two-space indents; a NaN or infinite
-    float, which JSON does not have, raises ``ValueError``."""
-    with open(path, "w", encoding="utf-8", newline="\n", opener=_replacing) as fh:
-        json.dump(value, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    float, which JSON does not have, raises ``ValueError`` before ``path`` is opened."""
+    text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    _save_bytes(path, (text + "\n").encode())
 
 
 @dataclass
@@ -344,8 +344,10 @@ def load_map(path: str | os.PathLike, *, negative: str = "allow") -> PLMap:
     width, height, pitch = (sidecar[k] for k in ("width", "height", "pixel_pitch_um"))
     if width < 1 or height < 1:
         raise ParseError(f"{json_path}: width and height must be positive")
-    if fault := PLMap._pitch_fault(pitch):
-        raise ParseError(f"{json_path}: {fault}")
+    try:
+        _require_number("pixel_pitch_um", pitch, "positive")
+    except ValidationError as exc:
+        raise ParseError(f"{json_path}: {exc}") from None
     values, data = _rows(csv_path, width)
     if len(values) != height:
         raise ParseError(

@@ -16,6 +16,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from .errors import ConditioningWarning, ValidationError
 from .spectrum import Spectrum, WavelengthWindow, _as_readonly_array, _grid, _on_grid, area
+from .spectrum import _require_number
 
 __all__ = [
     "FilterModel",
@@ -51,18 +52,16 @@ class FilterModel:
     def __post_init__(self) -> None:
         if not (0.0 < self.t_max <= 1.0):
             raise ValidationError("t_max must lie in (0, 1]")
-        if not np.isfinite(self.width):
-            raise ValidationError(f"width must be finite, got {self.width!r}")
-        if not self.width > 0.0:
-            raise ValidationError("width must be positive")
-        if not np.isfinite(self.center):
-            raise ValidationError("center must be finite")
+        _require_number("width", self.width, "positive")
+        _require_number("center", self.center)
 
     def transmission(self, lam: ArrayLike) -> NDArray[np.float64] | float:
         lam_arr = np.asarray(lam, dtype=float)
         if not np.all(np.isfinite(lam_arr)):
             raise ValidationError("wavelength must be finite")
-        out = self.t_max * _sigmoid((lam_arr - self.center) / self.width)
+        with np.errstate(over="ignore"):  # _sigmoid is exact at +-inf
+            x = (lam_arr - self.center) / self.width
+        out = self.t_max * _sigmoid(x)
         return float(out) if np.isscalar(lam) or lam_arr.ndim == 0 else out
 
 

@@ -15,7 +15,7 @@ from numpy.typing import NDArray
 
 from .errors import IdentifiabilityError, ValidationError
 from .filters import TransmissivityPair
-from .spectrum import _peak
+from .spectrum import _peak, _require_number
 
 __all__ = [
     "PLMap",
@@ -51,19 +51,11 @@ class PLMap:
             raise ValidationError("map values must be a non-empty 2-D grid")
         if not np.all(np.isfinite(v)):
             raise ValidationError("map values must be finite")
-        if fault := cls._pitch_fault(pixel_pitch_um):
-            raise ValidationError(fault)
+        _require_number("pixel_pitch_um", pixel_pitch_um, "positive")
         v.flags.writeable = False
         m = object.__new__(cls)
         m.__dict__.update(values=v, pixel_pitch_um=pixel_pitch_um)
         return m
-
-    @staticmethod
-    def _pitch_fault(pixel_pitch_um: float) -> str | None:
-        """Why ``pixel_pitch_um`` cannot be a map's pitch, or None when it can."""
-        if not np.isfinite(pixel_pitch_um):
-            return f"pixel_pitch_um must be finite, got {pixel_pitch_um!r}"
-        return None if pixel_pitch_um > 0.0 else "pixel_pitch_um must be positive"
 
     @property
     def height(self) -> int:
@@ -119,8 +111,7 @@ def field_unmix(low_b: PLMap, high_b: PLMap, f: float) -> UnmixedMaps:
     Per pixel: ``nvminus = f * (low - high)`` and ``nv0 = low - nvminus``.
     """
     _require_same_shape(low_b, high_b)
-    if not (np.isfinite(f) and f > 0.0):
-        raise ValidationError("scale factor f must be positive and finite")
+    _require_number("scale factor f", f, "positive")
     with np.errstate(over="ignore"):  # an overflow is refused by _unmixed
         nvm = np.subtract(low_b.values, high_b.values)
         np.multiply(f, nvm, out=nvm)

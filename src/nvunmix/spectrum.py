@@ -9,6 +9,7 @@ share their operand's read-only grid array, so never set ``writeable`` on one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +28,15 @@ __all__ = [
     "area",
     "normalize_area",
 ]
+
+
+def _require_number(name: str, value: float, rule: str = "finite") -> None:
+    """Refuse a scalar that is not finite or, under ``rule`` "positive" or "nonnegative", not
+    > 0 or >= 0, in one line naming ``name`` and the value it got."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    if rule == "positive" and not value > 0.0 or rule == "nonnegative" and not value >= 0.0:
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
 
 
 def _as_readonly_array(values: ArrayLike, name: str) -> NDArray[np.float64]:
@@ -161,8 +171,7 @@ def subtract(a: Spectrum, b: Spectrum) -> Spectrum:
 
 def scale(s: Spectrum, k: float) -> Spectrum:
     """Pointwise ``k * s``."""
-    if not np.isfinite(k):
-        raise ValidationError("scale factor must be finite")
+    _require_number("scale factor", k)
     return _on_grid(s, k * s.intensities)
 
 

@@ -27,7 +27,7 @@ from numpy.typing import ArrayLike, NDArray
 from .errors import ValidationError
 from .fileio import _ABSENT, _REQUIRED, _from_json
 from .maps import PLMap, _require_same_shape
-from .spectrum import Spectrum, _on_grid, area, scale
+from .spectrum import Spectrum, _on_grid, _require_number, area, scale
 
 __all__ = [
     "SpectralShapeModel",
@@ -62,13 +62,11 @@ class SpectralShapeModel:
     def __post_init__(self) -> None:
         comps = tuple((float(c), float(w), float(a)) for c, w, a in self.sideband_components)
         object.__setattr__(self, "sideband_components", comps)
-        for center, width, weight in self.components():
-            if not (np.isfinite(center) and np.isfinite(width) and np.isfinite(weight)):
-                raise ValidationError("shape parameters must be finite")
-            if width <= 0.0:
-                raise ValidationError("component widths must be positive")
-            if weight < 0.0:
-                raise ValidationError("component weights must be nonnegative")
+        for k, (center, width, weight) in enumerate(self.components()):
+            part = f"sideband {k} " if k else "zpl_"
+            _require_number(part + "center", center)
+            _require_number(part + "width", width, "positive")
+            _require_number(part + "weight", weight, "nonnegative")
         total = self.zpl_weight + sum(a for _, _, a in comps)
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"component weights must sum to 1, got {total!r}")
@@ -112,8 +110,7 @@ class FieldResponseModel:
     def __post_init__(self) -> None:
         knots = tuple((float(b), float(c)) for b, c in self.cminus_curve)
         object.__setattr__(self, "cminus_curve", knots)
-        if self.c0_const < 0.0 or not np.isfinite(self.c0_const):
-            raise ValidationError("c0_const must be finite and nonnegative")
+        _require_number("c0_const", self.c0_const, "nonnegative")
         if len(knots) < 1:
             raise ValidationError("cminus_curve needs at least one knot")
         bs = np.array([b for b, _ in knots])
@@ -161,10 +158,7 @@ class NoiseModel:
         if isinstance(scans, bool) or not isinstance(scans, numbers.Integral) or scans < 1:
             raise ValidationError(f"scans must be an integer >= 1, got {scans!r}")
         object.__setattr__(self, "scans", int(scans))
-        if not np.isfinite(self.dwell):
-            raise ValidationError(f"dwell must be finite, got {self.dwell!r}")
-        if not self.dwell > 0.0:
-            raise ValidationError("dwell must be positive")
+        _require_number("dwell", self.dwell, "positive")
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
@@ -227,8 +221,7 @@ DEFAULT_FIELD_RESPONSE = FieldResponseModel(
 
 def make_spectrum(model: SpectralShapeModel, grid: ArrayLike, total_counts: float) -> Spectrum:
     """Render a shape model on ``grid``, scaled to the requested integrated counts."""
-    if not (np.isfinite(total_counts) and total_counts >= 0.0):
-        raise ValidationError("total_counts must be finite and nonnegative")
+    _require_number("total_counts", total_counts, "nonnegative")
     g = np.asarray(grid, dtype=float)
     return _scaled(Spectrum(g, model.density(g)), total_counts)
 
@@ -369,9 +362,8 @@ def make_letter_map(
     """Ground-truth component maps: constant PL inside each (disjoint) letter mask, else zero."""
     if width < 1 or height < 1:
         raise ValidationError("map dimensions must be positive")
-    for name, v in (("pl_nv0", pl_nv0), ("pl_nvm", pl_nvm)):
-        if not (np.isfinite(v) and v >= 0.0):
-            raise ValidationError(f"{name} must be finite and nonnegative")
+    _require_number("pl_nv0", pl_nv0, "nonnegative")
+    _require_number("pl_nvm", pl_nvm, "nonnegative")
     mask0, maskm = default_letter_masks(width, height)
     nv0 = np.where(mask0, float(pl_nv0), 0.0)
     nvm = np.where(maskm, float(pl_nvm), 0.0)

@@ -165,6 +165,16 @@ class TestTransmissivityCommand:
         out = capsys.readouterr().out.strip()
         assert out == "0.615"
 
+    def test_extreme_sigmoid_prints_zero_and_no_warning(self, tmp_path, capsys):
+        """An edge far red of the spectrum with a vanishing width overflows its argument to
+        -inf, where the transmission is exactly 0: t is 0 and stderr stays empty."""
+        grid = np.linspace(550.0, 850.0, 1501)
+        save_spectrum(Spectrum(grid, np.full_like(grid, 3.0)), tmp_path / "flat.csv")
+        argv = ["transmissivity", "--spectrum", str(tmp_path / "flat.csv"),
+                "--center", "1e308", "--width", "1e-308"]
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("0\n", "")
+
     def test_filter_table_backend(self, tmp_path, capsys):
         grid = np.linspace(550.0, 850.0, 1501)
         save_spectrum(Spectrum(grid, np.full_like(grid, 3.0)), tmp_path / "flat.csv")
@@ -1131,7 +1141,7 @@ def test_non_finite_option_exits_2_without_a_report(tmp_path, grid02, capsys, op
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    if option in ("edge", "width"):  # named as non-finite, not as non-positive
+    if option in ("edge", "center", "width", "f"):  # named as non-finite, not as non-positive
         assert captured.err.endswith(f" must be finite, got {value}\n")
     assert set(tmp_path.iterdir()) == before
 
@@ -1358,7 +1368,7 @@ class TestInputBoundary:
         (_TABLE_FILTER, "ft.csv", b"645.0,0.5\n",
          "{d}/ft.csv: tabulated wavelengths has too few points (1 < 2)"),
         (_MAP_ARGS, "m.json", _SIDECAR.replace(b'"pixel_pitch_um": 1.0', b'"pixel_pitch_um": 0.0'),
-         "{d}/m.json: pixel_pitch_um must be positive"),
+         "{d}/m.json: pixel_pitch_um must be positive, got 0.0"),
         (_SERIES_ARGS, "series.json",
          b'[{"b_field_gauss": 170, "path": "s.csv"}, {"b_field_gauss": 170.0, "path": "s.csv"}]',
          "{d}/series.json: field values must be distinct"),
@@ -1399,7 +1409,7 @@ class TestInputBoundary:
             (tmp_path / "m.csv").write_bytes(csv)
         before = set(tmp_path.iterdir())
         assert main([a.format(d=tmp_path) for a in _MAP_ARGS]) == 2
-        assert capsys.readouterr() == ("", f"error: {tmp_path}/m.json: pixel_pitch_um must be positive\n")
+        assert capsys.readouterr() == ("", f"error: {tmp_path}/m.json: pixel_pitch_um must be positive, got 0.0\n")
         assert set(tmp_path.iterdir()) == before
 
     def _run_both_paths(self, argv, capsys, monkeypatch) -> str:

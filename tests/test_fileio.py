@@ -413,6 +413,18 @@ class TestRunReport:
         with pytest.raises(ValueError):
             fileio.save_json(tmp_path / "x.json", {"x": float("nan")})
 
+    def test_refused_json_leaves_the_path_as_it_was(self, tmp_path):
+        """A value JSON cannot hold is refused before the file opens: no file is created,
+        and a file already at the path keeps its bytes."""
+        value = {"a": 1.0, "b": float("nan")}
+        with pytest.raises(ValueError):
+            fileio.save_json(tmp_path / "new.json", value)
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "old.json").write_bytes(b'{"kept": true}\n')
+        with pytest.raises(ValueError):
+            fileio.save_json(tmp_path / "old.json", value)
+        assert (tmp_path / "old.json").read_bytes() == b'{"kept": true}\n'
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "r.json"
         path.write_text("{not json")

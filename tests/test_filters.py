@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,12 @@ class TestTransmission:
 
     def test_no_overflow_far_below_center(self):
         assert FilterModel().transmission(-1e6) == 0.0
+
+    def test_overflowing_argument_warns_nothing(self):
+        """(lam - center) / width overflows to -inf, where the sigmoid is exactly 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert FilterModel(center=1e308, width=1e-308).transmission(600.0) == 0.0
 
     @given(st.floats(0.0, 500.0))
     def test_symmetry_about_center(self, d):
@@ -326,8 +333,8 @@ class TestTabulatedFilter:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: FilterModel(center=math.inf), "center must be finite"),
-    (lambda: FilterModel(center=math.nan), "center must be finite"),
+    (lambda: FilterModel(center=math.inf), "center must be finite, got inf"),
+    (lambda: FilterModel(center=math.nan), "center must be finite, got nan"),
     (lambda: FilterModel().transmission(math.nan), "wavelength must be finite"),
     (lambda: FilterModel().transmission([600.0, -math.inf]), "wavelength must be finite"),
     (lambda: TabulatedFilter([600.0, 700.0], [0.1, 0.2, 0.3]),

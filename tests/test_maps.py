@@ -42,8 +42,8 @@ class TestPLMap:
             PLMap(np.ones((2, 2)), pixel_pitch_um=0.0)
 
     @pytest.mark.parametrize("pitch, message", [
-        (0.0, "pixel_pitch_um must be positive"),
-        (-1.0, "pixel_pitch_um must be positive"),
+        (0.0, "pixel_pitch_um must be positive, got 0.0"),
+        (-1.0, "pixel_pitch_um must be positive, got -1.0"),
         (math.nan, "pixel_pitch_um must be finite, got nan"),
         (math.inf, "pixel_pitch_um must be finite, got inf"),
         (-math.inf, "pixel_pitch_um must be finite, got -inf"),

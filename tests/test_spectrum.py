@@ -5,23 +5,36 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from nvunmix import (
     BasisPair,
+    FilterModel,
+    PLMap,
+    ScaleSearchConfig,
     Spectrum,
     ValidationError,
     WavelengthWindow,
+    ZplArtifactConfig,
     area,
+    field_unmix,
     fit_coefficients,
     normalize_area,
     resample,
     scale,
+    scale_factor_from_coefficients,
     subtract,
 )
-from nvunmix.spectrum import _on_grid, _WindowCut
-from nvunmix.synth import DEFAULT_NV0_SHAPE, make_spectrum
+from nvunmix.spectrum import _on_grid, _require_number, _WindowCut
+from nvunmix.synth import (
+    DEFAULT_NV0_SHAPE,
+    FieldResponseModel,
+    NoiseModel,
+    SpectralShapeModel,
+    make_letter_map,
+    make_spectrum,
+)
 
 from conftest import CLEAN_NVM_SHAPE, allocated_beyond_result, assert_spectra_equal
 
@@ -443,3 +456,83 @@ def _normalize_one_point():
 def test_validation_messages(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()
+
+
+_ONES = PLMap(np.ones((2, 2)))
+_SIDEBAND = (600.0, 5.0, 0.5)
+
+# Every scalar a caller passes whose rule is finite, positive or nonnegative: (case id, a call
+# passing the value, the name its refusal gives, its rule).
+_SCALARS = [
+    ("scale-k", lambda v: scale(Spectrum([600.0, 601.0], [1.0, 2.0]), v), "scale factor", "finite"),
+    ("zpl-center", lambda v: ZplArtifactConfig(center=v), "center", "finite"),
+    ("zpl-edge-width", lambda v: ZplArtifactConfig(edge_width=v), "edge_width", "positive"),
+    ("search-f-min", lambda v: ScaleSearchConfig(f_min=v), "f_min", "positive"),
+    ("search-f-max", lambda v: ScaleSearchConfig(f_max=v), "f_max", "finite"),
+    ("filter-width", lambda v: FilterModel(width=v), "width", "positive"),
+    ("filter-center", lambda v: FilterModel(center=v), "center", "finite"),
+    ("map-pitch", lambda v: PLMap(np.ones((2, 2)), v), "pixel_pitch_um", "positive"),
+    ("field-unmix-f", lambda v: field_unmix(_ONES, _ONES, v), "scale factor f", "positive"),
+    ("c0-1", lambda v: scale_factor_from_coefficients(v, 1.0, 2.0, 3.0), "c0_1", "finite"),
+    ("cm-1", lambda v: scale_factor_from_coefficients(1.0, v, 2.0, 3.0), "cm_1", "finite"),
+    ("c0-2", lambda v: scale_factor_from_coefficients(1.0, 2.0, v, 3.0), "c0_2", "finite"),
+    ("cm-2", lambda v: scale_factor_from_coefficients(1.0, 2.0, 3.0, v), "cm_2", "finite"),
+    ("shape-zpl-center", lambda v: SpectralShapeModel(v, 1.8, 0.5, (_SIDEBAND,)),
+     "zpl_center", "finite"),
+    ("shape-zpl-width", lambda v: SpectralShapeModel(575.0, v, 0.5, (_SIDEBAND,)),
+     "zpl_width", "positive"),
+    ("shape-zpl-weight", lambda v: SpectralShapeModel(575.0, 1.8, v, (_SIDEBAND,)),
+     "zpl_weight", "nonnegative"),
+    ("shape-sideband-center", lambda v: SpectralShapeModel(575.0, 1.8, 0.5, ((v, 5.0, 0.5),)),
+     "sideband 1 center", "finite"),
+    ("shape-sideband-width", lambda v: SpectralShapeModel(575.0, 1.8, 0.5, ((600.0, v, 0.5),)),
+     "sideband 1 width", "positive"),
+    ("shape-sideband-weight", lambda v: SpectralShapeModel(575.0, 1.8, 0.5, ((600.0, 5.0, v),)),
+     "sideband 1 weight", "nonnegative"),
+    ("response-c0-const", lambda v: FieldResponseModel(v, ((170.0, 1.0),)), "c0_const",
+     "nonnegative"),
+    ("noise-dwell", lambda v: NoiseModel("poisson", 1, v), "dwell", "positive"),
+    ("spectrum-total-counts", lambda v: make_spectrum(DEFAULT_NV0_SHAPE, [600.0, 601.0], v),
+     "total_counts", "nonnegative"),
+    ("letter-map-pl-nv0", lambda v: make_letter_map(8, 8, pl_nv0=v), "pl_nv0", "nonnegative"),
+    ("letter-map-pl-nvm", lambda v: make_letter_map(8, 8, pl_nvm=v), "pl_nvm", "nonnegative"),
+]
+_REFUSED = {"positive": 0.0, "nonnegative": -1.0}  # a finite value each rule refuses
+
+
+def _scalar_cases():
+    for case, call, name, rule in _SCALARS:
+        for value in (math.nan, math.inf, -math.inf):
+            yield pytest.param(call, value, f"{name} must be finite, got {value!r}",
+                               id=f"{case}-{value!r}")
+        if rule in _REFUSED:
+            value = _REFUSED[rule]
+            yield pytest.param(call, value, f"{name} must be {rule}, got {value!r}",
+                               id=f"{case}-{value!r}")
+
+
+@pytest.mark.parametrize("call, value, message", _scalar_cases())
+def test_scalar_refusal_names_its_value(call, value, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(math.nan)
+@given(st.floats())
+def test_require_number_takes_what_its_rule_takes(value):
+    """Judged by the sign bit: -0.0 is nonnegative but not positive, and a subnormal has the
+    sign of its sign bit."""
+    finite = math.isfinite(value)
+    above = finite and value != 0.0 and math.copysign(1.0, value) > 0.0
+    for rule, takes in (("finite", finite), ("positive", above),
+                        ("nonnegative", finite and (value == 0.0 or above))):
+        if takes:
+            assert _require_number("x", value, rule) is None
+        else:
+            word = rule if finite else "finite"
+            with pytest.raises(ValidationError, match=f"^x must be {word}, got {re.escape(repr(value))}$"):
+                _require_number("x", value, rule)

@@ -488,17 +488,17 @@ class TestGeneratedMapsOwnTheirArrays:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: SpectralShapeModel(575.0, math.nan, 1.0, ()), "shape parameters must be finite"),
+    (lambda: SpectralShapeModel(575.0, math.nan, 1.0, ()), "zpl_width must be finite, got nan"),
     (lambda: SpectralShapeModel(575.0, 1.8, 1.0, ((591.0, math.inf, 0.0),)),
-     "shape parameters must be finite"),
+     "sideband 1 width must be finite, got inf"),
     (lambda: SpectralShapeModel(575.0, 1.8, 1.25, ((591.0, 5.0, -0.25),)),
-     "component weights must be nonnegative"),
+     "sideband 1 weight must be nonnegative, got -0.25"),
     (lambda: FieldResponseModel(100.0, ((0.0, 1.0),)), "knot fields must be positive and finite"),
     (lambda: FieldResponseModel(100.0, ((100.0, 1.0), (200.0, -1.0))),
      "knot amplitudes must be finite and nonnegative"),
     (lambda: synth._text_mask("NVX", 64, 64, 0, 32), "no glyph for character 'X'"),
     (lambda: make_letter_map(0, 8), "map dimensions must be positive"),
-    (lambda: make_letter_map(8, 8, pl_nvm=-1.0), "pl_nvm must be finite and nonnegative"),
+    (lambda: make_letter_map(8, 8, pl_nvm=-1.0), "pl_nvm must be nonnegative, got -1.0"),
     (lambda: NoiseModel("poisson", 1, math.nan), "dwell must be finite, got nan"),
     (lambda: NoiseModel("poisson", 1, math.inf), "dwell must be finite, got inf"),
 ], ids=["zpl-width-nan", "sideband-width-inf", "negative-weight", "knot-field-zero",
