@@ -6,11 +6,12 @@ included; a JSON input is read by a key spec (a params file by its kind's in
 ``synth._SIMULATORS``), so an unknown key or a wrong type exits 2 naming the key path. Only
 ``simulate`` loads ``synth``, when it runs; the parser and every other command leave it out.
 A simulator writes nothing: ``simulate`` creates ``--out`` once its files are computed.
-Each command returns a ``_Run``; ``main`` saves its report after every output is written, then
-prints its message, and shows each warning as one ``warning: <message>`` stderr line. The
-report's command and parameters are the parsed command line, every option by its ``dest``; its
-inputs are the files the run read, with the digests of the bytes read, and its outputs the
-files it wrote, both in order, from ``fileio``'s run log.
+``main`` builds each run's ``_Run`` from the report path its subparser declares (``report_at``)
+and passes it to the command, which only computes. ``main`` saves the report after every output
+is written, then prints the run's message, and shows each warning as one ``warning: <message>``
+stderr line. The report's command and parameters are the parsed command line, every option by
+its ``dest``; its inputs are the files the run read, with the digests of the bytes read, and its
+outputs the files it wrote, both in order, from ``fileio``'s run log.
 """
 
 from __future__ import annotations
@@ -88,8 +89,7 @@ def _load_pair(path: str, other: str, negative: str) -> tuple[Spectrum, Spectrum
     return a, b
 
 
-def cmd_decompose(args) -> _Run:
-    run = _Run(args.report or os.path.splitext(args.out_nv0)[0] + ".report.json")
+def cmd_decompose(args, run: _Run) -> None:
     low, high = _load_pair(args.low, args.high, args.negative)
     cfg = ZplArtifactConfig(NVM_ZPL_NM, WavelengthWindow(*_parse_range(args.zpl_window)), args.edge)
     result = decompose(low, high, cfg, ScaleSearchConfig(*_parse_range(args.f_range)))
@@ -102,11 +102,9 @@ def cmd_decompose(args) -> _Run:
         "f_at_bound": result.f_at_bound,
     }
     run.message = f"f = {result.f:.6g}  zpl_metric = {result.zpl_metric:.6g}  report = {run.report}"
-    return run
 
 
-def cmd_fit_series(args) -> _Run:
-    run = _Run(args.report or os.path.splitext(args.out_table)[0] + ".report.json")
+def cmd_fit_series(args, run: _Run) -> None:
     basis = BasisPair.from_spectra(*_load_pair(args.basis_nv0, args.basis_nvm, args.negative))
     manifest = load_json(args.series, [{"b_field_gauss": (float, _REQUIRED), "path": (str, _REQUIRED)}])
     if not manifest:
@@ -142,19 +140,16 @@ def cmd_fit_series(args) -> _Run:
     pairs, skipped = _surface_sizes(table)  # counted: a surface is built only to be written
     run.diagnostics = {"rows": len(table), "surface_pairs": pairs, "surface_skipped": skipped}
     run.message = f"fitted {len(table)} spectra  report = {run.report}"
-    return run
 
 
-def cmd_transmissivity(args) -> _Run:
-    run = _Run(args.report)
+def cmd_transmissivity(args, run: _Run) -> None:
     spec = load_spectrum(args.spectrum, negative=args.negative)
     t = transmissivity(spec, _load_filter(args), WavelengthWindow(*_parse_range(args.window)))
     run.diagnostics["transmissivity"] = t
     run.message = f"{t:.6g}"
-    return run
 
 
-def _unmix_common(args, run, unmixed, low_like) -> _Run:
+def _unmix_common(args, run: _Run, unmixed, low_like) -> None:
     """Report on the component maps against their sum ``low_like``, then save them."""
     buf = np.add(unmixed.nv0.values, unmixed.nvminus.values)  # the one map of temporaries
     np.subtract(buf, low_like.values, out=buf)
@@ -183,31 +178,27 @@ def _unmix_common(args, run, unmixed, low_like) -> _Run:
         f"negative pixels: {unmixed.negative_pixel_count}  "
         f"reconstruction residual: {residual:.6g}  report = {run.report}"
     )
-    return run
 
 
-def cmd_unmix_map_field(args) -> _Run:
-    run = _Run(args.report or args.out + ".nv0.report.json")
+def cmd_unmix_map_field(args, run: _Run) -> None:
     low = load_map(args.low)
     high = load_map(args.high)
     unmixed = field_unmix(low, high, args.f)
     del high
-    return _unmix_common(args, run, unmixed, low)
+    _unmix_common(args, run, unmixed, low)
 
 
-def cmd_unmix_map_filter(args) -> _Run:
-    run = _Run(args.report or args.out + ".nv0.report.json")
+def cmd_unmix_map_filter(args, run: _Run) -> None:
     m0 = load_map(args.m0)
     mlpf = load_map(args.mlpf)
     unmixed = filter_unmix(m0, mlpf, TransmissivityPair(args.t0, args.tm))
     del mlpf
-    return _unmix_common(args, run, unmixed, m0)
+    _unmix_common(args, run, unmixed, m0)
 
 
-def cmd_simulate(args) -> _Run:
+def cmd_simulate(args, run: _Run) -> None:
     from . import synth  # only simulate runs the generator, so only it loads the module
 
-    run = _Run(os.path.join(args.out, "metadata.json"))
     if args.seed is not None and args.kind != "sweep":
         raise ValidationError(f"--seed applies only to simulate sweep, not {args.kind}")
     seed = args.seed or 0
@@ -228,11 +219,9 @@ def cmd_simulate(args) -> _Run:
     for name, value in files.items():  # a spectrum, a map by its stem, or the sweep's manifest
         save[type(value)](value, os.path.join(args.out, name))
     run.message = f"wrote {len(_LOG.get().written)} files to {args.out}  metadata = {run.report}"
-    return run
 
 
-def cmd_render(args) -> _Run:
-    run = _Run(args.report)
+def cmd_render(args, run: _Run) -> None:
     if (args.spectrum is None) == (args.map is None):
         raise ValidationError("render needs exactly one of --spectrum or --map")
     if args.spectrum:
@@ -249,7 +238,6 @@ def cmd_render(args) -> _Run:
     _save_bytes(args.out, data)
     run.diagnostics["bytes"] = len(data)
     run.message = f"wrote {args.out} ({len(data)} bytes)"
-    return run
 
 
 def _shown(value, float_format: str = "") -> str:
@@ -259,8 +247,7 @@ def _shown(value, float_format: str = "") -> str:
     return format(value, float_format) if isinstance(value, float) else json.dumps(value)
 
 
-def cmd_report(args) -> _Run:
-    run = _Run(None)
+def cmd_report(args, run: _Run) -> None:
     report = RunReport.load(args.run)
     lines = [f"command:    {report.command}", f"timestamp:  {report.timestamp}", "inputs:"]
     lines += [f"  {p}  sha256={d}" for p, d in report.inputs]
@@ -272,7 +259,6 @@ def cmd_report(args) -> _Run:
     lines += [f"  {key} = {_shown(report.diagnostics[key], '.6g')}"
               for key in sorted(report.diagnostics)]
     run.message = "\n".join(lines)
-    return run
 
 
 def _add_negative_flag(parser) -> None:
@@ -282,6 +268,13 @@ def _add_negative_flag(parser) -> None:
         default="error",
         help="how to treat negative intensities in input files (default: error)",
     )
+
+
+def _add_report_flag(parser, default=lambda args: None) -> None:
+    """``--report``, and ``report_at``: the path ``main`` saves the report at, the flag's or
+    else ``default``'s (None: no report)."""
+    parser.add_argument("--report", default=None)
+    parser.set_defaults(report_at=lambda args: args.report or default(args))
 
 
 @functools.cache  # one shared parser, built on first use rather than at import
@@ -303,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge", type=float, default=zpl.edge_width)
     p.add_argument("--f-range", default=_range_text(search.f_min, search.f_max),
                    help="clamp for the scale factor LO:HI")
-    p.add_argument("--report", default=None)
+    _add_report_flag(p, lambda args: os.path.splitext(args.out_nv0)[0] + ".report.json")
     _add_negative_flag(p)
     p.set_defaults(func=cmd_decompose)
 
@@ -314,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-table", required=True)
     p.add_argument("--out-surface", default=None)
     p.add_argument("--unconstrained", action="store_true")
-    p.add_argument("--report", default=None)
+    _add_report_flag(p, lambda args: os.path.splitext(args.out_table)[0] + ".report.json")
     _add_negative_flag(p)
     p.set_defaults(func=cmd_fit_series)
 
@@ -327,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default=_range_text(DEFAULT_EMISSION_WINDOW.lo,
                                                    DEFAULT_EMISSION_WINDOW.hi))
     p.add_argument("--filter-table", default=None, help="CSV of wavelength,transmission")
-    p.add_argument("--report", default=None)
+    _add_report_flag(p)
     _add_negative_flag(p)
     p.set_defaults(func=cmd_transmissivity)
 
@@ -336,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--high", required=True)
     p.add_argument("--f", type=float, required=True)
     p.add_argument("--out", required=True, help="output stem")
-    p.add_argument("--report", default=None)
+    _add_report_flag(p, lambda args: args.out + ".nv0.report.json")
     p.set_defaults(func=cmd_unmix_map_field)
 
     p = sub.add_parser("unmix-map-filter", help="filter-unmix unfiltered/filtered maps")
@@ -345,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--tm", type=float, required=True)
     p.add_argument("--out", required=True, help="output stem")
-    p.add_argument("--report", default=None)
+    _add_report_flag(p, lambda args: args.out + ".nv0.report.json")
     p.set_defaults(func=cmd_unmix_map_filter)
 
     p = sub.add_parser("simulate", help="generate synthetic data")
@@ -354,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None, help="JSON parameter file")
     p.add_argument("--seed", type=int, default=None, help="noise seed (sweep only; default 0)")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate,
+                   report_at=lambda args: os.path.join(args.out, "metadata.json"))
 
     p = sub.add_parser("render", help="render a spectrum (SVG) or map (PGM)")
     p.add_argument("--spectrum", default=None)
@@ -363,12 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zpl-guides", action="store_true", help="mark the ZPLs (--spectrum only)")
     p.add_argument("--clamp", action="store_true", help="clamp negatives for display (--map only)")
     p.add_argument("--clip", default=None, help="display clip range LO:HI (--map only)")
-    p.add_argument("--report", default=None)
+    _add_report_flag(p)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("report", help="pretty-print a run report")
     p.add_argument("--run", required=True)
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, report_at=lambda args: None)
 
     return parser
 
@@ -379,9 +373,11 @@ def main(argv: list[str] | None = None) -> int:
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         with _run_log() as log:
-            run = args.func(args)
+            run = _Run(args.report_at(args))
+            args.func(args, run)
             if run.report:  # created before it is saved, so the report does not list itself
-                parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+                parameters = {k: v for k, v in vars(args).items()
+                              if k not in ("command", "func", "report_at")}
                 RunReport.create(args.command, [path for path, _ in log.read], parameters,
                                  log.written, run.diagnostics).save(run.report)
     except IdentifiabilityError as exc:

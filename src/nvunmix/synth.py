@@ -17,6 +17,7 @@ files by name, in write order, with its diagnostics, and writes nothing.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -67,6 +68,9 @@ class SpectralShapeModel:
             _require_number(part + "center", center)
             _require_number(part + "width", width, "positive")
             _require_number(part + "weight", weight, "nonnegative")
+            if not math.isfinite(weight / (width * math.sqrt(2.0 * math.pi))):
+                raise ValidationError(f"{part}width {width!r} is too narrow: the peak density "
+                                      "of its weight overflows")
         total = self.zpl_weight + sum(a for _, _, a in comps)
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"component weights must sum to 1, got {total!r}")
@@ -81,7 +85,8 @@ class SpectralShapeModel:
             if weight == 0.0:
                 continue
             norm = weight / (width * np.sqrt(2.0 * np.pi))
-            out += norm * np.exp(-0.5 * ((grid - center) / width) ** 2)
+            with np.errstate(over="ignore"):  # far from a narrow line: exp(-inf) = 0, exactly
+                out += norm * np.exp(-0.5 * ((grid - center) / width) ** 2)
         return out
 
     @classmethod
@@ -239,15 +244,26 @@ def _scaled(base: Spectrum, total_counts: float) -> Spectrum:
 def _apply_noise(
     clean: NDArray[np.float64], noise: NoiseModel, rng: np.random.Generator
 ) -> NDArray[np.float64]:
-    """Noisy counts for ``clean``, a fresh array that is returned itself without noise."""
-    if noise.kind == "none":
+    """Noisy counts for ``clean``, a fresh array that is returned itself without noise, or
+    when it is not finite, for the spectrum to refuse as it would without noise."""
+    if noise.kind == "none" or not np.isfinite(clean).all():
         return clean
     exposure = noise.scans * noise.dwell
     if noise.kind == "poisson":
         # Sum of `scans` Poisson draws == one draw at the summed exposure.
-        counts = rng.poisson(np.maximum(clean, 0.0) * exposure)
+        with np.errstate(over="ignore"):  # an infinite rate is refused with the others below
+            rates = np.maximum(clean, 0.0) * exposure
+        try:
+            counts = rng.poisson(rates)
+        except ValueError as exc:  # numpy draws no rate past about 9.2e18
+            raise ValidationError(f"dwell {noise.dwell!r} puts a Poisson rate at "
+                                  f"{rates.max():.3g}, past the largest numpy can draw") from exc
         return counts / exposure
-    sigma = np.sqrt(np.maximum(clean, 0.0) / exposure)
+    with np.errstate(over="ignore"):  # a subnormal exposure; refused below
+        sigma = np.sqrt(np.maximum(clean, 0.0) / exposure)
+    if not np.isfinite(sigma).all():
+        raise ValidationError(f"dwell {noise.dwell!r} is too short: the noise's standard "
+                              "deviation overflows")
     return clean + rng.normal(0.0, 1.0, size=clean.shape) * sigma
 
 

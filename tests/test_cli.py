@@ -1383,9 +1383,19 @@ class TestInputBoundary:
           "--series", "{d}/series.json", "--out-table", "{d}/table.csv"],
          "b.csv", b"600.25,2.0\n600.75,1.0\n",
          "{d}/b.csv: wavelengths [600.25, 600.75] do not cover the series grid [600.0, 601.0]"),
+        (_MAP_ARGS, "m.json", _SIDECAR.replace(b'"width": 2', b'"width": 0'),
+         "{d}/m.json: width and height must be positive"),
+        (_SWEEP_ARGS, "p.json", b'{"noise": {"kind": "poisson", "dwell": 1e300}, "fields": [170.0]}',
+         "{d}/p.json: dwell 1e+300 puts a Poisson rate at 7.66e+302, past the largest numpy can draw"),
+        (_SWEEP_ARGS, "p.json", b'{"noise": {"kind": "gaussian", "dwell": 1e-320}, "fields": [170.0]}',
+         "{d}/p.json: dwell 1e-320 is too short: the noise's standard deviation overflows"),
+        (_PARAMS_ARGS, "p.json", b'{"shape": {"zpl_center": 575.0, "zpl_width": 1e-320, '
+         b'"zpl_weight": 1.0}}',
+         "{d}/p.json: shape: zpl_width 1e-320 is too narrow: the peak density of its weight overflows"),
     ], ids=["table-above-1", "table-one-row", "sidecar-pitch-zero", "manifest-field-repeated",
             "manifest-field-zero", "decompose-grids-differ", "basis-grids-differ",
-            "basis-short-of-series"])
+            "basis-short-of-series", "sidecar-width-zero", "poisson-dwell-huge",
+            "gaussian-dwell-subnormal", "zpl-width-subnormal"])
     def test_model_refusal_names_the_file(self, tmp_path, capsys, argv, name, data, error):
         """A value that parses but that a model refuses exits 2 with one line naming the file
         that holds it, and writes nothing."""
@@ -1398,6 +1408,14 @@ class TestInputBoundary:
         assert main([a.format(d=tmp_path) for a in argv]) == 2
         assert capsys.readouterr() == ("", f"error: {error.format(d=tmp_path)}\n")
         assert set(tmp_path.iterdir()) == before
+
+    def test_narrow_line_simulates_without_a_warning(self, tmp_path, capsys):
+        """A zpl_width whose peak density is finite, but whose Gaussian exponent overflows off
+        the line, where exp(-inf) = 0 exactly: the run exits 0 with nothing on stderr."""
+        (tmp_path / "p.json").write_text(json.dumps(
+            {"shape": {"zpl_center": 575.0, "zpl_width": 1e-160, "zpl_weight": 1.0}}))
+        assert main([a.format(d=tmp_path) for a in _PARAMS_ARGS]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("csv", [b"x,y\n", None], ids=["csv-unparsable", "csv-missing"])
     def test_sidecar_pitch_refused_before_the_csv_is_read(self, tmp_path, capsys, csv):

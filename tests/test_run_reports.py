@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from nvunmix import PLMap, Spectrum, fileio
-from nvunmix.cli import main
+from nvunmix.cli import build_parser, main
 from nvunmix.fileio import save_map, save_spectrum
 
 GOLDEN = Path(__file__).parent / "golden" / "reports.json"
@@ -207,6 +207,12 @@ def test_report_and_stdout_match_golden(inputs, case):
     got = run_case(case, inputs)
     assert got["stdout"] == want["stdout"]
     _assert_same(got["report"], want["report"])
+    # The parser declares the path main saves the report at; report --run saves none.
+    argv, report = (_fill(t, inputs) for t in _CASES[case])
+    args = build_parser().parse_args(argv)
+    assert args.report_at(args) == report
+    args = build_parser().parse_args(["report", "--run", report])
+    assert args.report_at(args) is None
 
 
 @pytest.mark.parametrize("case", _CASES)

@@ -241,6 +241,16 @@ class TestMakeFieldSpectrum:
         scans = NoiseModel("poisson", np.int64(3)).scans
         assert scans == 3 and type(scans) is int
 
+    @pytest.mark.parametrize("kind", ["none", "poisson", "gaussian"])
+    def test_counts_past_the_float_range_are_refused_as_without_noise(self, grid02, kind):
+        """Clean counts that overflow are refused as intensities under any noise: a Poisson
+        draw does not blame the dwell for them."""
+        response = FieldResponseModel(1e308, ((100.0, 1e308), (1000.0, 1e308)))
+        shapes = (SpectralShapeModel(575.0, 0.01, 1.0, ()), DEFAULT_NVM_SHAPE)
+        with np.errstate(over="ignore"):  # the clean counts' own overflow
+            with pytest.raises(ValidationError, match="^intensities must be finite$"):
+                make_field_spectrum(170.0, response, shapes, grid02, NoiseModel(kind))
+
 
 class TestMakeSweep:
     def test_deterministic_and_ordered(self, grid02):
@@ -501,8 +511,11 @@ class TestGeneratedMapsOwnTheirArrays:
     (lambda: make_letter_map(8, 8, pl_nvm=-1.0), "pl_nvm must be nonnegative, got -1.0"),
     (lambda: NoiseModel("poisson", 1, math.nan), "dwell must be finite, got nan"),
     (lambda: NoiseModel("poisson", 1, math.inf), "dwell must be finite, got inf"),
+    (lambda: SpectralShapeModel(575.0, 1.8, 0.5, ((591.0, 1e-320, 0.5),)),
+     "sideband 1 width 1e-320 is too narrow: the peak density of its weight overflows"),
 ], ids=["zpl-width-nan", "sideband-width-inf", "negative-weight", "knot-field-zero",
-        "negative-amplitude", "unknown-glyph", "zero-width-map", "negative-pl", "dwell-nan", "dwell-inf"])
+        "negative-amplitude", "unknown-glyph", "zero-width-map", "negative-pl", "dwell-nan", "dwell-inf",
+        "sideband-width-subnormal"])
 def test_validation_messages(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()
