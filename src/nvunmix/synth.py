@@ -27,6 +27,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from .errors import ValidationError
 from .fileio import _ABSENT, _REQUIRED, _from_json
+from .filters import TransmissivityPair
 from .maps import PLMap, _require_same_shape
 from .spectrum import Spectrum, _on_grid, _require_number, area, scale
 
@@ -42,8 +43,6 @@ __all__ = [
     "make_field_spectrum",
     "make_sweep",
     "make_letter_map",
-    "make_field_map_pair",
-    "default_letter_masks",
 ]
 
 
@@ -63,14 +62,18 @@ class SpectralShapeModel:
     def __post_init__(self) -> None:
         comps = tuple((float(c), float(w), float(a)) for c, w, a in self.sideband_components)
         object.__setattr__(self, "sideband_components", comps)
+        peaks = []  # (peak density, width, part) of each component; their sum bounds density()
         for k, (center, width, weight) in enumerate(self.components()):
             part = f"sideband {k} " if k else "zpl_"
             _require_number(part + "center", center)
             _require_number(part + "width", width, "positive")
             _require_number(part + "weight", weight, "nonnegative")
-            if not math.isfinite(weight / (width * math.sqrt(2.0 * math.pi))):
-                raise ValidationError(f"{part}width {width!r} is too narrow: the peak density "
-                                      "of its weight overflows")
+            peaks.append((weight / (width * math.sqrt(2.0 * math.pi)), width, part))
+        if not math.isfinite(sum(peak for peak, _, _ in peaks)):
+            peak, width, part = max(peaks)  # the tallest: the narrowest for its weight
+            why = ("density of its weight overflows" if math.isinf(peak)
+                   else "densities of the components sum past the float range")
+            raise ValidationError(f"{part}width {width!r} is too narrow: the peak {why}")
         total = self.zpl_weight + sum(a for _, _, a in comps)
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"component weights must sum to 1, got {total!r}")
@@ -164,6 +167,12 @@ class NoiseModel:
             raise ValidationError(f"scans must be an integer >= 1, got {scans!r}")
         object.__setattr__(self, "scans", int(scans))
         _require_number("dwell", self.dwell, "positive")
+        try:  # the exposure the noise draw divides by
+            exposure = self.scans * self.dwell
+        except OverflowError:  # scans past the float range
+            exposure = math.inf
+        if not math.isfinite(exposure):
+            raise ValidationError("scans is too large: the exposure scans * dwell overflows")
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
@@ -244,9 +253,8 @@ def _scaled(base: Spectrum, total_counts: float) -> Spectrum:
 def _apply_noise(
     clean: NDArray[np.float64], noise: NoiseModel, rng: np.random.Generator
 ) -> NDArray[np.float64]:
-    """Noisy counts for ``clean``, a fresh array that is returned itself without noise, or
-    when it is not finite, for the spectrum to refuse as it would without noise."""
-    if noise.kind == "none" or not np.isfinite(clean).all():
+    """Noisy counts for ``clean``, a fresh finite array that is returned itself without noise."""
+    if noise.kind == "none":
         return clean
     exposure = noise.scans * noise.dwell
     if noise.kind == "poisson":
@@ -289,7 +297,10 @@ def _field_spectra(
             unit0 = make_spectrum(nv0_shape, g, 1.0)
             y0 = unit0.intensities
             ym = _scaled(_on_grid(unit0, nvm_shape.density(unit0.wavelengths)), 1.0).intensities
-        clean = response.c0_const * y0 + response.cminus(b) * ym
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            clean = response.c0_const * y0 + response.cminus(b) * ym
+        if not np.isfinite(clean).all():
+            raise ValidationError(f"field_response overflows the float range at {field!r} G")
         yield field, _on_grid(unit0, _apply_noise(clean, noise, np.random.default_rng(seed)))
 
 
@@ -328,7 +339,7 @@ def make_sweep(
     return list(_field_spectra(fields, response, shapes, grid, noise, seeds))
 
 
-# 5x7 bitmap glyphs for the default letter masks.
+# 5x7 bitmap glyphs for the letter masks.
 _GLYPHS = {
     "N": ("10001", "11001", "10101", "10011", "10001", "10001", "10001"),
     "V": ("10001", "10001", "10001", "10001", "01010", "01010", "00100"),
@@ -360,14 +371,6 @@ def _text_mask(text: str, width: int, height: int, row0: int, row1: int) -> NDAr
     return mask
 
 
-def default_letter_masks(width: int, height: int) -> tuple[NDArray[np.bool_], NDArray[np.bool_]]:
-    """'NV0' across the top half of the frame, 'NV-' across the bottom half."""
-    return (
-        _text_mask("NV0", width, height, 0, height // 2),
-        _text_mask("NV-", width, height, height // 2, height),
-    )
-
-
 def make_letter_map(
     width: int,
     height: int,
@@ -375,32 +378,26 @@ def make_letter_map(
     pl_nvm: float = 12000.0,
     pixel_pitch_um: float = 0.1,
 ) -> tuple[PLMap, PLMap]:
-    """Ground-truth component maps: constant PL inside each (disjoint) letter mask, else zero."""
+    """Ground-truth component maps, constant PL inside a letter mask and zero outside it: 'NV0'
+    across the top half of the rows, [0, height // 2), and 'NV-' across the bottom half."""
     if width < 1 or height < 1:
         raise ValidationError("map dimensions must be positive")
     _require_number("pl_nv0", pl_nv0, "nonnegative")
     _require_number("pl_nvm", pl_nvm, "nonnegative")
-    mask0, maskm = default_letter_masks(width, height)
-    nv0 = np.where(mask0, float(pl_nv0), 0.0)
-    nvm = np.where(maskm, float(pl_nvm), 0.0)
+    nv0 = np.where(_text_mask("NV0", width, height, 0, height // 2), float(pl_nv0), 0.0)
+    nvm = np.where(_text_mask("NV-", width, height, height // 2, height), float(pl_nvm), 0.0)
     return PLMap._of_fresh(nv0, pixel_pitch_um), PLMap._of_fresh(nvm, pixel_pitch_um)
 
 
-def make_field_map_pair(
-    nv0_truth: PLMap, nvm_truth: PLMap, suppression: float
-) -> tuple[PLMap, PLMap]:
-    """Forward-compose low/high-field maps from component truths.
-
-    ``suppression`` is the fraction of NV- signal removed at high field; the
-    implied difference-method scale factor is ``1 / suppression``.
-    """
-    _require_same_shape(nv0_truth, nvm_truth)
-    if not (np.isfinite(suppression) and 0.0 < suppression <= 1.0):
-        raise ValidationError("suppression must lie in (0, 1]")
-    low = nv0_truth.values + nvm_truth.values
-    high = nv0_truth.values + (1.0 - suppression) * nvm_truth.values
-    pitch = nv0_truth.pixel_pitch_um
-    return PLMap._of_fresh(low, pitch), PLMap._of_fresh(high, pitch)
+def _compose(nv0: PLMap, nvm: PLMap, a: float, b: float) -> tuple[PLMap, PLMap]:
+    """``(nv0 + nvm, a * nv0 + b * nvm)`` as fresh read-only maps: the two-state pair that both
+    imaging routes invert, with (a, b) = (t0, tminus) behind a long-pass filter and
+    (1, 1 - suppression) from a low to a high field. ``_of_fresh`` refuses an overflow."""
+    _require_same_shape(nv0, nvm)
+    with np.errstate(over="ignore"):  # m_b first: its temporaries are freed before m_a exists
+        m_b = PLMap._of_fresh(a * nv0.values + b * nvm.values, nv0.pixel_pitch_um)
+        m_a = PLMap._of_fresh(nv0.values + nvm.values, nv0.pixel_pitch_um)
+    return m_a, m_b
 
 
 # `nvunmix simulate`: the files each kind computes, and the key specs of its params file.
@@ -442,23 +439,24 @@ def _simulate_letter_map(p, seed) -> tuple[dict, dict]:
     if ("t0" in p) != ("tminus" in p):  # t0 and tminus weigh one composed pair
         raise ValidationError(f"{'tminus' if 't0' in p else 't0'}: missing; "
                               "the composed m0/mlpf pair needs both t0 and tminus")
-    t0, tm = p.pop("t0", None), p.pop("tminus", None)
+    t = TransmissivityPair(p.pop("t0"), p.pop("tminus")) if "t0" in p else None
     nv0, nvm = make_letter_map(**p)
     maps, diag = {"nv0_truth": nv0, "nvm_truth": nvm}, {"width": nv0.width, "height": nv0.height}
-    if t0 is not None:
-        with np.errstate(over="ignore"):  # an overflow is refused below, as a non-finite map
-            m0, mlpf = nv0.values + nvm.values, t0 * nv0.values + tm * nvm.values
-        maps["m0"] = PLMap._of_fresh(m0, nv0.pixel_pitch_um)
-        maps["mlpf"] = PLMap._of_fresh(mlpf, nv0.pixel_pitch_um)
-        diag.update({"t0": t0, "tminus": tm})
+    if t is not None:
+        maps["m0"], maps["mlpf"] = _compose(nv0, nvm, t.t0, t.tminus)
+        diag.update({"t0": t.t0, "tminus": t.tminus})
     return maps, diag
 
 
 def _simulate_field_map_pair(p, seed) -> tuple[dict, dict]:
+    # suppression: the fraction of NV- signal removed at high field, so f = 1 / suppression
+    s = p["suppression"]
+    if not 0.0 < s <= 1.0:
+        raise ValidationError("suppression must lie in (0, 1]")
     nv0, nvm = make_letter_map(**p["letter_map"])
-    low, high = make_field_map_pair(nv0, nvm, p["suppression"])
+    low, high = _compose(nv0, nvm, 1.0, 1.0 - s)
     return ({"nv0_truth": nv0, "nvm_truth": nvm, "low": low, "high": high},
-            {"suppression": p["suppression"], "implied_f": 1.0 / p["suppression"]})
+            {"suppression": s, "implied_f": 1.0 / s})
 
 
 _SHAPES_KEYS = {"nv0": (_SHAPE_JSON, _ABSENT), "nvminus": (_SHAPE_JSON, _ABSENT)}

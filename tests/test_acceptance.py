@@ -29,6 +29,7 @@ from nvunmix import (
     scale_factor_surface,
     transmissivity,
 )
+from nvunmix import synth
 from nvunmix.fileio import load_map, load_spectrum, save_map, save_spectrum
 from nvunmix.render import render_map_pgm, render_spectrum_svg
 from nvunmix.synth import (
@@ -36,7 +37,6 @@ from nvunmix.synth import (
     DEFAULT_NV0_SHAPE,
     DEFAULT_NVM_SHAPE,
     NoiseModel,
-    make_field_map_pair,
     make_letter_map,
     make_spectrum,
     make_sweep,
@@ -177,7 +177,7 @@ def test_c7_field_map_identity_and_exact_recovery():
     nv0, nvm = make_letter_map(256, 256, 8000.0, 12000.0)
 
     # power-of-two suppression: recovery is bit-exact
-    low, high = make_field_map_pair(nv0, nvm, suppression=0.5)
+    low, high = synth._compose(nv0, nvm, 1.0, 1.0 - 0.5)
     out = field_unmix(low, high, f=2.0)
     assert np.array_equal(out.nv0.values, nv0.values)
     assert np.array_equal(out.nvminus.values, nvm.values)
@@ -187,7 +187,7 @@ def test_c7_field_map_identity_and_exact_recovery():
     rnv0 = PLMap(rng.uniform(0.0, 1e5, (64, 64)))
     rnvm = PLMap(rng.uniform(0.0, 1e5, (64, 64)))
     for truth0, truthm, sup in ((nv0, nvm, 1.0 / 6.2), (rnv0, rnvm, 1.0 / 6.2)):
-        low, high = make_field_map_pair(truth0, truthm, suppression=sup)
+        low, high = synth._compose(truth0, truthm, 1.0, 1.0 - sup)
         out = field_unmix(low, high, f=1.0 / sup)
         scale_ref = float(np.max(low.values))
         assert np.all(

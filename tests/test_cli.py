@@ -43,7 +43,6 @@ from nvunmix.synth import (
     DEFAULT_NV0_SHAPE,
     DEFAULT_NVM_SHAPE,
     FieldResponseModel,
-    default_letter_masks,
     make_letter_map,
     make_spectrum,
     make_sweep,
@@ -367,7 +366,7 @@ class TestMapCommands:
             inputs = ["--low", str(out_dir / "low"), "--high", str(out_dir / "high"), "--f", "2.0"]
         assert main([route, *inputs, "--out", str(tmp_path / "sep")]) == 0
         diagnostics = RunReport.load(tmp_path / "sep.nv0.report.json").diagnostics
-        mask0, maskm = default_letter_masks(96, 64)
+        mask0, maskm = (m.values > 0.0 for m in make_letter_map(96, 64))
         assert diagnostics["zero_total_pixels"] == int(np.count_nonzero(~(mask0 | maskm)))
         assert diagnostics["nvm_fraction_mean"] == np.count_nonzero(maskm) / np.count_nonzero(mask0 | maskm)
 
@@ -1170,6 +1169,7 @@ _PARAMS_ARGS = ["simulate", "spectrum", "--params", "{d}/p.json", "--out", "{d}/
 _REPORT_ARGS = ["report", "--run", "{d}/r.json"]
 _LETTER_MAP_ARGS = ["simulate", "letter-map", "--params", "{d}/p.json", "--out", "{d}/sim"]
 _SWEEP_ARGS = ["simulate", "sweep", "--params", "{d}/p.json", "--out", "{d}/sim"]
+_FIELD_PAIR_ARGS = ["simulate", "field-map-pair", "--params", "{d}/p.json", "--out", "{d}/sim"]
 _SERIES_ARGS = ["fit-series", "--basis-nv0", "{d}/s.csv", "--basis-nvm", "{d}/b.csv",
                 "--series", "{d}/series.json", "--out-table", "{d}/table.csv"]
 
@@ -1392,10 +1392,29 @@ class TestInputBoundary:
         (_PARAMS_ARGS, "p.json", b'{"shape": {"zpl_center": 575.0, "zpl_width": 1e-320, '
          b'"zpl_weight": 1.0}}',
          "{d}/p.json: shape: zpl_width 1e-320 is too narrow: the peak density of its weight overflows"),
+        (_SWEEP_ARGS, "p.json", b'{"field_response": {"c0_const": 1e308, "cminus_curve": [[100, 1e308], '
+         b'[1000, 1e308]]}, "shapes": {"nv0": {"zpl_center": 575, "zpl_width": 0.001, '
+         b'"zpl_weight": 1}}, "fields": [170.0]}',
+         "{d}/p.json: field_response overflows the float range at 170.0 G"),
+        (_SWEEP_ARGS, "p.json", b'{"noise": {"kind": "poisson", "scans": 1' + b"0" * 400
+         + b'}, "fields": [170.0]}',
+         "{d}/p.json: noise: scans is too large: the exposure scans * dwell overflows"),
+        (_PARAMS_ARGS, "p.json", b'{"shape": {"zpl_center": 575.0, "zpl_width": 1.17e-309, '
+         b'"zpl_weight": 0.5, "sidebands": [[575.0, 1.17e-309, 0.5]]}}',
+         "{d}/p.json: shape: zpl_width 1.17e-309 is too narrow: the peak densities of the "
+         "components sum past the float range"),
+        (_LETTER_MAP_ARGS, "p.json", b'{"width": 32, "height": 24, "t0": -5.0, "tminus": 2.5}',
+         "{d}/p.json: t0 must lie in [0, 1]"),
+        (_FIELD_PAIR_ARGS, "p.json", b'{"letter_map": {"width": 24, "height": 16}, "suppression": 0.0}',
+         "{d}/p.json: suppression must lie in (0, 1]"),
+        (_FIELD_PAIR_ARGS, "p.json", b'{"letter_map": {"width": 24, "height": 16}, "suppression": 1.5}',
+         "{d}/p.json: suppression must lie in (0, 1]"),
     ], ids=["table-above-1", "table-one-row", "sidecar-pitch-zero", "manifest-field-repeated",
             "manifest-field-zero", "decompose-grids-differ", "basis-grids-differ",
             "basis-short-of-series", "sidecar-width-zero", "poisson-dwell-huge",
-            "gaussian-dwell-subnormal", "zpl-width-subnormal"])
+            "gaussian-dwell-subnormal", "zpl-width-subnormal", "field-response-overflow",
+            "scans-overflow", "shape-peaks-sum-overflow", "letter-map-t0-negative",
+            "suppression-zero", "suppression-above-1"])
     def test_model_refusal_names_the_file(self, tmp_path, capsys, argv, name, data, error):
         """A value that parses but that a model refuses exits 2 with one line naming the file
         that holds it, and writes nothing."""

@@ -23,9 +23,8 @@ _BY_NAME = {
     "fileio": ("RunReport", "load_map", "load_spectrum", "save_map", "save_spectrum"),
     "render": ("render_map_pgm", "render_spectrum_svg"),
     "synth": ("DEFAULT_FIELD_RESPONSE", "DEFAULT_NV0_SHAPE", "DEFAULT_NVM_SHAPE", "NOISELESS",
-              "FieldResponseModel", "NoiseModel", "SpectralShapeModel", "default_letter_masks",
-              "make_field_map_pair", "make_field_spectrum", "make_letter_map", "make_spectrum",
-              "make_sweep"),
+              "FieldResponseModel", "NoiseModel", "SpectralShapeModel", "make_field_spectrum",
+              "make_letter_map", "make_spectrum", "make_sweep"),
 }
 
 

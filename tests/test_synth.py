@@ -28,8 +28,6 @@ from nvunmix.synth import (
     FieldResponseModel,
     NoiseModel,
     SpectralShapeModel,
-    default_letter_masks,
-    make_field_map_pair,
     make_field_spectrum,
     make_letter_map,
     make_spectrum,
@@ -37,6 +35,7 @@ from nvunmix.synth import (
 )
 
 from conftest import CLEAN_NV0_SHAPE, CLEAN_NVM_SHAPE
+from test_maps import _maps
 
 
 class TestShapeModel:
@@ -243,13 +242,14 @@ class TestMakeFieldSpectrum:
 
     @pytest.mark.parametrize("kind", ["none", "poisson", "gaussian"])
     def test_counts_past_the_float_range_are_refused_as_without_noise(self, grid02, kind):
-        """Clean counts that overflow are refused as intensities under any noise: a Poisson
-        draw does not blame the dwell for them."""
+        """Clean counts that overflow are refused under any noise, with no numpy warning, in
+        one line naming the field response and the field: a Poisson draw does not blame the
+        dwell for them."""
         response = FieldResponseModel(1e308, ((100.0, 1e308), (1000.0, 1e308)))
         shapes = (SpectralShapeModel(575.0, 0.01, 1.0, ()), DEFAULT_NVM_SHAPE)
-        with np.errstate(over="ignore"):  # the clean counts' own overflow
-            with pytest.raises(ValidationError, match="^intensities must be finite$"):
-                make_field_spectrum(170.0, response, shapes, grid02, NoiseModel(kind))
+        message = "^field_response overflows the float range at 170.0 G$"
+        with pytest.raises(ValidationError, match=message):
+            make_field_spectrum(170.0, response, shapes, grid02, NoiseModel(kind))
 
 
 class TestMakeSweep:
@@ -418,7 +418,7 @@ class TestLetterMap:
     def test_default_masks_disjoint_and_nonempty(self, width, height):
         """From the smallest frame the glyphs fit up, 'NV0' lies in the top half of the rows
         and 'NV-' in the bottom half, so the masks never overlap."""
-        m0, mm = default_letter_masks(width, height)
+        m0, mm = (m.values > 0.0 for m in make_letter_map(width, height))
         assert m0.shape == mm.shape == (height, width)
         assert m0.any() and mm.any()
         assert not np.any(m0 & mm)
@@ -437,36 +437,53 @@ class TestLetterMap:
 
 
 class TestFieldMapPair:
+    @staticmethod
+    def simulate(suppression, **letter_map):
+        """The field-map-pair kind's truths and low/high maps, on a 64x48 letter map."""
+        p = {"letter_map": {"width": 64, "height": 48, **letter_map}, "suppression": suppression}
+        files, _ = synth._simulate_field_map_pair(p, 0)
+        return files["nv0_truth"], files["nvm_truth"], files["low"], files["high"]
+
     def test_forward_composition(self):
-        nv0, nvm = make_letter_map(64, 48, 8000.0, 12000.0)
-        low, high = make_field_map_pair(nv0, nvm, suppression=0.5)
+        nv0, nvm, low, high = self.simulate(0.5)
         assert np.array_equal(low.values, nv0.values + nvm.values)
         assert np.array_equal(high.values, nv0.values + 0.5 * nvm.values)
 
     def test_full_suppression_removes_nvm(self):
-        nv0, nvm = make_letter_map(64, 48, 8000.0, 12000.0)
-        _, high = make_field_map_pair(nv0, nvm, suppression=1.0)
+        nv0, _, _, high = self.simulate(1.0)
         assert np.array_equal(high.values, nv0.values)
-
-    def test_zero_suppression_rejected(self):
-        nv0, nvm = make_letter_map(64, 48, 8000.0, 12000.0)
-        with pytest.raises(ValidationError):
-            make_field_map_pair(nv0, nvm, suppression=0.0)
-        with pytest.raises(ValidationError):
-            make_field_map_pair(nv0, nvm, suppression=1.5)
 
     def test_dimension_mismatch(self):
         nv0, _ = make_letter_map(64, 48, 8000.0, 12000.0)
         _, nvm = make_letter_map(64, 64, 8000.0, 12000.0)
         with pytest.raises(ValidationError):
-            make_field_map_pair(nv0, nvm, suppression=0.5)
+            synth._compose(nv0, nvm, 1.0, 0.5)
 
     def test_maps_nonnegative_and_pitch_carried(self):
-        nv0, nvm = make_letter_map(64, 48, 8000.0, 12000.0, pixel_pitch_um=0.25)
-        low, high = make_field_map_pair(nv0, nvm, suppression=0.3)
+        _, _, low, high = self.simulate(0.3, pixel_pitch_um=0.25)
         assert isinstance(low, PLMap)
         assert low.pixel_pitch_um == 0.25 and high.pixel_pitch_um == 0.25
         assert np.all(low.values >= 0.0) and np.all(high.values >= 0.0)
+
+
+class TestComposeOracle:
+    """``_compose`` gives the bits of the expressions each map kind composed its pair with
+    before it, kept here: ``1.0 * x`` is ``x``, -0.0 and subnormals included."""
+
+    @given(_maps(2), st.floats(0.0, 1.0) | st.sampled_from([-0.0, 0.0, 1.0, 0.2096, 5e-324]),
+           st.floats(0.0, 1.0) | st.sampled_from([-0.0, 0.0, 1.0, 0.8463, 5e-324]))
+    def test_filter_route_matches_the_letter_map_expressions(self, pair, t0, tminus):
+        nv0, nvm = pair
+        m0, mlpf = synth._compose(PLMap(nv0), PLMap(nvm), t0, tminus)
+        assert m0.values.tobytes() == (nv0 + nvm).tobytes()
+        assert mlpf.values.tobytes() == (t0 * nv0 + tminus * nvm).tobytes()
+
+    @given(_maps(2), st.floats(1e-3, 1.0) | st.sampled_from([1.0, 0.5, 2.0 ** -20, 1.0 / 6.2]))
+    def test_field_route_matches_the_field_map_pair_expressions(self, pair, suppression):
+        nv0, nvm = pair
+        low, high = synth._compose(PLMap(nv0), PLMap(nvm), 1.0, 1.0 - suppression)
+        assert low.values.tobytes() == (nv0 + nvm).tobytes()
+        assert high.values.tobytes() == (nv0 + (1.0 - suppression) * nvm).tobytes()
 
 
 class TestGeneratedMapsOwnTheirArrays:
@@ -490,11 +507,19 @@ class TestGeneratedMapsOwnTheirArrays:
 
     def test_field_map_pair(self):
         nv0, nvm = make_letter_map(256, 256)
-        (low, high), peak = self.peak_bytes(make_field_map_pair, nv0, nvm, 0.3)
+        (low, high), peak = self.peak_bytes(synth._compose, nv0, nvm, 1.0, 1.0 - 0.3)
         # low, high and one temporary; a copy of each output would add two more.
         assert peak < 3 * self.MAP_BYTES
         assert not low.values.flags.writeable and not high.values.flags.writeable
         assert np.array_equal(high.values, nv0.values + 0.7 * nvm.values)
+
+    def test_filter_map_pair(self):
+        nv0, nvm = make_letter_map(256, 256)
+        (m0, mlpf), peak = self.peak_bytes(synth._compose, nv0, nvm, 0.2096, 0.8463)
+        # m0, mlpf and one temporary; a copy of each output would add two more.
+        assert peak < 3 * self.MAP_BYTES
+        assert not m0.values.flags.writeable and not mlpf.values.flags.writeable
+        assert np.array_equal(mlpf.values, 0.2096 * nv0.values + 0.8463 * nvm.values)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -513,9 +538,11 @@ class TestGeneratedMapsOwnTheirArrays:
     (lambda: NoiseModel("poisson", 1, math.inf), "dwell must be finite, got inf"),
     (lambda: SpectralShapeModel(575.0, 1.8, 0.5, ((591.0, 1e-320, 0.5),)),
      "sideband 1 width 1e-320 is too narrow: the peak density of its weight overflows"),
+    (lambda: NoiseModel("poisson", 10 ** 300, 1e10),
+     "scans is too large: the exposure scans * dwell overflows"),
 ], ids=["zpl-width-nan", "sideband-width-inf", "negative-weight", "knot-field-zero",
         "negative-amplitude", "unknown-glyph", "zero-width-map", "negative-pl", "dwell-nan", "dwell-inf",
-        "sideband-width-subnormal"])
+        "sideband-width-subnormal", "exposure-overflow"])
 def test_validation_messages(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()
