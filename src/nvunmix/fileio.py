@@ -1,10 +1,13 @@
 """Readers and writers for the spec-csv v1 and plmap v1 formats, plus run reports.
 
 Every file the package writes is opened here, by ``_replacing``. ``save_csv``
-writes equal-length float columns with ``repr``, so save/load round trips are
-bit-exact, formatting at most ``_WRITE_VALUES`` values (or one row) per write;
-``_save_bytes`` writes ``render``'s bytes and every JSON file, which ``save_json``
-serializes whole before its file opens.
+writes equal-length float columns as ``repr`` text, so save/load round trips are
+bit-exact, formatting at most ``_WRITE_VALUES`` values (or one row) per write. orjson
+formats each block whose values are all 0.0, -0.0 or finite with 1e-4 <= |x| < 1e16,
+where its shortest round-trip text is byte-identical to ``repr``'s, and ``repr`` any
+other block; importing orjson costs a process about 4 ms, once. ``_save_bytes``
+writes ``render``'s bytes and every JSON file, which ``save_json`` serializes whole
+before its file opens.
 ``_read`` reads an input's bytes once, so pipes and FIFOs load like files. Inside
 a run's scope (``_run_log``) it logs each input with the sha256 of those bytes, in read
 order, and ``_replacing`` each output, in write order: a CLI report lists these. It
@@ -32,6 +35,7 @@ import stat
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .errors import ParseError, ValidationError
 from .maps import PLMap
@@ -80,7 +84,20 @@ def _save_bytes(path: str | os.PathLike, data: bytes) -> None:
         fh.write(data)
 
 
-_WRITE_VALUES = 1024  # values save_csv formats per write (one row at least)
+# Values save_csv formats per write (one row at least). orjson's output buffer grows by
+# doubling, to about 3.5x a block's text, so a larger block raises the writers' peak memory.
+_WRITE_VALUES = 512
+
+
+def _csv_lines(block: np.ndarray, row: str) -> bytes:
+    """The CSV lines of ``block``, a C-contiguous 2-D float64 array, each value as ``repr``
+    writes it: by orjson when every value is 0.0, -0.0 or finite with 1e-4 <= |x| < 1e16, where
+    its shortest round-trip text is ``repr``'s, else by ``row``, one ``%r`` line."""
+    a = np.abs(block)
+    if a.max() < 1e16 and ((a >= 1e-4) | (a == 0.0)).all():  # NaN fails the first test
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+        return text[2:-2].replace(b"],[", b"\n") + b"\n"
+    return (row * len(block) % tuple(block.ravel().tolist())).encode()
 
 
 def save_csv(path: str | os.PathLike, header: str | None, columns) -> None:
@@ -89,15 +106,15 @@ def save_csv(path: str | os.PathLike, header: str | None, columns) -> None:
     width, n = len(columns), len(columns[0])
     step = max(1, _WRITE_VALUES // width)
     row = ",".join(["%r"] * width) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n", opener=_replacing) as fh:
+    with open(path, "wb", opener=_replacing) as fh:
         if header is not None:
-            fh.write(header + "\n")
+            fh.write((header + "\n").encode())
         for i in range(0, n, step):
             if isinstance(columns, np.ndarray):  # one slice, not one per column of a wide map
-                block = columns[:, i:i + step].T
+                block = np.ascontiguousarray(columns[:, i:i + step].T)
             else:
                 block = np.stack([c[i:i + step] for c in columns], axis=1)
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_csv_lines(block, row))
 
 
 def save_json(path: str | os.PathLike, value) -> None:

@@ -29,7 +29,7 @@ from .errors import ValidationError
 from .fileio import _ABSENT, _REQUIRED, _from_json
 from .filters import TransmissivityPair
 from .maps import PLMap, _require_same_shape
-from .spectrum import Spectrum, _on_grid, _require_number, area, scale
+from .spectrum import Spectrum, _on_grid, _require_number, area
 
 __all__ = [
     "SpectralShapeModel",
@@ -247,7 +247,11 @@ def _scaled(base: Spectrum, total_counts: float) -> Spectrum:
     a = area(base)
     if not a > 0.0:
         raise ValidationError("shape model has no support on the requested grid")
-    return scale(base, total_counts / a)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite count is refused below
+        counts = total_counts / a * base.intensities
+    if not np.isfinite(counts).all():
+        raise ValidationError(f"total_counts {total_counts!r} scales the shape past the float range")
+    return _on_grid(base, counts)
 
 
 def _apply_noise(

@@ -1409,12 +1409,19 @@ class TestInputBoundary:
          "{d}/p.json: suppression must lie in (0, 1]"),
         (_FIELD_PAIR_ARGS, "p.json", b'{"letter_map": {"width": 24, "height": 16}, "suppression": 1.5}',
          "{d}/p.json: suppression must lie in (0, 1]"),
+        (_PARAMS_ARGS, "p.json", b'{"shape": {"zpl_center": 575.0, "zpl_width": 0.001, '
+         b'"zpl_weight": 1.0}, "total_counts": 1e308}',
+         "{d}/p.json: total_counts 1e+308 scales the shape past the float range"),
+        (_PARAMS_ARGS, "p.json", b'{"shape": {"zpl_center": 575.0, "zpl_width": 1.0, '
+         b'"zpl_weight": 1.0}, "total_counts": 1e308, "grid": {"lo": 613.0, "hi": 616.0}}',
+         "{d}/p.json: total_counts 1e+308 scales the shape past the float range"),
     ], ids=["table-above-1", "table-one-row", "sidecar-pitch-zero", "manifest-field-repeated",
             "manifest-field-zero", "decompose-grids-differ", "basis-grids-differ",
             "basis-short-of-series", "sidecar-width-zero", "poisson-dwell-huge",
             "gaussian-dwell-subnormal", "zpl-width-subnormal", "field-response-overflow",
             "scans-overflow", "shape-peaks-sum-overflow", "letter-map-t0-negative",
-            "suppression-zero", "suppression-above-1"])
+            "suppression-zero", "suppression-above-1", "total-counts-overflow",
+            "total-counts-over-subnormal-area"])
     def test_model_refusal_names_the_file(self, tmp_path, capsys, argv, name, data, error):
         """A value that parses but that a model refuses exits 2 with one line naming the file
         that holds it, and writes nothing."""

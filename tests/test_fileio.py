@@ -448,6 +448,27 @@ def _csv_oracle(header, columns) -> bytes:
     return "".join(line + "\n" for line in lines).encode()
 
 
+# The values orjson writes, 0.0, -0.0 and finite 1e-4 <= |x| < 1e16, with both edges of
+# that range and their neighbours outside it.
+_RANGE_EDGES = [1e-4, float(np.nextafter(1e-4, 0.0)), float(np.nextafter(1e16, 0.0)), 1e16,
+                -0.0, 5e-324]
+_IN_RANGE = (st.sampled_from([0.0, 1e-4, float(np.nextafter(1e16, 0.0))])
+             | st.floats(1e-4, 1e16, exclude_max=True)).flatmap(lambda x: st.sampled_from([x, -x]))
+_ANY_FINITE = st.one_of(st.sampled_from(_EDGE_FLOATS + _RANGE_EDGES), _IN_RANGE,
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _repr_oracle_values(rng) -> np.ndarray:
+    """10^5 values orjson writes: mantissas of 1-17 digits times 10^k for k in -4..15, both
+    signs, and k/30 and k/0.3 for k below 10^4."""
+    k = np.repeat(np.arange(-4, 16), 4000)
+    places = 10.0 ** rng.integers(0, 17, k.size)
+    mantissas = np.rint(rng.uniform(1.0, 9.5, k.size) * places) / places
+    signs = rng.choice([-1.0, 1.0], k.size)
+    ks = np.arange(10_000.0)
+    return np.concatenate([signs * mantissas * 10.0 ** k, ks / 30, ks / 0.3])
+
+
 class TestCsvWriter:
     """``save_csv`` against a row-by-row ``repr`` oracle."""
 
@@ -457,8 +478,9 @@ class TestCsvWriter:
         # Row counts on both sides of one and two write steps, and a few small ones.
         n = data.draw(st.sampled_from([step - 1, step, step + 1, 2 * step, 2 * step + 1])
                       | st.integers(0, 5), label="rows")
-        pool = data.draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(
-            allow_nan=False, allow_infinity=False)), min_size=1, max_size=40), label="values")
+        # Blocks orjson writes whole, and blocks mixing its values with repr's.
+        floats = data.draw(st.sampled_from([_IN_RANGE, _ANY_FINITE]), label="floats")
+        pool = data.draw(st.lists(floats, min_size=1, max_size=40), label="values")
         values = np.resize(np.array(pool), (width, n))
         form = data.draw(st.sampled_from(["1-D arrays", "2-D array", "map columns"]))
         columns = {
@@ -469,6 +491,13 @@ class TestCsvWriter:
         header = data.draw(st.sampled_from([None, SPEC_CSV_HEADER, "b1,b2,f"]))
         fileio.save_csv(oracle_dir / "w.csv", header, columns)
         assert (oracle_dir / "w.csv").read_bytes() == _csv_oracle(header, columns)
+
+    @pytest.mark.parametrize("x", _RANGE_EDGES + [-x for x in _RANGE_EDGES], ids=repr)
+    def test_range_edge_among_in_range_values(self, tmp_path, x):
+        """One value at or just past an edge of orjson's range decides its block's writer."""
+        columns = (np.array([1.0, x, 0.5]), np.array([0.25, 3.0, -2.0]))
+        fileio.save_csv(tmp_path / "w.csv", None, columns)
+        assert (tmp_path / "w.csv").read_bytes() == _csv_oracle(None, columns)
 
     def test_memory_is_bounded(self, tmp_path):
         """Each write formats a bounded slice, so a long file needs no per-row lists."""
@@ -481,6 +510,28 @@ class TestCsvWriter:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+    def test_map_write_peak_is_one_block(self, tmp_path):
+        """A 512x512 map is written one 512-value row per write: orjson's output buffer,
+        which doubles as it grows, stays near 3.5x one row's text (about 49 KB in all, where
+        1024-value blocks take about 120 KB)."""
+        m = PLMap(np.random.default_rng(5).uniform(1.0, 1e4, (512, 512)))
+        tracemalloc.start()
+        try:
+            save_map(m, tmp_path / "m")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80_000
+
+    def test_orjson_text_is_repr_on_10_5_values(self, tmp_path):
+        """Every block of these values is written by orjson, and the file is the oracle's
+        bytes: a change in orjson's float text fails here."""
+        columns = tuple(_repr_oracle_values(np.random.default_rng(38)).reshape(5, -1))
+        with mock.patch.object(fileio.orjson, "dumps", wraps=fileio.orjson.dumps) as dumps:
+            fileio.save_csv(tmp_path / "w.csv", None, columns)
+        assert dumps.call_count == -(-len(columns[0]) // (fileio._WRITE_VALUES // 5))
+        assert (tmp_path / "w.csv").read_bytes() == _csv_oracle(None, columns)
 
 
 def _write_csv(path: Path, k: int) -> None:
